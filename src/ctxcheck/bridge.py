@@ -41,7 +41,7 @@ from ctxcheck.ontology import (
     canonical_representation,
     realized_weight,
 )
-from ctxcheck.sheaf import marginal_weights, require_no_signalling
+from ctxcheck.sheaf import marginal_weights, require_no_signalling, sub_contexts
 
 
 def measurement_name(labels: tuple[str, ...]) -> str:
@@ -50,11 +50,6 @@ def measurement_name(labels: tuple[str, ...]) -> str:
 
 def outcome_id(values: tuple[str, ...]) -> str:
     return values[0] if len(values) == 1 else ",".join(values)
-
-
-def _sub_contexts(ctx: tuple[str, ...]):
-    for r in range(1, len(ctx) + 1):
-        yield from itertools.combinations(ctx, r)
 
 
 def to_operational(theory: EmpiricalTheory) -> OperationalTheory:
@@ -72,7 +67,7 @@ def to_operational(theory: EmpiricalTheory) -> OperationalTheory:
     measurements: dict[str, Measurement] = {}
     host: dict[str, tuple[str, ...]] = {}  # measurement name -> a cover context
     for ctx in system.cover:
-        for sub in _sub_contexts(ctx):
+        for sub in sub_contexts(ctx):
             name = measurement_name(sub)
             if name in seen:
                 if seen[name] != sub:

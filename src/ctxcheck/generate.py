@@ -29,7 +29,7 @@ from ctxcheck.model import (
     validate_theory,
 )
 from ctxcheck.ontology import OntologicalRepresentation, validate_representation
-from ctxcheck.sheaf import global_outcome_tuples, marginal_weights
+from ctxcheck.sheaf import global_outcome_tuples, marginal_weights, sub_contexts
 
 MAX_ATTEMPTS = 50
 
@@ -129,11 +129,6 @@ def theory_from_sections(
     return theory
 
 
-def _sub_contexts(ctx: tuple[str, ...]):
-    for r in range(1, len(ctx) + 1):
-        yield from itertools.combinations(ctx, r)
-
-
 def _statistics_generic(theory: EmpiricalTheory) -> bool:
     """No exact collisions between unrelated statistics.
 
@@ -153,7 +148,7 @@ def _statistics_generic(theory: EmpiricalTheory) -> bool:
         return False
     host = {}
     for ctx in system.cover:
-        for sub in _sub_contexts(ctx):
+        for sub in sub_contexts(ctx):
             host.setdefault(sub, ctx)
     vectors: dict[tuple, tuple] = {}
     for sub, ctx in host.items():
@@ -384,7 +379,7 @@ def random_factorizable_representation(
         measurements: dict[str, Measurement] = {}
         xi: dict[str, dict[str, dict[str, Fraction]]] = {}
         for ctx in system.cover:
-            for sub in _sub_contexts(ctx):
+            for sub in sub_contexts(ctx):
                 name = measurement_name(sub)
                 if name in measurements:
                     continue

@@ -1,13 +1,17 @@
 """Exact rational feasibility of equality systems with nonnegative variables.
 
 Decides whether ``{x >= 0 : A x = b}`` is nonempty by a phase-I simplex over
-exact rationals with Bland's anti-cycling rule.  Infeasible systems come with
-a Farkas certificate: multipliers whose row combination has only nonnegative
-variable coefficients but a negative right-hand side.
+exact ``Fraction`` arithmetic with Bland's anti-cycling rule.  Infeasible
+systems come with a Farkas certificate: multipliers whose row combination has
+only nonnegative variable coefficients but a negative right-hand side.
 
-A light presolve (forced-zero variable elimination plus connected-component
-splitting) keeps the tableaus small; certificates found on the reduced system
-are patched back so they verify against the original rows.
+The solver works on sparse integer-indexed rows: each constraint becomes one
+``{column index: nonzero coefficient}`` dict, and names are used again only
+for the returned point and certificate.  A light presolve (forced-zero
+variable elimination plus connected-component splitting) keeps the tableaus
+small; each block's tableau is dense over its own columns.  Certificates
+found on the reduced system are patched back so they verify against the
+original rows.
 """
 
 from __future__ import annotations
@@ -16,13 +20,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ctxcheck.kernels import pivot
 from ctxcheck.model import ModelError, ONE, ZERO
-
-try:  # gmpy2 rationals are drop-in and markedly faster; optional
-    from gmpy2 import mpq as _mpq
-except ImportError:  # pragma: no cover - depends on environment
-    _mpq = None
 
 
 class LinearSystemError(ModelError):
@@ -148,23 +146,6 @@ def verify_point(system: LinearSystem, point: dict[str, Fraction]) -> bool:
 # Solver
 # ---------------------------------------------------------------------------
 
-if _mpq is not None:
-
-    def _internal(f: Fraction):
-        return _mpq(f.numerator, f.denominator)
-
-    def _external(v) -> Fraction:
-        return Fraction(int(v.numerator), int(v.denominator))
-
-else:  # pragma: no cover - depends on environment
-
-    def _internal(f: Fraction):
-        return f
-
-    def _external(v) -> Fraction:
-        return v
-
-
 @dataclass
 class _Elimination:
     """A variable forced to zero by an all-nonnegative zero-rhs row."""
@@ -175,20 +156,19 @@ class _Elimination:
 
 
 def _presolve(
-    dense: list[list[Fraction]], rhs: list[Fraction]
+    coeffs: list[dict[int, Fraction]], rhs: list[Fraction], n: int
 ) -> tuple[list[int], list[int], list[_Elimination], int | None]:
     """Iteratively eliminate forced-zero variables.
 
-    A zero-rhs row whose active coefficients all share one sign forces its
-    variables to zero.  Returns (active rows, active vars, eliminations in
-    order, contradiction row index or None); a contradiction row has no
-    active coefficients left but nonzero rhs.
+    ``coeffs`` holds one sparse row per constraint (column index -> nonzero
+    coefficient) over ``n`` columns.  A zero-rhs row whose active
+    coefficients all share one sign forces its variables to zero.  Returns
+    (active rows, active vars, eliminations in order, contradiction row index
+    or None); a contradiction row has no active coefficients left but
+    nonzero rhs.
     """
-    m = len(dense)
-    n = len(dense[0]) if m else 0
-    support: list[set[int]] = [
-        {j for j in range(n) if dense[r][j] != 0} for r in range(m)
-    ]
+    m = len(coeffs)
+    support: list[set[int]] = [set(row) for row in coeffs]
     var_rows: dict[int, set[int]] = {}
     for r in range(m):
         for j in support[r]:
@@ -213,7 +193,7 @@ def _presolve(
             continue
         if rhs[r] != 0:
             continue
-        row = dense[r]
+        row = coeffs[r]
         if all(row[j] > 0 for j in nz):
             sign = 1
         elif all(row[j] < 0 for j in nz):
@@ -237,14 +217,13 @@ def _presolve(
 
 
 def _components(
-    dense: list[list[Fraction]], active_rows: list[int], active_vars: list[int]
+    coeffs: list[dict[int, Fraction]], active_rows: list[int], active_vars: list[int]
 ) -> list[tuple[list[int], list[int]]]:
     """Split the active system into independent (rows, vars) blocks."""
     var_rows: dict[int, list[int]] = {j: [] for j in active_vars}
     row_vars: dict[int, list[int]] = {}
     for r in active_rows:
-        row = dense[r]
-        cols = [j for j in active_vars if row[j] != 0]
+        cols = [j for j in coeffs[r] if j in var_rows]
         row_vars[r] = cols
         for j in cols:
             var_rows[j].append(r)
@@ -276,37 +255,57 @@ def _components(
     return blocks
 
 
+def _pivot(rows: list[list[Fraction]], pr: int, pc: int) -> None:
+    """Row-reduce ``rows`` in place so column ``pc`` becomes unit at row ``pr``."""
+    prow = rows[pr]
+    piv = prow[pc]
+    if piv != 1:
+        # zero entries stay zero; skipping them avoids rational arithmetic
+        prow = [x / piv if x else x for x in prow]
+        rows[pr] = prow
+    for i in range(len(rows)):
+        if i == pr:
+            continue
+        row = rows[i]
+        f = row[pc]
+        if f:
+            rows[i] = [a - f * b if b else a for a, b in zip(row, prow)]
+
+
 def _simplex_phase1(
-    dense: list[list], rhs: list, rows: list[int], cols: list[int]
+    coeffs: list[dict[int, Fraction]],
+    rhs: list[Fraction],
+    rows: list[int],
+    cols: list[int],
 ) -> tuple[dict[int, Fraction] | None, dict[int, Fraction] | None]:
     """Phase-I simplex on a block.  Returns (point, None) or (None, dual).
 
+    The block tableau is dense over ``cols``, in their sorted order, so
+    Bland's rule sees the same column order as the original variables.
     ``point`` maps column index -> value; ``dual`` maps row index -> Farkas
     multiplier valid for the block rows (before any elimination patching).
     """
-    one = _internal(ONE)
-    zero = _internal(ZERO)
     m = len(rows)
     n = len(cols)
     flip = []
-    tab: list[list] = []
+    tab: list[list[Fraction]] = []
     for r in rows:
-        b = _internal(rhs[r])
+        b = rhs[r]
         sign = -1 if b < 0 else 1
         flip.append(sign)
-        row = [sign * _internal(dense[r][j]) for j in cols]
-        row.extend(one if k == len(tab) else zero for k in range(m))
+        row = [sign * coeffs[r].get(j, ZERO) for j in cols]
+        row.extend(ONE if k == len(tab) else ZERO for k in range(m))
         row.append(sign * b)
         tab.append(row)
     # phase-I reduced costs: structural -column sums, artificial 0
-    obj = [zero] * (n + m + 1)
+    obj = [ZERO] * (n + m + 1)
     for j in range(n + m + 1):
-        s = zero
+        s = ZERO
         for i in range(m):
             s = s + tab[i][j]
         obj[j] = -s
     for k in range(m):
-        obj[n + k] = zero
+        obj[n + k] = ZERO
     basis = [n + k for k in range(m)]
     work = tab + [obj]
     while True:
@@ -330,25 +329,25 @@ def _simplex_phase1(
                     leave = i
         if leave < 0:
             raise LinearSystemError("phase-I objective unbounded; invalid system")
-        pivot(work, leave, enter)
+        _pivot(work, leave, enter)
         basis[leave] = enter
     value = -work[m][n + m]
     if value == 0:
         point: dict[int, Fraction] = {}
         for i in range(m):
             if basis[i] < n:
-                point[cols[basis[i]]] = _external(work[i][n + m])
+                point[cols[basis[i]]] = work[i][n + m]
         return point, None
     dual: dict[int, Fraction] = {}
     for k in range(m):
-        y = _external(work[m][n + k] - one) * flip[k]
+        y = (work[m][n + k] - ONE) * flip[k]
         if y != 0:
             dual[rows[k]] = y
     return None, dual
 
 
 def _patch_certificate(
-    dense: list[list[Fraction]],
+    coeffs: list[dict[int, Fraction]],
     multipliers: dict[int, Fraction],
     eliminated: list[_Elimination],
 ) -> dict[int, Fraction]:
@@ -362,11 +361,11 @@ def _patch_certificate(
     for e in reversed(eliminated):
         combined = ZERO
         for r, yr in y.items():
-            a = dense[r][e.var]
+            a = coeffs[r].get(e.var, ZERO)
             if a != 0:
                 combined += yr * a
         if combined < 0:
-            coeff = dense[e.row][e.var] * e.sign
+            coeff = coeffs[e.row][e.var] * e.sign
             t = (-combined) / coeff
             y[e.row] = y.get(e.row, ZERO) + t * e.sign
             if y[e.row] == 0:
@@ -383,19 +382,19 @@ def solve_feasibility(system: LinearSystem) -> Feasible | Infeasible:
     """
     varnames = system.variables
     vindex = {v: i for i, v in enumerate(varnames)}
-    dense: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for c in system.constraints:
-        row = [ZERO] * len(varnames)
-        for v, a in c.coeffs.items():
-            row[vindex[v]] = a
-        dense.append(row)
-        rhs.append(c.rhs)
+    # stored zero coefficients are dropped so row supports stay exact
+    coeffs = [
+        {vindex[v]: a for v, a in c.coeffs.items() if a != 0}
+        for c in system.constraints
+    ]
+    rhs = [c.rhs for c in system.constraints]
 
-    active_rows, active_vars, eliminated, bad_row = _presolve(dense, rhs)
+    active_rows, active_vars, eliminated, bad_row = _presolve(
+        coeffs, rhs, len(varnames)
+    )
 
     def finish_infeasible(block_dual: dict[int, Fraction]) -> Infeasible:
-        full = _patch_certificate(dense, block_dual, eliminated)
+        full = _patch_certificate(coeffs, block_dual, eliminated)
         scale = max(abs(v) for v in full.values())
         named = {
             system.constraints[r].name: v / scale for r, v in full.items() if v != 0
@@ -410,8 +409,8 @@ def solve_feasibility(system: LinearSystem) -> Feasible | Infeasible:
         return finish_infeasible({bad_row: sign})
 
     point: dict[str, Fraction] = {v: ZERO for v in varnames}
-    for rows, cols in _components(dense, active_rows, active_vars):
-        block_point, block_dual = _simplex_phase1(dense, rhs, rows, cols)
+    for rows, cols in _components(coeffs, active_rows, active_vars):
+        block_point, block_dual = _simplex_phase1(coeffs, rhs, rows, cols)
         if block_point is None:
             assert block_dual is not None
             return finish_infeasible(block_dual)

@@ -11,7 +11,6 @@ reports problems as *data* (rather than raising) lives in
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
@@ -549,8 +548,3 @@ def elementary_measurements(theory: OperationalTheory) -> list[str]:
         ):
             out.append(name)
     return out
-
-
-def outcome_tuples(outcome_sets: list[tuple[str, ...]]) -> Iterator[tuple[str, ...]]:
-    """Lexicographic product of outcome sets (first label varies slowest)."""
-    return itertools.product(*outcome_sets)

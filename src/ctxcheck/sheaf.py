@@ -50,6 +50,12 @@ def global_outcome_tuples(system: SystemType):
     return context_outcome_tuples(system, system.labels)
 
 
+def sub_contexts(ctx: Context):
+    """All nonempty sub-contexts of ``ctx``, by size, in label order."""
+    for r in range(1, len(ctx) + 1):
+        yield from itertools.combinations(ctx, r)
+
+
 def restrict_values(
     system: SystemType, values: tuple[str, ...], context: Context
 ) -> tuple[str, ...]:

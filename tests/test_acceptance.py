@@ -12,6 +12,8 @@ import random
 import time
 from fractions import Fraction
 
+import pytest
+
 from ctxcheck import (
     builtin_example,
     canonical_representation,
@@ -131,6 +133,24 @@ def test_declared_measurement_mixture_is_robustly_infeasible():
 
     bare = without_declarations(ex.theory)
     assert not _checked_verdict(bare).contextual
+
+
+@pytest.mark.parametrize(
+    "name, margin",
+    [
+        ("bell", Fraction(5, 16)),
+        ("mermin", Fraction(1, 4)),
+        ("spekkens-preparation", Fraction(73, 168)),
+        ("spekkens-unsharp", Fraction(5, 12)),
+        ("specker-triangle", Fraction(1, 2)),
+    ],
+)
+def test_bundled_scenarios_return_pinned_margins(name, margin):
+    # the returned certificate is deterministic, so its margin is exact
+    verdict = _checked_verdict(builtin_example(name).theory)
+    assert verdict.contextual
+    assert verdict.margin == margin
+    assert certificate_margin(verdict.system, verdict.certificate) == margin
 
 
 def test_triangle_scenario_separates_the_two_notions():

@@ -108,6 +108,43 @@ def test_unknown_variable_rejected():
         _system([("r", {"ghost": 1}, 1)], ["x"])
 
 
+def test_stored_zero_coefficient_is_not_eliminated_by_presolve():
+    # "zero" forces x = 0 and nothing else: its stored 0 on y neither puts y
+    # into the elimination nor keeps x out of it, so the clash between "sum"
+    # and "y" is certified by those two rows alone
+    system = _system(
+        [
+            ("zero", {"x": 1, "y": 0}, 0),
+            ("sum", {"x": 1, "y": 1}, 1),
+            ("y", {"y": 1}, 2),
+        ],
+        ["x", "y"],
+    )
+    result = solve_feasibility(system)
+    assert isinstance(result, Infeasible)
+    assert result.certificate.multipliers == {"sum": 1, "y": -1}
+    assert verify_certificate(system, result.certificate)
+    assert result.margin == 1
+
+
+def test_all_zero_row_with_nonzero_rhs_is_its_own_certificate():
+    # "one" and "two" clash as well, but the stored-zero row "empty" is a
+    # contradiction on its own and presolve certifies it before any pivot
+    system = _system(
+        [
+            ("one", {"x": 1, "y": 1}, 1),
+            ("two", {"x": 1, "y": 1}, 2),
+            ("empty", {"x": 0, "y": 0}, 3),
+        ],
+        ["x", "y"],
+    )
+    result = solve_feasibility(system)
+    assert isinstance(result, Infeasible)
+    assert result.certificate.multipliers == {"empty": -1}
+    assert verify_certificate(system, result.certificate)
+    assert result.margin == 3
+
+
 def test_is_robust_strict_inequality():
     assert is_robust(Fraction(1, 8), 4, Fraction(1, 64))
     assert not is_robust(Fraction(1, 8), 8, Fraction(1, 64))
