@@ -309,8 +309,12 @@ def duplicated_label_theory(
     """Clone one label into a statistically identical twin.
 
     The twin lives in a copy of one host context with the original label
-    swapped out, so the two never co-occur and quotienting merges them:
-    a guaranteed nontrivial quotient.
+    swapped out, so the two never co-occur and are statistically
+    equivalent.  ``quotient_theory`` merges them unless one of its guards
+    splits their class: when merging two other labels fails guard (iii) in a
+    context that holds either of them, every multi-member class in that
+    context is split, the twin's included, and the twin stays a label of
+    the quotient.
     """
     system = theory.system
     label = rng.choice(system.labels)

@@ -1,15 +1,19 @@
 """Exact rational feasibility of equality systems with nonnegative variables.
 
-Decides whether ``{x >= 0 : A x = b}`` is nonempty by a phase-I simplex over
-exact ``Fraction`` arithmetic with Bland's anti-cycling rule.  Infeasible
-systems come with a Farkas certificate: multipliers whose row combination has
-only nonnegative variable coefficients but a negative right-hand side.
+Decides whether ``{x >= 0 : A x = b}`` is nonempty by a phase-I simplex with
+Bland's anti-cycling rule.  Infeasible systems come with a Farkas
+certificate: multipliers whose row combination has only nonnegative variable
+coefficients but a negative right-hand side.
 
 The solver works on sparse integer-indexed rows: each constraint becomes one
 ``{column index: nonzero coefficient}`` dict, and names are used again only
 for the returned point and certificate.  A light presolve (forced-zero
 variable elimination plus connected-component splitting) keeps the tableaus
-small; each block's tableau is dense over its own columns.  Certificates
+small.  Each block's tableau is dense over its own columns and fraction-free
+(Edmonds): a row is a list of Python ints, scaled once by the lcm of its
+denominators, kept only up to a positive scale and divided by its content
+after every pivot.  The simplex uses no ``Fraction``: they enter with the
+input rows and leave with the returned point and multipliers.  Certificates
 found on the reduced system are patched back so they verify against the
 original rows.
 """
@@ -19,8 +23,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
-from ctxcheck.model import ModelError, ONE, ZERO
+from ctxcheck.model import ModelError, ZERO
 
 
 class LinearSystemError(ModelError):
@@ -103,17 +108,24 @@ class Infeasible:
     margin: Fraction
 
 
-def verify_certificate(system: LinearSystem, certificate: FarkasCertificate) -> bool:
-    """True iff the multipliers genuinely witness infeasibility (exact check)."""
+def _certified_rhs(
+    system: LinearSystem, certificate: FarkasCertificate
+) -> Fraction | None:
+    """The combined rhs if the multipliers witness infeasibility, else None."""
     if not certificate.multipliers:
-        return False
+        return None
     known = {c.name for c in system.constraints}
     if set(certificate.multipliers) - known:
-        return False
+        return None
     coeffs, rhs = certificate.combined(system)
-    if rhs >= 0:
-        return False
-    return all(a >= 0 for a in coeffs.values())
+    if rhs >= 0 or any(a < 0 for a in coeffs.values()):
+        return None
+    return rhs
+
+
+def verify_certificate(system: LinearSystem, certificate: FarkasCertificate) -> bool:
+    """True iff the multipliers genuinely witness infeasibility (exact check)."""
+    return _certified_rhs(system, certificate) is not None
 
 
 def certificate_margin(system: LinearSystem, certificate: FarkasCertificate) -> Fraction:
@@ -255,23 +267,6 @@ def _components(
     return blocks
 
 
-def _pivot(rows: list[list[Fraction]], pr: int, pc: int) -> None:
-    """Row-reduce ``rows`` in place so column ``pc`` becomes unit at row ``pr``."""
-    prow = rows[pr]
-    piv = prow[pc]
-    if piv != 1:
-        # zero entries stay zero; skipping them avoids rational arithmetic
-        prow = [x / piv if x else x for x in prow]
-        rows[pr] = prow
-    for i in range(len(rows)):
-        if i == pr:
-            continue
-        row = rows[i]
-        f = row[pc]
-        if f:
-            rows[i] = [a - f * b if b else a for a, b in zip(row, prow)]
-
-
 def _simplex_phase1(
     coeffs: list[dict[int, Fraction]],
     rhs: list[Fraction],
@@ -280,67 +275,96 @@ def _simplex_phase1(
 ) -> tuple[dict[int, Fraction] | None, dict[int, Fraction] | None]:
     """Phase-I simplex on a block.  Returns (point, None) or (None, dual).
 
-    The block tableau is dense over ``cols``, in their sorted order, so
-    Bland's rule sees the same column order as the original variables.
-    ``point`` maps column index -> value; ``dual`` maps row index -> Farkas
-    multiplier valid for the block rows (before any elimination patching).
+    Fraction-free: each tableau row is a list of Python ints equal to the
+    exact rational row up to a positive scale, divided by its content after
+    every update.  Positive scaling changes neither the sign of an entry nor
+    the order of two ratios, so Bland's pivot sequence is the one of the
+    rational tableau.  The objective row is read exactly, so it carries its
+    own denominator: its rational value is ``obj / oden``.
+
+    Columns are ``cols`` in sorted order (Bland's rule sees the original
+    variable order), then one artificial per row, then the rhs.  ``point``
+    maps column index -> value; ``dual`` maps row index -> Farkas multiplier
+    valid for the block rows (before any elimination patching).
     """
     m = len(rows)
     n = len(cols)
-    flip = []
-    tab: list[list[Fraction]] = []
-    for r in rows:
+    width = n + m + 1
+    position = {j: i for i, j in enumerate(cols)}
+    flip: list[int] = []
+    scales: list[int] = []
+    tab: list[list[int]] = []
+    for k, r in enumerate(rows):
+        entries = [(position[j], a) for j, a in coeffs[r].items() if j in position]
         b = rhs[r]
         sign = -1 if b < 0 else 1
+        scale = lcm(b.denominator, *(a.denominator for _, a in entries))
+        row = [0] * width
+        for i, a in entries:
+            row[i] = sign * a.numerator * (scale // a.denominator)
+        row[n + k] = scale
+        row[-1] = sign * b.numerator * (scale // b.denominator)
         flip.append(sign)
-        row = [sign * coeffs[r].get(j, ZERO) for j in cols]
-        row.extend(ONE if k == len(tab) else ZERO for k in range(m))
-        row.append(sign * b)
+        scales.append(scale)
         tab.append(row)
     # phase-I reduced costs: structural -column sums, artificial 0
-    obj = [ZERO] * (n + m + 1)
-    for j in range(n + m + 1):
-        s = ZERO
-        for i in range(m):
-            s = s + tab[i][j]
-        obj[j] = -s
-    for k in range(m):
-        obj[n + k] = ZERO
+    oden = lcm(*scales)
+    obj = [0] * width
+    for row, scale in zip(tab, scales):
+        mult = oden // scale
+        for i in range(n):
+            if row[i]:
+                obj[i] -= row[i] * mult
+        obj[-1] -= row[-1] * mult
     basis = [n + k for k in range(m)]
-    work = tab + [obj]
     while True:
         enter = -1
         for j in range(n):  # Bland: lowest structural index; artificials barred
-            if work[m][j] < 0:
+            if obj[j] < 0:
                 enter = j
                 break
         if enter < 0:
             break
         leave = -1
-        best = None
         for i in range(m):
-            a = work[i][enter]
+            a = tab[i][enter]
             if a > 0:
-                ratio = work[i][n + m] / a
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leave]
-                ):
-                    best = ratio
-                    leave = i
+                b = tab[i][-1]
+                if leave < 0:
+                    leave, best_b, best_a = i, b, a
+                    continue
+                # b / a against best_b / best_a by cross-multiplying (a > 0)
+                here, best = b * best_a, best_b * a
+                if here < best or (here == best and basis[i] < basis[leave]):
+                    leave, best_b, best_a = i, b, a
         if leave < 0:
             raise LinearSystemError("phase-I objective unbounded; invalid system")
-        _pivot(work, leave, enter)
+        prow = tab[leave]
+        p = prow[enter]
+        for i in range(m):
+            row = tab[i]
+            f = row[enter]
+            if f and i != leave:
+                row = [a * p - f * b for a, b in zip(row, prow)]
+                g = gcd(*row)
+                tab[i] = [a // g for a in row] if g > 1 else row
+        f = obj[enter]
+        obj = [a * p - f * b for a, b in zip(obj, prow)]
+        oden *= p
+        g = gcd(oden, *obj)
+        if g > 1:
+            obj = [a // g for a in obj]
+            oden //= g
         basis[leave] = enter
-    value = -work[m][n + m]
-    if value == 0:
+    if obj[-1] == 0:
         point: dict[int, Fraction] = {}
         for i in range(m):
             if basis[i] < n:
-                point[cols[basis[i]]] = work[i][n + m]
+                point[cols[basis[i]]] = Fraction(tab[i][-1], tab[i][basis[i]])
         return point, None
     dual: dict[int, Fraction] = {}
     for k in range(m):
-        y = (work[m][n + k] - ONE) * flip[k]
+        y = Fraction(obj[n + k] - oden, oden) * flip[k]
         if y != 0:
             dual[rows[k]] = y
     return None, dual
@@ -400,9 +424,11 @@ def solve_feasibility(system: LinearSystem) -> Feasible | Infeasible:
             system.constraints[r].name: v / scale for r, v in full.items() if v != 0
         }
         cert = FarkasCertificate(multipliers=named)
-        if not verify_certificate(system, cert):
+        rhs = _certified_rhs(system, cert)
+        if rhs is None:
             raise LinearSystemError("internal error: certificate failed verification")
-        return Infeasible(certificate=cert, margin=certificate_margin(system, cert))
+        # the multipliers are normalized to max |y| = 1, so the margin is |rhs|
+        return Infeasible(certificate=cert, margin=-rhs)
 
     if bad_row is not None:
         sign = Fraction(-1 if rhs[bad_row] > 0 else 1)

@@ -8,8 +8,11 @@ from ctxcheck import (
     analyze_representation,
     check_contextuality,
     duplicated_label_theory,
+    equivalence_classes,
+    induced_theory,
     minimalize,
     parity_bump,
+    quotient_theory,
     random_factorizable_representation,
     random_feasible_theory,
     random_frustrated_cycle,
@@ -117,6 +120,27 @@ def test_duplicated_label_collapses_under_minimalization():
     # original, so the quotient stage must merge it away
     assert not mapping.quotient_map.is_identity()
     assert len(minimal.system.labels) < len(mapping.split_theory.system.labels)
+
+
+def test_duplicated_twin_stays_apart_when_a_guard_splits_its_class():
+    # the 309th representation of a stream drawn from random.Random(1), each
+    # draw followed by a 32-bit seed for the duplication
+    rng = random.Random(1)
+    for _ in range(309):
+        rep = random_factorizable_representation(rng)
+        dup_seed = rng.randrange(2**32)
+    theory, _ = induced_theory(rep)
+    doubled = duplicated_label_theory(random.Random(dup_seed), theory)
+    assert doubled.system.cover == (("e0",), ("e1", "e2"), ("e1", "e2_dup"))
+    # the twin is statistically equivalent to its label...
+    classes = equivalence_classes(doubled, "measurement").classes
+    assert ("e2", "e2_dup") in classes and ("e0", "e1") in classes
+    # ...but merging e0 with e1 would map context (e1, e2) onto {e0, e2},
+    # which embeds in no context, and guard (iii) then splits every
+    # multi-member class in that context, the twin's included
+    quotient, mapping = quotient_theory(doubled)
+    assert mapping.forward["e2_dup"] == "e2_dup"
+    assert quotient.system.labels == doubled.system.labels
 
 
 def test_random_factorizable_representations_analyze_clean():

@@ -1,10 +1,17 @@
 """Exact feasibility solver: hand-worked systems and randomized soundness."""
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
+from ctxcheck.generate import (
+    random_feasible_theory,
+    random_frustrated_cycle,
+    random_instance,
+)
 from ctxcheck.linprog import (
     FarkasCertificate,
     Feasible,
@@ -18,6 +25,8 @@ from ctxcheck.linprog import (
     verify_certificate,
     verify_point,
 )
+from ctxcheck.quantum import BUILTIN_NAMES, builtin_example, without_declarations
+from ctxcheck.sheaf import global_section_system
 
 
 def _system(rows, variables):
@@ -210,3 +219,104 @@ def test_margin_normalization_max_multiplier_is_one():
     assert scale == 1
     # rows scaled (1, -1/2): combined rhs 1 - 5/2 = -3/2
     assert result.margin == Fraction(3, 2)
+
+
+def _golden_theories():
+    for name in BUILTIN_NAMES:
+        theory = builtin_example(name).theory
+        yield theory
+        yield without_declarations(theory)
+    for seed in range(40):
+        yield random_instance(random.Random(seed))
+        yield random_frustrated_cycle(random.Random(seed))
+        yield random_feasible_theory(random.Random(seed))[0]
+
+
+def test_solver_output_matches_golden_digest():
+    # sha256 over every point, multiplier and margin of 130 LPs (63
+    # infeasible); any change to the pivot sequence, the returned point or
+    # the certificate changes it
+    digest = hashlib.sha256()
+    for theory in _golden_theories():
+        result = solve_feasibility(global_section_system(theory))
+        if isinstance(result, Feasible):
+            digest.update(b"F")
+            values = result.point
+        else:
+            digest.update(b"I" + str(result.margin).encode())
+            values = result.certificate.multipliers
+        for name, value in sorted(values.items()):
+            digest.update(f"{name}={value};".encode())
+    assert digest.hexdigest() == (
+        "bbb51f3db00c986a6ed6f5980beba31eb06f72c5e41c9764cb15ca62b670fbcd"
+    )
+
+
+_RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@st.composite
+def _rational_systems(draw):
+    """Small systems with mixed-sign rational rows; half get a planted point.
+
+    Without a planted point the rhs is drawn freely, so many systems are
+    infeasible and some rhs are negative (exercising the row sign flip);
+    with one, the rhs is the row value at a nonnegative rational point.
+    """
+    n = draw(st.integers(1, 4))
+    variables = [f"v{j}" for j in range(n)]
+    planted = draw(st.booleans())
+    point = {
+        v: draw(st.fractions(min_value=0, max_value=3, max_denominator=4))
+        for v in variables
+    }
+    rows = []
+    for r in range(draw(st.integers(1, 5))):
+        coeffs = {v: draw(_RATIONALS) for v in variables}
+        if planted:
+            rhs = sum(a * point[v] for v, a in coeffs.items())
+        else:
+            rhs = draw(_RATIONALS)
+        rows.append((f"r{r}", coeffs, rhs))
+    return _system(rows, variables)
+
+
+def _with_constraints(system, constraints):
+    return LinearSystem(variables=system.variables, constraints=tuple(constraints))
+
+
+@given(_rational_systems())
+def test_every_verdict_passes_its_exact_check(system):
+    result = solve_feasibility(system)
+    if isinstance(result, Feasible):
+        assert verify_point(system, result.point)
+    else:
+        assert verify_certificate(system, result.certificate)
+        assert certificate_margin(system, result.certificate) == result.margin > 0
+
+
+@given(
+    _rational_systems(),
+    st.integers(0, 4),
+    st.fractions(min_value=Fraction(1, 8), max_value=8, max_denominator=8),
+)
+def test_verdict_unchanged_by_positive_row_scaling(system, index, factor):
+    rows = list(system.constraints)
+    row = rows[index % len(rows)]
+    rows[index % len(rows)] = LinearConstraint(
+        name=row.name,
+        coeffs={v: a * factor for v, a in row.coeffs.items()},
+        rhs=row.rhs * factor,
+    )
+    assert isinstance(
+        solve_feasibility(_with_constraints(system, rows)), Feasible
+    ) == isinstance(solve_feasibility(system), Feasible)
+
+
+@given(_rational_systems(), st.randoms(use_true_random=False))
+def test_verdict_unchanged_by_row_permutation(system, rng):
+    rows = list(system.constraints)
+    rng.shuffle(rows)
+    assert isinstance(
+        solve_feasibility(_with_constraints(system, rows)), Feasible
+    ) == isinstance(solve_feasibility(system), Feasible)
