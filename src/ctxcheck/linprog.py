@@ -5,17 +5,22 @@ Bland's anti-cycling rule.  Infeasible systems come with a Farkas
 certificate: multipliers whose row combination has only nonnegative variable
 coefficients but a negative right-hand side.
 
-The solver works on sparse integer-indexed rows: each constraint becomes one
-``{column index: nonzero coefficient}`` dict, and names are used again only
-for the returned point and certificate.  A light presolve (forced-zero
-variable elimination plus connected-component splitting) keeps the tableaus
-small.  Each block's tableau is dense over its own columns and fraction-free
-(Edmonds): a row is a list of Python ints, scaled once by the lcm of its
-denominators, kept only up to a positive scale and divided by its content
-after every pivot.  The simplex uses no ``Fraction``: they enter with the
-input rows and leave with the returned point and multipliers.  Certificates
-found on the reduced system are patched back so they verify against the
-original rows.
+The solver works on sparse integer-indexed rows of Python ints: each
+constraint becomes one ``{column index: nonzero coefficient}`` dict, the row
+times the lcm of its denominators, and names are used again only for the
+returned point and certificate.  A light presolve (forced-zero variable
+elimination plus connected-component splitting) keeps the tableaus small.
+Each block's tableau is dense over its own columns and fraction-free
+(Edmonds): a row is a list of Python ints, kept only up to a positive scale
+and divided by its content after every pivot.  No ``Fraction`` is used
+between the input rows and the returned point and multipliers.
+
+Certificates found on the reduced system are patched back so they verify
+against the original rows: presolve records the rows of every column it
+eliminates, and the patch walks only those columns.  A certificate is
+checked by combining its rows over Python ints with one common denominator
+(``_combine``), so the signs are read from integers; a point is checked by
+summing each row only over the point's nonzero entries.
 """
 
 from __future__ import annotations
@@ -81,16 +86,45 @@ class FarkasCertificate:
 
     def combined(self, system: LinearSystem) -> tuple[dict[str, Fraction], Fraction]:
         """Recompute the combined row and rhs from the original system."""
-        coeffs: dict[str, Fraction] = {}
-        rhs = ZERO
-        for c in system.constraints:
-            y = self.multipliers.get(c.name, ZERO)
-            if y == 0:
-                continue
-            rhs += y * c.rhs
-            for v, a in c.coeffs.items():
-                coeffs[v] = coeffs.get(v, ZERO) + y * a
-        return coeffs, rhs
+        coeffs, rhs, den = _combine(system, self.multipliers)
+        return {v: Fraction(a, den) for v, a in coeffs.items()}, Fraction(rhs, den)
+
+
+def _row_scale(c: LinearConstraint) -> int:
+    """The lcm of a row's denominators, rhs included: times it the row is integer."""
+    return lcm(c.rhs.denominator, *[a.denominator for a in c.coeffs.values()])
+
+
+def _combine(
+    system: LinearSystem, multipliers: dict[str, Fraction]
+) -> tuple[dict[str, int], int, int]:
+    """``sum_r y_r * row_r`` over Python ints: (coefficients, rhs, denominator).
+
+    Every value is an integer over the one common denominator ``den > 0``, so
+    signs read straight off the integers.  Each row is taken as its integer
+    multiple (``_row_scale``) with its multiplier divided by that scale;
+    ``den`` is the lcm of the resulting multiplier denominators.  Multipliers
+    naming no constraint are ignored.  The coefficient keys are those of
+    every row with a nonzero multiplier, stored zeros included, in row order.
+    """
+    rows: list[tuple[LinearConstraint, int, Fraction]] = []
+    den = 1
+    for c in system.constraints:
+        y = multipliers.get(c.name)
+        if not y:
+            continue
+        scale = _row_scale(c)
+        weight = Fraction(y) / scale
+        den = lcm(den, weight.denominator)
+        rows.append((c, scale, weight))
+    coeffs: dict[str, int] = {}
+    rhs = 0
+    for c, scale, weight in rows:
+        w = weight.numerator * (den // weight.denominator)
+        rhs += w * c.rhs.numerator * (scale // c.rhs.denominator)
+        for v, a in c.coeffs.items():
+            coeffs[v] = coeffs.get(v, 0) + w * a.numerator * (scale // a.denominator)
+    return coeffs, rhs, den
 
 
 @dataclass
@@ -108,19 +142,21 @@ class Infeasible:
     margin: Fraction
 
 
+def _unknown_names(system: LinearSystem, certificate: FarkasCertificate) -> bool:
+    known = {c.name for c in system.constraints}
+    return any(name not in known for name in certificate.multipliers)
+
+
 def _certified_rhs(
     system: LinearSystem, certificate: FarkasCertificate
 ) -> Fraction | None:
     """The combined rhs if the multipliers witness infeasibility, else None."""
-    if not certificate.multipliers:
+    if _unknown_names(system, certificate):
         return None
-    known = {c.name for c in system.constraints}
-    if set(certificate.multipliers) - known:
-        return None
-    coeffs, rhs = certificate.combined(system)
+    coeffs, rhs, den = _combine(system, certificate.multipliers)
     if rhs >= 0 or any(a < 0 for a in coeffs.values()):
         return None
-    return rhs
+    return Fraction(rhs, den)
 
 
 def verify_certificate(system: LinearSystem, certificate: FarkasCertificate) -> bool:
@@ -129,12 +165,18 @@ def verify_certificate(system: LinearSystem, certificate: FarkasCertificate) -> 
 
 
 def certificate_margin(system: LinearSystem, certificate: FarkasCertificate) -> Fraction:
-    """|combined rhs| after scaling multipliers to max absolute value 1."""
-    scale = max(abs(y) for y in certificate.multipliers.values())
+    """|combined rhs| after scaling multipliers to max absolute value 1.
+
+    Raises ``LinearSystemError`` when the certificate has no nonzero
+    multiplier or names a constraint the system does not have.
+    """
+    if _unknown_names(system, certificate):
+        raise LinearSystemError("certificate names constraints outside the system")
+    scale = max((abs(y) for y in certificate.multipliers.values()), default=0)
     if scale == 0:
         raise LinearSystemError("certificate has no nonzero multiplier")
-    _, rhs = certificate.combined(system)
-    return abs(rhs) / scale
+    _, rhs, den = _combine(system, certificate.multipliers)
+    return Fraction(abs(rhs), den) / scale
 
 
 def is_robust(margin: Fraction, constraint_count: int, max_perturbation: Fraction) -> bool:
@@ -143,12 +185,24 @@ def is_robust(margin: Fraction, constraint_count: int, max_perturbation: Fractio
 
 
 def verify_point(system: LinearSystem, point: dict[str, Fraction]) -> bool:
-    """Exact check that ``point`` is nonnegative and satisfies every row."""
+    """Exact check that ``point`` is nonnegative and satisfies every row.
+
+    Keys that are not variables are ignored, and a missing variable reads 0.
+    Each row is summed only over the point's nonzero entries.
+    """
+    nonzero: dict[str, Fraction] = {}
     for v in system.variables:
-        if point.get(v, ZERO) < 0:
-            return False
+        x = point.get(v)
+        if x:
+            if x < 0:
+                return False
+            nonzero[v] = x
     for c in system.constraints:
-        total = sum((a * point.get(v, ZERO) for v, a in c.coeffs.items()), start=ZERO)
+        total = ZERO
+        for v, a in c.coeffs.items():
+            x = nonzero.get(v)
+            if x is not None:
+                total += a * x
         if total != c.rhs:
             return False
     return True
@@ -165,15 +219,16 @@ class _Elimination:
     var: int
     row: int
     sign: int  # sign * row has all coefficients >= 0 on columns active then
+    column: set[int]  # every row with a nonzero coefficient on ``var``
 
 
 def _presolve(
-    coeffs: list[dict[int, Fraction]], rhs: list[Fraction], n: int
+    coeffs: list[dict[int, int]], rhs: list[int], n: int
 ) -> tuple[list[int], list[int], list[_Elimination], int | None]:
     """Iteratively eliminate forced-zero variables.
 
-    ``coeffs`` holds one sparse row per constraint (column index -> nonzero
-    coefficient) over ``n`` columns.  A zero-rhs row whose active
+    ``coeffs`` holds one sparse integer row per constraint (column index ->
+    nonzero coefficient) over ``n`` columns.  A zero-rhs row whose active
     coefficients all share one sign forces its variables to zero.  Returns
     (active rows, active vars, eliminations in order, contradiction row index
     or None); a contradiction row has no active coefficients left but
@@ -181,10 +236,10 @@ def _presolve(
     """
     m = len(coeffs)
     support: list[set[int]] = [set(row) for row in coeffs]
-    var_rows: dict[int, set[int]] = {}
+    var_rows: list[set[int]] = [set() for _ in range(n)]
     for r in range(m):
         for j in support[r]:
-            var_rows.setdefault(j, set()).add(r)
+            var_rows[j].add(r)
     active = set(range(m))
     eliminated: list[_Elimination] = []
     gone_vars: set[int] = set()
@@ -214,9 +269,10 @@ def _presolve(
             continue
         active.discard(r)
         for j in sorted(nz):
-            eliminated.append(_Elimination(var=j, row=r, sign=sign))
+            column = var_rows[j]
+            eliminated.append(_Elimination(var=j, row=r, sign=sign, column=column))
             gone_vars.add(j)
-            for r2 in var_rows.pop(j, ()):
+            for r2 in column:
                 if r2 == r or r2 not in active:
                     continue
                 support[r2].discard(j)
@@ -229,7 +285,7 @@ def _presolve(
 
 
 def _components(
-    coeffs: list[dict[int, Fraction]], active_rows: list[int], active_vars: list[int]
+    coeffs: list[dict[int, int]], active_rows: list[int], active_vars: list[int]
 ) -> list[tuple[list[int], list[int]]]:
     """Split the active system into independent (rows, vars) blocks."""
     var_rows: dict[int, list[int]] = {j: [] for j in active_vars}
@@ -268,11 +324,12 @@ def _components(
 
 
 def _simplex_phase1(
-    coeffs: list[dict[int, Fraction]],
-    rhs: list[Fraction],
+    coeffs: list[dict[int, int]],
+    rhs: list[int],
+    scales: list[int],
     rows: list[int],
     cols: list[int],
-) -> tuple[dict[int, Fraction] | None, dict[int, Fraction] | None]:
+) -> tuple[dict[int, Fraction] | None, dict[int, int] | None]:
     """Phase-I simplex on a block.  Returns (point, None) or (None, dual).
 
     Fraction-free: each tableau row is a list of Python ints equal to the
@@ -282,36 +339,36 @@ def _simplex_phase1(
     rational tableau.  The objective row is read exactly, so it carries its
     own denominator: its rational value is ``obj / oden``.
 
-    Columns are ``cols`` in sorted order (Bland's rule sees the original
-    variable order), then one artificial per row, then the rhs.  ``point``
-    maps column index -> value; ``dual`` maps row index -> Farkas multiplier
-    valid for the block rows (before any elimination patching).
+    Row ``r`` arrives as ``scales[r]`` times the rational row, so its
+    artificial column starts at ``scales[r]``.  Columns are ``cols`` in
+    sorted order (Bland's rule sees the original variable order), then one
+    artificial per row, then the rhs.  ``point`` maps column index -> value;
+    ``dual`` maps row index -> Farkas multiplier on the rational row, up to
+    one positive scale, valid for the block rows (before any elimination
+    patching).
     """
     m = len(rows)
     n = len(cols)
     width = n + m + 1
     position = {j: i for i, j in enumerate(cols)}
     flip: list[int] = []
-    scales: list[int] = []
     tab: list[list[int]] = []
     for k, r in enumerate(rows):
-        entries = [(position[j], a) for j, a in coeffs[r].items() if j in position]
-        b = rhs[r]
-        sign = -1 if b < 0 else 1
-        scale = lcm(b.denominator, *(a.denominator for _, a in entries))
+        sign = -1 if rhs[r] < 0 else 1
         row = [0] * width
-        for i, a in entries:
-            row[i] = sign * a.numerator * (scale // a.denominator)
-        row[n + k] = scale
-        row[-1] = sign * b.numerator * (scale // b.denominator)
+        for j, a in coeffs[r].items():
+            i = position.get(j)
+            if i is not None:
+                row[i] = sign * a
+        row[n + k] = scales[r]
+        row[-1] = sign * rhs[r]
         flip.append(sign)
-        scales.append(scale)
         tab.append(row)
     # phase-I reduced costs: structural -column sums, artificial 0
-    oden = lcm(*scales)
+    oden = lcm(*(scales[r] for r in rows))
     obj = [0] * width
-    for row, scale in zip(tab, scales):
-        mult = oden // scale
+    for k, row in enumerate(tab):
+        mult = oden // scales[rows[k]]
         for i in range(n):
             if row[i]:
                 obj[i] -= row[i] * mult
@@ -362,39 +419,55 @@ def _simplex_phase1(
             if basis[i] < n:
                 point[cols[basis[i]]] = Fraction(tab[i][-1], tab[i][basis[i]])
         return point, None
-    dual: dict[int, Fraction] = {}
+    # y_k = (obj[n + k] / oden - 1) * flip[k], all over the one denominator
+    dual: dict[int, int] = {}
     for k in range(m):
-        y = Fraction(obj[n + k] - oden, oden) * flip[k]
-        if y != 0:
+        y = (obj[n + k] - oden) * flip[k]
+        if y:
             dual[rows[k]] = y
     return None, dual
 
 
 def _patch_certificate(
-    coeffs: list[dict[int, Fraction]],
-    multipliers: dict[int, Fraction],
+    coeffs: list[dict[int, int]],
+    scales: list[int],
+    multipliers: dict[int, int],
     eliminated: list[_Elimination],
-) -> dict[int, Fraction]:
+) -> dict[int, int]:
     """Extend block multipliers so eliminated columns also combine >= 0.
 
     Processed in reverse elimination order: each patch row is nonnegative on
     every column still active when its variable was eliminated, so later
-    (already patched) columns only increase.
+    (already patched) columns only increase.  Each column is combined over
+    the rows ``_presolve`` recorded for it.
+
+    Multipliers on the rational rows come in, and go out, up to one positive
+    scale; the patch commutes with positive scaling.  In between they are
+    held as integers ``z`` on the integer rows (``y_r = z_r * scales[r]`` up
+    to scale), and all of ``z`` is multiplied up when a patch step would
+    leave the integers.
     """
-    y = dict(multipliers)
+    common = lcm(*(scales[r] for r in multipliers))
+    z = {r: y * (common // scales[r]) for r, y in multipliers.items()}
     for e in reversed(eliminated):
-        combined = ZERO
-        for r, yr in y.items():
-            a = coeffs[r].get(e.var, ZERO)
-            if a != 0:
-                combined += yr * a
+        combined = 0
+        for r in e.column:
+            zr = z.get(r)
+            if zr is not None:
+                combined += zr * coeffs[r][e.var]
         if combined < 0:
-            coeff = coeffs[e.row][e.var] * e.sign
-            t = (-combined) / coeff
-            y[e.row] = y.get(e.row, ZERO) + t * e.sign
-            if y[e.row] == 0:
-                del y[e.row]
-    return y
+            # z[e.row] -= combined / q brings the column to exactly zero
+            q = coeffs[e.row][e.var]
+            f = abs(q) // gcd(combined, q)
+            if f > 1:
+                z = {r: v * f for r, v in z.items()}
+                combined *= f
+            zr = z.get(e.row, 0) - combined // q
+            if zr:
+                z[e.row] = zr
+            else:
+                del z[e.row]
+    return {r: v * scales[r] for r, v in z.items()}
 
 
 def solve_feasibility(system: LinearSystem) -> Feasible | Infeasible:
@@ -406,22 +479,32 @@ def solve_feasibility(system: LinearSystem) -> Feasible | Infeasible:
     """
     varnames = system.variables
     vindex = {v: i for i, v in enumerate(varnames)}
-    # stored zero coefficients are dropped so row supports stay exact
-    coeffs = [
-        {vindex[v]: a for v, a in c.coeffs.items() if a != 0}
-        for c in system.constraints
-    ]
-    rhs = [c.rhs for c in system.constraints]
+    # each row times the lcm of its denominators; stored zero coefficients
+    # are dropped so row supports stay exact
+    coeffs: list[dict[int, int]] = []
+    rhs: list[int] = []
+    scales: list[int] = []
+    for c in system.constraints:
+        scale = _row_scale(c)
+        coeffs.append(
+            {
+                vindex[v]: n
+                for v, a in c.coeffs.items()
+                if (n := a.numerator * (scale // a.denominator))
+            }
+        )
+        rhs.append(c.rhs.numerator * (scale // c.rhs.denominator))
+        scales.append(scale)
 
     active_rows, active_vars, eliminated, bad_row = _presolve(
         coeffs, rhs, len(varnames)
     )
 
-    def finish_infeasible(block_dual: dict[int, Fraction]) -> Infeasible:
-        full = _patch_certificate(coeffs, block_dual, eliminated)
+    def finish_infeasible(block_dual: dict[int, int]) -> Infeasible:
+        full = _patch_certificate(coeffs, scales, block_dual, eliminated)
         scale = max(abs(v) for v in full.values())
         named = {
-            system.constraints[r].name: v / scale for r, v in full.items() if v != 0
+            system.constraints[r].name: Fraction(v, scale) for r, v in full.items()
         }
         cert = FarkasCertificate(multipliers=named)
         rhs = _certified_rhs(system, cert)
@@ -431,12 +514,11 @@ def solve_feasibility(system: LinearSystem) -> Feasible | Infeasible:
         return Infeasible(certificate=cert, margin=-rhs)
 
     if bad_row is not None:
-        sign = Fraction(-1 if rhs[bad_row] > 0 else 1)
-        return finish_infeasible({bad_row: sign})
+        return finish_infeasible({bad_row: -1 if rhs[bad_row] > 0 else 1})
 
     point: dict[str, Fraction] = {v: ZERO for v in varnames}
     for rows, cols in _components(coeffs, active_rows, active_vars):
-        block_point, block_dual = _simplex_phase1(coeffs, rhs, rows, cols)
+        block_point, block_dual = _simplex_phase1(coeffs, rhs, scales, rows, cols)
         if block_point is None:
             assert block_dual is not None
             return finish_infeasible(block_dual)

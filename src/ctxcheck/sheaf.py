@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, prod
 
 from ctxcheck.linprog import (
     FarkasCertificate,
@@ -122,32 +123,26 @@ def global_section_system(
     for s in state_names:
         theory.state(s)
     assignments = list(global_outcome_tuples(system))
-    variables = tuple(
-        variable_name(s, g) for s in state_names for g in assignments
-    )
+    names = {s: [variable_name(s, g) for g in assignments] for s in state_names}
+    variables = tuple(v for s in state_names for v in names[s])
+    marginals = [(ctx, _context_groups(system, ctx)) for ctx in system.cover]
     constraints: list[LinearConstraint] = []
     for s in state_names:
+        state_vars = names[s]
         constraints.append(
             LinearConstraint(
-                name=f"norm[{s}]",
-                coeffs={variable_name(s, g): ONE for g in assignments},
-                rhs=ONE,
+                name=f"norm[{s}]", coeffs=dict.fromkeys(state_vars, ONE), rhs=ONE
             )
         )
         state = theory.state(s)
-        for ctx in system.cover:
-            groups: dict[tuple[str, ...], list[str]] = {}
-            for g in assignments:
-                groups.setdefault(restrict_values(system, g, ctx), []).append(
-                    variable_name(s, g)
-                )
+        for ctx, groups in marginals:
             dist = state.distribution(ctx)
-            for t in context_outcome_tuples(system, ctx):
+            for t, group in zip(context_outcome_tuples(system, ctx), groups):
                 constraints.append(
                     LinearConstraint(
                         name=f"marg[{s};{','.join(ctx)};{','.join(t)}]",
-                        coeffs={v: ONE for v in groups.get(tuple(t), ())},
-                        rhs=dist.weight(tuple(t)),
+                        coeffs={state_vars[i]: ONE for i in group},
+                        rhs=dist.weight(t),
                     )
                 )
     if include_declarations:
@@ -155,10 +150,33 @@ def global_section_system(
         for index, decl in enumerate(theory.convex):
             constraints.extend(
                 _declaration_rows(
-                    theory, decl, index, state_names, included, assignments
+                    theory, decl, index, state_names, included, assignments, names
                 )
             )
     return LinearSystem(variables=variables, constraints=tuple(constraints))
+
+
+def _context_groups(system: SystemType, ctx: Context) -> list[list[int]]:
+    """Indices of the global assignments grouped by their restriction to ``ctx``.
+
+    One group per outcome tuple of ``context_outcome_tuples(system, ctx)``,
+    in that order.  Assignment ``i`` is the mixed-radix number of its outcome
+    indices (first label slowest), so its digit for a label is read by
+    division, and its group is the mixed-radix number of its ``ctx`` digits.
+    """
+    radices = [len(o.labels) for o in system.outcomes]
+    keys = [0] * prod(radices)
+    group_count = 1
+    for m in reversed(ctx):
+        p = system.label_position(m)
+        stride = prod(radices[p + 1 :])
+        radix = radices[p]
+        keys = [k + (i // stride % radix) * group_count for i, k in enumerate(keys)]
+        group_count *= radix
+    groups: list[list[int]] = [[] for _ in range(group_count)]
+    for i, k in enumerate(keys):
+        groups[k].append(i)
+    return groups
 
 
 def _declaration_rows(
@@ -168,6 +186,7 @@ def _declaration_rows(
     state_names: tuple[str, ...],
     included: set[str],
     assignments: list[tuple[str, ...]],
+    names: dict[str, list[str]],
 ) -> list[LinearConstraint]:
     system = theory.system
     rows: list[LinearConstraint] = []
@@ -177,44 +196,48 @@ def _declaration_rows(
             raise ModelError(
                 f"state mixture {decl.target!r} references states outside the system"
             )
-        for g in assignments:
-            coeffs = {variable_name(decl.target, g): ONE}
-            for c in decl.components:
-                v = variable_name(c.name, g)
-                coeffs[v] = coeffs.get(v, ZERO) - c.coefficient
+        # every row has the same coefficient on each state's variable
+        weights = {decl.target: ONE}
+        for c in decl.components:
+            weights[c.name] = weights.get(c.name, ZERO) - c.coefficient
+        terms = [(names[s], a) for s, a in weights.items() if a != 0]
+        for i, g in enumerate(assignments):
             rows.append(
                 LinearConstraint(
                     name=f"mix:state[{decl.target}#{index};{','.join(g)}]",
-                    coeffs={k: v for k, v in coeffs.items() if v != 0},
+                    coeffs={state_vars[i]: a for state_vars, a in terms},
                     rhs=ZERO,
                 )
             )
     else:
+        # One row per (state, target outcome k): the assignments giving the
+        # target k, minus each component's weight on the assignments whose
+        # component outcome is identified with k.  The rows are the same for
+        # every state up to variable names, so they are built once, over
+        # assignment indices, in integers over the coefficients' lcm.
         target_pos = system.label_position(decl.target)
-        inverse_maps = []
+        den = lcm(*(c.coefficient.denominator for c in decl.components))
+        pattern: dict[str, dict[int, int]] = {
+            k: {} for k in system.outcomes_of(decl.target).labels
+        }
+        for i, g in enumerate(assignments):
+            pattern[g[target_pos]][i] = den
         for c in decl.components:
             bij = component_outcome_map(system, decl, c)
-            inverse_maps.append(
-                (c, {target: comp for comp, target in bij.items()})
-            )
+            pos = system.label_position(c.name)
+            step = c.coefficient.numerator * (den // c.coefficient.denominator)
+            for i, g in enumerate(assignments):
+                row = pattern[bij[g[pos]]]
+                row[i] = row.get(i, 0) - step
+        values = {n for row in pattern.values() for n in row.values() if n}
+        weight = {n: Fraction(n, den) for n in values}
         for s in state_names:
-            for k in system.outcomes_of(decl.target).labels:
-                coeffs: dict[str, Fraction] = {}
-                for g in assignments:
-                    if g[target_pos] == k:
-                        v = variable_name(s, g)
-                        coeffs[v] = coeffs.get(v, ZERO) + ONE
-                for c, inv in inverse_maps:
-                    comp_pos = system.label_position(c.name)
-                    want = inv[k]
-                    for g in assignments:
-                        if g[comp_pos] == want:
-                            v = variable_name(s, g)
-                            coeffs[v] = coeffs.get(v, ZERO) - c.coefficient
+            state_vars = names[s]
+            for k, row in pattern.items():
                 rows.append(
                     LinearConstraint(
                         name=f"mix:meas[{decl.target}#{index};{k};{s}]",
-                        coeffs={k2: v for k2, v in coeffs.items() if v != 0},
+                        coeffs={state_vars[i]: weight[n] for i, n in row.items() if n},
                         rhs=ZERO,
                     )
                 )

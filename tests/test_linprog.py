@@ -98,6 +98,28 @@ def test_verify_certificate_rejects_wrong_multipliers():
     )
 
 
+def test_certificate_margin_rejects_empty_multipliers():
+    system = _system([("one", {"x": 1}, 1)], ["x"])
+    with pytest.raises(LinearSystemError):
+        certificate_margin(system, FarkasCertificate(multipliers={}))
+
+
+def test_certificate_margin_rejects_unknown_constraint_names():
+    system = _system(
+        [("one", {"x": 1, "y": 1}, 1), ("two", {"x": 1, "y": 1}, 2)],
+        ["x", "y"],
+    )
+    with pytest.raises(LinearSystemError):
+        certificate_margin(system, FarkasCertificate(multipliers={"zz": Fraction(1)}))
+    with pytest.raises(LinearSystemError):
+        certificate_margin(
+            system,
+            FarkasCertificate(
+                multipliers={"one": Fraction(1), "two": Fraction(-1), "zz": Fraction(1)}
+            ),
+        )
+
+
 def test_verify_point_checks_negativity_and_rows():
     system = _system([("sum", {"x": 1, "y": 1}, 1)], ["x", "y"])
     assert verify_point(system, {"x": Fraction(1), "y": Fraction(0)})
@@ -252,6 +274,24 @@ def test_solver_output_matches_golden_digest():
     )
 
 
+def test_lp_build_matches_golden_digest():
+    # sha256 over the variables, the constraint names, every row's sorted
+    # coefficients and every rhs of the 130 golden LPs; any change to the
+    # built system changes it
+    digest = hashlib.sha256()
+    for theory in _golden_theories():
+        lp = global_section_system(theory)
+        for v in lp.variables:
+            digest.update(f"v:{v};".encode())
+        for c in lp.constraints:
+            digest.update(f"c:{c.name}={c.rhs}:".encode())
+            for name, a in sorted(c.coeffs.items()):
+                digest.update(f"{name}={a},".encode())
+    assert digest.hexdigest() == (
+        "a8c72e2ee7f208ea0960c303ee624e04a05b13841f162afc6296fda092661249"
+    )
+
+
 _RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
 
@@ -320,3 +360,146 @@ def test_verdict_unchanged_by_row_permutation(system, rng):
     assert isinstance(
         solve_feasibility(_with_constraints(system, rows)), Feasible
     ) == isinstance(solve_feasibility(system), Feasible)
+
+
+# ---------------------------------------------------------------------------
+# The exact checks against a plain dense Fraction reference
+# ---------------------------------------------------------------------------
+
+# mixed denominators; zero is drawn often, so stored zero coefficients, zero
+# multipliers and points vanishing on a row's whole support all occur
+_MIXED = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=7),
+)
+
+
+@st.composite
+def _sparse_systems(draw):
+    """Systems whose rows store a subset of the variables, zeros included."""
+    n = draw(st.integers(1, 4))
+    variables = [f"v{j}" for j in range(n)]
+    rows = []
+    for r in range(draw(st.integers(1, 4))):
+        support = draw(st.lists(st.sampled_from(variables), unique=True))
+        coeffs = {v: draw(_MIXED) for v in support}
+        rows.append((f"r{r}", coeffs, draw(_MIXED)))
+    return _system(rows, variables)
+
+
+@st.composite
+def _points(draw, system):
+    """Points with negative and zero entries and keys that are not variables.
+
+    Half the points are nonnegative, and half the time every rhs is made to
+    match the point, so that points which pass the check are drawn too.  A
+    key that is not a variable carries a negative value, which the check
+    must ignore.
+    """
+    point = {v: draw(_MIXED) for v in draw(st.lists(st.sampled_from(system.variables)))}
+    if draw(st.booleans()):
+        point = {v: abs(x) for v, x in point.items()}
+    if draw(st.booleans()):
+        point["ghost"] = draw(st.fractions(min_value=-3, max_value=-1))
+    if draw(st.booleans()):
+        rows = [
+            LinearConstraint(
+                name=c.name,
+                coeffs=c.coeffs,
+                rhs=sum(
+                    (a * point.get(v, 0) for v, a in c.coeffs.items()), Fraction(0)
+                ),
+            )
+            for c in system.constraints
+        ]
+        system = _with_constraints(system, rows)
+    return system, point
+
+
+@st.composite
+def _certificates(draw, system):
+    """Multipliers on some constraints, sometimes a name the system lacks."""
+    names = [c.name for c in system.constraints]
+    chosen = draw(st.lists(st.sampled_from(names), unique=True))
+    multipliers = {name: draw(_MIXED) for name in chosen}
+    if draw(st.integers(0, 4)) == 0:
+        multipliers["ghost"] = draw(_MIXED)
+    return FarkasCertificate(multipliers=multipliers)
+
+
+def _dense_row(system, coeffs):
+    return [Fraction(coeffs.get(v, 0)) for v in system.variables]
+
+
+def _dense_verify_point(system, point):
+    x = [Fraction(point.get(v, 0)) for v in system.variables]
+    if any(xj < 0 for xj in x):
+        return False
+    return all(
+        sum((a * xj for a, xj in zip(_dense_row(system, c.coeffs), x)), Fraction(0))
+        == c.rhs
+        for c in system.constraints
+    )
+
+
+def _dense_combined(system, multipliers):
+    combined = [Fraction(0)] * len(system.variables)
+    rhs = Fraction(0)
+    for c in system.constraints:
+        y = Fraction(multipliers.get(c.name, 0))
+        combined = [t + y * a for t, a in zip(combined, _dense_row(system, c.coeffs))]
+        rhs += y * c.rhs
+    return combined, rhs
+
+
+def _dense_verify_certificate(system, multipliers):
+    names = {c.name for c in system.constraints}
+    if not multipliers or set(multipliers) - names:
+        return False
+    combined, rhs = _dense_combined(system, multipliers)
+    return rhs < 0 and all(a >= 0 for a in combined)
+
+
+@given(_sparse_systems().flatmap(_points))
+def test_verify_point_matches_dense_reference(system_and_point):
+    system, point = system_and_point
+    assert verify_point(system, point) == _dense_verify_point(system, point)
+
+
+@given(_sparse_systems().flatmap(lambda s: st.tuples(st.just(s), _certificates(s))))
+def test_certificate_checks_match_dense_reference(system_and_certificate):
+    system, cert = system_and_certificate
+    dense, rhs = _dense_combined(system, cert.multipliers)
+    coeffs, combined_rhs = cert.combined(system)
+    assert combined_rhs == rhs
+    assert [coeffs.get(v, 0) for v in system.variables] == dense
+    assert all(isinstance(a, Fraction) for a in (combined_rhs, *coeffs.values()))
+    assert verify_certificate(system, cert) == _dense_verify_certificate(
+        system, cert.multipliers
+    )
+    names = {c.name for c in system.constraints}
+    scale = max((abs(y) for y in cert.multipliers.values()), default=0)
+    if set(cert.multipliers) - names or scale == 0:
+        with pytest.raises(LinearSystemError):
+            certificate_margin(system, cert)
+    else:
+        assert certificate_margin(system, cert) == abs(rhs) / scale
+
+
+@given(
+    _sparse_systems(),
+    st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9),
+)
+def test_solver_certificates_match_dense_reference(system, factor):
+    result = solve_feasibility(system)
+    if isinstance(result, Feasible):
+        assert _dense_verify_point(system, result.point)
+        return
+    multipliers = result.certificate.multipliers
+    assert _dense_verify_certificate(system, multipliers)
+    _, rhs = _dense_combined(system, multipliers)
+    assert result.margin == -rhs
+    # a positive rescaling still certifies, with the same normalized margin
+    scaled = FarkasCertificate({name: y * factor for name, y in multipliers.items()})
+    assert verify_certificate(system, scaled)
+    assert certificate_margin(system, scaled) == result.margin
