@@ -2,9 +2,10 @@
 
 ``to_operational`` turns a no-signalling empirical theory into an
 operational one whose measurements are all nonempty sub-contexts of the
-cover, with exact marginal statistics.  ``to_empirical`` goes back: the
-minimal measurements become labels, the maximal ones become the cover, and
-every intermediate table is checked against the reconstructed joints.
+cover (``subcontext_measurements``), with exact marginal statistics.
+``to_empirical`` goes back: ``model.empirical_system`` makes the minimal
+measurements the labels and the maximal ones the cover, and every
+intermediate table is checked against the reconstructed joints.
 
 Morphisms of empirical theories (state, label and outcome maps preserving
 statistics and statistical equivalence) can be pushed through both
@@ -18,22 +19,21 @@ exactly, which ``check_iso_diagram`` verifies.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from ctxcheck.equivalence import equivalence_classes, label_marginal
 from ctxcheck.model import (
+    Context,
     EmpiricalTheory,
     Measurement,
     ModelError,
     OperationalTheory,
     RationalDistribution,
     State,
+    SystemType,
     ZERO,
-    elementary_measurements,
-    maximal_measurements,
-    system_type,
+    empirical_system,
     validate_operational_theory,
 )
 from ctxcheck.ontology import (
@@ -41,7 +41,12 @@ from ctxcheck.ontology import (
     canonical_representation,
     realized_weight,
 )
-from ctxcheck.sheaf import marginal_weights, require_no_signalling, sub_contexts
+from ctxcheck.sheaf import (
+    context_outcome_tuples,
+    marginal_weights,
+    require_no_signalling,
+    sub_contexts,
+)
 
 
 def measurement_name(labels: tuple[str, ...]) -> str:
@@ -52,34 +57,31 @@ def outcome_id(values: tuple[str, ...]) -> str:
     return values[0] if len(values) == 1 else ",".join(values)
 
 
-def to_operational(theory: EmpiricalTheory) -> OperationalTheory:
-    """Operational form: one measurement per nonempty sub-context.
+def subcontext_measurements(
+    system: SystemType,
+) -> tuple[dict[str, Measurement], dict[str, Context]]:
+    """One measurement per nonempty sub-context of the cover, and a cover
+    context hosting each.
 
     Measurement names join their labels with commas; joint outcomes join
-    the per-label outcomes likewise.  Statistics are the exact marginals,
-    well defined because signalling inputs are rejected.  Declared convex
-    combinations carry over unchanged (labels become the equally named
-    single measurements).
+    the per-label outcomes likewise, in ``context_outcome_tuples`` order.
     """
-    require_no_signalling(theory)
-    system = theory.system
-    seen: dict[str, tuple[str, ...]] = {}
     measurements: dict[str, Measurement] = {}
-    host: dict[str, tuple[str, ...]] = {}  # measurement name -> a cover context
+    host: dict[str, Context] = {}
     for ctx in system.cover:
         for sub in sub_contexts(ctx):
             name = measurement_name(sub)
-            if name in seen:
-                if seen[name] != sub:
+            if name in measurements:
+                if measurements[name].labels != sub:
                     raise ModelError(
-                        f"measurement name collision: {name!r} for {seen[name]} and {sub}"
+                        f"measurement name collision: {name!r} for "
+                        f"{measurements[name].labels} and {sub}"
                     )
                 continue
-            seen[name] = sub
-            outs = [system.outcomes_of(m).labels for m in sub]
-            ids = []
-            for values in itertools.product(*outs):
-                ids.append((outcome_id(values), values))
+            ids = [
+                (outcome_id(values), values)
+                for values in context_outcome_tuples(system, sub)
+            ]
             measurements[name] = Measurement(
                 name=name,
                 labels=sub,
@@ -87,6 +89,18 @@ def to_operational(theory: EmpiricalTheory) -> OperationalTheory:
                 outcome_values=tuple(ids),
             )
             host[name] = ctx
+    return measurements, host
+
+
+def to_operational(theory: EmpiricalTheory) -> OperationalTheory:
+    """Operational form: one measurement per nonempty sub-context.
+
+    Statistics are the exact marginals, well defined because signalling
+    inputs are rejected.  Declared convex combinations carry over unchanged
+    (labels become the equally named single measurements).
+    """
+    require_no_signalling(theory)
+    measurements, host = subcontext_measurements(theory.system)
     statistics: dict[tuple[str, str], dict[str, Fraction]] = {}
     for p in theory.states:
         for name, meas in measurements.items():
@@ -116,67 +130,40 @@ def to_empirical(theory: OperationalTheory) -> EmpiricalTheory:
     problems = validate_operational_theory(theory)
     if problems:
         raise ModelError("invalid operational theory: " + "; ".join(problems))
-    minimal = elementary_measurements(theory)
-    maximal = maximal_measurements(theory)
-    min_labels = {m: frozenset(theory.measurements[m].labels) for m in minimal}
-    contexts: list[tuple[str, ...]] = []
-    context_of: dict[str, tuple[str, ...]] = {}  # maximal name -> context tuple
-    for big in maximal:
-        big_labels = set(theory.measurements[big].labels)
-        parts = tuple(m for m in minimal if min_labels[m] <= big_labels)
-        covered = set().union(*(min_labels[m] for m in parts)) if parts else set()
-        if covered != big_labels or sum(len(min_labels[m]) for m in parts) != len(
-            big_labels
-        ):
-            raise ModelError(
-                f"maximal measurement {big!r} is not partitioned by minimal ones"
-            )
-        context_of[big] = parts
-        if parts not in contexts:
-            contexts.append(parts)
-    outcomes = {m: theory.measurements[m].outcomes for m in minimal}
-    system = system_type({m: outcomes[m] for m in minimal}, contexts)
+    system, context_of = empirical_system(theory)
 
     # joint tables per context, reconstructed from one maximal witness each
     witness: dict[tuple[str, ...], str] = {}
-    for big in maximal:
-        witness.setdefault(context_of[big], big)
-    id_of = {
-        m: {theory.measurements[m].values_of(o): o for o in outcomes[m]}
-        for m in minimal
-    }
+    for big, ctx in context_of.items():
+        witness.setdefault(ctx, big)
     states: dict[str, State] = {}
     for p in theory.preparations:
         table: dict[tuple[str, ...], RationalDistribution] = {}
-        for ctx in contexts:
+        for ctx in system.cover:
             big = theory.measurements[witness[ctx]]
             weights: dict[tuple[str, ...], Fraction] = {}
             for k, w in theory.distribution(p, big.name).items():
                 key = tuple(
-                    id_of[m][big.project(theory.measurements[m].labels, k)]
+                    theory.measurements[m].outcome_of(
+                        big.project(theory.measurements[m].labels, k)
+                    )
                     for m in ctx
                 )
                 weights[key] = weights.get(key, ZERO) + w
             table[ctx] = RationalDistribution(domain=ctx, weights=weights)
         states[p] = State(name=p, table=table)
 
+    base_labels = {
+        c: {x for m in c for x in theory.measurements[m].labels}
+        for c in system.cover
+    }
     mismatches: list[tuple[str, str, str]] = []
     for name in sorted(theory.measurements):
         meas = theory.measurements[name]
         meas_labels = set(meas.labels)
-        ctx = next(
-            (
-                c
-                for c in contexts
-                if meas_labels <= set().union(*(min_labels[m] for m in c))
-            ),
-            None,
-        )
+        ctx = next((c for c in system.cover if meas_labels <= base_labels[c]), None)
         if ctx is None:
             raise ModelError(f"measurement {name!r} fits no maximal context")
-        base_order: list[str] = []
-        for m in ctx:
-            base_order.extend(theory.measurements[m].labels)
         for p in theory.preparations:
             computed: dict[tuple[str, ...], Fraction] = {}
             for key, w in states[p].distribution(ctx).items():
@@ -200,7 +187,7 @@ def to_empirical(theory: OperationalTheory) -> EmpiricalTheory:
         )
 
     convex = []
-    minimal_set = set(minimal)
+    minimal_set = set(system.labels)
     for decl in theory.convex:
         if decl.kind == "state":
             convex.append(decl)
@@ -438,10 +425,11 @@ def validate_operational_morphism(g: OperationalMorphism) -> list[str]:
         n = g.meas_map[m]
         target_outs = set(g.target.measurements[n].outcomes)
         for k in meas.outcomes:
-            k1 = g.outcome_map.get((m, k), "missing")
-            if k1 == "missing":
+            if (m, k) not in g.outcome_map:
                 out.append(f"outcome map misses ({m!r}, {k!r})")
-            elif k1 is not None and k1 not in target_outs:
+                continue
+            k1 = g.outcome_map[(m, k)]
+            if k1 is not None and k1 not in target_outs:
                 out.append(f"outcome ({m!r}, {k!r}) maps outside {n!r}")
     if out:
         return out
@@ -571,13 +559,7 @@ def operational_theories_statistically_equal(
         for p in a.preparations:
             da = a.distribution(p, a_name)
             db = b.distribution(p, b_name)
-            va = {
-                ma.project(order, k): w for k, w in da.items() if w != 0
-            }
-            vb = {
-                mb.project(order, k): w for k, w in db.items() if w != 0
-            }
-            if va != vb:
+            if ma.marginal(da, order) != mb.marginal(db, order):
                 return False
     return True
 

@@ -75,7 +75,9 @@ def label_marginal(
     raise ModelError(f"label {label!r} not covered")
 
 
-def _partition(items: list, key) -> tuple[tuple, ...]:
+def partition(items: list, key) -> tuple[tuple, ...]:
+    """Group ``items`` by ``key``, members in input order, classes sorted by
+    their first member."""
     groups: dict = {}
     for item in items:
         groups.setdefault(key(item), []).append(item)
@@ -96,32 +98,30 @@ def equivalence_classes(theory: EmpiricalTheory, kind: str) -> EquivalenceClasse
                 tuple(table[ctx].items()) for ctx in system.cover
             )
         return EquivalenceClasses(
-            kind=kind, classes=_partition(sorted(theory.states), state_key)
+            kind=kind, classes=partition(sorted(theory.states), state_key)
         )
     require_no_signalling(theory)
     states = sorted(theory.states)
+    marginals = {
+        m: [label_marginal(theory, s, m) for s in states] for m in system.labels
+    }
     if kind == "measurement":
         def label_key(label: str):
             outs = system.outcomes_of(label).labels
             stats = tuple(
-                tuple(
-                    label_marginal(theory, s, label).get(o, ZERO) for o in outs
-                )
-                for s in states
+                tuple(marg.get(o, ZERO) for o in outs) for marg in marginals[label]
             )
             return (outs, stats)
         return EquivalenceClasses(
-            kind=kind, classes=_partition(list(system.labels), label_key)
+            kind=kind, classes=partition(list(system.labels), label_key)
         )
     pairs = [
         (m, o) for m in system.labels for o in system.outcomes_of(m).labels
     ]
     def pair_key(pair: tuple[str, str]):
         m, o = pair
-        return tuple(
-            label_marginal(theory, s, m).get(o, ZERO) for s in states
-        )
-    return EquivalenceClasses(kind="outcome-pair", classes=_partition(pairs, pair_key))
+        return tuple(marg.get(o, ZERO) for marg in marginals[m])
+    return EquivalenceClasses(kind="outcome-pair", classes=partition(pairs, pair_key))
 
 
 # ---------------------------------------------------------------------------

@@ -11,14 +11,12 @@ perturbation of the construction would show.
 
 from __future__ import annotations
 
-import itertools
 import random
 from fractions import Fraction
 
-from ctxcheck.bridge import measurement_name, outcome_id
+from ctxcheck.bridge import outcome_id, subcontext_measurements
 from ctxcheck.model import (
     EmpiricalTheory,
-    Measurement,
     ModelError,
     OperationalTheory,
     RationalDistribution,
@@ -28,7 +26,12 @@ from ctxcheck.model import (
     validate_system_type,
     validate_theory,
 )
-from ctxcheck.ontology import OntologicalRepresentation, validate_representation
+from ctxcheck.ontology import (
+    OntologicalRepresentation,
+    outcome_pair_classes,
+    preparation_classes,
+    validate_representation,
+)
 from ctxcheck.sheaf import global_outcome_tuples, marginal_weights, sub_contexts
 
 MAX_ATTEMPTS = 50
@@ -380,29 +383,13 @@ def random_factorizable_representation(
         elementary = {
             m: {lam: rng.choice(out_sets[m]) for lam in ontic} for m in labels
         }
-        measurements: dict[str, Measurement] = {}
+        measurements, _ = subcontext_measurements(system)
         xi: dict[str, dict[str, dict[str, Fraction]]] = {}
-        for ctx in system.cover:
-            for sub in sub_contexts(ctx):
-                name = measurement_name(sub)
-                if name in measurements:
-                    continue
-                ids = [
-                    (outcome_id(values), values)
-                    for values in itertools.product(*(out_sets[m] for m in sub))
-                ]
-                measurements[name] = Measurement(
-                    name=name,
-                    labels=sub,
-                    outcomes=tuple(o for o, _ in ids),
-                    outcome_values=tuple(ids),
-                )
-                xi[name] = {
-                    lam: {
-                        outcome_id(tuple(elementary[m][lam] for m in sub)): Fraction(1)
-                    }
-                    for lam in ontic
-                }
+        for name, meas in measurements.items():
+            xi[name] = {}
+            for lam in ontic:
+                values = tuple(elementary[m][lam] for m in meas.labels)
+                xi[name][lam] = {outcome_id(values): Fraction(1)}
         statistics: dict[tuple[str, str], dict[str, Fraction]] = {}
         for p in preps:
             for name in measurements:
@@ -413,42 +400,25 @@ def random_factorizable_representation(
                 statistics[(p, name)] = {
                     k: w for k, w in weights.items() if w != 0
                 }
-        stats_of = {
-            p: tuple(
-                tuple(sorted(statistics[(p, name)].items()))
-                for name in measurements
-            )
-            for p in preps
-        }
-        by_stats: dict[tuple, list[str]] = {}
-        for p in preps:
-            by_stats.setdefault(stats_of[p], []).append(p)
-        if any(
-            mu[group[0]] != mu[q] for group in by_stats.values() for q in group
-        ):
-            continue
-        by_vector: dict[tuple, tuple] = {}
-        collision = False
-        for name in measurements:
-            for k in measurements[name].outcomes:
-                vector = tuple(statistics[(p, name)].get(k, Fraction(0)) for p in preps)
-                column = tuple(
-                    xi[name][lam].get(k, Fraction(0)) for lam in ontic
-                )
-                if vector in by_vector and by_vector[vector] != column:
-                    collision = True
-                    break
-                by_vector[vector] = column
-            if collision:
-                break
-        if collision:
-            continue
         target = OperationalTheory(
             preparations=preps,
             measurements=measurements,
             statistics=statistics,
             convex=(),
         )
+
+        def column(pair: tuple[str, str]) -> tuple[Fraction, ...]:
+            m, k = pair
+            return tuple(xi[m][lam].get(k, Fraction(0)) for lam in ontic)
+
+        if any(
+            mu[cls[0]] != mu[p] for cls in preparation_classes(target) for p in cls
+        ) or any(
+            column(cls[0]) != column(pair)
+            for cls in outcome_pair_classes(target)
+            for pair in cls
+        ):
+            continue
         rep = OntologicalRepresentation(ontic=ontic, mu=mu, xi=xi, target=target)
         problems = validate_representation(rep)
         if problems:

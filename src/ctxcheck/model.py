@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 Rational = Fraction
@@ -432,14 +433,52 @@ class Measurement:
                     f"measurement {self.name!r}: outcome {o!r} arity mismatch"
                 )
 
+    # Lookup tables are built on first use, not in __post_init__: generated
+    # representations hold many measurements that are never looked up.
+    @cached_property
+    def _values(self) -> dict[str, tuple[str, ...]]:
+        return dict(self.outcome_values)
+
+    @cached_property
+    def _outcome_of(self) -> dict[tuple[str, ...], str]:
+        first: dict[tuple[str, ...], str] = {}
+        for o, vals in self.outcome_values:
+            first.setdefault(vals, o)
+        return first
+
+    @cached_property
+    def _position(self) -> dict[str, int]:
+        return {m: i for i, m in enumerate(self.labels)}
+
     def values_of(self, outcome: str) -> tuple[str, ...]:
-        return dict(self.outcome_values)[outcome]
+        return self._values[outcome]
+
+    def outcome_of(self, values: tuple[str, ...]) -> str:
+        """The first outcome whose base-label values are ``values``."""
+        try:
+            return self._outcome_of[values]
+        except KeyError:
+            raise ModelError(
+                f"measurement {self.name!r} has no outcome with values {values}"
+            ) from None
 
     def project(self, sub_labels: tuple[str, ...], outcome: str) -> tuple[str, ...]:
         """Project an outcome onto a subset of the base labels."""
-        vals = self.values_of(outcome)
-        pos = {m: i for i, m in enumerate(self.labels)}
+        vals = self._values[outcome]
+        pos = self._position
         return tuple(vals[pos[m]] for m in sub_labels)
+
+    def marginal(
+        self, dist: Mapping[str, Fraction], sub_labels: tuple[str, ...]
+    ) -> dict[tuple[str, ...], Fraction]:
+        """Pushforward of an outcome distribution onto ``sub_labels`` values."""
+        out: dict[tuple[str, ...], Fraction] = {}
+        for k, w in dist.items():
+            if w == 0:
+                continue
+            key = self.project(sub_labels, k)
+            out[key] = out.get(key, ZERO) + w
+        return out
 
 
 def elementary_measurement(name: str, outcomes: Iterable[str]) -> Measurement:
@@ -504,11 +543,7 @@ def validate_operational_theory(theory: OperationalTheory) -> list[str]:
                 for p in theory.preparations:
                     if (p, name) not in theory.statistics or (p, other_name) not in theory.statistics:
                         continue
-                    joint = theory.statistics[(p, name)]
-                    marg: dict[tuple[str, ...], Fraction] = {}
-                    for o, w in joint.items():
-                        key = meas.project(sub.labels, o)
-                        marg[key] = marg.get(key, ZERO) + w
+                    marg = meas.marginal(theory.statistics[(p, name)], sub.labels)
                     for o in sub.outcomes:
                         want = theory.statistics[(p, other_name)].get(o, ZERO)
                         got = marg.get(sub.values_of(o), ZERO)
@@ -520,31 +555,31 @@ def validate_operational_theory(theory: OperationalTheory) -> list[str]:
     return violations
 
 
-def maximal_measurements(theory: OperationalTheory) -> list[str]:
-    """Names of measurements maximal in the joint-measurability order."""
-    names = sorted(theory.measurements)
-    out = []
-    for name in names:
-        labels = frozenset(theory.measurements[name].labels)
-        if not any(
-            labels < frozenset(theory.measurements[o].labels)
-            for o in names
-            if o != name
-        ):
-            out.append(name)
-    return out
+def empirical_system(
+    theory: OperationalTheory,
+) -> tuple[SystemType, dict[str, Context]]:
+    """The scenario an operational theory presents, and each maximal
+    measurement's context.
 
-
-def elementary_measurements(theory: OperationalTheory) -> list[str]:
-    """Names of measurements minimal in the joint-measurability order."""
+    Labels are the measurements minimal in the joint-measurability order
+    (by name), and the cover collects the minimal measurements inside each
+    maximal one, which must partition its base labels exactly.
+    """
     names = sorted(theory.measurements)
-    out = []
-    for name in names:
-        labels = frozenset(theory.measurements[name].labels)
-        if not any(
-            frozenset(theory.measurements[o].labels) < labels
-            for o in names
-            if o != name
-        ):
-            out.append(name)
-    return out
+    base = {n: frozenset(theory.measurements[n].labels) for n in names}
+    minimal = [n for n in names if not any(base[o] < base[n] for o in names)]
+    maximal = [n for n in names if not any(base[n] < base[o] for o in names)]
+    context_of: dict[str, Context] = {}
+    for big in maximal:
+        parts = tuple(m for m in minimal if base[m] <= base[big])
+        covered = [x for m in parts for x in base[m]]
+        if len(covered) != len(base[big]) or set(covered) != base[big]:
+            raise ModelError(
+                f"maximal measurement {big!r} is not partitioned by minimal ones"
+            )
+        context_of[big] = parts
+    system = system_type(
+        {m: theory.measurements[m].outcomes for m in minimal},
+        dict.fromkeys(context_of.values()),
+    )
+    return system, context_of

@@ -12,7 +12,10 @@ factorizability of joint-measurement responses into single-measurement ones.
 Constructions: the trivial representation (one ontic value per preparation
 class), the canonical representation (ontic values are the supported full
 assignments of the minimalized theory, with delta responses), and the
-induced empirical theory of a factorizable non-contextual representation.
+induced empirical theory of a factorizable non-contextual representation,
+on the scenario ``model.empirical_system`` reads off its target.
+Preparation and outcome-event classes are ``equivalence.partition`` groups;
+response projections and outcome lookups are ``Measurement`` methods.
 """
 
 from __future__ import annotations
@@ -23,22 +26,24 @@ from fractions import Fraction
 
 from ctxcheck.equivalence import (
     minimalize,
+    partition,
     transport_sections_to_minimal,
 )
 from ctxcheck.model import (
     EmpiricalTheory,
-    Measurement,
     ModelError,
     ONE,
     OperationalTheory,
     RationalDistribution,
     State,
     ZERO,
-    elementary_measurements,
-    maximal_measurements,
-    system_type,
+    empirical_system,
 )
-from ctxcheck.sheaf import marginal_weights, verify_global_section
+from ctxcheck.sheaf import (
+    global_outcome_tuples,
+    marginal_weights,
+    verify_global_section,
+)
 
 Weights = dict[str, Fraction]
 
@@ -147,17 +152,14 @@ def verify_realization(
 
 def preparation_classes(target: OperationalTheory) -> tuple[tuple[str, ...], ...]:
     """Preparations grouped by identical statistics on every measurement."""
+    names = sorted(target.measurements)
+
     def key(p: str):
         return tuple(
-            tuple(sorted(target.distribution(p, m).items()))
-            for m in sorted(target.measurements)
+            tuple(sorted(target.distribution(p, m).items())) for m in names
         )
-    groups: dict = {}
-    for p in sorted(target.preparations):
-        groups.setdefault(key(p), []).append(p)
-    classes = [tuple(g) for g in groups.values()]
-    classes.sort(key=lambda c: c[0])
-    return tuple(classes)
+
+    return partition(sorted(target.preparations), key)
 
 
 def outcome_pair_classes(
@@ -165,16 +167,17 @@ def outcome_pair_classes(
 ) -> tuple[tuple[tuple[str, str], ...], ...]:
     """(measurement, outcome) pairs grouped by per-preparation weight."""
     preps = sorted(target.preparations)
+    pairs = [
+        (m, k)
+        for m in sorted(target.measurements)
+        for k in target.measurements[m].outcomes
+    ]
+
     def key(pair: tuple[str, str]):
         m, k = pair
         return tuple(target.distribution(p, m).get(k, ZERO) for p in preps)
-    groups: dict = {}
-    for m in sorted(target.measurements):
-        for k in target.measurements[m].outcomes:
-            groups.setdefault(key((m, k)), []).append((m, k))
-    classes = [tuple(g) for g in groups.values()]
-    classes.sort(key=lambda c: c[0])
-    return tuple(classes)
+
+    return partition(pairs, key)
 
 
 # ---------------------------------------------------------------------------
@@ -269,9 +272,9 @@ def analyze_representation(
         if not shared:
             continue
         for lam in rep.ontic:
-            pa = _project_response(ma, rep.xi[a][lam], shared)
-            pb = _project_response(mb, rep.xi[b][lam], shared)
-            if pa != pb:
+            if ma.marginal(rep.xi[a][lam], shared) != mb.marginal(
+                rep.xi[b][lam], shared
+            ):
                 param_ind = False
                 counter["parameter_independent"] = (a, b, lam, shared)
                 break
@@ -294,8 +297,7 @@ def analyze_representation(
                 product = ONE
                 for x in meas.labels:
                     ex = target.measurements[elem[x]]
-                    sub = meas.project((x,), k)
-                    kx = _outcome_for_values(ex, sub)
+                    kx = ex.outcome_of(meas.project((x,), k))
                     product *= rep.xi[elem[x]][lam].get(kx, ZERO)
                     if product == 0:
                         break
@@ -322,27 +324,6 @@ def analyze_representation(
 def _weights_differ(a: Weights, b: Weights) -> bool:
     keys = set(a) | set(b)
     return any(a.get(k, ZERO) != b.get(k, ZERO) for k in keys)
-
-
-def _project_response(
-    meas: Measurement, dist: Weights, shared: tuple[str, ...]
-) -> dict[tuple[str, ...], Fraction]:
-    out: dict[tuple[str, ...], Fraction] = {}
-    for k, w in dist.items():
-        if w == 0:
-            continue
-        key = meas.project(shared, k)
-        out[key] = out.get(key, ZERO) + w
-    return out
-
-
-def _outcome_for_values(meas: Measurement, values: tuple[str, ...]) -> str:
-    for o, vals in meas.outcome_values:
-        if vals == values:
-            return o
-    raise ModelError(
-        f"measurement {meas.name!r} has no outcome with values {values}"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -423,12 +404,11 @@ def canonical_representation(
     xi: dict[str, dict[str, Weights]] = {}
     for name in target.measurements:
         meas = target.measurements[name]
-        outcome_of = {vals: o for o, vals in meas.outcome_values}
         family: dict[str, Weights] = {}
         for g in support:
             orig = original_of[g]
             values = tuple(orig[pos[x]] for x in meas.labels)
-            family[ontic_name(g)] = {outcome_of[values]: ONE}
+            family[ontic_name(g)] = {meas.outcome_of(values): ONE}
         xi[name] = family
     return OntologicalRepresentation(ontic=ontic, mu=mu, xi=xi, target=target)
 
@@ -449,34 +429,14 @@ def induced_theory(
             "representation must be factorizable and non-contextual", report
         )
     target = rep.target
-    minimal = elementary_measurements(target)
-    maximal = maximal_measurements(target)
-    label_sets = [frozenset(target.measurements[m].labels) for m in minimal]
-    for big in maximal:
-        cover_labels = set(target.measurements[big].labels)
-        parts = [s for s in label_sets if s <= cover_labels]
-        if sum(len(s) for s in parts) != len(cover_labels) or set().union(
-            *parts
-        ) != cover_labels:
-            raise RepresentationError(
-                f"maximal measurement {big!r} is not partitioned by minimal ones"
-            )
-
-    outcomes = {m: tuple(target.measurements[m].outcomes) for m in minimal}
-    cover = []
-    for big in maximal:
-        cover_labels = set(target.measurements[big].labels)
-        ctx = tuple(
-            m
-            for m in minimal
-            if set(target.measurements[m].labels) <= cover_labels
-        )
-        if ctx not in cover:
-            cover.append(ctx)
-    system = system_type({m: outcomes[m] for m in minimal}, cover)
+    try:
+        system, _ = empirical_system(target)
+    except ModelError as exc:
+        raise RepresentationError(str(exc), report) from None
+    minimal = system.labels
 
     # global section per preparation from the product formula
-    assignments = list(itertools.product(*(outcomes[m] for m in minimal)))
+    assignments = list(global_outcome_tuples(system))
     sections: dict[str, RationalDistribution] = {}
     for p in target.preparations:
         weights: dict[tuple[str, ...], Fraction] = {}
@@ -493,7 +453,7 @@ def induced_theory(
                 total += product
             if total != 0:
                 weights[values] = total
-        sections[p] = RationalDistribution(domain=tuple(minimal), weights=weights)
+        sections[p] = RationalDistribution(domain=minimal, weights=weights)
 
     states: dict[str, State] = {}
     for p in target.preparations:

@@ -33,8 +33,14 @@ class DocumentError(ModelError):
     pass
 
 
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise DocumentError(f"{where}: expected an object")
+    return value
+
+
 def _require(doc: dict, key: str, kind, where: str):
-    if key not in doc:
+    if key not in _object(doc, where):
         raise DocumentError(f"{where}: missing field {key!r}")
     value = doc[key]
     if not isinstance(value, kind):
@@ -75,6 +81,8 @@ def convex_to_document(convex) -> list:
 
 
 def convex_from_document(doc, where: str) -> tuple[ConvexDeclaration, ...]:
+    if not isinstance(doc, list):
+        raise DocumentError(f"{where}: expected a list")
     decls = []
     for i, item in enumerate(doc):
         spot = f"{where}[{i}]"
@@ -84,7 +92,7 @@ def convex_from_document(doc, where: str) -> tuple[ConvexDeclaration, ...]:
         for j, c in enumerate(_require(item, "components", list, spot)):
             cspot = f"{spot}.components[{j}]"
             outcome_map = None
-            if "outcome_map" in c:
+            if "outcome_map" in _object(c, cspot):
                 mapping = _require(c, "outcome_map", dict, cspot)
                 outcome_map = tuple(sorted(mapping.items()))
             components.append(
@@ -144,14 +152,15 @@ def theory_from_document(doc: dict) -> EmpiricalTheory:
             if key not in tables:
                 raise DocumentError(f"state {name!r}: missing context {key!r}")
             weights = {}
-            for outcome_key, text in tables[key].items():
+            where = f"state {name!r}@{key!r}"
+            for outcome_key, text in _object(tables[key], where).items():
                 values = tuple(outcome_key.split(","))
                 if len(values) != len(ctx):
                     raise DocumentError(
                         f"state {name!r}, context {key!r}: outcome key "
                         f"{outcome_key!r} has the wrong arity"
                     )
-                weights[values] = _rational(text, f"state {name!r}@{key!r}")
+                weights[values] = _rational(text, where)
             table[ctx] = RationalDistribution(domain=ctx, weights=weights)
         extra = set(tables) - {",".join(ctx) for ctx in system.cover}
         if extra:
@@ -282,7 +291,7 @@ def sections_from_document(
     out = {}
     for name, weights in _require(doc, "sections", dict, "sections").items():
         parsed = {}
-        for key, text in weights.items():
+        for key, text in _object(weights, f"sections[{name!r}]").items():
             values = tuple(key.split(","))
             if len(values) != len(domain):
                 raise DocumentError(
@@ -331,20 +340,26 @@ def operational_from_document(doc: dict) -> OperationalTheory:
     for name, spec in _require(doc, "measurements", dict, "target").items():
         where = f"measurement {name!r}"
         values = _require(spec, "outcome_values", dict, where)
+        outcomes = tuple(_require(spec, "outcomes", list, where))
+        for o in outcomes:
+            if not isinstance(values.get(o), list) or not all(
+                isinstance(v, str) for v in values[o]
+            ):
+                raise DocumentError(
+                    f"{where}: outcome {o!r} needs a list of string values"
+                )
         measurements[name] = Measurement(
             name=name,
             labels=tuple(_require(spec, "labels", list, where)),
-            outcomes=tuple(_require(spec, "outcomes", list, where)),
-            outcome_values=tuple(
-                (o, tuple(values[o])) for o in spec["outcomes"]
-            ),
+            outcomes=outcomes,
+            outcome_values=tuple((o, tuple(values[o])) for o in outcomes),
         )
     statistics = {}
     for p, per_meas in _require(doc, "statistics", dict, "target").items():
-        for m, dist in per_meas.items():
+        for m, dist in _object(per_meas, f"statistics[{p!r}]").items():
+            where = f"statistics[{p!r}][{m!r}]"
             statistics[(p, m)] = {
-                k: _rational(text, f"statistics[{p!r}][{m!r}]")
-                for k, text in dist.items()
+                k: _rational(text, where) for k, text in _object(dist, where).items()
             }
     convex = convex_from_document(doc.get("convex", []), "target.convex")
     return OperationalTheory(
@@ -378,13 +393,19 @@ def representation_from_document(doc: dict) -> OntologicalRepresentation:
         raise DocumentError("representation: top level must be an object")
     ontic = tuple(_require(doc, "ontic", list, "representation"))
     mu = {
-        p: {lam: _rational(w, f"mu[{p!r}]") for lam, w in dist.items()}
+        p: {
+            lam: _rational(w, f"mu[{p!r}]")
+            for lam, w in _object(dist, f"mu[{p!r}]").items()
+        }
         for p, dist in _require(doc, "mu", dict, "representation").items()
     }
     xi = {
         m: {
-            lam: {k: _rational(w, f"xi[{m!r}]") for k, w in dist.items()}
-            for lam, dist in family.items()
+            lam: {
+                k: _rational(w, f"xi[{m!r}]")
+                for k, w in _object(dist, f"xi[{m!r}][{lam!r}]").items()
+            }
+            for lam, dist in _object(family, f"xi[{m!r}]").items()
         }
         for m, family in _require(doc, "xi", dict, "representation").items()
     }

@@ -104,11 +104,7 @@ def variable_name(state: str, values: tuple[str, ...]) -> str:
     return f"d[{state};{','.join(values)}]"
 
 
-def global_section_system(
-    theory: EmpiricalTheory,
-    state_names: tuple[str, ...] | None = None,
-    include_declarations: bool = True,
-) -> LinearSystem:
+def global_section_system(theory: EmpiricalTheory) -> LinearSystem:
     """The exact linear system whose nonnegative solutions are global sections.
 
     One variable per (state, full outcome assignment).  Rows: normalization
@@ -118,10 +114,7 @@ def global_section_system(
     distribution, using the declared outcome identifications).
     """
     system = theory.system
-    if state_names is None:
-        state_names = tuple(theory.states)
-    for s in state_names:
-        theory.state(s)
+    state_names = tuple(theory.states)
     assignments = list(global_outcome_tuples(system))
     names = {s: [variable_name(s, g) for g in assignments] for s in state_names}
     variables = tuple(v for s in state_names for v in names[s])
@@ -145,14 +138,8 @@ def global_section_system(
                         rhs=dist.weight(t),
                     )
                 )
-    if include_declarations:
-        included = set(state_names)
-        for index, decl in enumerate(theory.convex):
-            constraints.extend(
-                _declaration_rows(
-                    theory, decl, index, state_names, included, assignments, names
-                )
-            )
+    for index, decl in enumerate(theory.convex):
+        constraints.extend(_declaration_rows(theory, decl, index, assignments, names))
     return LinearSystem(variables=variables, constraints=tuple(constraints))
 
 
@@ -183,8 +170,6 @@ def _declaration_rows(
     theory: EmpiricalTheory,
     decl: ConvexDeclaration,
     index: int,
-    state_names: tuple[str, ...],
-    included: set[str],
     assignments: list[tuple[str, ...]],
     names: dict[str, list[str]],
 ) -> list[LinearConstraint]:
@@ -192,7 +177,7 @@ def _declaration_rows(
     rows: list[LinearConstraint] = []
     if decl.kind == "state":
         needed = {decl.target, *(c.name for c in decl.components)}
-        if not needed <= included:
+        if not needed <= names.keys():
             raise ModelError(
                 f"state mixture {decl.target!r} references states outside the system"
             )
@@ -231,8 +216,7 @@ def _declaration_rows(
                 row[i] = row.get(i, 0) - step
         values = {n for row in pattern.values() for n in row.values() if n}
         weight = {n: Fraction(n, den) for n in values}
-        for s in state_names:
-            state_vars = names[s]
+        for s, state_vars in names.items():
             for k, row in pattern.items():
                 rows.append(
                     LinearConstraint(
@@ -312,13 +296,14 @@ def extract_sections(
 ) -> dict[str, RationalDistribution]:
     """Per-state full-assignment distributions from a solved LP point."""
     system = theory.system
+    assignments = list(global_outcome_tuples(system))
     sections: dict[str, RationalDistribution] = {}
     for s in theory.states:
-        weights = {
-            g: point[variable_name(s, g)]
-            for g in global_outcome_tuples(system)
-            if point.get(variable_name(s, g), ZERO) != 0
-        }
+        weights = {}
+        for g in assignments:
+            w = point.get(variable_name(s, g), ZERO)
+            if w != 0:
+                weights[g] = w
         sections[s] = RationalDistribution(domain=system.labels, weights=weights)
     return sections
 

@@ -1,5 +1,6 @@
 """Translations between the empirical and operational forms, and morphisms."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -20,7 +21,16 @@ from ctxcheck.bridge import (
     validate_operational_morphism,
 )
 from ctxcheck.generate import random_feasible_theory
-from ctxcheck.model import ModelError
+from ctxcheck.model import (
+    EmpiricalTheory,
+    Measurement,
+    ModelError,
+    OperationalTheory,
+    RationalDistribution,
+    State,
+    empirical_system,
+    system_type,
+)
 from ctxcheck.ontology import canonical_representation
 from ctxcheck.quantum import builtin_example, without_declarations
 from ctxcheck.sheaf import find_global_section
@@ -146,3 +156,68 @@ def test_iso_diagram_on_noncontextual_builtins():
         sections = find_global_section(theory)
         assert sections is not None
         assert check_iso_diagram(theory, sections)
+
+
+def _unpartitioned_target():
+    """Label 'a' has two single measurements, so 'a' and 'a2' overlap inside
+    the maximal measurement 'a,b' and do not partition it."""
+    def single(name, label):
+        return Measurement(
+            name=name,
+            labels=(label,),
+            outcomes=("0", "1"),
+            outcome_values=(("0", ("0",)), ("1", ("1",))),
+        )
+
+    pairs = tuple(itertools.product("01", repeat=2))
+    joint = Measurement(
+        name="a,b",
+        labels=("a", "b"),
+        outcomes=tuple(",".join(v) for v in pairs),
+        outcome_values=tuple((",".join(v), v) for v in pairs),
+    )
+    measurements = {
+        "a": single("a", "a"),
+        "a2": single("a2", "a"),
+        "b": single("b", "b"),
+        "a,b": joint,
+    }
+    statistics = {
+        ("p", "a"): {"0": Fraction(1)},
+        ("p", "a2"): {"0": Fraction(1)},
+        ("p", "b"): {"1": Fraction(1)},
+        ("p", "a,b"): {"0,1": Fraction(1)},
+    }
+    return OperationalTheory(
+        preparations=("p",), measurements=measurements, statistics=statistics
+    )
+
+
+def test_to_empirical_rejects_unpartitioned_maximal_measurement():
+    with pytest.raises(ModelError) as caught:
+        to_empirical(_unpartitioned_target())
+    assert type(caught.value) is ModelError
+    assert str(caught.value) == (
+        "maximal measurement 'a,b' is not partitioned by minimal ones"
+    )
+
+
+def test_identity_morphism_with_an_outcome_named_missing_validates():
+    system = system_type({"a": ("missing", "x"), "b": ("0", "1")}, [("a", "b")])
+    table = RationalDistribution(
+        domain=("a", "b"),
+        weights={("missing", "0"): Fraction(1, 3), ("x", "1"): Fraction(2, 3)},
+    )
+    theory = EmpiricalTheory(
+        system=system, states={"s": State(name="s", table={("a", "b"): table})}
+    )
+    morphism = apply_operational_morphism(identity_morphism(theory))
+    assert morphism.outcome_map[("a", "missing")] == "missing"
+    assert validate_operational_morphism(morphism) == []
+
+
+def test_empirical_system_reads_back_the_operational_form():
+    theory = builtin_example("specker-triangle").theory
+    system, context_of = empirical_system(to_operational(theory))
+    assert system == theory.system
+    assert context_of == {",".join(ctx): ctx for ctx in theory.system.cover}

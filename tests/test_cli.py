@@ -6,8 +6,10 @@ import pytest
 
 from ctxcheck import (
     builtin_example,
+    canonical_representation,
     dump_document,
     find_global_section,
+    representation_to_document,
     sections_to_document,
     theory_to_document,
     without_declarations,
@@ -160,3 +162,69 @@ def test_check_quantum_document_via_stdin(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(dump_document(doc)))
     assert main(["check", "-"]) == EXIT_OK
     assert "NON-CONTEXTUAL" in capsys.readouterr().out
+
+
+def _first(mapping):
+    return next(iter(mapping))
+
+
+def _rep_doc():
+    theory = without_declarations(builtin_example("spekkens-preparation").theory)
+    rep = canonical_representation(theory, find_global_section(theory))
+    return representation_to_document(rep)
+
+
+def _drop_outcome_values(doc):
+    meas = doc["target"]["measurements"][_first(doc["target"]["measurements"])]
+    del meas["outcome_values"][meas["outcomes"][0]]
+
+
+def _string_mu(doc):
+    doc["mu"][_first(doc["mu"])] = "1"
+
+
+def _string_context_table(doc):
+    tables = doc["states"][_first(doc["states"])]
+    tables[_first(tables)] = "1"
+
+
+def _string_convex_item(doc):
+    doc["convex"] = ["kind"]
+
+
+def _bell_doc():
+    return theory_to_document(builtin_example("bell").theory)
+
+
+@pytest.mark.parametrize(
+    "command, make_doc, spoil",
+    [
+        ("analyze-rep", _rep_doc, _drop_outcome_values),
+        ("analyze-rep", _rep_doc, _string_mu),
+        ("check", _bell_doc, _string_context_table),
+        ("check", _bell_doc, _string_convex_item),
+    ],
+    ids=[
+        "outcome-values-lack-outcome",
+        "mu-entry-string",
+        "context-table-string",
+        "convex-item-string",
+    ],
+)
+def test_malformed_documents_exit_with_error(
+    tmp_path, capsys, command, make_doc, spoil
+):
+    doc = make_doc()
+    spoil(doc)
+    path = _write(tmp_path, "spoiled.json", doc)
+    assert main([command, path]) == EXIT_ERROR
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_verify_rejects_non_object_section(tmp_path, capsys):
+    path, theory = _theory_file(tmp_path, "spekkens-preparation", strip=True)
+    doc = sections_to_document(theory, find_global_section(theory))
+    doc["sections"][_first(doc["sections"])] = "1"
+    sections = _write(tmp_path, "sections.json", doc)
+    assert main(["verify", path, sections]) == EXIT_ERROR
+    assert capsys.readouterr().err.startswith("error:")

@@ -129,3 +129,41 @@ def test_measurement_project_and_values():
     assert meas.project(("b",), "1,0") == ("0",)
     single = elementary_measurement("a", ("0", "1"))
     assert single.values_of("1") == ("1",)
+
+
+def _coarse_measurement():
+    # outcomes "lo" and "also-lo" share their values; "hi" comes last
+    return Measurement(
+        name="a,b",
+        labels=("a", "b"),
+        outcomes=("lo", "also-lo", "hi"),
+        outcome_values=(
+            ("lo", ("0", "0")),
+            ("also-lo", ("0", "0")),
+            ("hi", ("1", "0")),
+        ),
+    )
+
+
+def test_measurement_outcome_of_returns_the_first_match():
+    meas = _coarse_measurement()
+    assert meas.outcome_of(("0", "0")) == "lo"
+    assert meas.outcome_of(("1", "0")) == "hi"
+
+
+def test_measurement_outcome_of_rejects_unknown_values():
+    with pytest.raises(ModelError, match="no outcome with values"):
+        _coarse_measurement().outcome_of(("1", "1"))
+
+
+def test_measurement_marginal_sums_and_skips_zero_weights():
+    meas = _coarse_measurement()
+    dist = {"lo": Fraction(1, 4), "also-lo": Fraction(1, 4), "hi": Fraction(1, 2)}
+    assert meas.marginal(dist, ("b",)) == {("0",): Fraction(1)}
+    assert meas.marginal(dist, ("a",)) == {
+        ("0",): Fraction(1, 2),
+        ("1",): Fraction(1, 2),
+    }
+    assert meas.marginal({"lo": Fraction(0), "hi": Fraction(1)}, ("a",)) == {
+        ("1",): Fraction(1)
+    }

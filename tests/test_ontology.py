@@ -1,12 +1,16 @@
 """Ontological representations: validation, analysis flags, canonical form."""
 
+import hashlib
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from ctxcheck.bridge import to_operational
+from ctxcheck.bridge import to_empirical, to_operational
+from ctxcheck.equivalence import minimalize, quotient_theory
 from ctxcheck.generate import (
+    duplicated_label_theory,
     random_factorizable_representation,
     random_feasible_theory,
 )
@@ -14,6 +18,8 @@ from ctxcheck.model import (
     ConvexComponent,
     ConvexDeclaration,
     EmpiricalTheory,
+    Measurement,
+    OperationalTheory,
     RationalDistribution,
     State,
     system_type,
@@ -32,6 +38,12 @@ from ctxcheck.ontology import (
     verify_realization,
 )
 from ctxcheck.quantum import builtin_example, without_declarations
+from ctxcheck.serialize import (
+    dump_document,
+    representation_to_document,
+    sections_to_document,
+    theory_to_document,
+)
 from ctxcheck.sheaf import check_contextuality, find_global_section, verify_global_section
 
 H = Fraction(1, 2)
@@ -223,3 +235,79 @@ def test_canonical_measurement_nc_fails_on_degenerate_equivalences():
     assert not report.measurement_nc
     pair_a, pair_b, _ = report.counterexamples["measurement_nc"]
     assert {pair_a[0], pair_b[0]} <= {"Pabc", "PABC", "Pabc,PABC"}
+
+
+def test_operational_pipeline_matches_golden_digest():
+    # sha256 over the outputs of 40 seeded representations through the
+    # representation pipeline: analysis reports (flags and witnesses), the
+    # induced theory and sections, the canonical representation and its
+    # report, the minimalization and quotient of a duplicated-label theory,
+    # plus the empirical form and the trivial representation's report of
+    # each target
+    digest = hashlib.sha256()
+
+    def put(doc):
+        text = dump_document(doc) if isinstance(doc, dict) else repr(doc)
+        digest.update(text.encode())
+
+    rng = random.Random(5)
+    for _ in range(40):
+        rep = random_factorizable_representation(rng)
+        dup_seed = rng.randrange(2**32)
+        put(analyze_representation(rep))
+        theory, sections = induced_theory(rep)
+        put(theory_to_document(theory))
+        put(sections_to_document(theory, sections))
+        canonical = canonical_representation(theory, sections)
+        put(representation_to_document(canonical))
+        put(analyze_representation(canonical))
+        duplicated = duplicated_label_theory(random.Random(dup_seed), theory)
+        minimal, mmap = minimalize(duplicated)
+        put(theory_to_document(minimal))
+        put(mmap.split_map)
+        put(mmap.quotient_map)
+        quotient, qmap = quotient_theory(duplicated)
+        put(theory_to_document(quotient))
+        put(qmap)
+        put(theory_to_document(to_empirical(rep.target)))
+        put(analyze_representation(trivial_representation(rep.target)))
+    assert digest.hexdigest() == (
+        "4bd5297cc3ec0ea320b517b72f9d64e59552b8ffce0d746836de3acc818b86ef"
+    )
+
+
+def test_induced_theory_rejects_unpartitioned_maximal_measurement():
+    # single measurements 'a' and 'a2' both measure label a, so they overlap
+    # inside 'a,b'; every response is deterministic and factorizes
+    pairs = tuple(itertools.product("01", repeat=2))
+    single = (("0", ("0",)), ("1", ("1",)))
+    measurements = {
+        "a": Measurement("a", ("a",), ("0", "1"), single),
+        "a2": Measurement("a2", ("a",), ("0", "1"), single),
+        "b": Measurement("b", ("b",), ("0", "1"), single),
+        "a,b": Measurement(
+            "a,b",
+            ("a", "b"),
+            tuple(",".join(v) for v in pairs),
+            tuple((",".join(v), v) for v in pairs),
+        ),
+    }
+    answer = {"a": "0", "a2": "0", "b": "1", "a,b": "0,1"}
+    target = OperationalTheory(
+        preparations=("p",),
+        measurements=measurements,
+        statistics={("p", m): {k: Fraction(1)} for m, k in answer.items()},
+    )
+    rep = OntologicalRepresentation(
+        ontic=("l",),
+        mu={"p": {"l": Fraction(1)}},
+        xi={m: {"l": {k: Fraction(1)}} for m, k in answer.items()},
+        target=target,
+    )
+    report = analyze_representation(rep)
+    assert report.factorizable and report.noncontextual()
+    with pytest.raises(RepresentationError) as caught:
+        induced_theory(rep)
+    assert str(caught.value) == (
+        "maximal measurement 'a,b' is not partitioned by minimal ones"
+    )

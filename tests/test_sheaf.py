@@ -6,7 +6,10 @@ import pytest
 
 from ctxcheck.linprog import verify_certificate
 from ctxcheck.model import (
+    ConvexComponent,
+    ConvexDeclaration,
     EmpiricalTheory,
+    ModelError,
     RationalDistribution,
     State,
     system_type,
@@ -145,3 +148,20 @@ def test_variable_count_matches_assignment_space():
     assert len(lp.variables) == 16
     mermin = builtin_example("mermin").theory
     assert len(global_section_system(mermin).variables) == 64
+
+
+def test_state_mixture_naming_an_unknown_state_is_rejected():
+    theory = builtin_example("spekkens-preparation").theory
+    decl = ConvexDeclaration(
+        kind="state",
+        target=next(iter(theory.states)),
+        components=(
+            ConvexComponent(coefficient=H, name=next(iter(theory.states))),
+            ConvexComponent(coefficient=H, name="nonesuch"),
+        ),
+    )
+    bad = EmpiricalTheory(
+        system=theory.system, states=theory.states, convex=(decl,)
+    )
+    with pytest.raises(ModelError, match="references states outside the system"):
+        global_section_system(bad)
