@@ -10,10 +10,15 @@ constraint becomes one ``{column index: nonzero coefficient}`` dict, the row
 times the lcm of its denominators, and names are used again only for the
 returned point and certificate.  A light presolve (forced-zero variable
 elimination plus connected-component splitting) keeps the tableaus small.
-Each block's tableau is dense over its own columns and fraction-free
-(Edmonds): a row is a list of Python ints, kept only up to a positive scale
-and divided by its content after every pivot.  No ``Fraction`` is used
-between the input rows and the returned point and multipliers.
+Each block's tableau is fraction-free (Edmonds): a row is a list of Python
+ints, kept only up to a positive scale and divided by its content after
+every pivot.  A block with no more columns than rows stores every column.
+A wider block stores only its basis inverse and rhs, and computes a
+column's reduced cost and entries from the input rows when Bland's rule
+asks for them, so a pivot costs rows times rows instead of rows times
+columns; the pivots, point and certificate are those of the stored form.
+No ``Fraction`` is used between the input rows and the returned point and
+multipliers.
 
 Certificates found on the reduced system are patched back so they verify
 against the original rows: presolve records the rows of every column it
@@ -346,45 +351,76 @@ def _simplex_phase1(
     ``dual`` maps row index -> Farkas multiplier on the rational row, up to
     one positive scale, valid for the block rows (before any elimination
     patching).
+
+    What a row stores depends on the block's shape.  A block with no more
+    columns than rows stores every column.  A wider block stores only the
+    artificial columns (the basis inverse, up to row scales) and the rhs,
+    and computes a structural column when it is needed.  With ``L`` the lcm
+    of the block's row scales and ``A[k][j] = (L / scales[k]) * a[k][j]``
+    the sign-flipped input rows made integer over one denominator, tableau
+    row ``i`` times ``L`` reads ``sum_k row_i[k] * A[k][j]`` on column
+    ``j``; the reduced cost of ``j`` times ``L`` is ``sum_k (obj[k] - oden)
+    * A[k][j]``, where ``(obj[k] - oden) * flip[k]`` is the returned dual.
+    Bland's rule prices columns in order and stops at the first negative
+    one, and the ratio test and the update need only the entering column,
+    so a pivot costs about the rows times the rows, not times the columns.
+    Computed entries carry the extra factor ``L``; dividing ``gcd(p, f)``
+    out of the two multipliers of every row update removes it (and any
+    other common factor) before it reaches the row, instead of leaving it
+    to the content division.
     """
     m = len(rows)
     n = len(cols)
-    width = n + m + 1
+    stored = n <= m
+    lead = n if stored else 0  # stored structural entries before the artificials
+    oden = lcm(*(scales[r] for r in rows))
+    unit = 1 if stored else oden  # computed entries are ``oden`` times the row's
     position = {j: i for i, j in enumerate(cols)}
     flip: list[int] = []
+    columns: list[list[tuple[int, int]]] = [[] for _ in cols]  # (k, A[k][j])
     tab: list[list[int]] = []
+    # phase-I reduced costs: structural -column sums (stored form only),
+    # artificial 0
+    obj = [0] * (lead + m + 1)
     for k, r in enumerate(rows):
         sign = -1 if rhs[r] < 0 else 1
-        row = [0] * width
+        mult = oden // scales[r]
+        row = [0] * (lead + m + 1)
         for j, a in coeffs[r].items():
             i = position.get(j)
-            if i is not None:
+            if i is None:
+                continue
+            if stored:
                 row[i] = sign * a
-        row[n + k] = scales[r]
+                obj[i] -= sign * a * mult
+            else:
+                columns[i].append((k, sign * a * mult))
+        row[lead + k] = scales[r]
         row[-1] = sign * rhs[r]
+        obj[-1] -= row[-1] * mult
         flip.append(sign)
         tab.append(row)
-    # phase-I reduced costs: structural -column sums, artificial 0
-    oden = lcm(*(scales[r] for r in rows))
-    obj = [0] * width
-    for k, row in enumerate(tab):
-        mult = oden // scales[rows[k]]
-        for i in range(n):
-            if row[i]:
-                obj[i] -= row[i] * mult
-        obj[-1] -= row[-1] * mult
+
+    if stored:
+
+        def entry(row: list[int], j: int) -> int:
+            return row[j]
+
+    else:
+
+        def entry(row: list[int], j: int) -> int:
+            return sum([row[k] * a for k, a in columns[j]])
+
     basis = [n + k for k in range(m)]
     while True:
-        enter = -1
-        for j in range(n):  # Bland: lowest structural index; artificials barred
-            if obj[j] < 0:
-                enter = j
-                break
+        # Bland: lowest structural index; artificials barred
+        prices = obj if stored else [a - oden for a in obj[:m]]
+        enter = next((j for j in range(n) if entry(prices, j) < 0), -1)
         if enter < 0:
             break
+        column = [entry(row, enter) for row in tab]
         leave = -1
-        for i in range(m):
-            a = tab[i][enter]
+        for i, a in enumerate(column):
             if a > 0:
                 b = tab[i][-1]
                 if leave < 0:
@@ -397,17 +433,19 @@ def _simplex_phase1(
         if leave < 0:
             raise LinearSystemError("phase-I objective unbounded; invalid system")
         prow = tab[leave]
-        p = prow[enter]
-        for i in range(m):
-            row = tab[i]
-            f = row[enter]
+        p = column[leave]
+        for i, f in enumerate(column):
             if f and i != leave:
-                row = [a * p - f * b for a, b in zip(row, prow)]
+                g = gcd(p, f)
+                q, f = p // g, f // g
+                row = [a * q - f * b for a, b in zip(tab[i], prow)]
                 g = gcd(*row)
                 tab[i] = [a // g for a in row] if g > 1 else row
-        f = obj[enter]
-        obj = [a * p - f * b for a, b in zip(obj, prow)]
-        oden *= p
+        f = entry(prices, enter)
+        g = gcd(p, f)
+        q, f = p // g, f // g
+        obj = [a * q - f * b for a, b in zip(obj, prow)]
+        oden *= q
         g = gcd(oden, *obj)
         if g > 1:
             obj = [a // g for a in obj]
@@ -415,14 +453,14 @@ def _simplex_phase1(
         basis[leave] = enter
     if obj[-1] == 0:
         point: dict[int, Fraction] = {}
-        for i in range(m):
-            if basis[i] < n:
-                point[cols[basis[i]]] = Fraction(tab[i][-1], tab[i][basis[i]])
+        for row, j in zip(tab, basis):
+            if j < n:
+                point[cols[j]] = Fraction(row[-1] * unit, entry(row, j))
         return point, None
-    # y_k = (obj[n + k] / oden - 1) * flip[k], all over the one denominator
+    # y_k = (obj[lead + k] / oden - 1) * flip[k], all over the one denominator
     dual: dict[int, int] = {}
     for k in range(m):
-        y = (obj[n + k] - oden) * flip[k]
+        y = (obj[lead + k] - oden) * flip[k]
         if y:
             dual[rows[k]] = y
     return None, dual

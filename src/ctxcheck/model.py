@@ -516,6 +516,8 @@ class OperationalTheory:
 def validate_operational_theory(theory: OperationalTheory) -> list[str]:
     """Structural + marginal-consistency validation; returns violations."""
     violations: list[str] = []
+    # tables naming outcomes their measurement lacks cannot be marginalized
+    unknown_outcomes: set[tuple[str, str]] = set()
     for (p, m), dist in theory.statistics.items():
         if p not in theory.preparations:
             violations.append(f"statistics reference unknown preparation {p!r}")
@@ -525,6 +527,7 @@ def validate_operational_theory(theory: OperationalTheory) -> list[str]:
         meas = theory.measurements[m]
         if set(dist) - set(meas.outcomes):
             violations.append(f"({p!r},{m!r}): unknown outcomes {set(dist) - set(meas.outcomes)}")
+            unknown_outcomes.add((p, m))
         total = sum(dist.values(), start=ZERO)
         if total != ONE:
             violations.append(f"({p!r},{m!r}): outcome weights sum to {total}")
@@ -542,6 +545,8 @@ def validate_operational_theory(theory: OperationalTheory) -> list[str]:
                 sub = theory.measurements[other_name]
                 for p in theory.preparations:
                     if (p, name) not in theory.statistics or (p, other_name) not in theory.statistics:
+                        continue
+                    if (p, name) in unknown_outcomes:
                         continue
                     marg = meas.marginal(theory.statistics[(p, name)], sub.labels)
                     for o in sub.outcomes:

@@ -88,6 +88,13 @@ def test_to_empirical_rejects_inconsistent_operational_tables():
         to_empirical(op)
 
 
+def test_to_empirical_rejects_a_table_with_an_unknown_outcome():
+    op = to_operational(builtin_example("bell").theory)
+    op.statistics[("ghz", "a,b")] = {"zz": Fraction(1)}
+    with pytest.raises(ModelError, match="unknown outcomes"):
+        to_empirical(op)
+
+
 def test_identity_morphism_validates_and_composes():
     theory = builtin_example("specker-triangle").theory
     ident = identity_morphism(theory)

@@ -11,6 +11,8 @@ from ctxcheck.generate import (
     random_feasible_theory,
     random_frustrated_cycle,
     random_instance,
+    random_sections,
+    theory_from_sections,
 )
 from ctxcheck.linprog import (
     FarkasCertificate,
@@ -25,6 +27,7 @@ from ctxcheck.linprog import (
     verify_certificate,
     verify_point,
 )
+from ctxcheck.model import EmpiricalTheory, RationalDistribution, State, system_type
 from ctxcheck.quantum import BUILTIN_NAMES, builtin_example, without_declarations
 from ctxcheck.sheaf import global_section_system
 
@@ -292,18 +295,71 @@ def test_lp_build_matches_golden_digest():
     )
 
 
+def _ring_system(n):
+    names = tuple(f"x{i}" for i in range(n))
+    return system_type(
+        {m: ("0", "1") for m in names},
+        tuple((names[i], names[(i + 1) % n]) for i in range(n)),
+    )
+
+
+def _frustrated_ring(rng, n):
+    """A binary n-cycle with one anti-correlated edge and noise <= 1/10."""
+    system = _ring_system(n)
+    anti = rng.randrange(n)
+    table = {}
+    for i, ctx in enumerate(system.cover):
+        noise = Fraction(rng.randint(0, 2), 20)
+        same = (1 - noise) / 2 if i != anti else noise / 2
+        differ = Fraction(1, 2) - same
+        weights = {("0", "0"): same, ("1", "1"): same}
+        weights.update({("0", "1"): differ, ("1", "0"): differ})
+        table[ctx] = RationalDistribution(domain=ctx, weights=weights)
+    return EmpiricalTheory(system=system, states={"s0": State(name="s0", table=table)})
+
+
+def _ring_theories():
+    for n in range(5, 9):
+        for seed in (1, 2):
+            system = _ring_system(n)
+            sections = random_sections(random.Random(100 * n + seed), system, ("s0",))
+            yield theory_from_sections(system, sections)
+    for n in range(5, 10):
+        yield _frustrated_ring(random.Random(n), n)
+
+
+def test_ring_solver_output_matches_golden_digest():
+    # feasible n-cycles are single blocks of 2n + 1 rows by 2^n columns (up
+    # to 33 x 256 here), far wider than any block of the 130 golden LPs;
+    # sha256 over every point, multiplier (in dict order) and margin
+    digest = hashlib.sha256()
+    for theory in _ring_theories():
+        result = solve_feasibility(global_section_system(theory))
+        if isinstance(result, Feasible):
+            digest.update(b"F")
+            values = result.point
+        else:
+            digest.update(b"I" + str(result.margin).encode())
+            values = result.certificate.multipliers
+        for name, value in values.items():
+            digest.update(f"{name}={value};".encode())
+    assert digest.hexdigest() == (
+        "f1dcee4450e05ef177dfb50b7e37cc6f2c2af63bf0dddce4fddc8880971c41bf"
+    )
+
+
 _RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
 
 @st.composite
-def _rational_systems(draw):
+def _rational_systems(draw, max_columns=4):
     """Small systems with mixed-sign rational rows; half get a planted point.
 
     Without a planted point the rhs is drawn freely, so many systems are
     infeasible and some rhs are negative (exercising the row sign flip);
     with one, the rhs is the row value at a nonnegative rational point.
     """
-    n = draw(st.integers(1, 4))
+    n = draw(st.integers(1, max_columns))
     variables = [f"v{j}" for j in range(n)]
     planted = draw(st.booleans())
     point = {
@@ -333,6 +389,26 @@ def test_every_verdict_passes_its_exact_check(system):
     else:
         assert verify_certificate(system, result.certificate)
         assert certificate_margin(system, result.certificate) == result.margin > 0
+
+
+@given(_rational_systems(max_columns=8))
+def test_verdict_unchanged_when_copied_rows_make_every_block_tall(system):
+    # up to 8 columns over at most 5 rows: many blocks are wider than tall
+    # and pivot on the basis inverse; with every row present once per
+    # column, no block is wider than tall and every column is stored
+    copies = [
+        LinearConstraint(name=f"{c.name}~{t}", coeffs=c.coeffs, rhs=c.rhs)
+        for t in range(1, len(system.variables))
+        for c in system.constraints
+    ]
+    tall = _with_constraints(system, system.constraints + tuple(copies))
+    results = [(system, solve_feasibility(system)), (tall, solve_feasibility(tall))]
+    for lp, result in results:
+        if isinstance(result, Feasible):
+            assert verify_point(lp, result.point)
+        else:
+            assert verify_certificate(lp, result.certificate)
+    assert isinstance(results[0][1], Feasible) == isinstance(results[1][1], Feasible)
 
 
 @given(

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from ctxcheck.bridge import to_operational
 from ctxcheck.model import (
     ConvexComponent,
     ConvexDeclaration,
@@ -18,9 +19,11 @@ from ctxcheck.model import (
     format_rational,
     parse_rational,
     system_type,
+    validate_operational_theory,
     validate_system_type,
     validate_theory,
 )
+from ctxcheck.quantum import builtin_example
 
 
 def test_parse_and_format_rational_round_trip():
@@ -167,3 +170,10 @@ def test_measurement_marginal_sums_and_skips_zero_weights():
     assert meas.marginal({"lo": Fraction(0), "hi": Fraction(1)}, ("a",)) == {
         ("1",): Fraction(1)
     }
+
+
+def test_unknown_outcome_in_a_joint_table_is_a_violation_not_a_crash():
+    op = to_operational(builtin_example("bell").theory)
+    op.statistics[("ghz", "a,b")] = {"zz": Fraction(1)}
+    violations = validate_operational_theory(op)
+    assert any("unknown outcomes {'zz'}" in v for v in violations)
