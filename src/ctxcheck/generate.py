@@ -67,10 +67,9 @@ def _random_cover(
     return tuple(cover)
 
 
-def random_system(
-    rng: random.Random, min_labels: int = 2, max_labels: int = 4
-) -> SystemType:
-    """A small random scenario; one third of draws are binary cycles."""
+def random_system(rng: random.Random) -> SystemType:
+    """A small random scenario: one third of draws are binary cycles of 3
+    to 5 labels, the rest have 2 to 4 labels."""
     for _ in range(MAX_ATTEMPTS):
         if rng.random() < Fraction(1, 3):
             n = rng.randint(3, 5)
@@ -80,7 +79,7 @@ def random_system(
                 (names[i], names[(i + 1) % n]) for i in range(n)
             )
         else:
-            n = rng.randint(min_labels, max_labels)
+            n = rng.randint(2, 4)
             names = tuple(f"x{i}" for i in range(n))
             outcomes = {
                 m: tuple(str(v) for v in range(rng.randint(2, 3))) for m in names
@@ -171,12 +170,12 @@ def _statistics_generic(theory: EmpiricalTheory) -> bool:
 
 
 def random_feasible_theory(
-    rng: random.Random, min_states: int = 2, max_states: int = 3
+    rng: random.Random,
 ) -> tuple[EmpiricalTheory, dict[str, RationalDistribution]]:
-    """A generic theory together with the sections it was built from."""
+    """A generic theory of 2 or 3 states, with the sections it was built from."""
     for _ in range(MAX_ATTEMPTS):
         system = random_system(rng)
-        names = tuple(f"s{i}" for i in range(rng.randint(min_states, max_states)))
+        names = tuple(f"s{i}" for i in range(rng.randint(2, 3)))
         sections = random_sections(rng, system, names)
         theory = theory_from_sections(system, sections)
         if _statistics_generic(theory):

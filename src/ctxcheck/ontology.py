@@ -9,11 +9,16 @@ The analysis battery computes six exact flags: realization, preparation and
 measurement non-contextuality (statistically equivalent things must get
 identical distributions), outcome determinism, parameter independence, and
 factorizability of joint-measurement responses into single-measurement ones.
+Each flag has one witness function returning its first counterexample in a
+fixed search order, or None; realization's is ``verify_realization``.
 Constructions: the trivial representation (one ontic value per preparation
 class), the canonical representation (ontic values are the supported full
 assignments of the minimalized theory, with delta responses), and the
 induced empirical theory of a factorizable non-contextual representation,
-on the scenario ``model.empirical_system`` reads off its target.
+on the scenario ``model.empirical_system`` reads off its target.  The induced
+theory asks only for both non-contextuality flags and factorizability, the
+sharpness check only for preparation non-contextuality; either builds the
+full report only when it refuses.
 Preparation and outcome-event classes are ``equivalence.partition`` groups;
 response projections and outcome lookups are ``Measurement`` methods.
 """
@@ -214,59 +219,64 @@ def analyze_representation(
     rep: OntologicalRepresentation,
 ) -> RepresentationReport:
     """Compute all six flags exactly (see module docstring)."""
-    target = rep.target
+    _require_valid(rep)
+    witnesses = {
+        "realizes": verify_realization(rep)[1],
+        "preparation_nc": _preparation_nc_witness(rep),
+        "measurement_nc": _measurement_nc_witness(rep),
+        "outcome_deterministic": _determinism_witness(
+            rep, sorted(rep.target.measurements)
+        ),
+        "parameter_independent": _parameter_independence_witness(rep),
+        "factorizable": _factorizability_witness(rep),
+    }
+    return RepresentationReport(
+        **{flag: w is None for flag, w in witnesses.items()},
+        counterexamples={flag: w for flag, w in witnesses.items() if w is not None},
+    )
+
+
+def _require_valid(rep: OntologicalRepresentation) -> None:
     problems = validate_representation(rep)
     if problems:
         raise RepresentationError("; ".join(problems))
-    counter: dict[str, tuple] = {}
 
-    realizes, witness = verify_realization(rep)
-    if not realizes:
-        counter["realizes"] = witness
 
-    prep_nc = True
-    for cls in preparation_classes(target):
+def _preparation_nc_witness(rep: OntologicalRepresentation):
+    """First pair of equivalent preparations with different distributions."""
+    for cls in preparation_classes(rep.target):
         base = rep.mu_of(cls[0])
         for other in cls[1:]:
             if _weights_differ(base, rep.mu_of(other)):
-                prep_nc = False
-                counter["preparation_nc"] = (cls[0], other)
-                break
-        if not prep_nc:
-            break
+                return cls[0], other
+    return None
 
-    meas_nc = True
-    for cls in outcome_pair_classes(target):
+
+def _measurement_nc_witness(rep: OntologicalRepresentation):
+    """First equivalent outcome-event pair answered differently, and where."""
+    for cls in outcome_pair_classes(rep.target):
         m0, k0 = cls[0]
         for m1, k1 in cls[1:]:
             for lam in rep.ontic:
-                a = rep.xi[m0][lam].get(k0, ZERO)
-                b = rep.xi[m1][lam].get(k1, ZERO)
-                if a != b:
-                    meas_nc = False
-                    counter["measurement_nc"] = ((m0, k0), (m1, k1), lam)
-                    break
-            if not meas_nc:
-                break
-        if not meas_nc:
-            break
+                if rep.xi[m0][lam].get(k0, ZERO) != rep.xi[m1][lam].get(k1, ZERO):
+                    return (m0, k0), (m1, k1), lam
+    return None
 
-    deterministic = True
-    for m in sorted(target.measurements):
+
+def _determinism_witness(rep: OntologicalRepresentation, names: list[str]):
+    """First (m, λ, k) among measurements ``names`` with weight not 0 or 1."""
+    for m in names:
         for lam in rep.ontic:
             for k, w in rep.xi[m][lam].items():
                 if w != 0 and w != 1:
-                    deterministic = False
-                    counter["outcome_deterministic"] = (m, lam, k)
-                    break
-            if not deterministic:
-                break
-        if not deterministic:
-            break
+                    return m, lam, k
+    return None
 
-    param_ind = True
-    names = sorted(target.measurements)
-    for a, b in itertools.combinations(names, 2):
+
+def _parameter_independence_witness(rep: OntologicalRepresentation):
+    """First two measurements whose responses disagree on their shared labels."""
+    target = rep.target
+    for a, b in itertools.combinations(sorted(target.measurements), 2):
         ma, mb = target.measurements[a], target.measurements[b]
         shared = tuple(sorted(set(ma.labels) & set(mb.labels)))
         if not shared:
@@ -275,15 +285,16 @@ def analyze_representation(
             if ma.marginal(rep.xi[a][lam], shared) != mb.marginal(
                 rep.xi[b][lam], shared
             ):
-                param_ind = False
-                counter["parameter_independent"] = (a, b, lam, shared)
-                break
-        if not param_ind:
-            break
+                return a, b, lam, shared
+    return None
 
-    factorizable = True
+
+def _factorizability_witness(rep: OntologicalRepresentation):
+    """First joint response that is not the product of single-label ones;
+    raises when a label has no single measurement to factor through."""
+    target = rep.target
     elem = _elementary_by_label(target)
-    for m in names:
+    for m in sorted(target.measurements):
         meas = target.measurements[m]
         if len(meas.labels) < 2:
             continue
@@ -302,23 +313,8 @@ def analyze_representation(
                     if product == 0:
                         break
                 if rep.xi[m][lam].get(k, ZERO) != product:
-                    factorizable = False
-                    counter["factorizable"] = (m, lam, k)
-                    break
-            if not factorizable:
-                break
-        if not factorizable:
-            break
-
-    return RepresentationReport(
-        realizes=realizes,
-        preparation_nc=prep_nc,
-        measurement_nc=meas_nc,
-        outcome_deterministic=deterministic,
-        parameter_independent=param_ind,
-        factorizable=factorizable,
-        counterexamples=counter,
-    )
+                    return m, lam, k
+    return None
 
 
 def _weights_differ(a: Weights, b: Weights) -> bool:
@@ -423,16 +419,21 @@ def induced_theory(
     explicit global section each preparation's distribution induces, so the
     result is non-contextual by construction.
     """
-    report = analyze_representation(rep)
-    if not (report.factorizable and report.noncontextual()):
+    _require_valid(rep)
+    if (
+        _preparation_nc_witness(rep)
+        or _measurement_nc_witness(rep)
+        or _factorizability_witness(rep)
+    ):
         raise RepresentationError(
-            "representation must be factorizable and non-contextual", report
+            "representation must be factorizable and non-contextual",
+            analyze_representation(rep),
         )
     target = rep.target
     try:
         system, _ = empirical_system(target)
     except ModelError as exc:
-        raise RepresentationError(str(exc), report) from None
+        raise RepresentationError(str(exc), analyze_representation(rep)) from None
     minimal = system.labels
 
     # global section per preparation from the product formula
@@ -563,18 +564,15 @@ def check_sharpness_forces_determinism(
     answer perfectly predictable measurements deterministically when a
     maximally mixed preparation exists.  Returns False with a (m, λ, k)
     witness when the claimed preconditions cannot actually hold."""
-    analysis = analyze_representation(rep)
-    if not analysis.preparation_nc:
+    _require_valid(rep)
+    if _preparation_nc_witness(rep):
         raise RepresentationError(
-            "representation is not preparation non-contextual", analysis
+            "representation is not preparation non-contextual",
+            analyze_representation(rep),
         )
     if not report.maximally_mixed:
         raise RepresentationError("target has no maximally mixed preparation")
     if not report.perfectly_predictable:
         raise RepresentationError("target has no perfectly predictable measurement")
-    for m in sorted(report.perfectly_predictable):
-        for lam in rep.ontic:
-            for k, w in rep.xi[m][lam].items():
-                if w != 0 and w != 1:
-                    return False, (m, lam, k)
-    return True, None
+    witness = _determinism_witness(rep, sorted(report.perfectly_predictable))
+    return witness is None, witness

@@ -23,6 +23,7 @@ from ctxcheck.model import (
     format_rational,
     parse_rational,
     system_type,
+    validate_operational_theory,
     validate_theory,
 )
 from ctxcheck.ontology import OntologicalRepresentation, validate_representation
@@ -412,6 +413,9 @@ def representation_from_document(doc: dict) -> OntologicalRepresentation:
     target = operational_from_document(
         _require(doc, "target", dict, "representation")
     )
+    problems = validate_operational_theory(target)
+    if problems:
+        raise DocumentError("invalid target: " + "; ".join(problems))
     rep = OntologicalRepresentation(ontic=ontic, mu=mu, xi=xi, target=target)
     problems = validate_representation(rep)
     if problems:

@@ -183,6 +183,12 @@ def _string_mu(doc):
     doc["mu"][_first(doc["mu"])] = "1"
 
 
+def _unknown_target_outcome(doc):
+    statistics = doc["target"]["statistics"]
+    table = statistics[_first(statistics)]
+    table[_first(table)]["zz"] = "1"
+
+
 def _string_context_table(doc):
     tables = doc["states"][_first(doc["states"])]
     tables[_first(tables)] = "1"
@@ -201,12 +207,16 @@ def _bell_doc():
     [
         ("analyze-rep", _rep_doc, _drop_outcome_values),
         ("analyze-rep", _rep_doc, _string_mu),
+        ("analyze-rep", _rep_doc, _unknown_target_outcome),
+        ("induce", _rep_doc, _unknown_target_outcome),
         ("check", _bell_doc, _string_context_table),
         ("check", _bell_doc, _string_convex_item),
     ],
     ids=[
         "outcome-values-lack-outcome",
         "mu-entry-string",
+        "analyze-target-outcome-unknown",
+        "induce-target-outcome-unknown",
         "context-table-string",
         "convex-item-string",
     ],

@@ -143,6 +143,29 @@ def test_induced_theory_requires_factorizability():
         induced_theory(rep)
 
 
+def test_induced_theory_does_not_require_realization():
+    rep = random_factorizable_representation(random.Random(3))
+    stats = rep.target.statistics
+    p, q = sorted(rep.target.preparations)[:2]
+    for m in rep.target.measurements:
+        stats[(p, m)], stats[(q, m)] = stats[(q, m)], stats[(p, m)]
+    report = analyze_representation(rep)
+    assert set(report.counterexamples) == {"realizes"}
+    theory, sections = induced_theory(rep)
+    assert verify_global_section(theory, sections) == []
+
+
+def test_induced_theory_refusal_carries_the_full_report():
+    unsharp = without_declarations(builtin_example("spekkens-unsharp").theory)
+    not_measurement_nc = canonical_representation(
+        unsharp, find_global_section(unsharp)
+    )
+    for rep in (_specker_one_point(), not_measurement_nc):
+        with pytest.raises(RepresentationError) as caught:
+            induced_theory(rep)
+        assert caught.value.report == analyze_representation(rep)
+
+
 def _predictable_theory():
     """One binary label; two pure states and a declared half/half mixture."""
     system = system_type({"m": ("0", "1")}, [("m",)])
@@ -199,6 +222,16 @@ def test_check_sharpness_forces_determinism_on_canonical_representation():
     report = sharpness_report(rep.target, convex=theory.convex)
     ok, witness = check_sharpness_forces_determinism(rep, report)
     assert ok and witness is None
+
+
+def test_check_sharpness_forces_determinism_finds_random_response():
+    theory = _predictable_theory()
+    rep = trivial_representation(to_operational(theory))
+    assert analyze_representation(rep).preparation_nc
+    report = sharpness_report(rep.target, convex=theory.convex)
+    ok, witness = check_sharpness_forces_determinism(rep, report)
+    assert not ok
+    assert witness == ("m", "[mix]", "0")
 
 
 def test_check_sharpness_forces_determinism_requires_preconditions():

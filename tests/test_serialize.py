@@ -15,6 +15,7 @@ from ctxcheck import (
     empirical_theories_statistically_equal,
     find_global_section,
     load_document,
+    random_factorizable_representation,
     random_feasible_theory,
     representation_from_document,
     representation_to_document,
@@ -62,6 +63,14 @@ def test_representation_round_trip():
     assert back.ontic == rep.ontic
     assert back.mu == rep.mu
     assert back.xi == rep.xi
+
+
+def test_representation_target_must_validate():
+    rep = random_factorizable_representation(random.Random(3))
+    doc = representation_to_document(rep)
+    doc["target"]["statistics"]["p0"]["e0"]["zz"] = "1"  # table sums to 2
+    with pytest.raises(DocumentError, match="invalid target"):
+        representation_from_document(doc)
 
 
 def test_scenario_dispatch_and_conflicts():
