@@ -8,8 +8,12 @@ coefficients but a negative right-hand side.
 The solver works on sparse integer-indexed rows of Python ints: each
 constraint becomes one ``{column index: nonzero coefficient}`` dict, the row
 times the lcm of its denominators, and names are used again only for the
-returned point and certificate.  A light presolve (forced-zero variable
-elimination plus connected-component splitting) keeps the tableaus small.
+returned point and certificate.  ``sheaf.global_section_system`` makes these
+integer rows in the same pass as its named rows, and the system it returns
+carries them to the solver (``_built_system``); a system built any other way
+is converted here (``_integer_rows``).  Either way the verdict is checked
+against the named rows.  A light presolve (forced-zero variable elimination
+plus connected-component splitting) keeps the tableaus small.
 Each block's tableau is fraction-free (Edmonds): a row is a list of Python
 ints, kept only up to a positive scale and divided by its content after
 every pivot.  A block with no more columns than rows stores every column.
@@ -31,7 +35,7 @@ summing each row only over the point's nonzero entries.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -57,6 +61,11 @@ class LinearSystem:
 
     variables: tuple[str, ...]
     constraints: tuple[LinearConstraint, ...]
+    # the integer rows its builder made alongside (``_built_system``); the
+    # next ``solve_feasibility`` takes them and leaves None
+    _integer: _IntegerRows | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if len(set(self.variables)) != len(self.variables):
@@ -66,10 +75,10 @@ class LinearSystem:
             raise LinearSystemError("duplicate constraint names")
         varset = set(self.variables)
         for c in self.constraints:
-            unknown = set(c.coeffs) - varset
-            if unknown:
+            if not varset.issuperset(c.coeffs):
+                unknown = sorted(set(c.coeffs) - varset)
                 raise LinearSystemError(
-                    f"constraint {c.name!r} uses unknown variables {sorted(unknown)}"
+                    f"constraint {c.name!r} uses unknown variables {unknown}"
                 )
 
     def constraint(self, name: str) -> LinearConstraint:
@@ -97,7 +106,77 @@ class FarkasCertificate:
 
 def _row_scale(c: LinearConstraint) -> int:
     """The lcm of a row's denominators, rhs included: times it the row is integer."""
-    return lcm(c.rhs.denominator, *[a.denominator for a in c.coeffs.values()])
+    try:
+        return lcm(c.rhs.denominator, *[a.denominator for a in c.coeffs.values()])
+    except (AttributeError, TypeError):
+        raise LinearSystemError(
+            f"constraint {c.name!r} has a coefficient or rhs that is not rational"
+        ) from None
+
+
+@dataclass
+class _IntegerRows:
+    """A system's rows as the solver reads them.
+
+    Row ``r`` is constraint ``r`` times ``scales[r]`` (``_row_scale``):
+    ``coeffs[r]`` maps column index to every nonzero integer coefficient,
+    stored zeros dropped so row supports stay exact, and ``rhs[r]`` is the
+    integer rhs.  ``variables`` and ``constraints`` are the tuples the rows
+    were made from.
+    """
+
+    variables: tuple[str, ...]
+    constraints: tuple[LinearConstraint, ...]
+    coeffs: list[dict[int, int]]
+    rhs: list[int]
+    scales: list[int]
+
+
+def _integer_rows(system: LinearSystem) -> _IntegerRows:
+    """Convert the named rows of ``system`` to the solver's integer rows."""
+    vindex = {v: i for i, v in enumerate(system.variables)}
+    coeffs: list[dict[int, int]] = []
+    rhs: list[int] = []
+    scales: list[int] = []
+    for c in system.constraints:
+        scale = _row_scale(c)
+        try:
+            coeffs.append(
+                {
+                    vindex[v]: n
+                    for v, a in c.coeffs.items()
+                    if (n := a.numerator * (scale // a.denominator))
+                }
+            )
+        except KeyError as exc:
+            raise LinearSystemError(
+                f"constraint {c.name!r} uses unknown variable {exc.args[0]!r}"
+            ) from None
+        rhs.append(c.rhs.numerator * (scale // c.rhs.denominator))
+        scales.append(scale)
+    return _IntegerRows(system.variables, system.constraints, coeffs, rhs, scales)
+
+
+def _built_system(
+    variables: tuple[str, ...],
+    rows: list[tuple[LinearConstraint, dict[int, int], int, int]],
+) -> LinearSystem:
+    """A system that carries the integer rows its builder made with it.
+
+    ``rows`` holds one (constraint, coefficients, rhs, scale) per row, the
+    last three what ``_integer_rows`` makes of the constraint with column
+    indices into ``variables``.
+    """
+    constraints = tuple(row[0] for row in rows)
+    system = LinearSystem(variables=variables, constraints=constraints)
+    system._integer = _IntegerRows(
+        variables,
+        constraints,
+        [row[1] for row in rows],
+        [row[2] for row in rows],
+        [row[3] for row in rows],
+    )
+    return system
 
 
 def _combine(
@@ -165,7 +244,10 @@ def _certified_rhs(
 
 
 def verify_certificate(system: LinearSystem, certificate: FarkasCertificate) -> bool:
-    """True iff the multipliers genuinely witness infeasibility (exact check)."""
+    """True iff the multipliers genuinely witness infeasibility (exact check).
+
+    Raises ``LinearSystemError`` when a row it combines is not rational.
+    """
     return _certified_rhs(system, certificate) is not None
 
 
@@ -173,7 +255,8 @@ def certificate_margin(system: LinearSystem, certificate: FarkasCertificate) -> 
     """|combined rhs| after scaling multipliers to max absolute value 1.
 
     Raises ``LinearSystemError`` when the certificate has no nonzero
-    multiplier or names a constraint the system does not have.
+    multiplier, names a constraint the system does not have, or combines a
+    row that is not rational.
     """
     if _unknown_names(system, certificate):
         raise LinearSystemError("certificate names constraints outside the system")
@@ -513,27 +596,28 @@ def solve_feasibility(system: LinearSystem) -> Feasible | Infeasible:
 
     Deterministic: fixed variable order and Bland's rule.  A Feasible result
     always satisfies every row exactly; an Infeasible result always carries a
-    certificate that passes ``verify_certificate`` (both re-checked here).
-    """
-    varnames = system.variables
-    vindex = {v: i for i, v in enumerate(varnames)}
-    # each row times the lcm of its denominators; stored zero coefficients
-    # are dropped so row supports stay exact
-    coeffs: list[dict[int, int]] = []
-    rhs: list[int] = []
-    scales: list[int] = []
-    for c in system.constraints:
-        scale = _row_scale(c)
-        coeffs.append(
-            {
-                vindex[v]: n
-                for v, a in c.coeffs.items()
-                if (n := a.numerator * (scale // a.denominator))
-            }
-        )
-        rhs.append(c.rhs.numerator * (scale // c.rhs.denominator))
-        scales.append(scale)
+    certificate that passes ``verify_certificate`` (both re-checked here,
+    against the named rows).
 
+    A system from ``sheaf.global_section_system`` carries the integer rows
+    its build made, and its first solve takes them instead of converting the
+    named rows, provided the system still holds the variable and constraint
+    tuples they were made from (a replaced row means a new tuple).  A
+    coefficient dict edited in place after the build escapes that test, so
+    the solve may run on stale integer rows; but the verdict is checked
+    against the edited named rows, so the solver returns a verdict that holds
+    on them or raises ``LinearSystemError``, never one that fails
+    ``verify_point`` or ``verify_certificate`` on them.
+    """
+    integer, system._integer = system._integer, None
+    if (
+        integer is None
+        or integer.variables is not system.variables
+        or integer.constraints is not system.constraints
+    ):
+        integer = _integer_rows(system)
+    varnames = system.variables
+    coeffs, rhs, scales = integer.coeffs, integer.rhs, integer.scales
     active_rows, active_vars, eliminated, bad_row = _presolve(
         coeffs, rhs, len(varnames)
     )
@@ -547,7 +631,7 @@ def solve_feasibility(system: LinearSystem) -> Feasible | Infeasible:
         cert = FarkasCertificate(multipliers=named)
         rhs = _certified_rhs(system, cert)
         if rhs is None:
-            raise LinearSystemError("internal error: certificate failed verification")
+            raise LinearSystemError("certificate failed verification")
         # the multipliers are normalized to max |y| = 1, so the margin is |rhs|
         return Infeasible(certificate=cert, margin=-rhs)
 
@@ -563,5 +647,5 @@ def solve_feasibility(system: LinearSystem) -> Feasible | Infeasible:
         for j, value in block_point.items():
             point[varnames[j]] = value
     if not verify_point(system, point):
-        raise LinearSystemError("internal error: solution failed verification")
+        raise LinearSystemError("solution failed verification")
     return Feasible(point=point)

@@ -15,13 +15,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 from ctxcheck.linprog import (
     FarkasCertificate,
     Feasible,
     LinearConstraint,
     LinearSystem,
+    _built_system,
     solve_feasibility,
 )
 from ctxcheck.model import (
@@ -112,35 +113,56 @@ def global_section_system(theory: EmpiricalTheory) -> LinearSystem:
     convex relation (state mixtures bind assignment-wise; measurement
     mixtures bind the aggregated per-label statistics of the underlying
     distribution, using the declared outcome identifications).
+
+    Each row is made twice in one pass: named, over ``Fraction``s, and as
+    the solver's integer row over column indices (state ``k``'s assignment
+    ``i`` is column ``k * len(assignments) + i``), which the returned system
+    carries to ``solve_feasibility``.
     """
     system = theory.system
     state_names = tuple(theory.states)
     assignments = list(global_outcome_tuples(system))
     names = {s: [variable_name(s, g) for g in assignments] for s in state_names}
+    offsets = {s: k * len(assignments) for k, s in enumerate(state_names)}
     variables = tuple(v for s in state_names for v in names[s])
     marginals = [(ctx, _context_groups(system, ctx)) for ctx in system.cover]
-    constraints: list[LinearConstraint] = []
+    rows: list[tuple[LinearConstraint, dict[int, int], int, int]] = []
     for s in state_names:
         state_vars = names[s]
-        constraints.append(
-            LinearConstraint(
-                name=f"norm[{s}]", coeffs=dict.fromkeys(state_vars, ONE), rhs=ONE
+        offset = offsets[s]
+        rows.append(
+            (
+                LinearConstraint(
+                    name=f"norm[{s}]", coeffs=dict.fromkeys(state_vars, ONE), rhs=ONE
+                ),
+                dict.fromkeys(range(offset, offset + len(state_vars)), 1),
+                1,
+                1,
             )
         )
         state = theory.state(s)
         for ctx, groups in marginals:
             dist = state.distribution(ctx)
             for t, group in zip(context_outcome_tuples(system, ctx), groups):
-                constraints.append(
-                    LinearConstraint(
-                        name=f"marg[{s};{','.join(ctx)};{','.join(t)}]",
-                        coeffs={state_vars[i]: ONE for i in group},
-                        rhs=dist.weight(t),
+                w = dist.weight(t)
+                # coefficients 1, so the row scale is the rhs denominator
+                rows.append(
+                    (
+                        LinearConstraint(
+                            name=f"marg[{s};{','.join(ctx)};{','.join(t)}]",
+                            coeffs={state_vars[i]: ONE for i in group},
+                            rhs=w,
+                        ),
+                        dict.fromkeys([offset + i for i in group], w.denominator),
+                        w.numerator,
+                        w.denominator,
                     )
                 )
     for index, decl in enumerate(theory.convex):
-        constraints.extend(_declaration_rows(theory, decl, index, assignments, names))
-    return LinearSystem(variables=variables, constraints=tuple(constraints))
+        rows.extend(
+            _declaration_rows(theory, decl, index, assignments, names, offsets)
+        )
+    return _built_system(variables, rows)
 
 
 def _context_groups(system: SystemType, ctx: Context) -> list[list[int]]:
@@ -172,9 +194,11 @@ def _declaration_rows(
     index: int,
     assignments: list[tuple[str, ...]],
     names: dict[str, list[str]],
-) -> list[LinearConstraint]:
+    offsets: dict[str, int],
+) -> list[tuple[LinearConstraint, dict[int, int], int, int]]:
+    """The declaration's rows, each named and as an integer row (rhs 0)."""
     system = theory.system
-    rows: list[LinearConstraint] = []
+    rows: list[tuple[LinearConstraint, dict[int, int], int, int]] = []
     if decl.kind == "state":
         needed = {decl.target, *(c.name for c in decl.components)}
         if not needed <= names.keys():
@@ -185,13 +209,22 @@ def _declaration_rows(
         weights = {decl.target: ONE}
         for c in decl.components:
             weights[c.name] = weights.get(c.name, ZERO) - c.coefficient
-        terms = [(names[s], a) for s, a in weights.items() if a != 0]
+        terms = [(names[s], offsets[s], a) for s, a in weights.items() if a != 0]
+        scale = lcm(*(a.denominator for _, _, a in terms))
+        integer = [
+            (offset, a.numerator * (scale // a.denominator)) for _, offset, a in terms
+        ]
         for i, g in enumerate(assignments):
             rows.append(
-                LinearConstraint(
-                    name=f"mix:state[{decl.target}#{index};{','.join(g)}]",
-                    coeffs={state_vars[i]: a for state_vars, a in terms},
-                    rhs=ZERO,
+                (
+                    LinearConstraint(
+                        name=f"mix:state[{decl.target}#{index};{','.join(g)}]",
+                        coeffs={state_vars[i]: a for state_vars, _, a in terms},
+                        rhs=ZERO,
+                    ),
+                    {offset + i: n for offset, n in integer},
+                    0,
+                    scale,
                 )
             )
     else:
@@ -216,13 +249,33 @@ def _declaration_rows(
                 row[i] = row.get(i, 0) - step
         values = {n for row in pattern.values() for n in row.values() if n}
         weight = {n: Fraction(n, den) for n in values}
+        # row k times den // content is integer, with content the gcd of
+        # den and its entries, and its coefficients are then n // content
+        shapes: list[tuple[str, dict[int, Fraction], dict[int, int], int]] = []
+        for k, row in pattern.items():
+            nonzero = {i: n for i, n in row.items() if n}
+            content = gcd(den, *nonzero.values())
+            shapes.append(
+                (
+                    k,
+                    {i: weight[n] for i, n in nonzero.items()},
+                    {i: n // content for i, n in nonzero.items()},
+                    den // content,
+                )
+            )
         for s, state_vars in names.items():
-            for k, row in pattern.items():
+            offset = offsets[s]
+            for k, fractions, integers, scale in shapes:
                 rows.append(
-                    LinearConstraint(
-                        name=f"mix:meas[{decl.target}#{index};{k};{s}]",
-                        coeffs={state_vars[i]: weight[n] for i, n in row.items() if n},
-                        rhs=ZERO,
+                    (
+                        LinearConstraint(
+                            name=f"mix:meas[{decl.target}#{index};{k};{s}]",
+                            coeffs={state_vars[i]: a for i, a in fractions.items()},
+                            rhs=ZERO,
+                        ),
+                        {offset + i: n for i, n in integers.items()},
+                        0,
+                        scale,
                     )
                 )
     return rows

@@ -1,6 +1,7 @@
 """Exact feasibility solver: hand-worked systems and randomized soundness."""
 
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -21,13 +22,21 @@ from ctxcheck.linprog import (
     LinearConstraint,
     LinearSystem,
     LinearSystemError,
+    _integer_rows,
     certificate_margin,
     is_robust,
     solve_feasibility,
     verify_certificate,
     verify_point,
 )
-from ctxcheck.model import EmpiricalTheory, RationalDistribution, State, system_type
+from ctxcheck.model import (
+    ConvexComponent,
+    ConvexDeclaration,
+    EmpiricalTheory,
+    RationalDistribution,
+    State,
+    system_type,
+)
 from ctxcheck.quantum import BUILTIN_NAMES, builtin_example, without_declarations
 from ctxcheck.sheaf import global_section_system
 
@@ -346,6 +355,164 @@ def test_ring_solver_output_matches_golden_digest():
     assert digest.hexdigest() == (
         "f1dcee4450e05ef177dfb50b7e37cc6f2c2af63bf0dddce4fddc8880971c41bf"
     )
+
+
+def _rebuilt(system):
+    """A copy of ``system`` made by hand, so it carries no built integer rows."""
+    return LinearSystem(
+        variables=tuple(system.variables),
+        constraints=tuple(
+            LinearConstraint(name=c.name, coeffs=dict(c.coeffs), rhs=c.rhs)
+            for c in system.constraints
+        ),
+    )
+
+
+def _vanishing_declaration_theory():
+    """A measurement mixture of one-outcome labels: its row is all zeros.
+
+    The declaration's coefficients are over 2, but the row cancels to
+    nothing, so its scale is 1, not 2; no golden theory has such a row.
+    """
+    half = Fraction(1, 2)
+    system = system_type(
+        {"a": ("0", "1"), "u": ("0",), "v": ("0",), "w": ("0",)},
+        [("a", "u"), ("v", "w")],
+    )
+    table = {
+        ("a", "u"): RationalDistribution(
+            domain=("a", "u"), weights={("0", "0"): half, ("1", "0"): half}
+        ),
+        ("v", "w"): RationalDistribution(
+            domain=("v", "w"), weights={("0", "0"): Fraction(1)}
+        ),
+    }
+    mixture = ConvexDeclaration(
+        kind="measurement",
+        target="u",
+        components=(
+            ConvexComponent(coefficient=half, name="v"),
+            ConvexComponent(coefficient=half, name="w"),
+        ),
+    )
+    return EmpiricalTheory(
+        system=system, states={"s": State(name="s", table=table)}, convex=(mixture,)
+    )
+
+
+def test_built_integer_rows_match_conversion_and_solve_alike():
+    # the digests above pin solve_feasibility(global_section_system(T)), which
+    # reads the integer rows the build made; a hand-rebuilt copy is converted
+    # from its named rows instead, and both must give the same rows and the
+    # same verdict, multipliers (in dict order), margin and point
+    theories = itertools.chain(
+        _golden_theories(), _ring_theories(), [_vanishing_declaration_theory()]
+    )
+    for theory in theories:
+        lp = global_section_system(theory)
+        copy = _rebuilt(lp)
+        assert copy == lp and copy._integer is None
+        built, converted = lp._integer, _integer_rows(copy)
+        assert built.coeffs == converted.coeffs
+        assert built.rhs == converted.rhs
+        assert built.scales == converted.scales
+        result, expected = solve_feasibility(lp), solve_feasibility(copy)
+        assert lp._integer is None  # handed over once, not kept alive
+        assert type(result) is type(expected)
+        if isinstance(result, Feasible):
+            assert list(result.point.items()) == list(expected.point.items())
+        else:
+            assert list(result.certificate.multipliers.items()) == list(
+                expected.certificate.multipliers.items()
+            )
+            assert result.margin == expected.margin
+
+
+def _assert_verdict_of_rows(lp, result):
+    """``result`` verifies on the rows of ``lp`` and agrees with a fresh solve."""
+    expected = solve_feasibility(_rebuilt(lp))
+    assert type(result) is type(expected)
+    if isinstance(result, Feasible):
+        assert verify_point(lp, result.point)
+    else:
+        assert verify_certificate(lp, result.certificate)
+        assert certificate_margin(lp, result.certificate) == result.margin
+
+
+def test_row_edited_in_place_after_build_raises_instead_of_a_wrong_verdict():
+    # doubling the normalization row in place contradicts the marginal rows,
+    # but the built integer rows do not see it: their point fails the named
+    # row, so the solver must raise rather than return it
+    theory, _ = random_feasible_theory(random.Random(3))
+    lp = global_section_system(theory)
+    norm = lp.constraints[0]
+    for v in norm.coeffs:
+        norm.coeffs[v] = Fraction(2)
+    with pytest.raises(LinearSystemError, match="solution failed verification"):
+        solve_feasibility(lp)
+    assert isinstance(solve_feasibility(_rebuilt(lp)), Infeasible)
+
+
+_EDITED_THEORIES = (
+    builtin_example("bell").theory,
+    builtin_example("specker-triangle").theory,
+    random_feasible_theory(random.Random(5))[0],
+    random_frustrated_cycle(random.Random(5)),
+)
+
+
+@given(
+    st.sampled_from(_EDITED_THEORIES),
+    st.integers(0, 10**6),
+    st.sampled_from(["rhs", "coefficient", "drop"]),
+    st.fractions(min_value=-2, max_value=2, max_denominator=4),
+)
+def test_row_edited_after_build_never_yields_an_unverified_verdict(
+    theory, index, edit, value
+):
+    lp = global_section_system(theory)
+    row = lp.constraints[index % len(lp.constraints)]
+    variable = sorted(row.coeffs)[index % len(row.coeffs)]
+    if edit == "rhs":
+        # a constraint is frozen, so a new rhs means a new constraints tuple,
+        # which the solver sees: it converts the named rows and must succeed
+        edited = LinearConstraint(name=row.name, coeffs=row.coeffs, rhs=value)
+        lp.constraints = tuple(edited if c is row else c for c in lp.constraints)
+        result = solve_feasibility(lp)
+    else:
+        if edit == "coefficient":
+            row.coeffs[variable] = value
+        else:
+            del row.coeffs[variable]
+        try:
+            result = solve_feasibility(lp)
+        except LinearSystemError:
+            return
+    _assert_verdict_of_rows(lp, result)
+
+
+def test_variable_added_in_place_after_construction_is_rejected():
+    system = _system([("r", {"x": 1}, 1)], ["x"])
+    system.constraints[0].coeffs["ghost"] = Fraction(1)
+    with pytest.raises(LinearSystemError, match="unknown variable 'ghost'"):
+        solve_feasibility(system)
+
+
+@pytest.mark.parametrize("value", [0.5, "1/2"])
+def test_non_rational_entries_raise_linear_system_error(value):
+    rows = (
+        LinearConstraint("r", {"x": value, "y": 1}, 1),
+        LinearConstraint("r", {"x": 1, "y": 1}, value),
+    )
+    certificate = FarkasCertificate(multipliers={"r": Fraction(1)})
+    for row in rows:
+        system = LinearSystem(variables=("x", "y"), constraints=(row,))
+        with pytest.raises(LinearSystemError, match="constraint 'r'"):
+            solve_feasibility(system)
+        with pytest.raises(LinearSystemError, match="constraint 'r'"):
+            verify_certificate(system, certificate)
+        with pytest.raises(LinearSystemError, match="constraint 'r'"):
+            certificate_margin(system, certificate)
 
 
 _RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=6)

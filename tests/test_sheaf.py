@@ -141,6 +141,17 @@ def test_measurement_declarations_enter_the_system():
     assert any(name.startswith("mix:meas[") for name in names)
 
 
+@pytest.mark.parametrize("name", ["bell", "spekkens-preparation"])
+def test_verdict_system_is_the_named_lp_without_its_integer_rows(name):
+    # the build's integer rows serve the solve only; the verdict keeps the
+    # named system, equal to a fresh build, and not the rows
+    declared = builtin_example(name).theory
+    for theory in (declared, without_declarations(declared)):
+        verdict = check_contextuality(theory)
+        assert verdict.system == global_section_system(theory)
+        assert verdict.system._integer is None
+
+
 def test_variable_count_matches_assignment_space():
     bell = builtin_example("bell").theory
     lp = global_section_system(bell)
