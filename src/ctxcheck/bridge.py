@@ -8,10 +8,8 @@ measurements the labels and the maximal ones the cover, and every
 intermediate table is checked against the reconstructed joints.
 
 Morphisms of empirical theories (state, label and outcome maps preserving
-statistics and statistical equivalence) can be pushed through both
-translations: ``apply_operational_morphism`` transports them to the
-operational presentation, ``apply_representation_morphism`` further to the
-canonical representations of non-contextual theories.  ``forget_statistics``
+statistics and statistical equivalence) are transported to the operational
+presentation by ``apply_operational_morphism``.  ``forget_statistics``
 recovers an operational theory from a representation; on a canonical
 representation this returns the operational form of the original theory
 exactly, which ``check_iso_diagram`` verifies.
@@ -451,58 +449,6 @@ def validate_operational_morphism(g: OperationalMorphism) -> list[str]:
                 elif lhs != dst_stats.get(k1, ZERO):
                     out.append(
                         f"statistics not preserved at ({p!r}, {m!r}, {k!r})"
-                    )
-    return out
-
-
-@dataclass
-class RepresentationMorphism:
-    """Transport of a morphism to the canonical representations."""
-
-    source: OntologicalRepresentation
-    target: OntologicalRepresentation
-    base: OperationalMorphism
-
-
-def apply_representation_morphism(
-    f: EmpiricalMorphism,
-    source_sections: dict[str, RationalDistribution],
-    target_sections: dict[str, RationalDistribution],
-) -> RepresentationMorphism:
-    """Image of a morphism on the canonical representations of two
-    non-contextual theories with chosen global sections."""
-    rep_a = canonical_representation(f.source, source_sections)
-    rep_b = canonical_representation(f.target, target_sections)
-    return RepresentationMorphism(
-        source=rep_a, target=rep_b, base=apply_operational_morphism(f)
-    )
-
-
-def validate_representation_morphism(r: RepresentationMorphism) -> list[str]:
-    """The realized statistics must match through the base maps: the
-    target-side total-probability sum equals the source-side one on every
-    (preparation, measurement, outcome)."""
-    out: list[str] = []
-    base = r.base
-    for p in base.source.preparations:
-        q = base.prep_map[p]
-        for m, meas in base.source.measurements.items():
-            n = base.meas_map[m]
-            for k in meas.outcomes:
-                k1 = base.outcome_map[(m, k)]
-                lhs = realized_weight(r.source, p, m, k)
-                rhs = (
-                    ZERO if k1 is None else realized_weight(r.target, q, n, k1)
-                )
-                if k1 is None:
-                    if lhs != 0:
-                        out.append(
-                            f"unmapped outcome ({m!r}, {k!r}) realized with "
-                            f"weight {lhs} at {p!r}"
-                        )
-                elif lhs != rhs:
-                    out.append(
-                        f"realized statistics differ at ({p!r}, {m!r}, {k!r})"
                     )
     return out
 

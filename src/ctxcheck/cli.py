@@ -3,7 +3,7 @@
 Scenario, section and representation files are the JSON documents of
 :mod:`ctxcheck.serialize`.  Exit status 0 means the check passed (or the
 input is non-contextual), 2 means contextual / failed verification, and
-1 reports an input problem such as signalling tables.
+1 reports an input problem such as signalling tables or a usage error.
 """
 
 from __future__ import annotations
@@ -217,79 +217,85 @@ def _cmd_example(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors with ``EXIT_ERROR``: argparse's own status 2
+    would read as "contextual".  Subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--max-denominator",
-        type=int,
-        default=None,
-        help="denominator bound when rationalizing quantum scenarios",
-    )
-    common.add_argument(
-        "--seed", type=int, default=None, help="seed for randomized helpers"
-    )
-    common.add_argument(
-        "--json", action="store_true", help="machine-readable output"
-    )
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ctxcheck",
         description="Exact contextuality checks and ontological representations",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", parents=[common], help="decide contextuality")
+    def command(name, handler, summary, *, max_denominator=True, json=False):
+        p = sub.add_parser(name, help=summary)
+        if max_denominator:
+            p.add_argument(
+                "--max-denominator",
+                type=int,
+                default=None,
+                help="denominator bound when rationalizing quantum scenarios",
+            )
+        if json:
+            p.add_argument(
+                "--json", action="store_true", help="machine-readable output"
+            )
+        p.set_defaults(handler=handler)
+        return p
+
+    p = command("check", _cmd_check, "decide contextuality", json=True)
     p.add_argument("file", help="scenario file ('-' for stdin)")
     p.add_argument(
         "--mode",
         choices=("probabilistic", "possibilistic"),
         default="probabilistic",
     )
-    p.set_defaults(handler=_cmd_check)
 
-    p = sub.add_parser(
-        "verify", parents=[common], help="check a section file against a scenario"
+    p = command(
+        "verify", _cmd_verify, "check a section file against a scenario", json=True
     )
     p.add_argument("file")
     p.add_argument("sections")
-    p.set_defaults(handler=_cmd_verify)
 
-    p = sub.add_parser(
-        "quotient", parents=[common], help="merge statistically equivalent pieces"
-    )
+    p = command("quotient", _cmd_quotient, "merge statistically equivalent pieces")
     p.add_argument("file")
-    p.set_defaults(handler=_cmd_quotient)
 
-    p = sub.add_parser(
-        "minimalize", parents=[common], help="split coarse outcomes, then quotient"
-    )
+    p = command("minimalize", _cmd_minimalize, "split coarse outcomes, then quotient")
     p.add_argument("file")
-    p.set_defaults(handler=_cmd_minimalize)
 
-    p = sub.add_parser(
+    p = command(
         "canonical-rep",
-        parents=[common],
-        help="build the canonical representation of a non-contextual scenario",
+        _cmd_canonical_rep,
+        "build the canonical representation of a non-contextual scenario",
     )
     p.add_argument("file")
-    p.set_defaults(handler=_cmd_canonical_rep)
 
-    p = sub.add_parser(
-        "analyze-rep", parents=[common], help="six-flag report on a representation"
+    p = command(
+        "analyze-rep",
+        _cmd_analyze_rep,
+        "six-flag report on a representation",
+        max_denominator=False,
+        json=True,
     )
     p.add_argument("file")
-    p.set_defaults(handler=_cmd_analyze_rep)
 
-    p = sub.add_parser(
+    p = command(
         "induce",
-        parents=[common],
-        help="scenario and section induced by a factorizable representation",
+        _cmd_induce,
+        "scenario and section induced by a factorizable representation",
+        max_denominator=False,
     )
     p.add_argument("file")
-    p.set_defaults(handler=_cmd_induce)
 
-    p = sub.add_parser("example", parents=[common], help="emit a bundled scenario")
+    p = command("example", _cmd_example, "emit a bundled scenario")
     p.add_argument("name", choices=BUILTIN_NAMES + ("random",))
-    p.set_defaults(handler=_cmd_example)
+    p.add_argument("--seed", type=int, default=None, help="seed for 'random'")
 
     return parser
 

@@ -81,12 +81,6 @@ class LinearSystem:
                     f"constraint {c.name!r} uses unknown variables {unknown}"
                 )
 
-    def constraint(self, name: str) -> LinearConstraint:
-        for c in self.constraints:
-            if c.name == name:
-                return c
-        raise LinearSystemError(f"no constraint named {name!r}")
-
 
 @dataclass
 class FarkasCertificate:

@@ -11,12 +11,10 @@ reports problems as *data* (rather than raising) lives in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
-
-Rational = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -24,14 +22,6 @@ ONE = Fraction(1)
 
 class ModelError(ValueError):
     """Structural misuse of the data model (unknown label, bad arity, ...)."""
-
-
-class InvalidSystemError(ModelError):
-    """Raised when an operation requires a valid system type but got violations."""
-
-    def __init__(self, violations: list[str]):
-        super().__init__("invalid system type: " + "; ".join(violations))
-        self.violations = violations
 
 
 def parse_rational(text: str | int) -> Fraction:
@@ -167,12 +157,6 @@ def validate_system_type(system: SystemType) -> list[str]:
     return violations
 
 
-def require_valid_system(system: SystemType) -> None:
-    violations = validate_system_type(system)
-    if violations:
-        raise InvalidSystemError(violations)
-
-
 @dataclass(frozen=True)
 class Section:
     """An assignment of one outcome to each label of a domain."""
@@ -192,9 +176,6 @@ class Section:
 
     def restrict(self, sub: tuple[str, ...]) -> "Section":
         return Section(sub, tuple(self(m) for m in sub))
-
-    def as_dict(self) -> dict[str, str]:
-        return dict(zip(self.domain, self.values))
 
 
 @dataclass
@@ -308,9 +289,6 @@ class EmpiricalTheory:
     system: SystemType
     states: dict[str, State]
     convex: tuple[ConvexDeclaration, ...] = ()
-
-    def state_names(self) -> tuple[str, ...]:
-        return tuple(self.states)
 
     def state(self, name: str) -> State:
         try:
@@ -505,12 +483,6 @@ class OperationalTheory:
             return self.statistics[(prep, meas)]
         except KeyError:
             raise ModelError(f"no statistics for ({prep!r}, {meas!r})") from None
-
-    def measurement(self, name: str) -> Measurement:
-        try:
-            return self.measurements[name]
-        except KeyError:
-            raise ModelError(f"unknown measurement {name!r}") from None
 
 
 def validate_operational_theory(theory: OperationalTheory) -> list[str]:

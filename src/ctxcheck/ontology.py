@@ -76,14 +76,6 @@ class OntologicalRepresentation:
         except KeyError:
             raise ModelError(f"no preparation distribution for {prep!r}") from None
 
-    def xi_of(self, meas: str, value: str) -> Weights:
-        try:
-            return self.xi[meas][value]
-        except KeyError:
-            raise ModelError(
-                f"no response for measurement {meas!r} at ontic value {value!r}"
-            ) from None
-
 
 def validate_representation(rep: OntologicalRepresentation) -> list[str]:
     """Structural checks: alignment, normalization, no unreachable value."""

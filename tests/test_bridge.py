@@ -11,9 +11,11 @@ from ctxcheck.bridge import (
     apply_operational_morphism,
     check_iso_diagram,
     compose_empirical,
+    compose_operational,
     empirical_theories_statistically_equal,
     forget_statistics,
     identity_morphism,
+    operational_morphisms_equal,
     operational_theories_statistically_equal,
     to_empirical,
     to_operational,
@@ -145,6 +147,59 @@ def test_operational_morphism_from_empirical_identity():
     ident = identity_morphism(theory)
     op_morph = apply_operational_morphism(ident)
     assert validate_operational_morphism(op_morph) == []
+
+
+def _triangle_automorphisms():
+    """Identity, the all-outcome flip, the label rotation a->b->c->a and the
+    transposition a<->b of the specker triangle.  The last two do not
+    commute, so the composition order is tested too."""
+    theory = builtin_example("specker-triangle").theory
+    ident = identity_morphism(theory)
+    flip = EmpiricalMorphism(
+        source=theory,
+        target=theory,
+        state_map=dict(ident.state_map),
+        label_map=dict(ident.label_map),
+        outcome_map={key: ("1" if key[1] == "0" else "0") for key in ident.outcome_map},
+    )
+    rotation = EmpiricalMorphism(
+        source=theory,
+        target=theory,
+        state_map=dict(ident.state_map),
+        label_map={"a": "b", "b": "c", "c": "a"},
+        outcome_map=dict(ident.outcome_map),
+    )
+    swap = EmpiricalMorphism(
+        source=theory,
+        target=theory,
+        state_map=dict(ident.state_map),
+        label_map={"a": "b", "b": "a", "c": "c"},
+        outcome_map=dict(ident.outcome_map),
+    )
+    return {"id": ident, "flip": flip, "rot": rotation, "swap": swap}
+
+
+def test_operational_functor_preserves_composition():
+    morphisms = _triangle_automorphisms()
+    for f in morphisms.values():
+        assert validate_empirical_morphism(f) == []
+    image = {name: apply_operational_morphism(f) for name, f in morphisms.items()}
+    for (g_name, g), (f_name, f) in itertools.product(morphisms.items(), repeat=2):
+        composite = compose_operational(image[g_name], image[f_name])
+        assert validate_operational_morphism(composite) == []
+        assert operational_morphisms_equal(
+            apply_operational_morphism(compose_empirical(g, f)), composite
+        ), (g_name, f_name)
+    # the law is not vacuous: distinct morphisms have distinct images
+    assert not operational_morphisms_equal(image["flip"], image["id"])
+    assert not operational_morphisms_equal(
+        compose_operational(image["rot"], image["rot"]), image["rot"]
+    )
+    assert not operational_morphisms_equal(
+        compose_operational(image["rot"], image["swap"]),
+        compose_operational(image["swap"], image["rot"]),
+    )
+    assert image["rot"].meas_map["a,b"] == "b,c"
 
 
 def test_forget_statistics_returns_realized_tables():

@@ -14,7 +14,7 @@ from ctxcheck import (
     theory_to_document,
     without_declarations,
 )
-from ctxcheck.cli import EXIT_CONTEXTUAL, EXIT_ERROR, EXIT_OK, main
+from ctxcheck.cli import EXIT_CONTEXTUAL, EXIT_ERROR, EXIT_OK, build_parser, main
 
 
 def _write(tmp_path, name, doc):
@@ -238,3 +238,47 @@ def test_verify_rejects_non_object_section(tmp_path, capsys):
     sections = _write(tmp_path, "sections.json", doc)
     assert main(["verify", path, sections]) == EXIT_ERROR
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_usage_errors_exit_with_error_and_help_exits_ok(tmp_path, capsys):
+    path, _ = _theory_file(tmp_path)
+    for argv in (["check", "--bogus", path], ["induce", "--json", path], []):
+        with pytest.raises(SystemExit) as caught:
+            main(argv)
+        assert caught.value.code == EXIT_ERROR
+        assert "error:" in capsys.readouterr().err
+    for argv in (["--help"], ["check", "--help"]):
+        with pytest.raises(SystemExit) as caught:
+            main(argv)
+        assert caught.value.code == EXIT_OK
+        assert "usage:" in capsys.readouterr().out
+
+
+_FLAG_VALUES = {"--max-denominator": ["64"], "--json": [], "--seed": ["1"]}
+
+
+# positional arguments and the flags each subcommand's handler reads
+_TAKES = {
+    "check": (["f"], {"--max-denominator", "--json"}),
+    "verify": (["f", "s"], {"--max-denominator", "--json"}),
+    "quotient": (["f"], {"--max-denominator"}),
+    "minimalize": (["f"], {"--max-denominator"}),
+    "canonical-rep": (["f"], {"--max-denominator"}),
+    "analyze-rep": (["f"], {"--json"}),
+    "induce": (["f"], set()),
+    "example": (["random"], {"--max-denominator", "--seed"}),
+}
+
+
+@pytest.mark.parametrize("command", list(_TAKES))
+def test_each_subcommand_takes_only_the_flags_it_reads(capsys, command):
+    positionals, flags = _TAKES[command]
+    for flag, value in _FLAG_VALUES.items():
+        argv = [command, *positionals, flag, *value]
+        if flag in flags:
+            build_parser().parse_args(argv)
+        else:
+            with pytest.raises(SystemExit) as caught:
+                build_parser().parse_args(argv)
+            assert caught.value.code == EXIT_ERROR
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err

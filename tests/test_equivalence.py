@@ -10,6 +10,7 @@ from ctxcheck.equivalence import (
     quotient_theory,
     theories_equal,
     transport_sections_from_minimal,
+    transport_sections_from_split,
     transport_sections_to_minimal,
 )
 from ctxcheck.generate import (
@@ -22,6 +23,7 @@ from ctxcheck.model import (
     RationalDistribution,
     State,
     system_type,
+    validate_theory,
 )
 from ctxcheck.quantum import builtin_example
 from ctxcheck.sheaf import check_contextuality, verify_global_section
@@ -143,6 +145,27 @@ def test_split_one_hots_ternary_labels():
         assert split.system.outcomes_of(label).labels == ("0", "1")
     v = check_contextuality(split)
     assert not v.contextual
+
+
+def test_split_and_minimalize_carry_a_measurement_mixture(mixture_variant):
+    theory, _, contextual = mixture_variant
+    split, smap = observable_split(theory)
+    assert validate_theory(split) == []
+    mixtures = [d for d in split.convex if d.kind == "measurement"]
+    assert [d.target for d in mixtures] == ["c:0", "c:1", "c:2"]
+    for decl, k in zip(mixtures, ("0", "1", "2")):
+        assert [c.name for c in decl.components] == [f"a:{k}", f"b:{k}"]
+        for label in (decl.target, *(c.name for c in decl.components)):
+            assert split.system.outcomes_of(label).labels == ("0", "1")
+    v_split = check_contextuality(split)
+    small, mmap = minimalize(theory)
+    v_small = check_contextuality(small)
+    assert v_split.contextual == v_small.contextual == contextual
+    if not contextual:
+        back = transport_sections_from_split(smap, v_split.sections)
+        assert verify_global_section(theory, back) == []
+        back = transport_sections_from_minimal(theory, mmap, v_small.sections)
+        assert verify_global_section(theory, back) == []
 
 
 def test_minimalize_is_identity_on_builtins():

@@ -125,6 +125,58 @@ def test_verify_global_section_rejects_wrong_marginals():
     ]
 
 
+def test_verify_global_section_checks_measurement_mixtures(mixture_variant):
+    theory, sections, contextual = mixture_variant
+    verdict = check_contextuality(theory)
+    assert verdict.contextual == contextual
+    if contextual:
+        assert verify_global_section(theory, sections) == [
+            f"measurement mixture 'c' violated for state 's' at outcome {k!r}"
+            for k in ("0", "1", "2")
+        ]
+    else:
+        assert verify_global_section(theory, verdict.sections) == []
+        assert verify_global_section(theory, sections) == []
+
+
+def test_verify_global_section_checks_state_mixtures(mixture_theory):
+    labels = ("a", "b", "c")
+    ends = {"s": ("0", "0", "0"), "t": ("1", "1", "1")}
+    sections = {
+        name: RationalDistribution(domain=labels, weights={g: Fraction(1)})
+        for name, g in ends.items()
+    }
+    sections["u"] = RationalDistribution(
+        domain=labels, weights={g: H for g in ends.values()}
+    )
+    u_mix = ConvexDeclaration(
+        kind="state",
+        target="u",
+        components=(ConvexComponent(H, "s"), ConvexComponent(H, "t")),
+    )
+    theory = mixture_theory(sections, u_mix)
+    verdict = check_contextuality(theory)
+    assert not verdict.contextual
+    assert verify_global_section(theory, verdict.sections) == []
+    assert verify_global_section(theory, sections) == []
+    # the same marginals, coupled differently: only the state mixture breaks
+    recoupled = dict(
+        sections,
+        u=RationalDistribution(
+            domain=labels,
+            weights={("0", "0", "1"): H, ("1", "1", "0"): H},
+        ),
+    )
+    assert verify_global_section(theory, recoupled) == [
+        "state mixture 'u' violated at ('0', '0', '0')"
+    ]
+    del recoupled["u"]
+    assert verify_global_section(theory, recoupled) == [
+        "missing section for state 'u'",
+        "state mixture 'u': section missing",
+    ]
+
+
 def test_declarations_enter_the_system():
     example = builtin_example("spekkens-preparation")
     with_rows = global_section_system(example.theory)
