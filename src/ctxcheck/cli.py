@@ -208,11 +208,13 @@ def _cmd_induce(args) -> int:
 
 def _cmd_example(args) -> int:
     if args.name == "random":
-        rng = random.Random(args.seed)
-        theory = random_instance(rng)
+        if args.max_denominator is not None:
+            raise ModelError("--max-denominator does not apply to 'random'")
+        theory = random_instance(random.Random(args.seed))
     else:
-        example = builtin_example(args.name, args.max_denominator)
-        theory = example.theory
+        if args.seed is not None:
+            raise ModelError(f"--seed applies only to 'random', not {args.name!r}")
+        theory = builtin_example(args.name, args.max_denominator).theory
     _emit(theory_to_document(theory))
     return EXIT_OK
 

@@ -288,8 +288,8 @@ def quotient_theory(
 
     Safety means the guards in the module docstring, which together make the
     quotient preserve global-section feasibility in both directions.
+    ``equivalence_classes`` raises ``SignallingError`` on a signalling theory.
     """
-    require_no_signalling(theory)
     system = theory.system
     classes = equivalence_classes(theory, "measurement").classes
     while True:

@@ -25,8 +25,8 @@ No ``Fraction`` is used between the input rows and the returned point and
 multipliers.
 
 Certificates found on the reduced system are patched back so they verify
-against the original rows: presolve records the rows of every column it
-eliminates, and the patch walks only those columns.  A certificate is
+against the original rows: the patch walks only the columns presolve
+eliminated, each over its rows in presolve's column index.  A certificate is
 checked by combining its rows over Python ints with one common denominator
 (``_combine``), so the signs are read from integers; a point is checked by
 summing each row only over the point's nonzero entries.
@@ -294,115 +294,77 @@ def verify_point(system: LinearSystem, point: dict[str, Fraction]) -> bool:
 # Solver
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _Elimination:
-    """A variable forced to zero by an all-nonnegative zero-rhs row."""
-
-    var: int
-    row: int
-    sign: int  # sign * row has all coefficients >= 0 on columns active then
-    column: set[int]  # every row with a nonzero coefficient on ``var``
-
-
 def _presolve(
     coeffs: list[dict[int, int]], rhs: list[int], n: int
-) -> tuple[list[int], list[int], list[_Elimination], int | None]:
-    """Iteratively eliminate forced-zero variables.
+) -> tuple[
+    list[tuple[list[int], list[int]]], list[tuple[int, int]], list[set[int]], int | None
+]:
+    """Iteratively eliminate forced-zero variables, then split what is left.
 
     ``coeffs`` holds one sparse integer row per constraint (column index ->
     nonzero coefficient) over ``n`` columns.  A zero-rhs row whose active
     coefficients all share one sign forces its variables to zero.  Returns
-    (active rows, active vars, eliminations in order, contradiction row index
-    or None); a contradiction row has no active coefficients left but
-    nonzero rhs.
+    (blocks, eliminations, column index, contradiction row index or None).
+    The blocks are the independent (rows, columns) parts of the active
+    system, each list sorted, in the order of their first row.  An
+    elimination is a (column, row) pair, in order: the column was forced to
+    zero by the row.  The column index maps each column to every row with a
+    nonzero coefficient on it.  A contradiction row has no active
+    coefficients left but nonzero rhs; the blocks are then empty.
     """
     m = len(coeffs)
+    # the active columns of each active row; a row that leaves ``active``
+    # keeps only eliminated columns
     support: list[set[int]] = [set(row) for row in coeffs]
     var_rows: list[set[int]] = [set() for _ in range(n)]
     for r in range(m):
         for j in support[r]:
             var_rows[j].add(r)
     active = set(range(m))
-    eliminated: list[_Elimination] = []
-    gone_vars: set[int] = set()
+    eliminated: list[tuple[int, int]] = []
     queue = deque(range(m))
     queued = set(range(m))
     while queue:
         r = queue.popleft()
         queued.discard(r)
-        if r not in active:
-            continue
         nz = support[r]
         if not nz:
             if rhs[r] != 0:
-                active_rows = sorted(active)
-                active_vars = [j for j in range(n) if j not in gone_vars]
-                return active_rows, active_vars, eliminated, r
+                return [], eliminated, var_rows, r
             active.discard(r)
             continue
         if rhs[r] != 0:
             continue
         row = coeffs[r]
-        if all(row[j] > 0 for j in nz):
-            sign = 1
-        elif all(row[j] < 0 for j in nz):
-            sign = -1
-        else:
+        if not (all(row[j] > 0 for j in nz) or all(row[j] < 0 for j in nz)):
             continue
         active.discard(r)
         for j in sorted(nz):
-            column = var_rows[j]
-            eliminated.append(_Elimination(var=j, row=r, sign=sign, column=column))
-            gone_vars.add(j)
-            for r2 in column:
-                if r2 == r or r2 not in active:
-                    continue
-                support[r2].discard(j)
-                if r2 not in queued:
-                    queue.append(r2)
-                    queued.add(r2)
-    active_rows = sorted(active)
-    active_vars = [j for j in range(n) if j not in gone_vars]
-    return active_rows, active_vars, eliminated, None
-
-
-def _components(
-    coeffs: list[dict[int, int]], active_rows: list[int], active_vars: list[int]
-) -> list[tuple[list[int], list[int]]]:
-    """Split the active system into independent (rows, vars) blocks."""
-    var_rows: dict[int, list[int]] = {j: [] for j in active_vars}
-    row_vars: dict[int, list[int]] = {}
-    for r in active_rows:
-        cols = [j for j in coeffs[r] if j in var_rows]
-        row_vars[r] = cols
-        for j in cols:
-            var_rows[j].append(r)
-    seen_rows: set[int] = set()
-    seen_vars: set[int] = set()
+            eliminated.append((j, r))
+            for r2 in var_rows[j]:
+                if r2 in active:
+                    support[r2].discard(j)
+                    if r2 not in queued:
+                        queue.append(r2)
+                        queued.add(r2)
+    # an active column lies only in active rows, so walking supports and
+    # column rows from each unvisited row collects its block; a visited row
+    # leaves ``active``
     blocks: list[tuple[list[int], list[int]]] = []
-    for start in active_rows:
-        if start in seen_rows:
+    for start in sorted(active):
+        if start not in active:
             continue
-        rows = [start]
-        seen_rows.add(start)
-        vs: list[int] = []
-        stack = [("r", start)]
+        active.discard(start)
+        rows, cols, stack = [start], set(), [start]
         while stack:
-            kind, idx = stack.pop()
-            if kind == "r":
-                for j in row_vars[idx]:
-                    if j not in seen_vars:
-                        seen_vars.add(j)
-                        vs.append(j)
-                        stack.append(("v", j))
-            else:
-                for r in var_rows[idx]:
-                    if r not in seen_rows:
-                        seen_rows.add(r)
-                        rows.append(r)
-                        stack.append(("r", r))
-        blocks.append((sorted(rows), sorted(vs)))
-    return blocks
+            for j in support[stack.pop()] - cols:
+                cols.add(j)
+                for r in var_rows[j] & active:
+                    active.discard(r)
+                    rows.append(r)
+                    stack.append(r)
+        blocks.append((sorted(rows), sorted(cols)))
+    return blocks, eliminated, var_rows, None
 
 
 def _simplex_phase1(
@@ -547,14 +509,15 @@ def _patch_certificate(
     coeffs: list[dict[int, int]],
     scales: list[int],
     multipliers: dict[int, int],
-    eliminated: list[_Elimination],
+    eliminated: list[tuple[int, int]],
+    var_rows: list[set[int]],
 ) -> dict[int, int]:
     """Extend block multipliers so eliminated columns also combine >= 0.
 
     Processed in reverse elimination order: each patch row is nonnegative on
     every column still active when its variable was eliminated, so later
     (already patched) columns only increase.  Each column is combined over
-    the rows ``_presolve`` recorded for it.
+    its rows in ``_presolve``'s column index ``var_rows``.
 
     Multipliers on the rational rows come in, and go out, up to one positive
     scale; the patch commutes with positive scaling.  In between they are
@@ -564,24 +527,24 @@ def _patch_certificate(
     """
     common = lcm(*(scales[r] for r in multipliers))
     z = {r: y * (common // scales[r]) for r, y in multipliers.items()}
-    for e in reversed(eliminated):
+    for j, row in reversed(eliminated):
         combined = 0
-        for r in e.column:
+        for r in var_rows[j]:
             zr = z.get(r)
             if zr is not None:
-                combined += zr * coeffs[r][e.var]
+                combined += zr * coeffs[r][j]
         if combined < 0:
-            # z[e.row] -= combined / q brings the column to exactly zero
-            q = coeffs[e.row][e.var]
+            # z[row] -= combined / q brings the column to exactly zero
+            q = coeffs[row][j]
             f = abs(q) // gcd(combined, q)
             if f > 1:
                 z = {r: v * f for r, v in z.items()}
                 combined *= f
-            zr = z.get(e.row, 0) - combined // q
+            zr = z.get(row, 0) - combined // q
             if zr:
-                z[e.row] = zr
+                z[row] = zr
             else:
-                del z[e.row]
+                del z[row]
     return {r: v * scales[r] for r, v in z.items()}
 
 
@@ -612,12 +575,10 @@ def solve_feasibility(system: LinearSystem) -> Feasible | Infeasible:
         integer = _integer_rows(system)
     varnames = system.variables
     coeffs, rhs, scales = integer.coeffs, integer.rhs, integer.scales
-    active_rows, active_vars, eliminated, bad_row = _presolve(
-        coeffs, rhs, len(varnames)
-    )
+    blocks, eliminated, var_rows, bad_row = _presolve(coeffs, rhs, len(varnames))
 
     def finish_infeasible(block_dual: dict[int, int]) -> Infeasible:
-        full = _patch_certificate(coeffs, scales, block_dual, eliminated)
+        full = _patch_certificate(coeffs, scales, block_dual, eliminated, var_rows)
         scale = max(abs(v) for v in full.values())
         named = {
             system.constraints[r].name: Fraction(v, scale) for r, v in full.items()
@@ -633,7 +594,7 @@ def solve_feasibility(system: LinearSystem) -> Feasible | Infeasible:
         return finish_infeasible({bad_row: -1 if rhs[bad_row] > 0 else 1})
 
     point: dict[str, Fraction] = {v: ZERO for v in varnames}
-    for rows, cols in _components(coeffs, active_rows, active_vars):
+    for rows, cols in blocks:
         block_point, block_dual = _simplex_phase1(coeffs, rhs, scales, rows, cols)
         if block_point is None:
             assert block_dual is not None

@@ -506,15 +506,21 @@ def _specker_triangle() -> BuiltinExample:
 
 
 def builtin_example(name: str, max_denominator: int | None = None) -> BuiltinExample:
-    """Return a built-in scenario by name; see BUILTIN_NAMES."""
+    """Return a built-in scenario by name; see BUILTIN_NAMES.
+
+    Only ``spekkens-unsharp`` is rationalized, so only it takes
+    ``max_denominator``; another builtin given one raises ``ModelError``.
+    """
+    if name == "spekkens-unsharp":
+        return _spekkens_unsharp(10**6 if max_denominator is None else max_denominator)
+    if max_denominator is not None and name in BUILTIN_NAMES:
+        raise ModelError(f"example {name!r} takes no denominator bound")
     if name == "bell":
         return _bell()
     if name == "mermin":
         return _mermin()
     if name == "spekkens-preparation":
         return _spekkens_preparation()
-    if name == "spekkens-unsharp":
-        return _spekkens_unsharp(max_denominator or 10**6)
     if name == "specker-triangle":
         return _specker_triangle()
     raise ModelError(

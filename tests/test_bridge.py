@@ -22,7 +22,7 @@ from ctxcheck.bridge import (
     validate_empirical_morphism,
     validate_operational_morphism,
 )
-from ctxcheck.generate import random_feasible_theory
+from ctxcheck.generate import parity_bump, random_feasible_theory
 from ctxcheck.model import (
     EmpiricalTheory,
     Measurement,
@@ -32,6 +32,7 @@ from ctxcheck.model import (
     State,
     empirical_system,
     system_type,
+    validate_operational_theory,
 )
 from ctxcheck.ontology import canonical_representation
 from ctxcheck.quantum import builtin_example, without_declarations
@@ -220,29 +221,27 @@ def test_iso_diagram_on_noncontextual_builtins():
         assert check_iso_diagram(theory, sections)
 
 
+def _binary(name, labels):
+    """A measurement of binary ``labels``; outcome "0,1" sets the first to 0
+    and the second to 1."""
+    values = tuple(itertools.product("01", repeat=len(labels)))
+    outcomes = tuple(",".join(v) for v in values)
+    return Measurement(
+        name=name,
+        labels=labels,
+        outcomes=outcomes,
+        outcome_values=tuple(zip(outcomes, values)),
+    )
+
+
 def _unpartitioned_target():
     """Label 'a' has two single measurements, so 'a' and 'a2' overlap inside
     the maximal measurement 'a,b' and do not partition it."""
-    def single(name, label):
-        return Measurement(
-            name=name,
-            labels=(label,),
-            outcomes=("0", "1"),
-            outcome_values=(("0", ("0",)), ("1", ("1",))),
-        )
-
-    pairs = tuple(itertools.product("01", repeat=2))
-    joint = Measurement(
-        name="a,b",
-        labels=("a", "b"),
-        outcomes=tuple(",".join(v) for v in pairs),
-        outcome_values=tuple((",".join(v), v) for v in pairs),
-    )
     measurements = {
-        "a": single("a", "a"),
-        "a2": single("a2", "a"),
-        "b": single("b", "b"),
-        "a,b": joint,
+        "a": _binary("a", ("a",)),
+        "a2": _binary("a2", ("a",)),
+        "b": _binary("b", ("b",)),
+        "a,b": _binary("a,b", ("a", "b")),
     }
     statistics = {
         ("p", "a"): {"0": Fraction(1)},
@@ -283,3 +282,71 @@ def test_empirical_system_reads_back_the_operational_form():
     system, context_of = empirical_system(to_operational(theory))
     assert system == theory.system
     assert context_of == {",".join(ctx): ctx for ctx in theory.system.cover}
+
+
+def _two_joints_over_a_b():
+    """Elementary 'a' and 'b' with uniform marginals, and two joint
+    measurements over (a, b): 'ab' correlated, 'ab2' anti-correlated."""
+    half = Fraction(1, 2)
+    statistics = {
+        ("p", "a"): {"0": half, "1": half},
+        ("p", "b"): {"0": half, "1": half},
+        ("p", "ab"): {"0,0": half, "1,1": half},
+        ("p", "ab2"): {"0,1": half, "1,0": half},
+    }
+    measurements = {m: _binary(m, (m,)) for m in "ab"}
+    measurements.update({m: _binary(m, ("a", "b")) for m in ("ab", "ab2")})
+    return OperationalTheory(
+        preparations=("p",), measurements=measurements, statistics=statistics
+    )
+
+
+def test_to_empirical_rejects_a_joint_that_the_reconstructed_joint_contradicts():
+    op = _two_joints_over_a_b()
+    assert validate_operational_theory(op) == []
+    with pytest.raises(ModelError, match="inconsistent with reconstructed joints") as caught:
+        to_empirical(op)
+    for k in ("0,0", "0,1", "1,0", "1,1"):
+        assert repr(("p", "ab2", k)) in str(caught.value)
+    assert "'ab'," not in str(caught.value)
+
+
+def _uniform_binary(labels, cover, outcomes=("0", "1"), states=("s",)):
+    system = system_type({m: outcomes for m in labels}, cover)
+    table = {}
+    for ctx in cover:
+        values = list(itertools.product(outcomes, repeat=len(ctx)))
+        weights = {v: Fraction(1, len(values)) for v in values}
+        table[ctx] = RationalDistribution(domain=ctx, weights=weights)
+    return EmpiricalTheory(
+        system=system, states={s: State(name=s, table=table) for s in states}
+    )
+
+
+def test_statistical_equality_fails_on_each_single_change():
+    path = [("a", "b"), ("b", "c")]
+    base = _uniform_binary("abc", path)
+    reordered = _uniform_binary("abc", path[::-1])
+    bumped = parity_bump(random.Random(0), base)
+    assert bumped is not None
+    assert empirical_theories_statistically_equal(base, reordered)
+    for other in (
+        _uniform_binary("abd", [("a", "b"), ("b", "d")]),  # labels
+        _uniform_binary("abc", path, outcomes=("0", "1", "2")),  # outcomes
+        _uniform_binary("abc", [("a", "b"), ("a", "c")]),  # cover
+        _uniform_binary("abc", path, states=("t",)),  # states
+        bumped,  # one table
+    ):
+        assert not empirical_theories_statistically_equal(base, other)
+
+    op = to_operational(base)
+    assert operational_theories_statistically_equal(op, to_operational(reordered))
+    for other in (
+        _uniform_binary("abc", path, states=("t",)),  # preparations
+        _uniform_binary("abc", [("a", "b"), ("a", "c")]),  # measurement labels
+        bumped,  # one table
+    ):
+        assert not operational_theories_statistically_equal(op, to_operational(other))
+    shared = _two_joints_over_a_b()
+    with pytest.raises(ModelError, match="two measurements share the labels"):
+        operational_theories_statistically_equal(shared, shared)

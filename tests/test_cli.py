@@ -15,6 +15,7 @@ from ctxcheck import (
     without_declarations,
 )
 from ctxcheck.cli import EXIT_CONTEXTUAL, EXIT_ERROR, EXIT_OK, build_parser, main
+from ctxcheck.model import ModelError
 
 
 def _write(tmp_path, name, doc):
@@ -149,6 +150,26 @@ def test_example_command(tmp_path, capsys):
 
     with pytest.raises(SystemExit):
         main(["example", "nonesuch"])
+    capsys.readouterr()
+
+    # a flag the chosen name would not read, or a bound below 1, is an
+    # error, not silently dropped
+    for argv in (
+        ["bell", "--seed", "3"],
+        ["bell", "--max-denominator", "2"],
+        ["random", "--seed", "3", "--max-denominator", "2"],
+        ["spekkens-unsharp", "--max-denominator", "0"],
+    ):
+        assert main(["example", *argv]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+    with pytest.raises(ModelError, match="'bell' takes no denominator bound"):
+        builtin_example("bell", 5)
+    assert main(["example", "spekkens-unsharp"]) == EXIT_OK
+    default = json.loads(capsys.readouterr().out)
+    assert main(["example", "spekkens-unsharp", "--max-denominator", "2"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["states"] != default["states"]
 
 
 def test_check_quantum_document_via_stdin(tmp_path, capsys, monkeypatch):

@@ -605,6 +605,34 @@ def test_verdict_unchanged_by_row_permutation(system, rng):
     ) == isinstance(solve_feasibility(system), Feasible)
 
 
+@given(
+    _rational_systems(),
+    _rational_systems().filter(lambda b: isinstance(solve_feasibility(b), Feasible)),
+    st.randoms(use_true_random=False),
+)
+def test_direct_sum_with_a_feasible_system_solves_like_the_summand(a, b, rng):
+    # b shares no variable with a, so presolve splits it off into blocks of
+    # its own, wherever its rows and variables fall among a's
+    variables, rows = list(a.variables), list(a.constraints)
+    for v in b.variables:
+        variables.insert(rng.randint(0, len(variables)), "b" + v)
+    for c in b.constraints:
+        coeffs = {"b" + v: x for v, x in c.coeffs.items()}
+        row = LinearConstraint(name="b" + c.name, coeffs=coeffs, rhs=c.rhs)
+        rows.insert(rng.randint(0, len(rows)), row)
+    both = solve_feasibility(LinearSystem(tuple(variables), tuple(rows)))
+    alone = solve_feasibility(a)
+    if isinstance(alone, Feasible):
+        assert isinstance(both, Feasible)
+        assert [both.point[v] for v in a.variables] == list(alone.point.values())
+    else:
+        assert isinstance(both, Infeasible)
+        assert list(both.certificate.multipliers.items()) == list(
+            alone.certificate.multipliers.items()
+        )
+        assert both.margin == alone.margin
+
+
 # ---------------------------------------------------------------------------
 # The exact checks against a plain dense Fraction reference
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from ctxcheck.equivalence import minimalize, quotient_theory
 from ctxcheck.linprog import verify_certificate
 from ctxcheck.model import (
     ConvexComponent,
@@ -81,6 +82,10 @@ def test_signalling_detection():
         require_no_signalling(theory)
     with pytest.raises(SignallingError):
         check_contextuality(theory)
+    with pytest.raises(SignallingError):
+        quotient_theory(theory)
+    with pytest.raises(SignallingError):
+        minimalize(theory)
 
 
 def test_anticorrelated_triangle_contextual_both_modes():
