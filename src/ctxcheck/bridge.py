@@ -5,7 +5,10 @@ operational one whose measurements are all nonempty sub-contexts of the
 cover (``subcontext_measurements``), with exact marginal statistics.
 ``to_empirical`` goes back: ``model.empirical_system`` makes the minimal
 measurements the labels and the maximal ones the cover, and every
-intermediate table is checked against the reconstructed joints.
+measurement's table is checked against ``Measurement.marginal`` of the
+maximal measurement its context's joint was read from.  The statistical
+equalities compare tables through ``Measurement.marginal`` and
+``sheaf.marginal_weights`` in a shared label order.
 
 Morphisms of empirical theories (state, label and outcome maps preserving
 statistics and statistical equivalence) are transported to the operational
@@ -162,18 +165,9 @@ def to_empirical(theory: OperationalTheory) -> EmpiricalTheory:
         ctx = next((c for c in system.cover if meas_labels <= base_labels[c]), None)
         if ctx is None:
             raise ModelError(f"measurement {name!r} fits no maximal context")
+        big = theory.measurements[witness[ctx]]
         for p in theory.preparations:
-            computed: dict[tuple[str, ...], Fraction] = {}
-            for key, w in states[p].distribution(ctx).items():
-                base_values = {}
-                for m, o in zip(ctx, key):
-                    for x, v in zip(
-                        theory.measurements[m].labels,
-                        theory.measurements[m].values_of(o),
-                    ):
-                        base_values[x] = v
-                proj = tuple(base_values[x] for x in meas.labels)
-                computed[proj] = computed.get(proj, ZERO) + w
+            computed = big.marginal(theory.distribution(p, big.name), meas.labels)
             stated = theory.distribution(p, name)
             for k in meas.outcomes:
                 if stated.get(k, ZERO) != computed.get(meas.values_of(k), ZERO):
@@ -531,14 +525,10 @@ def empirical_theories_statistically_equal(
         a_ctx = next(ctx for ctx in a.system.cover if frozenset(ctx) == key)
         b_ctx = b_ctx_of[key]
         order = tuple(sorted(key))
-        a_pos = [a_ctx.index(m) for m in order]
-        b_pos = [b_ctx.index(m) for m in order]
         for p in a.states:
             da = a.state(p).distribution(a_ctx)
             db = b.state(p).distribution(b_ctx)
-            va = {tuple(v[i] for i in a_pos): w for v, w in da.items()}
-            vb = {tuple(v[i] for i in b_pos): w for v, w in db.items()}
-            if va != vb:
+            if marginal_weights(da, order) != marginal_weights(db, order):
                 return False
     return True
 

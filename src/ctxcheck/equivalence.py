@@ -399,7 +399,6 @@ def quotient_theory(
 
 
 def transport_sections_to_quotient(
-    theory: EmpiricalTheory,
     qmap: QuotientMap,
     sections: dict[str, RationalDistribution],
 ) -> dict[str, RationalDistribution]:
@@ -448,16 +447,16 @@ class SplitMap:
     def is_identity(self) -> bool:
         return not self.split
 
-    def encode(self, values: tuple[str, ...]) -> tuple[str, ...]:
-        """One-hot encode a full original assignment."""
-        by_label = dict(zip(self.original_labels, values))
+    def encode(
+        self, labels: tuple[str, ...], values: tuple[str, ...]
+    ) -> tuple[str, ...]:
+        """One-hot encode an assignment of ``values`` to original ``labels``."""
         out: list[str] = []
-        for m in self.original_labels:
+        for m, v in zip(labels, values):
             if m in self.split:
-                for k in self.outcomes[m]:
-                    out.append("1" if by_label[m] == k else "0")
+                out.extend("1" if v == k else "0" for k in self.outcomes[m])
             else:
-                out.append(by_label[m])
+                out.append(v)
         return tuple(out)
 
     def decode(self, values: tuple[str, ...]) -> tuple[str, ...] | None:
@@ -534,17 +533,10 @@ def observable_split(
     for name, state in theory.states.items():
         table: dict[Context, RationalDistribution] = {}
         for ctx, new_ctx in zip(system.cover, cover):
-            weights: dict[tuple[str, ...], Fraction] = {}
-            for values, w in state.distribution(ctx).items():
-                encoded: list[str] = []
-                for m, v in zip(ctx, values):
-                    if m in split:
-                        encoded.extend(
-                            "1" if v == k else "0" for k in outcomes_of[m]
-                        )
-                    else:
-                        encoded.append(v)
-                weights[tuple(encoded)] = w
+            weights = {
+                smap.encode(ctx, values): w
+                for values, w in state.distribution(ctx).items()
+            }
             table[new_ctx] = RationalDistribution(domain=new_ctx, weights=weights)
         states[name] = State(name=name, table=table)
 
@@ -588,7 +580,10 @@ def transport_sections_to_split(
     """Push global sections along the one-hot encoding (a bijection)."""
     out: dict[str, RationalDistribution] = {}
     for name, dist in sections.items():
-        weights = {smap.encode(values): w for values, w in dist.items()}
+        weights = {
+            smap.encode(smap.original_labels, values): w
+            for values, w in dist.items()
+        }
         out[name] = RationalDistribution(domain=smap.split_labels, weights=weights)
     return out
 
@@ -638,18 +633,14 @@ def minimalize(theory: EmpiricalTheory) -> tuple[EmpiricalTheory, MinimalizeMap]
 
 
 def transport_sections_to_minimal(
-    theory: EmpiricalTheory,
     mmap: MinimalizeMap,
     sections: dict[str, RationalDistribution],
 ) -> dict[str, RationalDistribution]:
     split_sections = transport_sections_to_split(mmap.split_map, sections)
-    return transport_sections_to_quotient(
-        mmap.split_theory, mmap.quotient_map, split_sections
-    )
+    return transport_sections_to_quotient(mmap.quotient_map, split_sections)
 
 
 def transport_sections_from_minimal(
-    theory: EmpiricalTheory,
     mmap: MinimalizeMap,
     sections: dict[str, RationalDistribution],
 ) -> dict[str, RationalDistribution]:

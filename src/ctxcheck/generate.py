@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from ctxcheck.bridge import outcome_id, subcontext_measurements
+from ctxcheck.bridge import outcome_id, subcontext_measurements, to_operational
 from ctxcheck.model import (
     EmpiricalTheory,
     ModelError,
@@ -32,7 +32,7 @@ from ctxcheck.ontology import (
     preparation_classes,
     validate_representation,
 )
-from ctxcheck.sheaf import global_outcome_tuples, marginal_weights, sub_contexts
+from ctxcheck.sheaf import global_outcome_tuples, marginal_weights
 
 MAX_ATTEMPTS = 50
 
@@ -134,39 +134,16 @@ def theory_from_sections(
 def _statistics_generic(theory: EmpiricalTheory) -> bool:
     """No exact collisions between unrelated statistics.
 
-    Requires distinct full tables per state and, across all sub-context
-    outcome events, distinct per-state weight vectors; ties would merge
-    classes that differ structurally.
+    Every preparation class and every outcome-event class of the operational
+    form must be a singleton; ties would merge classes that differ
+    structurally.
     """
-    system = theory.system
-    names = tuple(theory.states)
-    tables = [
-        tuple(
-            tuple(theory.states[s].table[ctx].items()) for ctx in system.cover
-        )
-        for s in names
-    ]
-    if len(set(tables)) != len(tables):
-        return False
-    host = {}
-    for ctx in system.cover:
-        for sub in sub_contexts(ctx):
-            host.setdefault(sub, ctx)
-    vectors: dict[tuple, tuple] = {}
-    for sub, ctx in host.items():
-        events: dict[tuple[str, ...], list[Fraction]] = {}
-        for s in names:
-            weights = marginal_weights(theory.states[s].table[ctx], sub)
-            for values, w in weights.items():
-                events.setdefault(values, [Fraction(0)] * len(names))
-            for values in events:
-                events[values][names.index(s)] = weights.get(values, Fraction(0))
-        for values, vec in events.items():
-            key = tuple(vec)
-            if key in vectors and vectors[key] != (sub, values):
-                return False
-            vectors[key] = (sub, values)
-    return True
+    target = to_operational(theory)
+    return all(
+        len(cls) == 1
+        for classes in (preparation_classes(target), outcome_pair_classes(target))
+        for cls in classes
+    )
 
 
 def random_feasible_theory(

@@ -362,7 +362,7 @@ def canonical_representation(
             "sections do not verify: " + "; ".join(violations)
         )
     m_theory, mmap = minimalize(theory)
-    m_sections = transport_sections_to_minimal(theory, mmap, sections)
+    m_sections = transport_sections_to_minimal(mmap, sections)
     target = to_operational(theory)
 
     support = sorted(
@@ -475,18 +475,14 @@ class SharpnessReport:
     maximally_mixed: tuple[str, ...]
 
 
-def sharpness_report(
-    target: OperationalTheory, convex=None
-) -> SharpnessReport:
+def sharpness_report(target: OperationalTheory) -> SharpnessReport:
     """Scan statistics for certainty witnesses and mixed-preparation status.
 
-    Maximal mixedness is decided against the finitely many declared convex
+    Maximal mixedness is decided against the target's declared convex
     combinations only: the preparation must decompose (up to statistical
     equivalence of targets) through every other preparation, and through a
     certainty family for every perfectly predictable measurement.
     """
-    if convex is None:
-        convex = target.convex
     predictable: dict[str, dict[str, str]] = {}
     for m in sorted(target.measurements):
         witnesses: dict[str, str] = {}
@@ -502,7 +498,7 @@ def sharpness_report(
 
     classes = preparation_classes(target)
     class_of = {p: cls for cls in classes for p in cls}
-    state_decls = [d for d in convex if d.kind == "state"]
+    state_decls = [d for d in target.convex if d.kind == "state"]
     mixed: list[str] = []
     for p in sorted(target.preparations):
         decls = [d for d in state_decls if class_of[d.target] == class_of[p]]

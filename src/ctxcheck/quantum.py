@@ -352,24 +352,13 @@ def _trine_labels() -> dict[str, QuantumLabel]:
     }
 
 
-def _half(name_a: str, name_b: str, target: str) -> ConvexDeclaration:
-    h = Fraction(1, 2)
+def _uniform_mix(names: tuple[str, ...], target: str) -> ConvexDeclaration:
+    """``target`` declared as the equal-weight mixture of the states ``names``."""
+    w = Fraction(1, len(names))
     return ConvexDeclaration(
         kind="state",
         target=target,
-        components=(
-            ConvexComponent(coefficient=h, name=name_a),
-            ConvexComponent(coefficient=h, name=name_b),
-        ),
-    )
-
-
-def _third_mix(names: tuple[str, str, str], target: str) -> ConvexDeclaration:
-    t = Fraction(1, 3)
-    return ConvexDeclaration(
-        kind="state",
-        target=target,
-        components=tuple(ConvexComponent(coefficient=t, name=n) for n in names),
+        components=tuple(ConvexComponent(coefficient=w, name=n) for n in names),
     )
 
 
@@ -381,11 +370,11 @@ def _spekkens_preparation() -> BuiltinExample:
         labels=_trine_labels(),
         cover=(("Pa", "PA"), ("Pb", "PB"), ("Pc", "PC")),
         convex=(
-            _third_mix(("a", "b", "c"), "mix"),
-            _third_mix(("A", "B", "C"), "mix"),
-            _half("a", "A", "mix"),
-            _half("b", "B", "mix"),
-            _half("c", "C", "mix"),
+            _uniform_mix(("a", "b", "c"), "mix"),
+            _uniform_mix(("A", "B", "C"), "mix"),
+            _uniform_mix(("a", "A"), "mix"),
+            _uniform_mix(("b", "B"), "mix"),
+            _uniform_mix(("c", "C"), "mix"),
         ),
     )
     theory, bound = born_scenario(scenario, 8)

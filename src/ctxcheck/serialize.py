@@ -58,6 +58,18 @@ def _rational(text, where: str) -> Fraction:
         raise DocumentError(f"{where}: {e}") from None
 
 
+def _weights(value, arity: int, where: str, key_kind: str) -> dict:
+    """An object of rationals keyed by comma-joined outcome tuples of ``arity``
+    entries; ``key_kind`` opens the wrong-arity message."""
+    weights = {}
+    for key, text in _object(value, where).items():
+        values = tuple(key.split(","))
+        if len(values) != arity:
+            raise DocumentError(f"{key_kind} {key!r} has the wrong arity")
+        weights[values] = _rational(text, where)
+    return weights
+
+
 # ---------------------------------------------------------------------------
 # Empirical theories
 # ---------------------------------------------------------------------------
@@ -152,16 +164,12 @@ def theory_from_document(doc: dict) -> EmpiricalTheory:
             key = ",".join(ctx)
             if key not in tables:
                 raise DocumentError(f"state {name!r}: missing context {key!r}")
-            weights = {}
-            where = f"state {name!r}@{key!r}"
-            for outcome_key, text in _object(tables[key], where).items():
-                values = tuple(outcome_key.split(","))
-                if len(values) != len(ctx):
-                    raise DocumentError(
-                        f"state {name!r}, context {key!r}: outcome key "
-                        f"{outcome_key!r} has the wrong arity"
-                    )
-                weights[values] = _rational(text, where)
+            weights = _weights(
+                tables[key],
+                len(ctx),
+                f"state {name!r}@{key!r}",
+                f"state {name!r}, context {key!r}: outcome key",
+            )
             table[ctx] = RationalDistribution(domain=ctx, weights=weights)
         extra = set(tables) - {",".join(ctx) for ctx in system.cover}
         if extra:
@@ -291,14 +299,8 @@ def sections_from_document(
         )
     out = {}
     for name, weights in _require(doc, "sections", dict, "sections").items():
-        parsed = {}
-        for key, text in _object(weights, f"sections[{name!r}]").items():
-            values = tuple(key.split(","))
-            if len(values) != len(domain):
-                raise DocumentError(
-                    f"sections[{name!r}]: assignment {key!r} has the wrong arity"
-                )
-            parsed[values] = _rational(text, f"sections[{name!r}]")
+        where = f"sections[{name!r}]"
+        parsed = _weights(weights, len(domain), where, f"{where}: assignment")
         out[name] = RationalDistribution(domain=domain, weights=parsed)
     return out
 

@@ -8,6 +8,12 @@ either the underlying distributions or a Farkas certificate.
 
 The possibilistic variant asks the same question of supports: every supported
 local section must extend to a full assignment that is supported everywhere.
+
+Restriction to a context has one helper per data shape: ``marginal_weights``
+pushes a distribution forward, and ``_context_groups`` groups the full
+assignments by their restriction, for the LP build and the possibilistic
+check.  ``verify_global_section`` uses ``marginal_weights`` only, so it stays
+an independent re-encoding of the LP.
 """
 
 from __future__ import annotations
@@ -56,13 +62,6 @@ def sub_contexts(ctx: Context):
     """All nonempty sub-contexts of ``ctx``, by size, in label order."""
     for r in range(1, len(ctx) + 1):
         yield from itertools.combinations(ctx, r)
-
-
-def restrict_values(
-    system: SystemType, values: tuple[str, ...], context: Context
-) -> tuple[str, ...]:
-    """Project a full outcome tuple onto a context (both in global order)."""
-    return tuple(values[system.label_position(m)] for m in context)
 
 
 def marginal_weights(
@@ -377,13 +376,10 @@ def verify_global_section(
             out.append(f"section for {name!r} has wrong domain {dist.domain}")
             continue
         for ctx in system.cover:
-            acc: dict[tuple[str, ...], Fraction] = {}
-            for g, w in dist.items():
-                key = restrict_values(system, g, ctx)
-                acc[key] = acc.get(key, ZERO) + w
+            acc = marginal_weights(dist, ctx)
             table = state.distribution(ctx)
             for t in context_outcome_tuples(system, ctx):
-                if acc.get(tuple(t), ZERO) != table.weight(tuple(t)):
+                if acc.get(t, ZERO) != table.weight(t):
                     out.append(
                         f"state {name!r}: marginal at {ctx} differs at {t}"
                     )
@@ -410,23 +406,21 @@ def verify_global_section(
                     )
                     break
         else:
-            target_pos = system.label_position(decl.target)
+            outcomes = system.outcomes_of(decl.target).labels
             for name, dist in sections.items():
-                for k in system.outcomes_of(decl.target).labels:
-                    lhs = sum(
-                        (w for g, w in dist.items() if g[target_pos] == k),
-                        start=ZERO,
-                    )
-                    rhs = ZERO
-                    for c in decl.components:
-                        bij = component_outcome_map(system, decl, c)
-                        inv = {t: o for o, t in bij.items()}
-                        pos = system.label_position(c.name)
-                        rhs += c.coefficient * sum(
-                            (w for g, w in dist.items() if g[pos] == inv[k]),
-                            start=ZERO,
-                        )
-                    if lhs != rhs:
+                if dist.domain != system.labels:
+                    continue  # a state's is reported above
+                lhs = marginal_weights(dist, (decl.target,))
+                rhs = dict.fromkeys(outcomes, ZERO)
+                for c in decl.components:
+                    bij = component_outcome_map(system, decl, c)
+                    inv = {t: (o,) for o, t in bij.items()}
+                    system.label_position(c.name)  # ModelError if unknown
+                    marg = marginal_weights(dist, (c.name,))
+                    for k in outcomes:
+                        rhs[k] += c.coefficient * marg.get(inv[k], ZERO)
+                for k in outcomes:
+                    if lhs.get((k,), ZERO) != rhs[k]:
                         out.append(
                             f"measurement mixture {decl.target!r} violated for "
                             f"state {name!r} at outcome {k!r}"
@@ -436,28 +430,28 @@ def verify_global_section(
 
 def _check_possibilistic(theory: EmpiricalTheory) -> ContextualityVerdict:
     system = theory.system
+    assignments = list(global_outcome_tuples(system))
+    marginals = [
+        (ctx, list(context_outcome_tuples(system, ctx)), _context_groups(system, ctx))
+        for ctx in system.cover
+    ]
     boolean: dict[str, tuple[tuple[str, ...], ...]] = {}
     blocked: list[tuple[str, Context, tuple[str, ...]]] = []
     for name, state in theory.states.items():
-        supports = {
-            ctx: set(state.distribution(ctx).weights) for ctx in system.cover
-        }
-        kept = [
-            g
-            for g in global_outcome_tuples(system)
-            if all(
-                restrict_values(system, g, ctx) in supports[ctx]
-                for ctx in system.cover
-            )
-        ]
-        boolean[name] = tuple(kept)
-        reached = {
-            ctx: {restrict_values(system, g, ctx) for g in kept}
-            for ctx in system.cover
-        }
-        for ctx in system.cover:
-            for t in sorted(supports[ctx]):
-                if t not in reached[ctx]:
+        alive = [True] * len(assignments)
+        for ctx, tuples, groups in marginals:
+            support = state.distribution(ctx).weights
+            for t, group in zip(tuples, groups):
+                if t not in support:
+                    for i in group:
+                        alive[i] = False
+        boolean[name] = tuple(g for g, kept in zip(assignments, alive) if kept)
+        for ctx, tuples, groups in marginals:
+            reached = {
+                t for t, group in zip(tuples, groups) if any(alive[i] for i in group)
+            }
+            for t in state.distribution(ctx).support():
+                if t not in reached:
                     blocked.append((name, ctx, t))
     return ContextualityVerdict(
         contextual=bool(blocked),

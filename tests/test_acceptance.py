@@ -200,9 +200,9 @@ def test_minimalization_never_changes_the_verdict():
         assert (original is None) == (reduced is None)
         if original is None:
             continue
-        down = transport_sections_to_minimal(theory, mapping, original)
+        down = transport_sections_to_minimal(mapping, original)
         assert verify_global_section(minimal, down) == []
-        up = transport_sections_from_minimal(theory, mapping, reduced)
+        up = transport_sections_from_minimal(mapping, reduced)
         assert verify_global_section(theory, up) == []
 
 

@@ -164,7 +164,7 @@ def test_split_and_minimalize_carry_a_measurement_mixture(mixture_variant):
     if not contextual:
         back = transport_sections_from_split(smap, v_split.sections)
         assert verify_global_section(theory, back) == []
-        back = transport_sections_from_minimal(theory, mmap, v_small.sections)
+        back = transport_sections_from_minimal(mmap, v_small.sections)
         assert verify_global_section(theory, back) == []
 
 
@@ -187,9 +187,9 @@ def test_minimalize_collapses_duplicated_labels_with_exact_transport():
         v_small = check_contextuality(small)
         assert v_dup.contextual == v_small.contextual
         assert not v_dup.contextual
-        moved = transport_sections_to_minimal(dup, mmap, v_dup.sections)
+        moved = transport_sections_to_minimal(mmap, v_dup.sections)
         assert verify_global_section(small, moved) == []
-        back = transport_sections_from_minimal(dup, mmap, v_small.sections)
+        back = transport_sections_from_minimal(mmap, v_small.sections)
         assert verify_global_section(dup, back) == []
 
 
@@ -202,6 +202,6 @@ def test_transport_round_trip_preserves_verdict_weights():
         for name, dist in check_contextuality(dup).sections.items()
     }
     small, mmap = minimalize(dup)
-    moved = transport_sections_to_minimal(dup, mmap, ext_sections)
-    again = transport_sections_from_minimal(dup, mmap, moved)
+    moved = transport_sections_to_minimal(mmap, ext_sections)
+    again = transport_sections_from_minimal(mmap, moved)
     assert verify_global_section(dup, again) == []

@@ -219,7 +219,7 @@ def test_check_sharpness_forces_determinism_on_canonical_representation():
     theory = _predictable_theory()
     sections = find_global_section(theory)
     rep = canonical_representation(theory, sections)
-    report = sharpness_report(rep.target, convex=theory.convex)
+    report = sharpness_report(rep.target)
     ok, witness = check_sharpness_forces_determinism(rep, report)
     assert ok and witness is None
 
@@ -228,7 +228,7 @@ def test_check_sharpness_forces_determinism_finds_random_response():
     theory = _predictable_theory()
     rep = trivial_representation(to_operational(theory))
     assert analyze_representation(rep).preparation_nc
-    report = sharpness_report(rep.target, convex=theory.convex)
+    report = sharpness_report(rep.target)
     ok, witness = check_sharpness_forces_determinism(rep, report)
     assert not ok
     assert witness == ("m", "[mix]", "0")

@@ -149,6 +149,28 @@ def test_malformed_documents_are_rejected():
         load_document("{not json")
 
 
+def test_wrong_arity_keys_are_named_in_the_error():
+    theory = builtin_example("specker-triangle").theory
+    doc = theory_to_document(theory)
+    doc["states"]["coin"]["a,b"]["0,1,0"] = doc["states"]["coin"]["a,b"].pop("0,1")
+    with pytest.raises(DocumentError) as err:
+        theory_from_document(doc)
+    assert str(err.value) == (
+        "state 'coin', context 'a,b': outcome key '0,1,0' has the wrong arity"
+    )
+
+    theory, sections = random_feasible_theory(random.Random(4))
+    doc = sections_to_document(theory, sections)
+    weights = doc["sections"]["s0"]
+    key = next(iter(weights))
+    weights[key + ",0"] = weights.pop(key)
+    with pytest.raises(DocumentError) as err:
+        sections_from_document(theory, doc)
+    assert str(err.value) == (
+        f"sections['s0']: assignment {key + ',0'!r} has the wrong arity"
+    )
+
+
 def test_sections_domain_must_match_theory():
     theory, sections = random_feasible_theory(random.Random(9))
     doc = sections_to_document(theory, sections)

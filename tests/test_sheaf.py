@@ -1,5 +1,6 @@
 """Global-section feasibility: marginals, signalling, both decision modes."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,7 @@ from ctxcheck.sheaf import (
     signalling_violations,
     verify_global_section,
 )
+from test_linprog import _golden_theories
 
 H = Fraction(1, 2)
 
@@ -233,3 +235,78 @@ def test_state_mixture_naming_an_unknown_state_is_rejected():
     )
     with pytest.raises(ModelError, match="references states outside the system"):
         global_section_system(bad)
+
+
+def test_possibilistic_blocks_a_supported_outcome_outside_its_outcome_set():
+    # ('0', 'z') is the restriction of no assignment, so none reaches it
+    cover = (("a", "b"),)
+    system = system_type({"a": ("0", "1"), "b": ("0", "1")}, cover)
+    tables = {("a", "b"): {("0", "0"): H, ("0", "z"): H}}
+    theory = EmpiricalTheory(
+        system=system, states={"p": _pair_state("p", cover, tables)}
+    )
+    verdict = check_contextuality(theory, mode="possibilistic")
+    assert verdict.contextual
+    assert verdict.boolean_sections == {"p": (("0", "0"),)}
+    assert verdict.blocked == (("p", ("a", "b"), ("0", "z")),)
+
+
+def test_possibilistic_matches_a_per_assignment_filter():
+    contextual = 0
+    for theory in _golden_theories():
+        system = theory.system
+        labels = system.labels
+
+        def restrict(g, ctx):
+            return tuple(g[labels.index(m)] for m in ctx)
+
+        assignments = list(
+            itertools.product(*(system.outcomes_of(m).labels for m in labels))
+        )
+        verdict = check_contextuality(theory, mode="possibilistic")
+        blocked = []
+        for name, state in theory.states.items():
+            supports = {
+                ctx: set(state.distribution(ctx).weights) for ctx in system.cover
+            }
+            kept = tuple(
+                g
+                for g in assignments
+                if all(restrict(g, ctx) in supports[ctx] for ctx in system.cover)
+            )
+            assert verdict.boolean_sections[name] == kept
+            for ctx in system.cover:
+                reached = {restrict(g, ctx) for g in kept}
+                blocked.extend(
+                    (name, ctx, t) for t in sorted(supports[ctx]) if t not in reached
+                )
+        assert verdict.blocked == tuple(blocked)
+        assert verdict.contextual == bool(blocked)
+        contextual += verdict.contextual
+    assert contextual > 0
+
+
+@pytest.mark.parametrize(
+    "target, component, outcome_map",
+    [
+        ("zz", "b", None),
+        ("c", "zz", None),
+        ("c", "zz", (("0", "0"), ("1", "1"))),
+    ],
+)
+def test_verify_global_section_rejects_a_declaration_naming_an_unknown_label(
+    target, component, outcome_map
+):
+    theory = _triangle(anti=False)
+    sections = find_global_section(theory)
+    decl = ConvexDeclaration(
+        kind="measurement",
+        target=target,
+        components=(
+            ConvexComponent(H, "a"),
+            ConvexComponent(H, component, outcome_map),
+        ),
+    )
+    bad = EmpiricalTheory(system=theory.system, states=theory.states, convex=(decl,))
+    with pytest.raises(ModelError, match="^unknown measurement label 'zz'$"):
+        verify_global_section(bad, sections)
