@@ -4,7 +4,9 @@ Floating point is confined to this module.  Probabilities are computed as
 tr(rho E) with numpy, rationalized to bounded-denominator fractions, and
 each context's table is renormalized exactly; the maximum rationalization
 error is reported so feasibility verdicts can be flagged robust or fragile
-against it.
+against it.  numpy is imported inside the functions that use it, so it
+loads on the first Born-rule call (a quantum scenario or a builtin example)
+and the exact checker runs without it.
 
 Built-in scenarios: the two-qubit phase-measurement table, the three-qubit
 parity argument, the trine preparation scenario with a declared mixed
@@ -17,8 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ctxcheck.model import (
     ConvexComponent,
@@ -32,6 +33,9 @@ from ctxcheck.model import (
 )
 from ctxcheck.sheaf import context_outcome_tuples
 
+if TYPE_CHECKING:
+    import numpy as np
+
 TOLERANCE = 1e-12
 COMMUTE_TOLERANCE = 1e-9
 
@@ -42,6 +46,8 @@ class QuantumInputError(ModelError):
 
 def as_density(state) -> np.ndarray:
     """Accept a state vector or density matrix; return a validated matrix."""
+    import numpy as np
+
     arr = np.asarray(state, dtype=complex)
     if arr.ndim == 1:
         norm = np.linalg.norm(arr)
@@ -61,6 +67,8 @@ def as_density(state) -> np.ndarray:
 
 
 def validate_projector(matrix: np.ndarray) -> None:
+    import numpy as np
+
     if np.abs(matrix - matrix.conj().T).max() > TOLERANCE:
         raise QuantumInputError("projector is not hermitian")
     if np.abs(matrix @ matrix - matrix).max() > TOLERANCE:
@@ -69,6 +77,8 @@ def validate_projector(matrix: np.ndarray) -> None:
 
 def validate_povm(effects) -> None:
     """Hermitian positive elements summing to the identity (within 1e-12)."""
+    import numpy as np
+
     if not effects:
         raise QuantumInputError("empty effect list")
     dim = effects[0].shape[0]
@@ -84,6 +94,8 @@ def validate_povm(effects) -> None:
 
 
 def projector_onto(vector) -> np.ndarray:
+    import numpy as np
+
     v = np.asarray(vector, dtype=complex)
     v = v / np.linalg.norm(v)
     return np.outer(v, v.conj())
@@ -117,6 +129,8 @@ class QuantumScenario:
 
 def binary_projective_label(name: str, vector) -> QuantumLabel:
     """Yes/no test for a pure state: outcome "1" fires on the projector."""
+    import numpy as np
+
     p = projector_onto(vector)
     validate_projector(p)
     return QuantumLabel(
@@ -127,6 +141,8 @@ def binary_projective_label(name: str, vector) -> QuantumLabel:
 
 
 def born_weight(rho: np.ndarray, effects) -> float:
+    import numpy as np
+
     product = None
     for e in effects:
         product = e if product is None else product @ e
@@ -134,6 +150,8 @@ def born_weight(rho: np.ndarray, effects) -> float:
 
 
 def _require_commuting(labels: list[QuantumLabel]) -> None:
+    import numpy as np
+
     for i in range(len(labels)):
         for j in range(i + 1, len(labels)):
             for a in labels[i].effects:
@@ -228,11 +246,15 @@ class BuiltinExample:
 
 
 def phase_vector(theta: float) -> np.ndarray:
+    import numpy as np
+
     return np.array([1.0, np.exp(1j * theta)], dtype=complex) / math.sqrt(2)
 
 
 def _lift(effect: np.ndarray, position: int, parties: int) -> np.ndarray:
     """Tensor a single-qubit effect into the given slot of a qubit register."""
+    import numpy as np
+
     out = np.eye(1, dtype=complex)
     for i in range(parties):
         out = np.kron(out, effect if i == position else np.eye(2, dtype=complex))
@@ -247,6 +269,8 @@ def _register_label(name: str, vectors, position: int, parties: int) -> QuantumL
 
 
 def _bell() -> BuiltinExample:
+    import numpy as np
+
     ghz2 = np.zeros(4, dtype=complex)
     ghz2[0] = ghz2[3] = 1 / math.sqrt(2)
     theta = math.pi / 3
@@ -283,10 +307,14 @@ def _bell() -> BuiltinExample:
 
 
 def _orth(v: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     return np.array([v[1].conjugate(), -v[0].conjugate()], dtype=complex)
 
 
 def _mermin() -> BuiltinExample:
+    import numpy as np
+
     ghz3 = np.zeros(8, dtype=complex)
     ghz3[0] = ghz3[7] = 1 / math.sqrt(2)
     x_basis = (
@@ -329,12 +357,12 @@ def _mermin() -> BuiltinExample:
 
 
 TRINE_VECTORS = {
-    "a": np.array([1.0, 0.0]),
-    "A": np.array([0.0, 1.0]),
-    "b": np.array([math.sqrt(3) / 2, -0.5]),
-    "B": np.array([0.5, math.sqrt(3) / 2]),
-    "c": np.array([math.sqrt(3) / 2, 0.5]),
-    "C": np.array([0.5, -math.sqrt(3) / 2]),
+    "a": (1.0, 0.0),
+    "A": (0.0, 1.0),
+    "b": (math.sqrt(3) / 2, -0.5),
+    "B": (0.5, math.sqrt(3) / 2),
+    "c": (math.sqrt(3) / 2, 0.5),
+    "C": (0.5, -math.sqrt(3) / 2),
 }
 
 VECTOR_CONVENTION_NOTE = (
@@ -363,6 +391,8 @@ def _uniform_mix(names: tuple[str, ...], target: str) -> ConvexDeclaration:
 
 
 def _spekkens_preparation() -> BuiltinExample:
+    import numpy as np
+
     states = {x: projector_onto(v) for x, v in TRINE_VECTORS.items()}
     states["mix"] = np.eye(2, dtype=complex) / 2
     scenario = QuantumScenario(

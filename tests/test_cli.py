@@ -1,9 +1,15 @@
-"""End-to-end command line checks driven through main(argv) in process."""
+"""End-to-end command line checks driven through main(argv) in process, and
+in a fresh interpreter where the test is what gets imported."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ctxcheck
 from ctxcheck import (
     builtin_example,
     canonical_representation,
@@ -303,3 +309,93 @@ def test_each_subcommand_takes_only_the_flags_it_reads(capsys, command):
                 build_parser().parse_args(argv)
             assert caught.value.code == EXIT_ERROR
             assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+# numpy is already loaded in the pytest process, so whether the exact path
+# loads it is observed in a fresh interpreter.
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+
+import ctxcheck
+from ctxcheck.cli import main
+
+bell, feasible, sections, rep = sys.argv[1:]
+loaded = {"import ctxcheck": "numpy" in sys.modules}
+with open(bell) as fh:
+    theory = ctxcheck.theory_from_document(ctxcheck.load_document(fh.read()))
+contextual = ctxcheck.check_contextuality(theory).contextual
+loaded["check_contextuality"] = "numpy" in sys.modules
+codes = {}
+for argv in (
+    ["check", bell],
+    ["verify", feasible, sections],
+    ["quotient", feasible],
+    ["minimalize", feasible],
+    ["canonical-rep", feasible],
+    ["analyze-rep", rep],
+    ["induce", rep],
+):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        codes[argv[0]] = main(argv)
+    loaded[argv[0]] = "numpy" in sys.modules
+print(json.dumps({"contextual": contextual, "codes": codes, "loaded": loaded}))
+"""
+
+_NUMPY_BLOCKED = """
+import sys
+
+sys.modules["numpy"] = None  # any later "import numpy" raises ImportError
+from ctxcheck.cli import main
+
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def _fresh_python(script, *args):
+    src = str(Path(ctxcheck.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", script, *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+
+
+def _exact_path_files(tmp_path):
+    bell, _ = _theory_file(tmp_path, "bell")
+    feasible, theory = _theory_file(tmp_path, "spekkens-preparation", strip=True)
+    sections = _write(
+        tmp_path,
+        "sections.json",
+        sections_to_document(theory, find_global_section(theory)),
+    )
+    rep = _write(tmp_path, "rep.json", _rep_doc())
+    return bell, feasible, sections, rep
+
+
+def test_exact_path_never_loads_numpy(tmp_path):
+    done = _fresh_python(_NUMPY_PROBE, *_exact_path_files(tmp_path))
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert report["contextual"] is True
+    assert report["codes"] == {
+        "check": EXIT_CONTEXTUAL,
+        "verify": EXIT_OK,
+        "quotient": EXIT_OK,
+        "minimalize": EXIT_OK,
+        "canonical-rep": EXIT_OK,
+        "analyze-rep": EXIT_OK,
+        "induce": EXIT_OK,
+    }
+    assert not any(report["loaded"].values()), report["loaded"]
+
+
+def test_check_runs_with_numpy_blocked(tmp_path):
+    bell, _ = _theory_file(tmp_path, "bell")
+    done = _fresh_python(_NUMPY_BLOCKED, "check", bell)
+    assert done.returncode == EXIT_CONTEXTUAL, done.stderr
+    assert "CONTEXTUAL" in done.stdout
