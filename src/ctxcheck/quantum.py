@@ -1,12 +1,13 @@
 """Born-rule front end and built-in example scenarios.
 
-Floating point is confined to this module.  Probabilities are computed as
-tr(rho E) with numpy, rationalized to bounded-denominator fractions, and
-each context's table is renormalized exactly; the maximum rationalization
-error is reported so feasibility verdicts can be flagged robust or fragile
-against it.  numpy is imported inside the functions that use it, so it
-loads on the first Born-rule call (a quantum scenario or a builtin example)
-and the exact checker runs without it.
+Floating point is confined to this module.  Matrices are tuples of rows of
+``complex``; any nested sequence of numbers, numpy arrays included, is
+accepted as input.  Probabilities are computed as tr(rho E) in plain
+Python, rationalized to bounded-denominator fractions, and each context's
+table is renormalized exactly; the maximum rationalization error is
+reported so feasibility verdicts can be flagged robust or fragile against
+it.  Every input is at most a few 8x8 matrices, so the package needs no
+numerical library.
 
 Built-in scenarios: the two-qubit phase-measurement table, the three-qubit
 parity argument, the trine preparation scenario with a declared mixed
@@ -16,10 +17,12 @@ and the three-party anti-correlated coin (pairwise measurable only).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from numbers import Number
+from operator import mul
 
 from ctxcheck.model import (
     ConvexComponent,
@@ -30,75 +33,159 @@ from ctxcheck.model import (
     State,
     ZERO,
     system_type,
+    validate_system_type,
 )
 from ctxcheck.sheaf import context_outcome_tuples
 
-if TYPE_CHECKING:
-    import numpy as np
-
 TOLERANCE = 1e-12
 COMMUTE_TOLERANCE = 1e-9
+
+Vector = tuple[complex, ...]
+Matrix = tuple[Vector, ...]
 
 
 class QuantumInputError(ModelError):
     pass
 
 
-def as_density(state) -> np.ndarray:
-    """Accept a state vector or density matrix; return a validated matrix."""
-    import numpy as np
+def _vector(values) -> Vector:
+    """Finite complex entries from a sequence of numbers."""
+    if isinstance(values, Number):
+        raise QuantumInputError(f"expected a sequence of numbers, got {values!r}")
+    out = []
+    for x in values:
+        if not isinstance(x, Number):
+            raise QuantumInputError(f"expected a number, got {x!r}")
+        z = complex(x)
+        if not cmath.isfinite(z):
+            raise QuantumInputError(f"entry {x!r} is not finite")
+        out.append(z)
+    return tuple(out)
 
-    arr = np.asarray(state, dtype=complex)
-    if arr.ndim == 1:
-        norm = np.linalg.norm(arr)
+
+def _matrix(value, what: str) -> Matrix:
+    """A nonempty square complex matrix from a nested sequence of numbers."""
+    rows = tuple(_vector(row) for row in value)
+    if not rows or any(len(row) != len(rows) for row in rows):
+        raise QuantumInputError(f"{what} must be a nonempty square matrix")
+    return rows
+
+
+def _identity(dim: int) -> Matrix:
+    return tuple(
+        tuple(1 + 0j if i == j else 0j for j in range(dim)) for i in range(dim)
+    )
+
+
+def _outer(v: Vector) -> Matrix:
+    """v v^H."""
+    return tuple(tuple(x * y.conjugate() for y in v) for x in v)
+
+
+def _matmul(a: Matrix, b: Matrix) -> Matrix:
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
+
+
+def _kron(a: Matrix, b: Matrix) -> Matrix:
+    return tuple(tuple(x * y for x in ra for y in rb) for ra in a for rb in b)
+
+
+def _dagger(a: Matrix) -> Matrix:
+    """The conjugate transpose."""
+    return tuple(tuple(x.conjugate() for x in col) for col in zip(*a))
+
+
+def _max_abs_diff(a: Matrix, b: Matrix) -> float:
+    return max(abs(x - y) for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+
+
+def _is_positive(h: Matrix) -> bool:
+    """Whether every eigenvalue of the hermitian ``h`` exceeds -TOLERANCE.
+
+    Factors h + TOLERANCE*I as L D L^H, reading the lower triangle, with L
+    unit lower-triangular and D real diagonal.  By Sylvester's law of inertia
+    the shifted matrix is positive definite exactly when every pivot in D is
+    positive, so the factorization stops at the first pivot that is not.
+    """
+    n = len(h)
+    low = [[0j] * n for _ in range(n)]
+    pivots = [0.0] * n
+    for j in range(n):
+        pivot = h[j][j].real + TOLERANCE - sum(
+            pivots[k] * abs(low[j][k]) ** 2 for k in range(j)
+        )
+        if not pivot > 0:
+            return False
+        pivots[j] = pivot
+        for i in range(j + 1, n):
+            low[i][j] = (
+                h[i][j]
+                - sum(
+                    low[i][k] * pivots[k] * low[j][k].conjugate()
+                    for k in range(j)
+                )
+            ) / pivot
+    return True
+
+
+def _norm(v: Vector) -> float:
+    return math.sqrt(sum(z.real**2 + z.imag**2 for z in v))
+
+
+def as_density(state) -> Matrix:
+    """Accept a state vector or density matrix; return a validated matrix."""
+    entries = tuple(state)
+    if entries and all(isinstance(x, Number) for x in entries):
+        v = _vector(entries)
+        norm = _norm(v)
         if abs(norm - 1.0) > TOLERANCE:
             raise QuantumInputError(f"state vector has norm {norm!r}")
-        return np.outer(arr, arr.conj())
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise QuantumInputError("density matrix must be square")
-    if np.abs(arr - arr.conj().T).max() > TOLERANCE:
+        return _outer(v)
+    rho = _matrix(entries, "density matrix")
+    if _max_abs_diff(rho, _dagger(rho)) > TOLERANCE:
         raise QuantumInputError("density matrix is not hermitian")
-    if abs(np.trace(arr).real - 1.0) > TOLERANCE:
-        raise QuantumInputError(f"density matrix has trace {np.trace(arr)!r}")
-    eigs = np.linalg.eigvalsh(arr)
-    if eigs.min() < -TOLERANCE:
+    trace = sum(rho[i][i] for i in range(len(rho)))
+    if abs(trace.real - 1.0) > TOLERANCE:
+        raise QuantumInputError(f"density matrix has trace {trace!r}")
+    if not _is_positive(rho):
         raise QuantumInputError("density matrix has a negative eigenvalue")
-    return arr
+    return rho
 
 
-def validate_projector(matrix: np.ndarray) -> None:
-    import numpy as np
-
-    if np.abs(matrix - matrix.conj().T).max() > TOLERANCE:
+def validate_projector(matrix) -> None:
+    p = _matrix(matrix, "projector")
+    if _max_abs_diff(p, _dagger(p)) > TOLERANCE:
         raise QuantumInputError("projector is not hermitian")
-    if np.abs(matrix @ matrix - matrix).max() > TOLERANCE:
+    if _max_abs_diff(_matmul(p, p), p) > TOLERANCE:
         raise QuantumInputError("matrix is not idempotent")
 
 
 def validate_povm(effects) -> None:
     """Hermitian positive elements summing to the identity (within 1e-12)."""
-    import numpy as np
-
     if not effects:
         raise QuantumInputError("empty effect list")
-    dim = effects[0].shape[0]
-    total = np.zeros((dim, dim), dtype=complex)
+    effects = [_matrix(e, "effect") for e in effects]
+    dim = len(effects[0])
+    if any(len(e) != dim for e in effects):
+        raise QuantumInputError("effects differ in dimension")
     for e in effects:
-        if np.abs(e - e.conj().T).max() > TOLERANCE:
+        if _max_abs_diff(e, _dagger(e)) > TOLERANCE:
             raise QuantumInputError("effect is not hermitian")
-        if np.linalg.eigvalsh(e).min() < -TOLERANCE:
+        if not _is_positive(e):
             raise QuantumInputError("effect has a negative eigenvalue")
-        total += e
-    if np.abs(total - np.eye(dim)).max() > TOLERANCE:
+    total = tuple(tuple(map(sum, zip(*rows))) for rows in zip(*effects))
+    if _max_abs_diff(total, _identity(dim)) > TOLERANCE:
         raise QuantumInputError("effects do not sum to the identity")
 
 
-def projector_onto(vector) -> np.ndarray:
-    import numpy as np
-
-    v = np.asarray(vector, dtype=complex)
-    v = v / np.linalg.norm(v)
-    return np.outer(v, v.conj())
+def projector_onto(vector) -> Matrix:
+    v = _vector(vector)
+    norm = _norm(v)
+    if norm == 0:
+        raise QuantumInputError("cannot project onto the zero vector")
+    v = tuple(z / norm for z in v)
+    return _outer(v)
 
 
 @dataclass
@@ -107,13 +194,15 @@ class QuantumLabel:
 
     name: str
     outcomes: tuple[str, ...]
-    effects: tuple[np.ndarray, ...]
+    effects: tuple[Matrix, ...]  # any nested sequences, stored as Matrix
 
     def __post_init__(self) -> None:
         if len(self.outcomes) != len(self.effects):
             raise QuantumInputError(
                 f"label {self.name!r}: outcomes and effects misaligned"
             )
+        what = f"label {self.name!r}: effect"
+        self.effects = tuple(_matrix(e, what) for e in self.effects)
         validate_povm(self.effects)
 
 
@@ -121,7 +210,7 @@ class QuantumLabel:
 class QuantumScenario:
     """States, labelled POVMs and a measurement cover; Born input data."""
 
-    states: dict[str, np.ndarray]  # validated by as_density at build time
+    states: dict[str, Vector | Matrix]  # or any nested sequence: see as_density
     labels: dict[str, QuantumLabel]
     cover: tuple[tuple[str, ...], ...]
     convex: tuple[ConvexDeclaration, ...] = ()
@@ -129,34 +218,32 @@ class QuantumScenario:
 
 def binary_projective_label(name: str, vector) -> QuantumLabel:
     """Yes/no test for a pure state: outcome "1" fires on the projector."""
-    import numpy as np
-
     p = projector_onto(vector)
     validate_projector(p)
-    return QuantumLabel(
-        name=name,
-        outcomes=("0", "1"),
-        effects=(np.eye(p.shape[0], dtype=complex) - p, p),
+    complement = tuple(
+        tuple(e - x for e, x in zip(erow, prow))
+        for erow, prow in zip(_identity(len(p)), p)
     )
+    return QuantumLabel(name=name, outcomes=("0", "1"), effects=(complement, p))
 
 
-def born_weight(rho: np.ndarray, effects) -> float:
-    import numpy as np
-
-    product = None
-    for e in effects:
-        product = e if product is None else product @ e
-    return float(np.trace(rho @ product).real)
+def born_weight(rho: Matrix, effects) -> float:
+    """tr(rho E1 E2 ...) as the sum over i, j of rho_ij Pi_ji, Pi = E1 E2 ..."""
+    product = effects[0]
+    for e in effects[1:]:
+        product = _matmul(product, e)
+    return sum(
+        x * y for row, col in zip(rho, zip(*product)) for x, y in zip(row, col)
+    ).real
 
 
 def _require_commuting(labels: list[QuantumLabel]) -> None:
-    import numpy as np
-
     for i in range(len(labels)):
         for j in range(i + 1, len(labels)):
             for a in labels[i].effects:
                 for b in labels[j].effects:
-                    if np.abs(a @ b - b @ a).max() > COMMUTE_TOLERANCE:
+                    gap = _max_abs_diff(_matmul(a, b), _matmul(b, a))
+                    if gap > COMMUTE_TOLERANCE:
                         raise QuantumInputError(
                             f"effects of {labels[i].name!r} and "
                             f"{labels[j].name!r} do not commute"
@@ -175,11 +262,25 @@ def born_scenario(
     """
     if max_denominator < 1:
         raise QuantumInputError("max_denominator must be positive")
-    densities = {name: as_density(m) for name, m in scenario.states.items()}
+    densities = {}
+    for name, m in scenario.states.items():
+        try:
+            densities[name] = as_density(m)
+        except QuantumInputError as e:
+            raise QuantumInputError(f"state {name!r}: {e}") from None
+    dims = {len(rho) for rho in densities.values()}
+    dims.update(len(e) for lab in scenario.labels.values() for e in lab.effects)
+    if len(dims) > 1:
+        raise QuantumInputError(
+            f"states and effects mix the dimensions {sorted(dims)}"
+        )
     system = system_type(
         {name: lab.outcomes for name, lab in scenario.labels.items()},
         scenario.cover,
     )
+    problems = validate_system_type(system)
+    if problems:
+        raise QuantumInputError("invalid scenario: " + "; ".join(problems))
     for ctx in system.cover:
         _require_commuting([scenario.labels[m] for m in ctx])
     bound = 0.0
@@ -245,19 +346,16 @@ class BuiltinExample:
     scenario: QuantumScenario | None = None
 
 
-def phase_vector(theta: float) -> np.ndarray:
-    import numpy as np
+def phase_vector(theta: float) -> Vector:
+    r = math.sqrt(2)
+    return (1 / r + 0j, cmath.exp(1j * theta) / r)
 
-    return np.array([1.0, np.exp(1j * theta)], dtype=complex) / math.sqrt(2)
 
-
-def _lift(effect: np.ndarray, position: int, parties: int) -> np.ndarray:
+def _lift(effect: Matrix, position: int, parties: int) -> Matrix:
     """Tensor a single-qubit effect into the given slot of a qubit register."""
-    import numpy as np
-
-    out = np.eye(1, dtype=complex)
+    out = _identity(1)
     for i in range(parties):
-        out = np.kron(out, effect if i == position else np.eye(2, dtype=complex))
+        out = _kron(out, effect if i == position else _identity(2))
     return out
 
 
@@ -268,11 +366,14 @@ def _register_label(name: str, vectors, position: int, parties: int) -> QuantumL
     return QuantumLabel(name=name, outcomes=("0", "1"), effects=effects)
 
 
-def _bell() -> BuiltinExample:
-    import numpy as np
+def _ghz(parties: int) -> Vector:
+    """(|0...0> + |1...1>) / sqrt(2) on a qubit register."""
+    h = 1 / math.sqrt(2) + 0j
+    return (h,) + (0j,) * (2**parties - 2) + (h,)
 
-    ghz2 = np.zeros(4, dtype=complex)
-    ghz2[0] = ghz2[3] = 1 / math.sqrt(2)
+
+def _bell() -> BuiltinExample:
+    ghz2 = _ghz(2)
     theta = math.pi / 3
     basis = {
         "a": (phase_vector(0), _orth(phase_vector(0))),
@@ -306,25 +407,15 @@ def _bell() -> BuiltinExample:
     )
 
 
-def _orth(v: np.ndarray) -> np.ndarray:
-    import numpy as np
-
-    return np.array([v[1].conjugate(), -v[0].conjugate()], dtype=complex)
+def _orth(v: Vector) -> Vector:
+    return (v[1].conjugate(), -v[0].conjugate())
 
 
 def _mermin() -> BuiltinExample:
-    import numpy as np
-
-    ghz3 = np.zeros(8, dtype=complex)
-    ghz3[0] = ghz3[7] = 1 / math.sqrt(2)
-    x_basis = (
-        np.array([1, 1], dtype=complex) / math.sqrt(2),
-        np.array([1, -1], dtype=complex) / math.sqrt(2),
-    )
-    y_basis = (
-        np.array([1, 1j], dtype=complex) / math.sqrt(2),
-        np.array([1, -1j], dtype=complex) / math.sqrt(2),
-    )
+    ghz3 = _ghz(3)
+    r = math.sqrt(2)
+    x_basis = ((1 / r + 0j, 1 / r + 0j), (1 / r + 0j, -1 / r + 0j))
+    y_basis = ((1 / r + 0j, 1j / r), (1 / r + 0j, -1j / r))
     labels = {}
     for i in range(3):
         labels[f"X{i + 1}"] = _register_label(f"X{i + 1}", x_basis, i, 3)
@@ -391,10 +482,8 @@ def _uniform_mix(names: tuple[str, ...], target: str) -> ConvexDeclaration:
 
 
 def _spekkens_preparation() -> BuiltinExample:
-    import numpy as np
-
     states = {x: projector_onto(v) for x, v in TRINE_VECTORS.items()}
-    states["mix"] = np.eye(2, dtype=complex) / 2
+    states["mix"] = ((0.5 + 0j, 0j), (0j, 0.5 + 0j))
     scenario = QuantumScenario(
         states=states,
         labels=_trine_labels(),

@@ -203,16 +203,15 @@ def _complex_entry(value, where: str) -> complex:
 
 
 def _complex_array(value, where: str):
-    import numpy as np
-
+    """A vector of [re, im] pairs, or a matrix given as a list of such rows."""
     if not isinstance(value, list) or not value:
         raise DocumentError(f"{where}: expected a nonempty list")
-    if isinstance(value[0][0], list):
-        return np.array(
-            [[_complex_entry(x, where) for x in row] for row in value],
-            dtype=complex,
-        )
-    return np.array([_complex_entry(x, where) for x in value], dtype=complex)
+    first = value[0]
+    if isinstance(first, list) and first and isinstance(first[0], list):
+        if not all(isinstance(row, list) for row in value):
+            raise DocumentError(f"{where}: matrix rows must be lists")
+        return tuple(tuple(_complex_entry(x, where) for x in row) for row in value)
+    return tuple(_complex_entry(x, where) for x in value)
 
 
 def quantum_from_document(

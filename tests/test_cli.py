@@ -11,6 +11,7 @@ import pytest
 
 import ctxcheck
 from ctxcheck import (
+    BUILTIN_NAMES,
     builtin_example,
     canonical_representation,
     dump_document,
@@ -189,6 +190,58 @@ def test_check_quantum_document_via_stdin(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(dump_document(doc)))
     assert main(["check", "-"]) == EXIT_OK
     assert "NON-CONTEXTUAL" in capsys.readouterr().out
+
+
+_ONE, _ZERO = [1, 0], [0, 0]  # complex entries as [re, im]
+
+
+def _quantum_doc(state=None, effect=None, cover=None):
+    """One qubit state measured by one two-outcome label, with one part swapped."""
+    return {
+        "quantum": {
+            "states": {"s": [_ONE, _ZERO] if state is None else state},
+            "labels": {
+                "z": {
+                    "outcomes": ["0", "1"],
+                    "effects": [
+                        [[_ONE, _ZERO], [_ZERO, _ZERO]] if effect is None else effect,
+                        [[_ZERO, _ZERO], [_ZERO, _ONE]],
+                    ],
+                }
+            },
+            "cover": [["z"]] if cover is None else cover,
+            "max_denominator": 8,
+        }
+    }
+
+
+def test_check_quantum_document_from_file(tmp_path, capsys):
+    # the document with nothing swapped checks, so each malformed one below
+    # fails on its swapped part alone
+    path = _write(tmp_path, "qubit.json", _quantum_doc())
+    assert main(["check", path]) == EXIT_OK
+    assert "NON-CONTEXTUAL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        _quantum_doc(state=[5]),
+        _quantum_doc(state=[[]]),
+        _quantum_doc(state=[[_ONE, _ZERO], [_ZERO]]),  # ragged matrix
+        _quantum_doc(effect=[[_ONE, _ZERO, _ZERO], [_ZERO, _ZERO, _ZERO]]),
+        _quantum_doc(state=[_ONE, _ZERO, _ZERO]),  # 3-dim state, 2-dim effects
+        _quantum_doc(cover=[["z", "q"]]),  # undeclared label
+    ],
+    ids=["scalar", "empty-row", "ragged", "non-square", "dimensions", "label"],
+)
+def test_check_reports_malformed_quantum_documents(tmp_path, capsys, doc):
+    path = _write(tmp_path, "bad.json", doc)
+    assert main(["check", path]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1, captured.err
 
 
 def _first(mapping):
@@ -394,8 +447,44 @@ def test_exact_path_never_loads_numpy(tmp_path):
     assert not any(report["loaded"].values()), report["loaded"]
 
 
+def _quantum_scenario_doc(scenario, max_denominator):
+    def entries(row):
+        return [[z.real, z.imag] for z in row]
+
+    def matrix(m):
+        # a state may be a vector of complex entries or a matrix of rows
+        return entries(m) if isinstance(m[0], complex) else [entries(r) for r in m]
+
+    return {
+        "quantum": {
+            "states": {name: matrix(m) for name, m in scenario.states.items()},
+            "labels": {
+                name: {
+                    "outcomes": list(lab.outcomes),
+                    "effects": [matrix(e) for e in lab.effects],
+                }
+                for name, lab in scenario.labels.items()
+            },
+            "cover": [list(ctx) for ctx in scenario.cover],
+            "max_denominator": max_denominator,
+        }
+    }
+
+
 def test_check_runs_with_numpy_blocked(tmp_path):
     bell, _ = _theory_file(tmp_path, "bell")
     done = _fresh_python(_NUMPY_BLOCKED, "check", bell)
+    assert done.returncode == EXIT_CONTEXTUAL, done.stderr
+    assert "CONTEXTUAL" in done.stdout
+    # the Born rule needs no numpy either: every builtin and a quantum
+    # scenario document
+    for name in BUILTIN_NAMES:
+        done = _fresh_python(_NUMPY_BLOCKED, "example", name)
+        assert done.returncode == EXIT_OK, done.stderr
+        assert json.loads(done.stdout) == theory_to_document(
+            builtin_example(name).theory
+        )
+    doc = _quantum_scenario_doc(builtin_example("bell").scenario, 8)
+    done = _fresh_python(_NUMPY_BLOCKED, "check", _write(tmp_path, "q.json", doc))
     assert done.returncode == EXIT_CONTEXTUAL, done.stderr
     assert "CONTEXTUAL" in done.stdout

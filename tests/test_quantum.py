@@ -1,10 +1,12 @@
 """Born-rule front end: input validation, exact tables, built-in scenarios."""
 
+import hashlib
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from ctxcheck import (
     BUILTIN_NAMES,
@@ -15,12 +17,16 @@ from ctxcheck import (
     binary_projective_label,
     born_scenario,
     builtin_example,
+    dump_document,
     projector_onto,
+    theory_to_document,
     validate_theory,
     without_declarations,
 )
 from ctxcheck.quantum import (
+    TOLERANCE,
     TRINE_VECTORS,
+    _is_positive,
     born_weight,
     validate_povm,
     validate_projector,
@@ -52,7 +58,7 @@ def test_as_density_rejects_bad_input():
 def test_projector_and_povm_validation():
     p = projector_onto([3, 4])
     validate_projector(p)
-    assert np.allclose(p @ p, p)
+    assert np.allclose(np.asarray(p) @ np.asarray(p), p)
     with pytest.raises(QuantumInputError):
         validate_projector(np.diag([1.0, 0.5]))
     validate_povm((p, np.eye(2) - p))
@@ -69,7 +75,7 @@ def test_binary_projective_label_orientation():
     assert lab.outcomes == ("0", "1")
     # outcome "1" fires on the given vector, "0" on its complement
     assert np.allclose(lab.effects[1], [[0, 0], [0, 1]])
-    assert np.allclose(lab.effects[0] + lab.effects[1], np.eye(2))
+    assert np.allclose(np.asarray(lab.effects[0]) + lab.effects[1], np.eye(2))
     with pytest.raises(QuantumInputError):
         QuantumLabel(name="bad", outcomes=("0",), effects=lab.effects)
 
@@ -157,6 +163,22 @@ def test_builtin_scenarios_present_only_when_fully_quantum():
     assert builtin_example("specker-triangle").scenario is None
 
 
+def test_builtin_documents_match_golden_digest():
+    # sha256 over the documents of the five builtins and of spekkens-unsharp
+    # at three more denominator caps; pins every rationalized Born weight
+    digest = hashlib.sha256()
+    cases = [(name, None) for name in BUILTIN_NAMES]
+    cases += [("spekkens-unsharp", cap) for cap in (8, 100, 12345)]
+    for name, cap in cases:
+        ex = builtin_example(name, cap)
+        digest.update(dump_document(theory_to_document(ex.theory)).encode())
+        # rounding of the float arithmetic, not of the denominator cap
+        assert ex.perturbation_bound <= 1e-15
+    assert digest.hexdigest() == (
+        "6aed12a0768747146c957bc9c56b117697577c9c4a30e6fd41ff677037da6099"
+    )
+
+
 def test_unsharp_denominator_cap_controls_rounding():
     ex = builtin_example("spekkens-unsharp")
     assert ex.perturbation_bound <= Fraction(1, 10**6)
@@ -172,3 +194,55 @@ def test_without_declarations_strips_only_convex_data():
     assert bare.convex == ()
     assert bare.system is ex.theory.system
     assert bare.states is ex.theory.states
+
+
+# Differential checks of the plain-Python arithmetic against numpy.
+
+
+def _random_unitary(rng, dim):
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, _ = np.linalg.qr(z)
+    return q
+
+
+def _with_spectrum(u, spectrum):
+    """U diag(spectrum) U^H."""
+    return (u * spectrum) @ u.conj().T
+
+
+@given(
+    dim=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    gap=st.floats(1e-13, 1.0),
+    below=st.booleans(),
+)
+def test_positivity_matches_least_eigenvalue(dim, seed, gap, below):
+    # the least eigenvalue sits at least 1e-13 from the -1e-12 threshold
+    rng = np.random.default_rng(seed)
+    least = -TOLERANCE - gap if below else -TOLERANCE + gap
+    spectrum = np.concatenate([[least], rng.uniform(least, 1.0, dim - 1)])
+    h = _with_spectrum(_random_unitary(rng, dim), spectrum)
+    negative = bool(np.linalg.eigvalsh(h).min() < -TOLERANCE)
+    assert negative == below
+    assert _is_positive(h.tolist()) == (not negative)
+
+
+@given(
+    dim=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(1, 3),
+)
+def test_born_weight_matches_numpy_trace(dim, seed, count):
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = g @ g.conj().T
+    rho /= np.trace(rho).real
+    # commuting effects: one eigenbasis, spectra in [0, 1]
+    u = _random_unitary(rng, dim)
+    effects = [_with_spectrum(u, rng.uniform(0, 1, dim)) for _ in range(count)]
+    product = np.eye(dim)
+    for e in effects:
+        product = product @ e
+    want = np.trace(rho @ product).real
+    got = born_weight(rho.tolist(), [e.tolist() for e in effects])
+    assert abs(got - want) <= 1e-12
