@@ -16,9 +16,11 @@ against the named rows.  A light presolve (forced-zero variable elimination
 plus connected-component splitting) keeps the tableaus small.
 Each block's tableau is fraction-free (Edmonds): a row is a list of Python
 ints, kept only up to a positive scale and divided by its content after
-every pivot.  A block with no more columns than rows stores every column.
-A wider block stores only its basis inverse and rhs, and computes a
-column's reduced cost and entries from the input rows when Bland's rule
+every pivot.  An update whose pivot-row multiplier is 1 subtracts a multiple
+of the pivot row only at its nonzero entries.  A block with no more columns
+than rows stores every column.  A wider block stores only its basis inverse
+and rhs, keeps each column packed as its row indices and coefficients, and
+computes a column's reduced cost and entries from them when Bland's rule
 asks for them, so a pivot costs rows times rows instead of rows times
 columns; the pivots, point and certificate are those of the stored form.
 No ``Fraction`` is used between the input rows and the returned point and
@@ -26,10 +28,11 @@ multipliers.
 
 Certificates found on the reduced system are patched back so they verify
 against the original rows: the patch walks only the columns presolve
-eliminated, each over its rows in presolve's column index.  A certificate is
-checked by combining its rows over Python ints with one common denominator
-(``_combine``), so the signs are read from integers; a point is checked by
-summing each row only over the point's nonzero entries.
+eliminated, each over its rows in presolve's column index.  Both verdicts
+are checked over Python ints: a certificate by combining its rows with one
+common denominator (``_combine``), a point by putting it over one common
+denominator and summing each row only over the point's nonzero entries
+(``verify_point``), so signs and equalities are read from integers.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
+from operator import itemgetter, mul
 
 from ctxcheck.model import ModelError, ZERO
 
@@ -270,23 +274,39 @@ def verify_point(system: LinearSystem, point: dict[str, Fraction]) -> bool:
     """Exact check that ``point`` is nonnegative and satisfies every row.
 
     Keys that are not variables are ignored, and a missing variable reads 0.
-    Each row is summed only over the point's nonzero entries.
+    Each row is checked over Python ints, as ``_combine`` checks a
+    certificate: the point is put over one common denominator ``den``, and
+    each row is summed only over the point's nonzero entries, as an integer
+    ``total`` over the lcm ``scale`` of the denominators it has met.  Raises
+    ``LinearSystemError`` when an entry of the point, or an entry of a row
+    that the check reads, is not rational.
     """
-    nonzero: dict[str, Fraction] = {}
-    for v in system.variables:
-        x = point.get(v)
-        if x:
-            if x < 0:
+    nonzero = {v: x for v in system.variables if (x := point.get(v))}
+    try:
+        den = lcm(*[x.denominator for x in nonzero.values()])
+    except (AttributeError, TypeError):
+        raise LinearSystemError("point has an entry that is not rational") from None
+    ints = {v: x.numerator * (den // x.denominator) for v, x in nonzero.items()}
+    if min(ints.values(), default=0) < 0:
+        return False
+    try:
+        for c in system.constraints:
+            coeffs, b = c.coeffs, c.rhs
+            total, scale = 0, 1
+            for v in coeffs.keys() & ints.keys():
+                a = coeffs[v]
+                d = a.denominator
+                if scale % d:
+                    f = d // gcd(scale, d)
+                    total, scale = total * f, scale * f
+                total += a.numerator * (scale // d) * ints[v]
+            # total / scale == b * den, cross-multiplied
+            if total * b.denominator != b.numerator * scale * den:
                 return False
-            nonzero[v] = x
-    for c in system.constraints:
-        total = ZERO
-        for v, a in c.coeffs.items():
-            x = nonzero.get(v)
-            if x is not None:
-                total += a * x
-        if total != c.rhs:
-            return False
+    except (AttributeError, TypeError):
+        raise LinearSystemError(
+            f"constraint {c.name!r} has a coefficient or rhs that is not rational"
+        ) from None
     return True
 
 
@@ -403,10 +423,21 @@ def _simplex_phase1(
     Bland's rule prices columns in order and stops at the first negative
     one, and the ratio test and the update need only the entering column,
     so a pivot costs about the rows times the rows, not times the columns.
-    Computed entries carry the extra factor ``L``; dividing ``gcd(p, f)``
-    out of the two multipliers of every row update removes it (and any
-    other common factor) before it reaches the row, instead of leaving it
-    to the content division.
+    Each column is packed once as its row indices ``ks`` and entries
+    ``A[k][j]``.  A column with two or more entries, all equal to ``c``,
+    reads ``c * sum(itemgetter(*ks)(row))``, as every wide column of a
+    global-section LP does (all ``L`` or ``-L``); any other column reads
+    ``sum(map(mul, map(row.__getitem__, ks), vals))``.  Either way the sum
+    runs in C builtins, so pricing a column calls no Python function.
+    Computed entries carry the extra
+    factor ``L``; dividing ``gcd(p, f)`` out of the two multipliers of every
+    row update removes it (and any other common factor) before it reaches
+    the row, instead of leaving it to the content division.
+
+    A row update is ``row * q - f * prow``.  When ``q == 1`` it changes the
+    row only where ``prow`` is nonzero, so it subtracts there and leaves the
+    other entries alone, in place; the objective row is updated the same
+    way.  The content division after it is unchanged.
     """
     m = len(rows)
     n = len(cols)
@@ -416,7 +447,7 @@ def _simplex_phase1(
     unit = 1 if stored else oden  # computed entries are ``oden`` times the row's
     position = {j: i for i, j in enumerate(cols)}
     flip: list[int] = []
-    columns: list[list[tuple[int, int]]] = [[] for _ in cols]  # (k, A[k][j])
+    columns: list[tuple[list[int], list[int]]] = [([], []) for _ in cols]
     tab: list[list[int]] = []
     # phase-I reduced costs: structural -column sums (stored form only),
     # artificial 0
@@ -433,31 +464,57 @@ def _simplex_phase1(
                 row[i] = sign * a
                 obj[i] -= sign * a * mult
             else:
-                columns[i].append((k, sign * a * mult))
+                ks, vals = columns[i]
+                ks.append(k)
+                vals.append(sign * a * mult)
         row[lead + k] = scales[r]
         row[-1] = sign * rhs[r]
         obj[-1] -= row[-1] * mult
         flip.append(sign)
         tab.append(row)
 
-    if stored:
+    # a packed column is (getter, c, ks, vals): a column with two or more
+    # entries, all equal to c, reads ``c * sum(getter(row))``; any other has
+    # c = 0 and reads ``sum(map(mul, map(row.__getitem__, ks), vals))``
+    packed: list[tuple[itemgetter | None, int, list[int], list[int]]] = []
+    for ks, vals in columns:
+        if len(ks) > 1 and vals.count(vals[0]) == len(vals):
+            packed.append((itemgetter(*ks), vals[0], ks, vals))
+        else:
+            packed.append((None, 0, ks, vals))
 
-        def entry(row: list[int], j: int) -> int:
-            return row[j]
-
-    else:
-
-        def entry(row: list[int], j: int) -> int:
-            return sum([row[k] * a for k, a in columns[j]])
+    def column_entries(j: int, rows: list[list[int]]) -> list[int]:
+        """Structural column ``j`` of each of ``rows``."""
+        if stored:
+            return [row[j] for row in rows]
+        get, c, ks, vals = packed[j]
+        if c:
+            return [c * sum(get(row)) for row in rows]
+        return [sum(map(mul, map(row.__getitem__, ks), vals)) for row in rows]
 
     basis = [n + k for k in range(m)]
     while True:
-        # Bland: lowest structural index; artificials barred
-        prices = obj if stored else [a - oden for a in obj[:m]]
-        enter = next((j for j in range(n) if entry(prices, j) < 0), -1)
+        # Bland: lowest structural index with a negative reduced cost;
+        # artificials barred
+        enter = -1
+        if stored:
+            for j in range(n):
+                if obj[j] < 0:
+                    enter, price = j, obj[j]
+                    break
+        else:
+            prices = [a - oden for a in obj[:m]]
+            for j, (get, c, ks, vals) in enumerate(packed):
+                if c:
+                    price = c * sum(get(prices))
+                else:
+                    price = sum(map(mul, map(prices.__getitem__, ks), vals))
+                if price < 0:
+                    enter = j
+                    break
         if enter < 0:
             break
-        column = [entry(row, enter) for row in tab]
+        column = column_entries(enter, tab)
         leave = -1
         for i, a in enumerate(column):
             if a > 0:
@@ -473,17 +530,28 @@ def _simplex_phase1(
             raise LinearSystemError("phase-I objective unbounded; invalid system")
         prow = tab[leave]
         p = column[leave]
+        # with q == 1 an update only subtracts f * prow, which changes the
+        # row only where prow is nonzero
+        support = [(k, b) for k, b in enumerate(prow) if b]
         for i, f in enumerate(column):
             if f and i != leave:
                 g = gcd(p, f)
                 q, f = p // g, f // g
-                row = [a * q - f * b for a, b in zip(tab[i], prow)]
+                if q == 1:
+                    row = tab[i]
+                    for k, b in support:
+                        row[k] -= f * b
+                else:
+                    row = [a * q - f * b for a, b in zip(tab[i], prow)]
                 g = gcd(*row)
                 tab[i] = [a // g for a in row] if g > 1 else row
-        f = entry(prices, enter)
-        g = gcd(p, f)
-        q, f = p // g, f // g
-        obj = [a * q - f * b for a, b in zip(obj, prow)]
+        g = gcd(p, price)
+        q, f = p // g, price // g
+        if q == 1:
+            for k, b in support:
+                obj[k] -= f * b
+        else:
+            obj = [a * q - f * b for a, b in zip(obj, prow)]
         oden *= q
         g = gcd(oden, *obj)
         if g > 1:
@@ -494,7 +562,7 @@ def _simplex_phase1(
         point: dict[int, Fraction] = {}
         for row, j in zip(tab, basis):
             if j < n:
-                point[cols[j]] = Fraction(row[-1] * unit, entry(row, j))
+                point[cols[j]] = Fraction(row[-1] * unit, column_entries(j, [row])[0])
         return point, None
     # y_k = (obj[lead + k] / oden - 1) * flip[k], all over the one denominator
     dual: dict[int, int] = {}

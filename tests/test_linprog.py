@@ -23,6 +23,7 @@ from ctxcheck.linprog import (
     LinearSystem,
     LinearSystemError,
     _integer_rows,
+    _simplex_phase1,
     certificate_margin,
     is_robust,
     solve_feasibility,
@@ -513,6 +514,12 @@ def test_non_rational_entries_raise_linear_system_error(value):
             verify_certificate(system, certificate)
         with pytest.raises(LinearSystemError, match="constraint 'r'"):
             certificate_margin(system, certificate)
+        with pytest.raises(LinearSystemError, match="constraint 'r'"):
+            verify_point(system, {"x": Fraction(1), "y": Fraction(0)})
+    system = _system([("r", {"x": 1, "y": 1}, 1)], ["x", "y"])
+    for point in ({"x": value}, {"x": Fraction(1, 2), "y": value}):
+        with pytest.raises(LinearSystemError, match="not rational"):
+            verify_point(system, point)
 
 
 _RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -774,3 +781,112 @@ def test_solver_certificates_match_dense_reference(system, factor):
     scaled = FarkasCertificate({name: y * factor for name, y in multipliers.items()})
     assert verify_certificate(system, scaled)
     assert certificate_margin(system, scaled) == result.margin
+
+
+# ---------------------------------------------------------------------------
+# The phase-I kernel against a plain dense Fraction Bland reference
+# ---------------------------------------------------------------------------
+
+
+def _dense_phase1(system):
+    """Bland phase I on a full Fraction tableau: (point, None) or (None, dual).
+
+    Rows are flipped to a nonnegative rhs and start on their artificial
+    columns.  The entering column is the lowest-index structural column with
+    a negative reduced cost; ratio ties go to the lowest basis index.  The
+    dual is ``(reduced cost of artificial k - 1) * flip[k]``.
+    """
+    m, n = len(system.constraints), len(system.variables)
+    flip = [-1 if c.rhs < 0 else 1 for c in system.constraints]
+    tab = [
+        [f * Fraction(c.coeffs.get(v, 0)) for v in system.variables]
+        + [Fraction(int(i == k)) for i in range(m)]
+        + [f * c.rhs]
+        for k, (c, f) in enumerate(zip(system.constraints, flip))
+    ]
+    obj = [-sum(column) for column in zip(*tab)]
+    obj[n : n + m] = [Fraction(0)] * m
+    basis = list(range(n, n + m))
+    while (enter := next((j for j in range(n) if obj[j] < 0), None)) is not None:
+        leave = min(
+            (i for i in range(m) if tab[i][enter] > 0),
+            key=lambda i: (tab[i][-1] / tab[i][enter], basis[i]),
+        )
+        prow = [a / tab[leave][enter] for a in tab[leave]]
+        tab = [
+            prow if i == leave else [a - row[enter] * b for a, b in zip(row, prow)]
+            for i, row in enumerate(tab)
+        ]
+        obj = [a - obj[enter] * b for a, b in zip(obj, prow)]
+        basis[leave] = enter
+    if obj[-1] == 0:
+        return {j: row[-1] for row, j in zip(tab, basis) if j < n}, None
+    dual = {k: (obj[n + k] - 1) * flip[k] for k in range(m)}
+    return None, {k: y for k, y in dual.items() if y}
+
+
+_NONZERO = _RATIONALS.filter(bool)
+
+
+@st.composite
+def _blocks(draw):
+    """Blocks wider or taller than tall, some rhs negative, three column kinds.
+
+    A column's entries are drawn as the rhs-flipped rational values the
+    kernel packs: a uniform column has two or more equal entries, a
+    one-entry column has one, and a mixed column has two or more entries of
+    both signs, so it is never uniform.  Half the blocks instead get the
+    rhs of a planted nonnegative point, so that tall blocks are feasible
+    too; their entries are drawn unflipped, and a row whose planted rhs is
+    negative flips them.
+    """
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 8))
+    planted = draw(st.booleans())
+    if planted:
+        point = {f"v{j}": abs(draw(_RATIONALS)) for j in range(n)}
+        flip = [1] * m
+    else:
+        rhs = [draw(_RATIONALS) for _ in range(m)]
+        flip = [-1 if b < 0 else 1 for b in rhs]
+    rows = [{} for _ in range(m)]
+    kinds = ["uniform", "one-entry", "mixed"] if m > 1 else ["one-entry"]
+    for j in range(n):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "one-entry":
+            ks = [draw(st.integers(0, m - 1))]
+            values = [draw(_NONZERO)]
+        else:
+            ks = draw(st.lists(st.integers(0, m - 1), min_size=2, unique=True))
+            if kind == "uniform":
+                values = [draw(_NONZERO)] * len(ks)
+            else:
+                values = [abs(draw(_NONZERO)), -abs(draw(_NONZERO))]
+                values += [draw(_NONZERO) for _ in ks[2:]]
+        for k, a in zip(ks, values):
+            rows[k][f"v{j}"] = a * flip[k]
+    if planted:
+        rhs = [sum(a * point[v] for v, a in row.items()) for row in rows]
+    return _system(
+        [(f"r{k}", rows[k], rhs[k]) for k in range(m)], [f"v{j}" for j in range(n)]
+    )
+
+
+@given(_blocks())
+def test_phase1_matches_dense_bland_reference(system):
+    # no global-section LP has a non-uniform column in a wide block, so the
+    # golden digests do not pin that path; this reference does
+    integer = _integer_rows(system)
+    m, n = len(system.constraints), len(system.variables)
+    point, dual = _simplex_phase1(
+        integer.coeffs, integer.rhs, integer.scales, list(range(m)), list(range(n))
+    )
+    expected_point, expected_dual = _dense_phase1(system)
+    assert point == expected_point
+    if expected_dual is None:
+        assert dual is None
+        return
+    assert dual.keys() == expected_dual.keys()
+    scale = Fraction(dual[next(iter(dual))]) / expected_dual[next(iter(dual))]
+    assert scale > 0
+    assert all(dual[k] == scale * y for k, y in expected_dual.items())
