@@ -102,10 +102,17 @@ class FarkasCertificate:
         return {v: Fraction(a, den) for v, a in coeffs.items()}, Fraction(rhs, den)
 
 
-def _row_scale(c: LinearConstraint) -> int:
-    """The lcm of a row's denominators, rhs included: times it the row is integer."""
+def _rational_row(c: LinearConstraint) -> tuple[list[int], list[int], int, int, int]:
+    """A row's numbers read once as ints: the coefficients' numerators and
+    denominators (in ``c.coeffs`` order), the rhs numerator and denominator,
+    and the lcm of every denominator, times which the row is integer."""
     try:
-        return lcm(c.rhs.denominator, *[a.denominator for a in c.coeffs.values()])
+        values = c.coeffs.values()
+        nums = [a.numerator for a in values]
+        dens = [a.denominator for a in values]
+        b_num, b_den = c.rhs.numerator, c.rhs.denominator
+        # the distinct denominators are few, and lcm is slow on many arguments
+        return nums, dens, b_num, b_den, lcm(b_den, *set(dens))
     except (AttributeError, TypeError):
         raise LinearSystemError(
             f"constraint {c.name!r} has a coefficient or rhs that is not rational"
@@ -116,7 +123,7 @@ def _row_scale(c: LinearConstraint) -> int:
 class _IntegerRows:
     """A system's rows as the solver reads them.
 
-    Row ``r`` is constraint ``r`` times ``scales[r]`` (``_row_scale``):
+    Row ``r`` is constraint ``r`` times ``scales[r]`` (``_rational_row``):
     ``coeffs[r]`` maps column index to every nonzero integer coefficient,
     stored zeros dropped so row supports stay exact, and ``rhs[r]`` is the
     integer rhs.  ``variables`` and ``constraints`` are the tuples the rows
@@ -137,20 +144,20 @@ def _integer_rows(system: LinearSystem) -> _IntegerRows:
     rhs: list[int] = []
     scales: list[int] = []
     for c in system.constraints:
-        scale = _row_scale(c)
+        nums, dens, b_num, b_den, scale = _rational_row(c)
         try:
             coeffs.append(
                 {
-                    vindex[v]: n
-                    for v, a in c.coeffs.items()
-                    if (n := a.numerator * (scale // a.denominator))
+                    vindex[v]: n * (scale // d)
+                    for v, n, d in zip(c.coeffs, nums, dens)
+                    if n
                 }
             )
         except KeyError as exc:
             raise LinearSystemError(
                 f"constraint {c.name!r} uses unknown variable {exc.args[0]!r}"
             ) from None
-        rhs.append(c.rhs.numerator * (scale // c.rhs.denominator))
+        rhs.append(b_num * (scale // b_den))
         scales.append(scale)
     return _IntegerRows(system.variables, system.constraints, coeffs, rhs, scales)
 
@@ -184,28 +191,34 @@ def _combine(
 
     Every value is an integer over the one common denominator ``den > 0``, so
     signs read straight off the integers.  Each row is taken as its integer
-    multiple (``_row_scale``) with its multiplier divided by that scale;
+    multiple (``_rational_row``) with its multiplier divided by that scale;
     ``den`` is the lcm of the resulting multiplier denominators.  Multipliers
     naming no constraint are ignored.  The coefficient keys are those of
     every row with a nonzero multiplier, stored zeros included, in row order.
     """
-    rows: list[tuple[LinearConstraint, int, Fraction]] = []
+    rows = []
     den = 1
     for c in system.constraints:
         y = multipliers.get(c.name)
         if not y:
             continue
-        scale = _row_scale(c)
-        weight = Fraction(y) / scale
-        den = lcm(den, weight.denominator)
-        rows.append((c, scale, weight))
+        nums, dens, b_num, b_den, scale = _rational_row(c)
+        y = Fraction(y)
+        # the weight y / scale in lowest terms, y's own terms being lowest
+        g = gcd(y.numerator, scale)
+        w_num, w_den = y.numerator // g, y.denominator * (scale // g)
+        den = lcm(den, w_den)
+        b = b_num * (scale // b_den)
+        rows.append((c.coeffs, nums, dens, b, scale, w_num, w_den))
     coeffs: dict[str, int] = {}
     rhs = 0
-    for c, scale, weight in rows:
-        w = weight.numerator * (den // weight.denominator)
-        rhs += w * c.rhs.numerator * (scale // c.rhs.denominator)
-        for v, a in c.coeffs.items():
-            coeffs[v] = coeffs.get(v, 0) + w * a.numerator * (scale // a.denominator)
+    for keys, nums, dens, b, scale, w_num, w_den in rows:
+        w = w_num * (den // w_den)
+        rhs += w * b
+        # w * (n * (scale // d)), the integer row's entry times the weight
+        ws = w * scale
+        for v, n, d in zip(keys, nums, dens):
+            coeffs[v] = coeffs.get(v, 0) + ws * n // d
     return coeffs, rhs, den
 
 

@@ -6,6 +6,14 @@ declared convex relations holding at that underlying level too.  This module
 builds that condition as an exact linear system and decides it, returning
 either the underlying distributions or a Farkas certificate.
 
+One input needs no linear system: a theory without declarations on an
+alpha-acyclic cover.  No-signalling already gives it a global section, the
+product of its context tables along a join tree (Vorob'ev 1962; Abramsky
+and Brandenburger, New J. Phys. 13, 113036 (2011)).  The probabilistic
+check builds that section (``_product_sections``), verifies it with
+``verify_global_section``, and returns it with no LP.  Every other input,
+a cyclic cover or any declaration, is decided by the LP.
+
 The possibilistic variant asks the same question of supports: every supported
 local section must extend to a full assignment that is supported everywhere.
 
@@ -288,6 +296,11 @@ class ContextualityVerdict:
     distribution per state) or ``certificate``/``margin``.  Possibilistic
     mode fills ``boolean_sections`` (the supported-everywhere assignments
     per state) and ``blocked`` (supported local sections none of them hits).
+
+    ``system`` is the LP that decided a probabilistic verdict, and None when
+    no LP was built: in possibilistic mode, and for the join-tree product
+    section of an undeclared theory on an acyclic cover.  A probabilistic
+    verdict's counts are the sizes of ``global_section_system`` either way.
     """
 
     contextual: bool
@@ -320,6 +333,25 @@ def check_contextuality(
 
 
 def _check_probabilistic(theory: EmpiricalTheory) -> ContextualityVerdict:
+    if not theory.convex:
+        sections = _product_sections(theory)
+        if sections is not None:
+            # the sizes ``global_section_system`` would give, unbuilt: per
+            # state, one column per assignment and one row for the norm
+            # and for each outcome tuple of each context
+            system = theory.system
+            columns = prod(len(o.labels) for o in system.outcomes)
+            rows = 1 + sum(
+                prod(len(system.outcomes_of(m).labels) for m in ctx)
+                for ctx in system.cover
+            )
+            return ContextualityVerdict(
+                contextual=False,
+                mode="probabilistic",
+                variable_count=len(sections) * columns,
+                constraint_count=len(sections) * rows,
+                sections=sections,
+            )
     lp = global_section_system(theory)
     result = solve_feasibility(lp)
     if isinstance(result, Feasible):
@@ -341,6 +373,112 @@ def _check_probabilistic(theory: EmpiricalTheory) -> ContextualityVerdict:
         margin=result.margin,
         system=lp,
     )
+
+
+def _join_order(
+    system: SystemType,
+) -> list[tuple[Context, tuple[str, ...]]] | None:
+    """The cover in a running-intersection order, or None if it is cyclic.
+
+    Each context comes with the labels it shares with the contexts before it.
+    The order is a maximum cardinality search (Tarjan and Yannakakis, SIAM J.
+    Comput. 13, 566 (1984)): next comes the context with the most labels
+    already seen, the first listed among ties.  The cover is alpha-acyclic
+    exactly when, in that order, every context's shared labels lie inside
+    one earlier context.  A cover that leaves a label out, or a context that
+    repeats one, also gives None.
+    """
+    cover = system.cover
+    holders: dict[str, list[int]] = {}
+    for k, ctx in enumerate(cover):
+        for m in ctx:
+            holders.setdefault(m, []).append(k)
+    counts = [0] * len(cover)  # each context's labels already seen
+    seen: set[str] = set()
+    earlier: list[set[str]] = []
+    left = list(range(len(cover)))
+    order: list[tuple[Context, tuple[str, ...]]] = []
+    while left:
+        k = max(left, key=counts.__getitem__)
+        left.remove(k)
+        ctx = cover[k]
+        if len(set(ctx)) < len(ctx):
+            return None
+        shared = tuple(m for m in ctx if m in seen)
+        if shared and not any(c.issuperset(shared) for c in earlier):
+            return None
+        order.append((ctx, shared))
+        earlier.append(set(ctx))
+        for m in ctx:
+            if m not in seen:
+                seen.add(m)
+                for j in holders[m]:
+                    counts[j] += 1
+    if len(seen) != len(system.labels):
+        return None
+    return order
+
+
+def _product_sections(
+    theory: EmpiricalTheory,
+) -> dict[str, RationalDistribution] | None:
+    """The join-tree product section of each state, or None off its domain.
+
+    On an alpha-acyclic cover with every label covered, a no-signalling
+    theory has the global section prod_i p(g|C_i) / p(g|S_i), taken over a
+    running-intersection order, with S_i the labels C_i shares with earlier
+    contexts and 0/0 read as 0 (Vorob'ev, Theory Probab. Appl. 7, 147
+    (1962)).  It is built over supported assignments only, and checked by
+    ``verify_global_section`` before it is returned.  None where
+    ``_join_order`` gives None, or when a table supports an outcome outside
+    its label's outcome set: the LP decides those.
+    """
+    system = theory.system
+    order = _join_order(system)
+    if order is None:
+        return None
+    run: list[str] = []  # labels in the order the product meets them
+    plan = []
+    for ctx, shared in order:
+        plan.append(
+            (
+                ctx,
+                [ctx.index(m) for m in shared],
+                [run.index(m) for m in shared],
+                [i for i, m in enumerate(ctx) if m not in shared],
+                [frozenset(system.outcomes_of(m).labels) for m in ctx],
+            )
+        )
+        run.extend(m for m in ctx if m not in shared)
+    perm = [run.index(m) for m in system.labels]
+    sections: dict[str, RationalDistribution] = {}
+    for name, state in theory.states.items():
+        partial: dict[tuple[str, ...], Fraction] = {(): ONE}
+        for ctx, in_ctx, in_run, new, allowed in plan:
+            groups: dict[tuple[str, ...], list[tuple[tuple[str, ...], Fraction]]] = {}
+            totals: dict[tuple[str, ...], Fraction] = {}
+            for t, w in state.distribution(ctx).weights.items():
+                if not all(v in a for v, a in zip(t, allowed)):
+                    return None
+                key = tuple(t[i] for i in in_ctx)
+                groups.setdefault(key, []).append((tuple(t[i] for i in new), w))
+                totals[key] = totals.get(key, ZERO) + w
+            grown: dict[tuple[str, ...], Fraction] = {}
+            for h, w in partial.items():
+                key = tuple(h[i] for i in in_run)
+                if key in groups:
+                    share = w / totals[key]
+                    for ext, p in groups[key]:
+                        grown[h + ext] = share * p
+            partial = grown
+        sections[name] = RationalDistribution(
+            domain=system.labels,
+            weights={tuple(h[i] for i in perm): w for h, w in partial.items()},
+        )
+    violations = verify_global_section(theory, sections)
+    if violations:
+        raise ModelError(f"product section failed verification: {violations[0]}")
+    return sections
 
 
 def extract_sections(

@@ -764,6 +764,52 @@ def test_certificate_checks_match_dense_reference(system_and_certificate):
         assert certificate_margin(system, cert) == abs(rhs) / scale
 
 
+@st.composite
+def _int_entries(draw, system):
+    """The system with some integer-valued entries stored as plain ints."""
+    def entry(a):
+        return int(a) if a.denominator == 1 and draw(st.booleans()) else a
+
+    rows = [
+        LinearConstraint(
+            name=c.name,
+            coeffs={v: entry(a) for v, a in c.coeffs.items()},
+            rhs=entry(c.rhs),
+        )
+        for c in system.constraints
+    ]
+    return _with_constraints(system, rows)
+
+
+@given(
+    _sparse_systems()
+    .flatmap(_int_entries)
+    .flatmap(lambda s: st.tuples(st.just(s), _certificates(s), st.booleans()))
+)
+def test_combined_is_the_plain_fraction_sum(case):
+    system, cert, int_multipliers = case
+    if int_multipliers:
+        cert = FarkasCertificate(
+            {
+                name: int(y) if y.denominator == 1 else y
+                for name, y in cert.multipliers.items()
+            }
+        )
+    # rows with a nonzero multiplier, in row order; unknown names drop out
+    coeffs, rhs = {}, Fraction(0)
+    for c in system.constraints:
+        y = cert.multipliers.get(c.name)
+        if not y:
+            continue
+        rhs += y * c.rhs
+        for v, a in c.coeffs.items():
+            coeffs[v] = coeffs.get(v, Fraction(0)) + y * a
+    got_coeffs, got_rhs = cert.combined(system)
+    assert got_rhs == rhs
+    assert got_coeffs == coeffs
+    assert list(got_coeffs) == list(coeffs)
+
+
 @given(
     _sparse_systems(),
     st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9),

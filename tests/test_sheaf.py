@@ -1,22 +1,29 @@
 """Global-section feasibility: marginals, signalling, both decision modes."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ctxcheck import sheaf
 from ctxcheck.equivalence import minimalize, quotient_theory
-from ctxcheck.linprog import verify_certificate
+from ctxcheck.generate import random_sections, theory_from_sections
+from ctxcheck.linprog import Feasible, solve_feasibility, verify_certificate
 from ctxcheck.model import (
     ConvexComponent,
     ConvexDeclaration,
     EmpiricalTheory,
     ModelError,
+    ONE,
+    OutcomeSet,
     RationalDistribution,
     State,
+    SystemType,
     system_type,
 )
-from ctxcheck.quantum import builtin_example, without_declarations
+from ctxcheck.quantum import BUILTIN_NAMES, builtin_example, without_declarations
 from ctxcheck.sheaf import (
     SignallingError,
     check_contextuality,
@@ -27,7 +34,7 @@ from ctxcheck.sheaf import (
     signalling_violations,
     verify_global_section,
 )
-from test_linprog import _golden_theories
+from test_linprog import _frustrated_ring, _golden_theories, _ring_system
 
 H = Fraction(1, 2)
 
@@ -207,8 +214,17 @@ def test_verdict_system_is_the_named_lp_without_its_integer_rows(name):
     declared = builtin_example(name).theory
     for theory in (declared, without_declarations(declared)):
         verdict = check_contextuality(theory)
-        assert verdict.system == global_section_system(theory)
-        assert verdict.system._integer is None
+        built = global_section_system(theory)
+        if theory.convex or name == "bell":
+            assert verdict.system == built
+            assert verdict.system._integer is None
+        else:
+            # undeclared on a disjoint cover: the product path builds no LP,
+            # but reports the sizes it would have
+            assert verdict.system is None
+            assert verdict.variable_count == len(built.variables)
+            assert verdict.constraint_count == len(built.constraints)
+            assert verify_global_section(theory, verdict.sections) == []
 
 
 def test_variable_count_matches_assignment_space():
@@ -310,3 +326,198 @@ def test_verify_global_section_rejects_a_declaration_naming_an_unknown_label(
     bad = EmpiricalTheory(system=theory.system, states=theory.states, convex=(decl,))
     with pytest.raises(ModelError, match="^unknown measurement label 'zz'$"):
         verify_global_section(bad, sections)
+
+
+# ---------------------------------------------------------------------------
+# The join-tree product path: acyclic covers without declarations
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _acyclic_covers(draw):
+    """Covers built along a join tree, listed in a shuffled order.
+
+    Each new context either starts a new component or hangs off an earlier
+    one, sharing a proper subset of its labels (possibly none), and adds one
+    or two fresh labels, so the cover is an acyclic antichain.  Always
+    hanging off the last context gives a chain, off the first a star.
+    """
+    shape = draw(st.sampled_from(["disjoint", "chain", "star", "tree"]))
+    # at most five labels, so at most 3^5 assignments per state
+    labels = [f"m{i}" for i in range(5)]
+    cover = [tuple(labels[: draw(st.integers(1, 2))])]
+    used = len(cover[0])
+    for _ in range(draw(st.integers(1, 4))):
+        if used == len(labels):
+            break
+        shared: tuple[str, ...] = ()
+        if shape != "disjoint":
+            parent = {"chain": cover[-1], "star": cover[0]}.get(shape)
+            if parent is None:
+                parent = draw(st.sampled_from(cover))
+            low = 0 if shape == "tree" else min(1, len(parent) - 1)
+            size = draw(st.integers(low, len(parent) - 1))
+            shared = tuple(draw(st.permutations(parent))[:size])
+        added = min(draw(st.integers(1, 2)), len(labels) - used)
+        cover.append(shared + tuple(labels[used : used + added]))
+        used += added
+    return draw(st.permutations(labels[:used])), draw(st.permutations(cover))
+
+
+@settings(max_examples=60)
+@given(
+    _acyclic_covers(),
+    st.integers(1, 3),
+    st.integers(2, 3),
+    st.integers(0, 2**16),
+)
+def test_acyclic_undeclared_theories_take_the_product_path(
+    labels_and_cover, state_count, outcome_count, seed
+):
+    labels, cover = labels_and_cover
+    outcomes = tuple(str(k) for k in range(outcome_count))
+    system = system_type({m: outcomes for m in labels}, cover)
+    states = tuple(f"s{k}" for k in range(state_count))
+    theory = theory_from_sections(
+        system, random_sections(random.Random(seed), system, states)
+    )
+    verdict = check_contextuality(theory)
+    lp = global_section_system(theory)
+    assert not verdict.contextual
+    assert verdict.system is None
+    assert verify_global_section(theory, verdict.sections) == []
+    assert verdict.variable_count == len(lp.variables)
+    assert verdict.constraint_count == len(lp.constraints)
+    assert isinstance(solve_feasibility(lp), Feasible)
+
+
+def test_cover_listed_out_of_join_order_takes_the_product_path():
+    # (c, d) meets neither earlier context, and (b, c) then meets both: a
+    # first-fit order finds no single earlier context holding {b, c}
+    cover = (("a", "b"), ("c", "d"), ("b", "c"))
+    system = system_type({m: ("0", "1", "2") for m in "abcd"}, cover)
+    theory = theory_from_sections(
+        system, random_sections(random.Random(3), system, ("s", "t"))
+    )
+    verdict = check_contextuality(theory)
+    assert not verdict.contextual
+    assert verdict.system is None
+    assert verify_global_section(theory, verdict.sections) == []
+
+
+def _cyclic_or_declared_theories():
+    for n in range(3, 7):
+        system = _ring_system(n)
+        feasible = theory_from_sections(
+            system, random_sections(random.Random(n), system, ("s0",))
+        )
+        yield pytest.param(feasible, id=f"ring{n}")
+        yield pytest.param(_frustrated_ring(random.Random(n), n), id=f"frustrated{n}")
+    # bell, mermin and specker-triangle are undeclared on cyclic covers; both
+    # spekkens scenarios are declared on disjoint ones
+    for name in BUILTIN_NAMES:
+        yield pytest.param(builtin_example(name).theory, id=name)
+
+
+@pytest.mark.parametrize("theory", _cyclic_or_declared_theories())
+def test_cyclic_or_declared_theories_keep_the_lp(theory):
+    verdict = check_contextuality(theory)
+    assert verdict.system == global_section_system(theory)
+
+
+@pytest.mark.parametrize(
+    "cover", [(("a", "b"), ("a", "c")), (("a", "b"), ("b", "c"), ("a", "c"))]
+)
+def test_signalling_is_rejected_before_either_path(cover, monkeypatch):
+    system = system_type({m: ("0", "1") for m in "abc"}, cover)
+    one = Fraction(1)
+    tables = {ctx: {("0", "0"): one} for ctx in cover}
+    tables[cover[-1]] = {("1", "1"): one}  # disagrees with the others on a
+    theory = EmpiricalTheory(
+        system=system, states={"s": _pair_state("s", cover, tables)}
+    )
+
+    def unreachable(*args):
+        raise AssertionError("a decision path ran on a signalling theory")
+
+    monkeypatch.setattr(sheaf, "_product_sections", unreachable)
+    monkeypatch.setattr(sheaf, "global_section_system", unreachable)
+    with pytest.raises(SignallingError):
+        check_contextuality(theory)
+
+
+def _gyo_acyclic(cover):
+    """Graham's reduction: drop labels in one context only and contexts
+    inside another until nothing changes; acyclic iff at most one is left."""
+    edges = [set(ctx) for ctx in cover]
+    changed = True
+    while changed:
+        changed = False
+        for e in edges:
+            lonely = {m for m in e if sum(m in f for f in edges) == 1}
+            if lonely:
+                e -= lonely
+                changed = True
+        for i, e in enumerate(edges):
+            if any(j != i and e <= f for j, f in enumerate(edges)):
+                del edges[i]
+                changed = True
+                break
+    return len(edges) <= 1
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(
+        st.lists(st.sampled_from("abcdef"), min_size=1, max_size=4, unique=True),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_join_order_matches_graham_reduction(cover):
+    labels = sorted({m for ctx in cover for m in ctx})
+    system = system_type({m: ("0", "1") for m in labels}, cover)
+    order = sheaf._join_order(system)
+    assert (order is not None) == _gyo_acyclic(system.cover)
+    if order is not None:
+        assert sorted(ctx for ctx, _ in order) == sorted(system.cover)
+        for k, (ctx, shared) in enumerate(order):
+            earlier = [c for c, _ in order[:k]]
+            assert set(shared) == set(ctx) & {m for c in earlier for m in c}
+            assert not shared or any(set(shared) <= set(c) for c in earlier)
+
+
+def test_join_order_needs_every_label_covered():
+    system = system_type({"a": ("0", "1"), "b": ("0", "1")}, [("a",)])
+    assert sheaf._join_order(system) is None
+
+
+def test_table_outside_its_outcome_sets_is_left_to_the_lp():
+    # the single context is acyclic, but ('0', 'z') is no assignment's
+    # restriction, so only half the mass can be placed: contextual
+    cover = (("a", "b"),)
+    system = system_type({"a": ("0", "1"), "b": ("0", "1")}, cover)
+    tables = {("a", "b"): {("0", "0"): H, ("0", "z"): H}}
+    theory = EmpiricalTheory(
+        system=system, states={"p": _pair_state("p", cover, tables)}
+    )
+    verdict = check_contextuality(theory)
+    assert verdict.contextual
+    assert verify_certificate(verdict.system, verdict.certificate)
+
+
+def test_context_repeating_a_label_is_left_to_the_lp():
+    # no assignment restricts to ('0', '1') on (a, a), so that half of the
+    # table cannot be placed: contextual, as the LP decides
+    system = SystemType(
+        labels=("a", "b"),
+        outcomes=(OutcomeSet(("0", "1")),) * 2,
+        cover=(("a", "a"), ("b",)),
+    )
+    tables = {("a", "a"): {("0", "0"): H, ("0", "1"): H}, ("b",): {("0",): ONE}}
+    theory = EmpiricalTheory(
+        system=system, states={"s": _pair_state("s", system.cover, tables)}
+    )
+    verdict = check_contextuality(theory)
+    assert verdict.contextual
+    assert verify_certificate(verdict.system, verdict.certificate)
