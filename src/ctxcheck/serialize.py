@@ -180,7 +180,11 @@ def theory_from_document(doc: dict) -> EmpiricalTheory:
         convex = convex_from_document(
             _require(doc, "convex", list, "scenario"), "convex"
         )
-    theory = EmpiricalTheory(system=system, states=states, convex=convex)
+    return _validated(EmpiricalTheory(system=system, states=states, convex=convex))
+
+
+def _validated(theory: EmpiricalTheory) -> EmpiricalTheory:
+    """The theory a scenario loader built, if ``validate_theory`` passes it."""
     problems = validate_theory(theory)
     if problems:
         raise DocumentError("invalid scenario: " + "; ".join(problems))
@@ -246,7 +250,8 @@ def quantum_from_document(
     scenario = QuantumScenario(
         states=states, labels=labels, cover=cover, convex=convex
     )
-    return born_scenario(scenario, denominator)
+    theory, bound = born_scenario(scenario, denominator)
+    return _validated(theory), bound
 
 
 def scenario_from_document(

@@ -12,7 +12,9 @@ product of its context tables along a join tree (Vorob'ev 1962; Abramsky
 and Brandenburger, New J. Phys. 13, 113036 (2011)).  The probabilistic
 check builds that section (``_product_sections``), verifies it with
 ``verify_global_section``, and returns it with no LP.  Every other input,
-a cyclic cover or any declaration, is decided by the LP.
+a cyclic cover or any declaration, is decided by the LP.  Both deciders
+assume a theory that passes ``validate_theory``; ``check_contextuality``
+rejects any other before either runs.
 
 The possibilistic variant asks the same question of supports: every supported
 local section must extend to a full assignment that is supported everywhere.
@@ -49,6 +51,7 @@ from ctxcheck.model import (
     SystemType,
     ZERO,
     component_outcome_map,
+    validate_theory,
 )
 
 
@@ -322,8 +325,12 @@ def check_contextuality(
 
     Probabilistic mode is the exact feasibility question (declarations
     included); possibilistic mode asks whether every supported local section
-    extends to a fully supported assignment, per state.
+    extends to a fully supported assignment, per state.  A theory that fails
+    ``validate_theory`` raises ``ModelError`` before either mode runs.
     """
+    problems = validate_theory(theory)
+    if problems:
+        raise ModelError(f"invalid theory: {problems[0]}")
     require_no_signalling(theory)
     if mode == "probabilistic":
         return _check_probabilistic(theory)
@@ -385,8 +392,7 @@ def _join_order(
     Comput. 13, 566 (1984)): next comes the context with the most labels
     already seen, the first listed among ties.  The cover is alpha-acyclic
     exactly when, in that order, every context's shared labels lie inside
-    one earlier context.  A cover that leaves a label out, or a context that
-    repeats one, also gives None.
+    one earlier context.
     """
     cover = system.cover
     holders: dict[str, list[int]] = {}
@@ -402,8 +408,6 @@ def _join_order(
         k = max(left, key=counts.__getitem__)
         left.remove(k)
         ctx = cover[k]
-        if len(set(ctx)) < len(ctx):
-            return None
         shared = tuple(m for m in ctx if m in seen)
         if shared and not any(c.issuperset(shared) for c in earlier):
             return None
@@ -414,24 +418,20 @@ def _join_order(
                 seen.add(m)
                 for j in holders[m]:
                     counts[j] += 1
-    if len(seen) != len(system.labels):
-        return None
     return order
 
 
 def _product_sections(
     theory: EmpiricalTheory,
 ) -> dict[str, RationalDistribution] | None:
-    """The join-tree product section of each state, or None off its domain.
+    """The join-tree product section of each state, or None on a cyclic cover.
 
-    On an alpha-acyclic cover with every label covered, a no-signalling
-    theory has the global section prod_i p(g|C_i) / p(g|S_i), taken over a
-    running-intersection order, with S_i the labels C_i shares with earlier
-    contexts and 0/0 read as 0 (Vorob'ev, Theory Probab. Appl. 7, 147
-    (1962)).  It is built over supported assignments only, and checked by
-    ``verify_global_section`` before it is returned.  None where
-    ``_join_order`` gives None, or when a table supports an outcome outside
-    its label's outcome set: the LP decides those.
+    On an alpha-acyclic cover, a no-signalling theory has the global section
+    prod_i p(g|C_i) / p(g|S_i), taken over a running-intersection order,
+    with S_i the labels C_i shares with earlier contexts and 0/0 read as 0
+    (Vorob'ev, Theory Probab. Appl. 7, 147 (1962)).  It is built over
+    supported assignments only, and checked by ``verify_global_section``
+    before it is returned.
     """
     system = theory.system
     order = _join_order(system)
@@ -446,7 +446,6 @@ def _product_sections(
                 [ctx.index(m) for m in shared],
                 [run.index(m) for m in shared],
                 [i for i, m in enumerate(ctx) if m not in shared],
-                [frozenset(system.outcomes_of(m).labels) for m in ctx],
             )
         )
         run.extend(m for m in ctx if m not in shared)
@@ -454,12 +453,10 @@ def _product_sections(
     sections: dict[str, RationalDistribution] = {}
     for name, state in theory.states.items():
         partial: dict[tuple[str, ...], Fraction] = {(): ONE}
-        for ctx, in_ctx, in_run, new, allowed in plan:
+        for ctx, in_ctx, in_run, new in plan:
             groups: dict[tuple[str, ...], list[tuple[tuple[str, ...], Fraction]]] = {}
             totals: dict[tuple[str, ...], Fraction] = {}
             for t, w in state.distribution(ctx).weights.items():
-                if not all(v in a for v, a in zip(t, allowed)):
-                    return None
                 key = tuple(t[i] for i in in_ctx)
                 groups.setdefault(key, []).append((tuple(t[i] for i in new), w))
                 totals[key] = totals.get(key, ZERO) + w
@@ -504,6 +501,7 @@ def verify_global_section(
     """Exact re-check that ``sections`` marginalize to every table and
     satisfy every declaration; returns violations (empty = verified)."""
     system = theory.system
+    allowed = [set(o.labels) for o in system.outcomes]
     out: list[str] = []
     for name, state in theory.states.items():
         if name not in sections:
@@ -513,6 +511,18 @@ def verify_global_section(
         if dist.domain != system.labels:
             out.append(f"section for {name!r} has wrong domain {dist.domain}")
             continue
+        stray = [
+            (m, v)
+            for g in dist.weights
+            for m, v, outs in zip(system.labels, g, allowed)
+            if v not in outs
+        ]
+        if stray:
+            m, v = stray[0]
+            out.append(
+                f"section for {name!r} puts mass on outcome {v!r} "
+                f"outside the outcome set of {m!r}"
+            )
         for ctx in system.cover:
             acc = marginal_weights(dist, ctx)
             table = state.distribution(ctx)

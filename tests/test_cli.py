@@ -488,3 +488,33 @@ def test_check_runs_with_numpy_blocked(tmp_path):
     done = _fresh_python(_NUMPY_BLOCKED, "check", _write(tmp_path, "q.json", doc))
     assert done.returncode == EXIT_CONTEXTUAL, done.stderr
     assert "CONTEXTUAL" in done.stdout
+
+
+@pytest.mark.parametrize(
+    "command", ["check", "quotient", "minimalize", "canonical-rep"]
+)
+def test_quantum_document_with_a_bad_outcome_map_is_an_invalid_scenario(
+    tmp_path, capsys, command
+):
+    doc = _quantum_scenario_doc(builtin_example("bell").scenario, 8)
+    doc["convex"] = [
+        {
+            "kind": "measurement",
+            "target": "a",
+            "components": [
+                {"coefficient": "1/2", "name": "a'"},
+                {
+                    "coefficient": "1/2",
+                    "name": "b",
+                    "outcome_map": {"0": "x", "1": "1"},
+                },
+            ],
+        }
+    ]
+    path = _write(tmp_path, "bad-map.json", doc)
+    assert main([command, path]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: invalid scenario: ")
+    assert "'b' is not a bijection" in captured.err
+    assert captured.err.count("\n") == 1, captured.err

@@ -253,20 +253,6 @@ def test_state_mixture_naming_an_unknown_state_is_rejected():
         global_section_system(bad)
 
 
-def test_possibilistic_blocks_a_supported_outcome_outside_its_outcome_set():
-    # ('0', 'z') is the restriction of no assignment, so none reaches it
-    cover = (("a", "b"),)
-    system = system_type({"a": ("0", "1"), "b": ("0", "1")}, cover)
-    tables = {("a", "b"): {("0", "0"): H, ("0", "z"): H}}
-    theory = EmpiricalTheory(
-        system=system, states={"p": _pair_state("p", cover, tables)}
-    )
-    verdict = check_contextuality(theory, mode="possibilistic")
-    assert verdict.contextual
-    assert verdict.boolean_sections == {"p": (("0", "0"),)}
-    assert verdict.blocked == (("p", ("a", "b"), ("0", "z")),)
-
-
 def test_possibilistic_matches_a_per_assignment_filter():
     contextual = 0
     for theory in _golden_theories():
@@ -446,6 +432,134 @@ def test_signalling_is_rejected_before_either_path(cover, monkeypatch):
         check_contextuality(theory)
 
 
+def _one_context(table, convex=()):
+    """One context (a, b) over binary labels, one state 'p' with ``table``."""
+    cover = (("a", "b"),)
+    system = system_type({"a": ("0", "1"), "b": ("0", "1")}, cover)
+    return EmpiricalTheory(
+        system=system,
+        states={"p": _pair_state("p", cover, {("a", "b"): table})},
+        convex=convex,
+    )
+
+
+def _malformed_theories():
+    binary = {m: ("0", "1") for m in "abc"}
+    chain = system_type(binary, [("a", "b"), ("b", "c")])
+    repeated = SystemType(
+        labels=("a", "b"),
+        outcomes=(OutcomeSet(("0", "1")),) * 2,
+        cover=(("a", "a"), ("b",)),
+    )
+    uncovered = system_type({"a": ("0", "1"), "b": ("0", "1")}, [("a",)])
+    return [
+        pytest.param(
+            _one_context({("0", "0"): H, ("0", "z"): H}),
+            "outcome 'z' not allowed",
+            id="outcome-outside-its-set",
+        ),
+        pytest.param(
+            EmpiricalTheory(
+                system=repeated,
+                states={
+                    "s": _pair_state(
+                        "s",
+                        repeated.cover,
+                        {
+                            ("a", "a"): {("0", "0"): H, ("0", "1"): H},
+                            ("b",): {("0",): ONE},
+                        },
+                    )
+                },
+            ),
+            r"context \('a', 'a'\)",
+            id="repeated-label",
+        ),
+        pytest.param(
+            EmpiricalTheory(
+                system=uncovered,
+                states={"s": _pair_state("s", [("a",)], {("a",): {("0",): ONE}})},
+            ),
+            "label 'b' not covered",
+            id="uncovered-label",
+        ),
+        pytest.param(
+            EmpiricalTheory(
+                system=chain,
+                states={
+                    "s": _pair_state("s", [("a", "b")], {("a", "b"): {("0", "0"): ONE}})
+                },
+            ),
+            r"missing table for context \('b', 'c'\)",
+            id="missing-table",
+        ),
+        pytest.param(
+            _one_context(
+                {("0", "0"): ONE},
+                (
+                    ConvexDeclaration(
+                        kind="state",
+                        target="p",
+                        components=(
+                            ConvexComponent(H, "p"),
+                            ConvexComponent(H, "nonesuch"),
+                        ),
+                    ),
+                ),
+            ),
+            "unknown state 'nonesuch'",
+            id="unknown-state",
+        ),
+        pytest.param(
+            _one_context(
+                {("0", "0"): ONE},
+                (
+                    ConvexDeclaration(
+                        kind="measurement",
+                        target="a",
+                        components=(
+                            ConvexComponent(H, "a"),
+                            ConvexComponent(H, "b", (("0", "x"), ("1", "1"))),
+                        ),
+                    ),
+                ),
+            ),
+            "outcome identification for 'b' is not a bijection",
+            id="non-bijective-outcome-map",
+        ),
+    ]
+
+
+@pytest.mark.parametrize("mode", ["probabilistic", "possibilistic"])
+@pytest.mark.parametrize("theory, problem", _malformed_theories())
+def test_malformed_theories_are_rejected_before_any_decision(
+    theory, problem, mode, monkeypatch
+):
+    def unreachable(*args):
+        raise AssertionError("a decision path ran on a malformed theory")
+
+    for name in (
+        "require_no_signalling",
+        "_product_sections",
+        "global_section_system",
+        "_check_possibilistic",
+    ):
+        monkeypatch.setattr(sheaf, name, unreachable)
+    with pytest.raises(ModelError, match=f"^invalid theory: .*{problem}"):
+        check_contextuality(theory, mode=mode)
+
+
+def test_verify_global_section_rejects_mass_outside_an_outcome_set():
+    # every marginal agrees at the outcome tuples of the label outcome sets,
+    # so only the outcome-set check can see the stray mass on 'z'
+    table = {("0", "0"): H, ("0", "z"): H}
+    theory = _one_context(table)
+    section = RationalDistribution(domain=("a", "b"), weights=table)
+    assert verify_global_section(theory, {"p": section}) == [
+        "section for 'p' puts mass on outcome 'z' outside the outcome set of 'b'"
+    ]
+
+
 def _gyo_acyclic(cover):
     """Graham's reduction: drop labels in one context only and contexts
     inside another until nothing changes; acyclic iff at most one is left."""
@@ -485,39 +599,3 @@ def test_join_order_matches_graham_reduction(cover):
             earlier = [c for c, _ in order[:k]]
             assert set(shared) == set(ctx) & {m for c in earlier for m in c}
             assert not shared or any(set(shared) <= set(c) for c in earlier)
-
-
-def test_join_order_needs_every_label_covered():
-    system = system_type({"a": ("0", "1"), "b": ("0", "1")}, [("a",)])
-    assert sheaf._join_order(system) is None
-
-
-def test_table_outside_its_outcome_sets_is_left_to_the_lp():
-    # the single context is acyclic, but ('0', 'z') is no assignment's
-    # restriction, so only half the mass can be placed: contextual
-    cover = (("a", "b"),)
-    system = system_type({"a": ("0", "1"), "b": ("0", "1")}, cover)
-    tables = {("a", "b"): {("0", "0"): H, ("0", "z"): H}}
-    theory = EmpiricalTheory(
-        system=system, states={"p": _pair_state("p", cover, tables)}
-    )
-    verdict = check_contextuality(theory)
-    assert verdict.contextual
-    assert verify_certificate(verdict.system, verdict.certificate)
-
-
-def test_context_repeating_a_label_is_left_to_the_lp():
-    # no assignment restricts to ('0', '1') on (a, a), so that half of the
-    # table cannot be placed: contextual, as the LP decides
-    system = SystemType(
-        labels=("a", "b"),
-        outcomes=(OutcomeSet(("0", "1")),) * 2,
-        cover=(("a", "a"), ("b",)),
-    )
-    tables = {("a", "a"): {("0", "0"): H, ("0", "1"): H}, ("b",): {("0",): ONE}}
-    theory = EmpiricalTheory(
-        system=system, states={"s": _pair_state("s", system.cover, tables)}
-    )
-    verdict = check_contextuality(theory)
-    assert verdict.contextual
-    assert verify_certificate(verdict.system, verdict.certificate)
