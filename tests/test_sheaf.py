@@ -532,7 +532,7 @@ def _malformed_theories():
 
 @pytest.mark.parametrize("mode", ["probabilistic", "possibilistic"])
 @pytest.mark.parametrize("theory, problem", _malformed_theories())
-def test_malformed_theories_are_rejected_before_any_decision(
+def test_malformed_theory_is_rejected_first(
     theory, problem, mode, monkeypatch
 ):
     def unreachable(*args):
