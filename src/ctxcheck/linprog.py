@@ -13,7 +13,9 @@ integer rows in the same pass as its named rows, and the system it returns
 carries them to the solver (``_built_system``); a system built any other way
 is converted here (``_integer_rows``).  Either way the verdict is checked
 against the named rows.  A light presolve (forced-zero variable elimination
-plus connected-component splitting) keeps the tableaus small.
+plus connected-component splitting) keeps the tableaus small; a built system
+also carries presolve's first sweep, its zero-weight marginal rows, so
+presolve starts from the columns those rows leave.
 Each block's tableau is fraction-free (Edmonds): a row is a list of Python
 ints, kept only up to a positive scale and divided by its content after
 every pivot.  An update whose pivot-row multiplier is 1 subtracts a multiple
@@ -27,12 +29,13 @@ No ``Fraction`` is used between the input rows and the returned point and
 multipliers.
 
 Certificates found on the reduced system are patched back so they verify
-against the original rows: the patch walks only the columns presolve
-eliminated, each over its rows in presolve's column index.  Both verdicts
-are checked over Python ints: a certificate by combining its rows with one
-common denominator (``_combine``), a point by putting it over one common
-denominator and summing each row only over the point's nonzero entries
-(``verify_point``), so signs and equalities are read from integers.
+against the original rows: the patch sums every column's combined
+coefficient once over the rows that carry a multiplier, then walks the
+columns presolve eliminated and adds each patch row to those sums.  Both
+verdicts are checked over Python ints: a certificate by combining its rows
+with one common denominator (``_combine``), a point by putting it over one
+common denominator and summing each row only over the point's nonzero
+entries (``verify_point``), so signs and equalities are read from integers.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import filterfalse, repeat
 from math import gcd, lcm
 from operator import itemgetter, mul
 
@@ -127,7 +131,10 @@ class _IntegerRows:
     ``coeffs[r]`` maps column index to every nonzero integer coefficient,
     stored zeros dropped so row supports stay exact, and ``rhs[r]`` is the
     integer rhs.  ``variables`` and ``constraints`` are the tuples the rows
-    were made from.
+    were made from.  ``sweep`` is the first pass of ``_presolve`` when the
+    builder has made it: zero-rhs rows of one sign, in row order, each with
+    its columns, ascending.  None, as for a converted system, means presolve
+    makes every pass itself.
     """
 
     variables: tuple[str, ...]
@@ -135,6 +142,7 @@ class _IntegerRows:
     coeffs: list[dict[int, int]]
     rhs: list[int]
     scales: list[int]
+    sweep: list[tuple[int, list[int]]] | None = None
 
 
 def _integer_rows(system: LinearSystem) -> _IntegerRows:
@@ -165,12 +173,14 @@ def _integer_rows(system: LinearSystem) -> _IntegerRows:
 def _built_system(
     variables: tuple[str, ...],
     rows: list[tuple[LinearConstraint, dict[int, int], int, int]],
+    sweep: list[tuple[int, list[int]]] | None,
 ) -> LinearSystem:
     """A system that carries the integer rows its builder made with it.
 
     ``rows`` holds one (constraint, coefficients, rhs, scale) per row, the
     last three what ``_integer_rows`` makes of the constraint with column
-    indices into ``variables``.
+    indices into ``variables``.  ``sweep`` is presolve's first pass over
+    them, or None (``_IntegerRows``).
     """
     constraints = tuple(row[0] for row in rows)
     system = LinearSystem(variables=variables, constraints=constraints)
@@ -180,6 +190,7 @@ def _built_system(
         [row[1] for row in rows],
         [row[2] for row in rows],
         [row[3] for row in rows],
+        sweep,
     )
     return system
 
@@ -328,42 +339,75 @@ def verify_point(system: LinearSystem, point: dict[str, Fraction]) -> bool:
 # ---------------------------------------------------------------------------
 
 def _presolve(
-    coeffs: list[dict[int, int]], rhs: list[int], n: int
-) -> tuple[
-    list[tuple[list[int], list[int]]], list[tuple[int, int]], list[set[int]], int | None
-]:
+    coeffs: list[dict[int, int]],
+    rhs: list[int],
+    n: int,
+    sweep: list[tuple[int, list[int]]] | None = None,
+) -> tuple[list[tuple[list[int], list[int]]], list[tuple[int, int]], int | None]:
     """Iteratively eliminate forced-zero variables, then split what is left.
 
     ``coeffs`` holds one sparse integer row per constraint (column index ->
     nonzero coefficient) over ``n`` columns.  A zero-rhs row whose active
     coefficients all share one sign forces its variables to zero.  Returns
-    (blocks, eliminations, column index, contradiction row index or None).
-    The blocks are the independent (rows, columns) parts of the active
-    system, each list sorted, in the order of their first row.  An
-    elimination is a (column, row) pair, in order: the column was forced to
-    zero by the row.  The column index maps each column to every row with a
-    nonzero coefficient on it.  A contradiction row has no active
-    coefficients left but nonzero rhs; the blocks are then empty.
+    (blocks, eliminations, contradiction row index or None).  The blocks are
+    the independent (rows, columns) parts of the active system, each list
+    sorted, in the order of their first row.  An elimination is a (column,
+    row) pair, in order: the column was forced to zero by the row.  A
+    contradiction row has no active coefficients left but nonzero rhs; the
+    blocks are then empty.
+
+    Without ``sweep``, every row starts in the queue, in row order.  With
+    one, the caller has made the queue's first pass over a prefix of the
+    rows: ``sweep`` lists the prefix's zero-rhs rows in row order, each with
+    its columns (ascending) and all of one sign, and every other row of the
+    prefix has nonzero rhs.  Each sweep row forces to zero the columns no
+    earlier one forced.  The sweep rows retire at once, every other row
+    loses the forced columns by one set difference, the column index holds
+    only the columns left, and the queue runs over the other rows.  The
+    result is the one without ``sweep``: the full queue's first pass makes
+    the same eliminations, its pops of nonzero-rhs rows change nothing
+    while each keeps a column, and it pops the rows after the prefix in the
+    same order.  When a row is left with no column but nonzero rhs, the
+    full queue may stop at another such row, so presolve runs again without
+    ``sweep``.
     """
     m = len(coeffs)
-    # the active columns of each active row; a row that leaves ``active``
-    # keeps only eliminated columns
-    support: list[set[int]] = [set(row) for row in coeffs]
-    var_rows: list[set[int]] = [set() for _ in range(n)]
-    for r in range(m):
+    eliminated: list[tuple[int, int]] = []
+    # the active columns of each active row (a row that leaves ``active``
+    # keeps only eliminated columns), and the rows of each active column
+    support: list[set[int]] | dict[int, set[int]]
+    var_rows: list[set[int]] | dict[int, set[int]]
+    if sweep is None:
+        rows: range | list[int] = range(m)
+        support = [set(row) for row in coeffs]
+        var_rows = [set() for _ in range(n)]
+    else:
+        dead: set[int] = set()
+        swept: set[int] = set()
+        for r, cols in sweep:
+            if not dead.isdisjoint(cols):
+                cols = list(filterfalse(dead.__contains__, cols))
+            eliminated.extend(zip(cols, repeat(r)))
+            dead.update(cols)
+            swept.add(r)
+        rows = [r for r in range(m) if r not in swept]
+        support = {r: set(coeffs[r]).difference(dead) for r in rows}
+        var_rows = {j: set() for j in set().union(*support.values())}
+    for r in rows:
         for j in support[r]:
             var_rows[j].add(r)
-    active = set(range(m))
-    eliminated: list[tuple[int, int]] = []
-    queue = deque(range(m))
-    queued = set(range(m))
+    active = set(rows)
+    queue = deque(rows)
+    queued = set(rows)
     while queue:
         r = queue.popleft()
         queued.discard(r)
         nz = support[r]
         if not nz:
             if rhs[r] != 0:
-                return [], eliminated, var_rows, r
+                if sweep is not None:
+                    return _presolve(coeffs, rhs, n)
+                return [], eliminated, r
             active.discard(r)
             continue
         if rhs[r] != 0:
@@ -388,16 +432,16 @@ def _presolve(
         if start not in active:
             continue
         active.discard(start)
-        rows, cols, stack = [start], set(), [start]
+        block, cols, stack = [start], set(), [start]
         while stack:
             for j in support[stack.pop()] - cols:
                 cols.add(j)
                 for r in var_rows[j] & active:
                     active.discard(r)
-                    rows.append(r)
+                    block.append(r)
                     stack.append(r)
-        blocks.append((sorted(rows), sorted(cols)))
-    return blocks, eliminated, var_rows, None
+        blocks.append((sorted(block), sorted(cols)))
+    return blocks, eliminated, None
 
 
 def _simplex_phase1(
@@ -591,14 +635,14 @@ def _patch_certificate(
     scales: list[int],
     multipliers: dict[int, int],
     eliminated: list[tuple[int, int]],
-    var_rows: list[set[int]],
 ) -> dict[int, int]:
     """Extend block multipliers so eliminated columns also combine >= 0.
 
     Processed in reverse elimination order: each patch row is nonnegative on
     every column still active when its variable was eliminated, so later
-    (already patched) columns only increase.  Each column is combined over
-    its rows in ``_presolve``'s column index ``var_rows``.
+    (already patched) columns only increase.  The combined coefficient of
+    every column is summed once over the rows that carry a multiplier, and
+    each patch step adds its row, times the step, to those sums.
 
     Multipliers on the rational rows come in, and go out, up to one positive
     scale; the patch commutes with positive scaling.  In between they are
@@ -608,24 +652,29 @@ def _patch_certificate(
     """
     common = lcm(*(scales[r] for r in multipliers))
     z = {r: y * (common // scales[r]) for r, y in multipliers.items()}
+    # sum_r z[r] * coeffs[r][j] for every column j some row of z holds
+    combined: dict[int, int] = {}
+    for r, zr in z.items():
+        for j, a in coeffs[r].items():
+            combined[j] = combined.get(j, 0) + zr * a
     for j, row in reversed(eliminated):
-        combined = 0
-        for r in var_rows[j]:
-            zr = z.get(r)
-            if zr is not None:
-                combined += zr * coeffs[r][j]
-        if combined < 0:
-            # z[row] -= combined / q brings the column to exactly zero
+        c = combined.get(j, 0)
+        if c < 0:
+            # z[row] -= c / q brings the column to exactly zero
             q = coeffs[row][j]
-            f = abs(q) // gcd(combined, q)
+            f = abs(q) // gcd(c, q)
             if f > 1:
                 z = {r: v * f for r, v in z.items()}
-                combined *= f
-            zr = z.get(row, 0) - combined // q
+                combined = {k: v * f for k, v in combined.items()}
+                c *= f
+            step = -(c // q)
+            zr = z.get(row, 0) + step
             if zr:
                 z[row] = zr
             else:
                 del z[row]
+            for k, a in coeffs[row].items():
+                combined[k] = combined.get(k, 0) + step * a
     return {r: v * scales[r] for r, v in z.items()}
 
 
@@ -656,10 +705,10 @@ def solve_feasibility(system: LinearSystem) -> Feasible | Infeasible:
         integer = _integer_rows(system)
     varnames = system.variables
     coeffs, rhs, scales = integer.coeffs, integer.rhs, integer.scales
-    blocks, eliminated, var_rows, bad_row = _presolve(coeffs, rhs, len(varnames))
+    blocks, eliminated, bad_row = _presolve(coeffs, rhs, len(varnames), integer.sweep)
 
     def finish_infeasible(block_dual: dict[int, int]) -> Infeasible:
-        full = _patch_certificate(coeffs, scales, block_dual, eliminated, var_rows)
+        full = _patch_certificate(coeffs, scales, block_dual, eliminated)
         scale = max(abs(v) for v in full.values())
         named = {
             system.constraints[r].name: Fraction(v, scale) for r, v in full.items()

@@ -140,16 +140,22 @@ def validate_system_type(system: SystemType) -> list[str]:
         for m in ctx:
             if m not in label_set:
                 violations.append(f"context {ctx} uses unknown label {m!r}")
-        if list(ctx) != sorted(set(ctx), key=lambda m: system.labels.index(m) if m in label_set else -1):
+        if len(set(ctx)) < len(ctx):
+            repeat = next(m for i, m in enumerate(ctx) if m in ctx[:i])
+            violations.append(f"context {ctx} repeats label {repeat!r}")
+        elif list(ctx) != sorted(
+            ctx, key=lambda m: system.label_position(m) if m in label_set else -1
+        ):
             violations.append(f"context {ctx} not in global label order")
     covered = {m for ctx in system.cover for m in ctx}
     for m in system.labels:
         if m not in covered:
             violations.append(f"label {m!r} not covered by any context")
-    for i, ctx in enumerate(system.cover):
-        for j, other in enumerate(system.cover):
-            if i != j and set(ctx) <= set(other):
-                if set(ctx) == set(other):
+    sets = [set(ctx) for ctx in system.cover]
+    for i, (ctx, labels) in enumerate(zip(system.cover, sets)):
+        for j, (other, other_labels) in enumerate(zip(system.cover, sets)):
+            if i != j and labels <= other_labels:
+                if labels == other_labels:
                     if i < j:
                         violations.append(f"duplicate context {ctx}")
                 else:
@@ -301,6 +307,7 @@ def validate_theory(theory: EmpiricalTheory) -> list[str]:
     """Structural validation of a theory; returns a list of violations."""
     violations = list(validate_system_type(theory.system))
     system = theory.system
+    label_outcomes = {m: set(o.labels) for m, o in zip(system.labels, system.outcomes)}
     for name, state in theory.states.items():
         if name != state.name:
             violations.append(f"state stored under {name!r} is named {state.name!r}")
@@ -316,7 +323,14 @@ def validate_theory(theory: EmpiricalTheory) -> list[str]:
                     f"state {name!r}: table domain {dist.domain} != context {ctx}"
                 )
                 continue
-            outcome_sets = [system.outcomes_of(m).labels for m in ctx]
+            try:
+                outcome_sets = [label_outcomes[m] for m in ctx]
+            except KeyError as exc:
+                raise ModelError(f"unknown measurement label {exc.args[0]!r}") from None
+            # each label's outcomes against its set; only a table with an
+            # outcome outside it is sorted, to report them in a fixed order
+            if all(map(set.issuperset, outcome_sets, zip(*dist.weights))):
+                continue
             for values in dist.support():
                 for v, allowed in zip(values, outcome_sets):
                     if v not in allowed:

@@ -127,7 +127,12 @@ def global_section_system(theory: EmpiricalTheory) -> LinearSystem:
     Each row is made twice in one pass: named, over ``Fraction``s, and as
     the solver's integer row over column indices (state ``k``'s assignment
     ``i`` is column ``k * len(assignments) + i``), which the returned system
-    carries to ``solve_feasibility``.
+    carries to ``solve_feasibility``.  The same pass records presolve's
+    first sweep: each zero-weight marginal row, in row order, with the
+    columns of its group, which it forces to zero.  When every column of a
+    nonzero marginal row is forced, presolve's own first pass stops
+    part-way at a contradiction, so no sweep is handed over; nor is an
+    empty one.
     """
     system = theory.system
     state_names = tuple(theory.states)
@@ -135,8 +140,12 @@ def global_section_system(theory: EmpiricalTheory) -> LinearSystem:
     names = {s: [variable_name(s, g) for g in assignments] for s in state_names}
     offsets = {s: k * len(assignments) for k, s in enumerate(state_names)}
     variables = tuple(v for s in state_names for v in names[s])
-    marginals = [(ctx, _context_groups(system, ctx)) for ctx in system.cover]
+    marginals = [
+        (ctx, ",".join(ctx), _context_groups(system, ctx)) for ctx in system.cover
+    ]
     rows: list[tuple[LinearConstraint, dict[int, int], int, int]] = []
+    sweep: list[tuple[int, list[int]]] = []
+    stopped = False  # whether a nonzero marginal row is left with no column
     for s in state_names:
         state_vars = names[s]
         offset = offsets[s]
@@ -151,28 +160,38 @@ def global_section_system(theory: EmpiricalTheory) -> LinearSystem:
             )
         )
         state = theory.state(s)
-        for ctx, groups in marginals:
-            dist = state.distribution(ctx)
+        killed: set[int] = set()  # the columns of its zero marginal rows
+        held: list[list[int]] = []  # the columns of each nonzero one
+        for ctx, ctx_name, groups in marginals:
+            weights = state.distribution(ctx).weights
             for t, group in zip(context_outcome_tuples(system, ctx), groups):
-                w = dist.weight(t)
+                w = weights.get(t, ZERO)
+                num, den = w.numerator, w.denominator
+                cols = [offset + i for i in group]
+                if num:
+                    held.append(cols)
+                else:
+                    killed.update(cols)
+                    sweep.append((len(rows), cols))
                 # coefficients 1, so the row scale is the rhs denominator
                 rows.append(
                     (
                         LinearConstraint(
-                            name=f"marg[{s};{','.join(ctx)};{','.join(t)}]",
+                            name=f"marg[{s};{ctx_name};{','.join(t)}]",
                             coeffs={state_vars[i]: ONE for i in group},
                             rhs=w,
                         ),
-                        dict.fromkeys([offset + i for i in group], w.denominator),
-                        w.numerator,
-                        w.denominator,
+                        dict.fromkeys(cols, den),
+                        num,
+                        den,
                     )
                 )
+        stopped = stopped or any(map(killed.issuperset, held))
     for index, decl in enumerate(theory.convex):
         rows.extend(
             _declaration_rows(theory, decl, index, assignments, names, offsets)
         )
-    return _built_system(variables, rows)
+    return _built_system(variables, rows, sweep if sweep and not stopped else None)
 
 
 def _context_groups(system: SystemType, ctx: Context) -> list[list[int]]:

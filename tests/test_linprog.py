@@ -3,7 +3,9 @@
 import hashlib
 import itertools
 import random
+from collections import deque
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,6 +17,7 @@ from ctxcheck.generate import (
     random_sections,
     theory_from_sections,
 )
+from ctxcheck import linprog
 from ctxcheck.linprog import (
     FarkasCertificate,
     Feasible,
@@ -23,6 +26,8 @@ from ctxcheck.linprog import (
     LinearSystem,
     LinearSystemError,
     _integer_rows,
+    _patch_certificate,
+    _presolve,
     _simplex_phase1,
     certificate_margin,
     is_robust,
@@ -936,3 +941,226 @@ def test_phase1_matches_dense_bland_reference(system):
     scale = Fraction(dual[next(iter(dual))]) / expected_dual[next(iter(dual))]
     assert scale > 0
     assert all(dual[k] == scale * y for k, y in expected_dual.items())
+
+
+# ---------------------------------------------------------------------------
+# Presolve and certificate patch against their full-queue references
+# ---------------------------------------------------------------------------
+
+
+def _reference_presolve(coeffs, rhs, n):
+    """Presolve from every row, over a column index of every column.
+
+    (blocks, eliminations, column index, contradiction row or None); the
+    column index maps each column to every row with a nonzero on it.
+    """
+    m = len(coeffs)
+    support = [set(row) for row in coeffs]
+    var_rows = [set() for _ in range(n)]
+    for r in range(m):
+        for j in support[r]:
+            var_rows[j].add(r)
+    active = set(range(m))
+    eliminated = []
+    queue = deque(range(m))
+    queued = set(range(m))
+    while queue:
+        r = queue.popleft()
+        queued.discard(r)
+        nz = support[r]
+        if not nz:
+            if rhs[r] != 0:
+                return [], eliminated, var_rows, r
+            active.discard(r)
+            continue
+        if rhs[r] != 0:
+            continue
+        row = coeffs[r]
+        if not (all(row[j] > 0 for j in nz) or all(row[j] < 0 for j in nz)):
+            continue
+        active.discard(r)
+        for j in sorted(nz):
+            eliminated.append((j, r))
+            for r2 in var_rows[j]:
+                if r2 in active:
+                    support[r2].discard(j)
+                    if r2 not in queued:
+                        queue.append(r2)
+                        queued.add(r2)
+    blocks = []
+    for start in sorted(active):
+        if start not in active:
+            continue
+        active.discard(start)
+        rows, cols, stack = [start], set(), [start]
+        while stack:
+            for j in support[stack.pop()] - cols:
+                cols.add(j)
+                for r in var_rows[j] & active:
+                    active.discard(r)
+                    rows.append(r)
+                    stack.append(r)
+        blocks.append((sorted(rows), sorted(cols)))
+    return blocks, eliminated, var_rows, None
+
+
+def _reference_patch_certificate(coeffs, scales, multipliers, eliminated, var_rows):
+    """The certificate patch, each column combined over its rows in ``var_rows``."""
+    common = lcm(*(scales[r] for r in multipliers))
+    z = {r: y * (common // scales[r]) for r, y in multipliers.items()}
+    for j, row in reversed(eliminated):
+        combined = 0
+        for r in var_rows[j]:
+            zr = z.get(r)
+            if zr is not None:
+                combined += zr * coeffs[r][j]
+        if combined < 0:
+            q = coeffs[row][j]
+            f = abs(q) // gcd(combined, q)
+            if f > 1:
+                z = {r: v * f for r, v in z.items()}
+                combined *= f
+            zr = z.get(row, 0) - combined // q
+            if zr:
+                z[row] = zr
+            else:
+                del z[row]
+    return {r: v * scales[r] for r, v in z.items()}
+
+
+def _block_dual(coeffs, rhs, scales, blocks, bad_row):
+    """The multipliers ``solve_feasibility`` patches, or None if feasible."""
+    if bad_row is not None:
+        return {bad_row: -1 if rhs[bad_row] > 0 else 1}
+    for rows, cols in blocks:
+        _, dual = _simplex_phase1(coeffs, rhs, scales, rows, cols)
+        if dual is not None:
+            return dual
+    return None
+
+
+def _assert_presolve_and_patch_match_reference(coeffs, rhs, scales, sweep, n):
+    blocks, eliminated, bad_row = _presolve(coeffs, rhs, n, sweep)
+    expected_blocks, expected_eliminated, var_rows, expected_bad_row = (
+        _reference_presolve(coeffs, rhs, n)
+    )
+    assert blocks == expected_blocks
+    assert eliminated == expected_eliminated
+    assert bad_row == expected_bad_row
+    dual = _block_dual(coeffs, rhs, scales, blocks, bad_row)
+    if dual is not None:
+        patched = _patch_certificate(coeffs, scales, dual, eliminated)
+        expected = _reference_patch_certificate(
+            coeffs, scales, dual, eliminated, var_rows
+        )
+        assert list(patched.items()) == list(expected.items())
+
+
+def _differential_theories():
+    yield from _golden_theories()
+    yield from _ring_theories()
+    yield _vanishing_declaration_theory()
+    # no digest pins these
+    for seed in range(40, 140):
+        yield random_instance(random.Random(seed))
+        yield random_frustrated_cycle(random.Random(seed))
+
+
+def test_handed_sweep_presolve_and_row_wise_patch_match_reference():
+    # the build hands presolve its first sweep (zero marginal rows); from
+    # there presolve must reach the blocks, eliminations (in order) and
+    # contradiction row of the full queue, and the row-wise patch must give
+    # the column-wise patch's multipliers in dict order
+    handed = 0
+    for theory in _differential_theories():
+        lp = global_section_system(theory)
+        integer = lp._integer
+        handed += bool(integer.sweep)
+        _assert_presolve_and_patch_match_reference(
+            integer.coeffs,
+            integer.rhs,
+            integer.scales,
+            integer.sweep,
+            len(lp.variables),
+        )
+    assert handed > 100
+
+
+def test_declared_spekkens_scenarios_hand_their_sweep():
+    # every zero-weight marginal row, in row order, with all its columns
+    for name in ("spekkens-preparation", "spekkens-unsharp"):
+        lp = global_section_system(builtin_example(name).theory)
+        integer = lp._integer
+        zero = [
+            r
+            for r, c in enumerate(lp.constraints)
+            if c.name.startswith("marg[") and c.rhs == 0
+        ]
+        assert zero and [r for r, _ in integer.sweep] == zero
+        assert all(cols == sorted(integer.coeffs[r]) for r, cols in integer.sweep)
+
+
+@pytest.mark.parametrize(
+    "theory, row",
+    [
+        pytest.param(builtin_example("mermin").theory, 25, id="mermin"),
+        pytest.param(builtin_example("specker-triangle").theory, 10, id="specker"),
+        pytest.param(random_instance(random.Random(1)), 20, id="random-instance-1"),
+    ],
+)
+def test_sweep_stopped_by_a_contradiction_is_left_to_presolve(theory, row, monkeypatch):
+    # a nonzero marginal row whose every column a zero row forces to 0 stops
+    # the full queue's first pass part-way, at that row; the whole sweep
+    # would eliminate more, so the build hands none, and one presolve finds
+    # the row
+    lp = global_section_system(theory)
+    integer = lp._integer
+    assert integer.sweep is None
+    _assert_presolve_and_patch_match_reference(
+        integer.coeffs, integer.rhs, integer.scales, None, len(lp.variables)
+    )
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _presolve(*args)
+
+    monkeypatch.setattr(linprog, "_presolve", counted)
+    result = solve_feasibility(lp)
+    assert isinstance(result, Infeasible)
+    assert len(calls) == 1 and _presolve(*calls[0])[2] == row
+
+
+@st.composite
+def _swept_systems(draw):
+    """Integer rows, and a sweep of them: (coeffs, rhs, sweep, columns).
+
+    The first rows mix zero-rhs rows of one sign, which make the sweep,
+    with nonzero-rhs rows; the rows after them are drawn freely, so the
+    queue still eliminates after the sweep, and contradictions show up
+    during the sweep and after it.
+    """
+    n = draw(st.integers(1, 8))
+    nonzero = st.integers(-3, 3).filter(bool)
+    coeffs, rhs, sweep = [], [], []
+    for _ in range(draw(st.integers(0, 6))):
+        cols = draw(st.lists(st.integers(0, n - 1), unique=True))
+        if draw(st.booleans()):
+            sign = draw(st.sampled_from([1, -1]))
+            coeffs.append({j: sign * draw(st.integers(1, 3)) for j in cols})
+            rhs.append(0)
+            sweep.append((len(coeffs) - 1, sorted(cols)))
+        else:
+            coeffs.append({j: draw(nonzero) for j in cols})
+            rhs.append(draw(nonzero))
+    for _ in range(draw(st.integers(0, 6))):
+        cols = draw(st.lists(st.integers(0, n - 1), unique=True))
+        coeffs.append({j: draw(nonzero) for j in cols})
+        rhs.append(draw(st.integers(-2, 2)))
+    return coeffs, rhs, sweep, n
+
+
+@given(_swept_systems())
+def test_any_handed_sweep_presolves_like_the_full_queue(case):
+    coeffs, rhs, sweep, n = case
+    _assert_presolve_and_patch_match_reference(coeffs, rhs, [1] * len(coeffs), sweep, n)

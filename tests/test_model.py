@@ -15,6 +15,7 @@ from ctxcheck.model import (
     RationalDistribution,
     Section,
     State,
+    SystemType,
     elementary_measurement,
     format_rational,
     parse_rational,
@@ -60,6 +61,25 @@ def test_validate_system_type_flags_cover_problems():
     assert any("not covered" in v for v in validate_system_type(uncovered))
 
 
+def test_validate_system_type_names_a_repeated_label():
+    # a repeat is reported as such, and the order check runs only on
+    # contexts without one
+    outcomes = (OutcomeSet(("0", "1")),) * 3
+    repeated = SystemType(
+        labels=("a", "b", "c"), outcomes=outcomes, cover=(("a", "a"), ("c", "b", "b"))
+    )
+    assert validate_system_type(repeated) == [
+        "context ('a', 'a') repeats label 'a'",
+        "context ('c', 'b', 'b') repeats label 'b'",
+    ]
+    unordered = SystemType(
+        labels=("a", "b", "c"), outcomes=outcomes, cover=(("a",), ("c", "b"))
+    )
+    assert validate_system_type(unordered) == [
+        "context ('c', 'b') not in global label order"
+    ]
+
+
 def test_distribution_normalization_and_zero_cleanup():
     dist = RationalDistribution(
         domain=("a",),
@@ -95,6 +115,19 @@ def _uniform_theory():
 
 def test_validate_theory_accepts_uniform():
     assert validate_theory(_uniform_theory()) == []
+
+
+def test_validate_theory_reports_stray_outcomes_in_sorted_table_order():
+    theory = _uniform_theory()
+    q = Fraction(1, 4)
+    weights = {("z", "1"): q, ("0", "0"): q, ("1", "y"): q, ("x", "w"): q}
+    theory.states["s"].table[("a", "b")] = RationalDistribution(
+        domain=("a", "b"), weights=weights
+    )
+    assert validate_theory(theory) == [
+        f"state 's': outcome {v!r} not allowed in context ('a', 'b')"
+        for v in ("y", "x", "w", "z")
+    ]
 
 
 def test_validate_theory_catches_missing_context_table():

@@ -472,7 +472,7 @@ def _malformed_theories():
                     )
                 },
             ),
-            r"context \('a', 'a'\)",
+            r"context \('a', 'a'\) repeats label 'a'$",
             id="repeated-label",
         ),
         pytest.param(
