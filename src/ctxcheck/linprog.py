@@ -13,9 +13,10 @@ integer rows in the same pass as its named rows, and the system it returns
 carries them to the solver (``_built_system``); a system built any other way
 is converted here (``_integer_rows``).  Either way the verdict is checked
 against the named rows.  A light presolve (forced-zero variable elimination
-plus connected-component splitting) keeps the tableaus small; a built system
-also carries presolve's first sweep, its zero-weight marginal rows, so
-presolve starts from the columns those rows leave.
+plus connected-component splitting) keeps the tableaus small.  Its first
+pass, up to the first zero-rhs row of mixed signs, is one scan without a
+column index, so the columns forced there (on a sheaf LP, those of the
+zero-weight marginals) never enter the index.
 Each block's tableau is fraction-free (Edmonds): a row is a list of Python
 ints, kept only up to a positive scale and divided by its content after
 every pivot.  An update whose pivot-row multiplier is 1 subtracts a multiple
@@ -40,10 +41,10 @@ entries (``verify_point``), so signs and equalities are read from integers.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import filterfalse, repeat
+from itertools import repeat
 from math import gcd, lcm
 from operator import itemgetter, mul
 
@@ -131,10 +132,7 @@ class _IntegerRows:
     ``coeffs[r]`` maps column index to every nonzero integer coefficient,
     stored zeros dropped so row supports stay exact, and ``rhs[r]`` is the
     integer rhs.  ``variables`` and ``constraints`` are the tuples the rows
-    were made from.  ``sweep`` is the first pass of ``_presolve`` when the
-    builder has made it: zero-rhs rows of one sign, in row order, each with
-    its columns, ascending.  None, as for a converted system, means presolve
-    makes every pass itself.
+    were made from.
     """
 
     variables: tuple[str, ...]
@@ -142,7 +140,6 @@ class _IntegerRows:
     coeffs: list[dict[int, int]]
     rhs: list[int]
     scales: list[int]
-    sweep: list[tuple[int, list[int]]] | None = None
 
 
 def _integer_rows(system: LinearSystem) -> _IntegerRows:
@@ -173,14 +170,12 @@ def _integer_rows(system: LinearSystem) -> _IntegerRows:
 def _built_system(
     variables: tuple[str, ...],
     rows: list[tuple[LinearConstraint, dict[int, int], int, int]],
-    sweep: list[tuple[int, list[int]]] | None,
 ) -> LinearSystem:
     """A system that carries the integer rows its builder made with it.
 
     ``rows`` holds one (constraint, coefficients, rhs, scale) per row, the
     last three what ``_integer_rows`` makes of the constraint with column
-    indices into ``variables``.  ``sweep`` is presolve's first pass over
-    them, or None (``_IntegerRows``).
+    indices into ``variables``.
     """
     constraints = tuple(row[0] for row in rows)
     system = LinearSystem(variables=variables, constraints=constraints)
@@ -190,7 +185,6 @@ def _built_system(
         [row[1] for row in rows],
         [row[2] for row in rows],
         [row[3] for row in rows],
-        sweep,
     )
     return system
 
@@ -339,60 +333,60 @@ def verify_point(system: LinearSystem, point: dict[str, Fraction]) -> bool:
 # ---------------------------------------------------------------------------
 
 def _presolve(
-    coeffs: list[dict[int, int]],
-    rhs: list[int],
-    n: int,
-    sweep: list[tuple[int, list[int]]] | None = None,
+    coeffs: list[dict[int, int]], rhs: list[int], scan: bool = True
 ) -> tuple[list[tuple[list[int], list[int]]], list[tuple[int, int]], int | None]:
     """Iteratively eliminate forced-zero variables, then split what is left.
 
     ``coeffs`` holds one sparse integer row per constraint (column index ->
-    nonzero coefficient) over ``n`` columns.  A zero-rhs row whose active
-    coefficients all share one sign forces its variables to zero.  Returns
-    (blocks, eliminations, contradiction row index or None).  The blocks are
-    the independent (rows, columns) parts of the active system, each list
+    nonzero coefficient).  A zero-rhs row whose active coefficients all
+    share one sign forces its variables to zero.  Returns (blocks,
+    eliminations, contradiction row index or None).  The blocks are the
+    independent (rows, columns) parts of the active system, each list
     sorted, in the order of their first row.  An elimination is a (column,
     row) pair, in order: the column was forced to zero by the row.  A
     contradiction row has no active coefficients left but nonzero rhs; the
     blocks are then empty.
 
-    Without ``sweep``, every row starts in the queue, in row order.  With
-    one, the caller has made the queue's first pass over a prefix of the
-    rows: ``sweep`` lists the prefix's zero-rhs rows in row order, each with
-    its columns (ascending) and all of one sign, and every other row of the
-    prefix has nonzero rhs.  Each sweep row forces to zero the columns no
-    earlier one forced.  The sweep rows retire at once, every other row
-    loses the forced columns by one set difference, the column index holds
-    only the columns left, and the queue runs over the other rows.  The
-    result is the one without ``sweep``: the full queue's first pass makes
-    the same eliminations, its pops of nonzero-rhs rows change nothing
-    while each keeps a column, and it pops the rows after the prefix in the
-    same order.  When a row is left with no column but nonzero rhs, the
-    full queue may stop at another such row, so presolve runs again without
-    ``sweep``.
+    A queue re-examines each row that loses a column, starting with every
+    row in row order.  Its first pass, up to the first zero-rhs row of
+    mixed signs, is made as one scan without a column index: each zero-rhs
+    row forces its live columns to zero, and a nonzero-rhs row with none
+    left is the contradiction the queue stops at.  The rows the scan did not
+    retire go to the queue, which indexes live columns only.  The queue sees
+    the rows that the scan's eliminations reached again in its own order,
+    and that order only decides which contradiction is found first; so a
+    contradiction found after the scan has eliminated a column is looked
+    for again without the scan (``scan=False``).
     """
     m = len(coeffs)
     eliminated: list[tuple[int, int]] = []
+    dead: set[int] = set()  # the columns the scan eliminated
+    held: list[int] = []  # the nonzero-rhs rows it passed
+    start = m if scan else 0  # the first row it leaves to the queue
+    for r in range(start):
+        row = coeffs[r]
+        if rhs[r]:
+            if dead.issuperset(row):
+                return [], eliminated, r
+            held.append(r)
+            continue
+        live = set(row).difference(dead)
+        if live:
+            values = [row[j] for j in live]
+            if min(values) < 0 < max(values):
+                start = r
+                break
+            forced = sorted(live)
+            eliminated.extend(zip(forced, repeat(r)))
+            dead.update(forced)
     # the active columns of each active row (a row that leaves ``active``
-    # keeps only eliminated columns), and the rows of each active column
-    support: list[set[int]] | dict[int, set[int]]
-    var_rows: list[set[int]] | dict[int, set[int]]
-    if sweep is None:
-        rows: range | list[int] = range(m)
-        support = [set(row) for row in coeffs]
-        var_rows = [set() for _ in range(n)]
-    else:
-        dead: set[int] = set()
-        swept: set[int] = set()
-        for r, cols in sweep:
-            if not dead.isdisjoint(cols):
-                cols = list(filterfalse(dead.__contains__, cols))
-            eliminated.extend(zip(cols, repeat(r)))
-            dead.update(cols)
-            swept.add(r)
-        rows = [r for r in range(m) if r not in swept]
-        support = {r: set(coeffs[r]).difference(dead) for r in rows}
-        var_rows = {j: set() for j in set().union(*support.values())}
+    # keeps only eliminated columns), and the rows of each active column,
+    # added in row order as if every row had been indexed
+    rows = held + list(range(start, m))
+    support = {
+        r: set(coeffs[r]).difference(dead) if dead else set(coeffs[r]) for r in rows
+    }
+    var_rows: defaultdict[int, set[int]] = defaultdict(set)
     for r in rows:
         for j in support[r]:
             var_rows[j].add(r)
@@ -405,8 +399,8 @@ def _presolve(
         nz = support[r]
         if not nz:
             if rhs[r] != 0:
-                if sweep is not None:
-                    return _presolve(coeffs, rhs, n)
+                if dead:
+                    return _presolve(coeffs, rhs, scan=False)
                 return [], eliminated, r
             active.discard(r)
             continue
@@ -705,7 +699,7 @@ def solve_feasibility(system: LinearSystem) -> Feasible | Infeasible:
         integer = _integer_rows(system)
     varnames = system.variables
     coeffs, rhs, scales = integer.coeffs, integer.rhs, integer.scales
-    blocks, eliminated, bad_row = _presolve(coeffs, rhs, len(varnames), integer.sweep)
+    blocks, eliminated, bad_row = _presolve(coeffs, rhs)
 
     def finish_infeasible(block_dual: dict[int, int]) -> Infeasible:
         full = _patch_certificate(coeffs, scales, block_dual, eliminated)

@@ -323,10 +323,11 @@ def validate_theory(theory: EmpiricalTheory) -> list[str]:
                     f"state {name!r}: table domain {dist.domain} != context {ctx}"
                 )
                 continue
-            try:
-                outcome_sets = [label_outcomes[m] for m in ctx]
-            except KeyError as exc:
-                raise ModelError(f"unknown measurement label {exc.args[0]!r}") from None
+            # a label outside the system raises in ``outcomes_of``
+            outcome_sets = [
+                label_outcomes.get(m) or set(system.outcomes_of(m).labels)
+                for m in ctx
+            ]
             # each label's outcomes against its set; only a table with an
             # outcome outside it is sorted, to report them in a fixed order
             if all(map(set.issuperset, outcome_sets, zip(*dist.weights))):

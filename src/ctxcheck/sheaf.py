@@ -127,12 +127,7 @@ def global_section_system(theory: EmpiricalTheory) -> LinearSystem:
     Each row is made twice in one pass: named, over ``Fraction``s, and as
     the solver's integer row over column indices (state ``k``'s assignment
     ``i`` is column ``k * len(assignments) + i``), which the returned system
-    carries to ``solve_feasibility``.  The same pass records presolve's
-    first sweep: each zero-weight marginal row, in row order, with the
-    columns of its group, which it forces to zero.  When every column of a
-    nonzero marginal row is forced, presolve's own first pass stops
-    part-way at a contradiction, so no sweep is handed over; nor is an
-    empty one.
+    carries to ``solve_feasibility``.
     """
     system = theory.system
     state_names = tuple(theory.states)
@@ -140,12 +135,8 @@ def global_section_system(theory: EmpiricalTheory) -> LinearSystem:
     names = {s: [variable_name(s, g) for g in assignments] for s in state_names}
     offsets = {s: k * len(assignments) for k, s in enumerate(state_names)}
     variables = tuple(v for s in state_names for v in names[s])
-    marginals = [
-        (ctx, ",".join(ctx), _context_groups(system, ctx)) for ctx in system.cover
-    ]
+    marginals = [(ctx, _context_groups(system, ctx)) for ctx in system.cover]
     rows: list[tuple[LinearConstraint, dict[int, int], int, int]] = []
-    sweep: list[tuple[int, list[int]]] = []
-    stopped = False  # whether a nonzero marginal row is left with no column
     for s in state_names:
         state_vars = names[s]
         offset = offsets[s]
@@ -160,38 +151,28 @@ def global_section_system(theory: EmpiricalTheory) -> LinearSystem:
             )
         )
         state = theory.state(s)
-        killed: set[int] = set()  # the columns of its zero marginal rows
-        held: list[list[int]] = []  # the columns of each nonzero one
-        for ctx, ctx_name, groups in marginals:
-            weights = state.distribution(ctx).weights
+        for ctx, groups in marginals:
+            dist = state.distribution(ctx)
             for t, group in zip(context_outcome_tuples(system, ctx), groups):
-                w = weights.get(t, ZERO)
-                num, den = w.numerator, w.denominator
-                cols = [offset + i for i in group]
-                if num:
-                    held.append(cols)
-                else:
-                    killed.update(cols)
-                    sweep.append((len(rows), cols))
+                w = dist.weight(t)
                 # coefficients 1, so the row scale is the rhs denominator
                 rows.append(
                     (
                         LinearConstraint(
-                            name=f"marg[{s};{ctx_name};{','.join(t)}]",
+                            name=f"marg[{s};{','.join(ctx)};{','.join(t)}]",
                             coeffs={state_vars[i]: ONE for i in group},
                             rhs=w,
                         ),
-                        dict.fromkeys(cols, den),
-                        num,
-                        den,
+                        dict.fromkeys([offset + i for i in group], w.denominator),
+                        w.numerator,
+                        w.denominator,
                     )
                 )
-        stopped = stopped or any(map(killed.issuperset, held))
     for index, decl in enumerate(theory.convex):
         rows.extend(
             _declaration_rows(theory, decl, index, assignments, names, offsets)
         )
-    return _built_system(variables, rows, sweep if sweep and not stopped else None)
+    return _built_system(variables, rows)
 
 
 def _context_groups(system: SystemType, ctx: Context) -> list[list[int]]:

@@ -8,7 +8,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ctxcheck.generate import (
     random_feasible_theory,
@@ -1039,8 +1039,8 @@ def _block_dual(coeffs, rhs, scales, blocks, bad_row):
     return None
 
 
-def _assert_presolve_and_patch_match_reference(coeffs, rhs, scales, sweep, n):
-    blocks, eliminated, bad_row = _presolve(coeffs, rhs, n, sweep)
+def _assert_presolve_and_patch_match_reference(coeffs, rhs, scales, n):
+    blocks, eliminated, bad_row = _presolve(coeffs, rhs)
     expected_blocks, expected_eliminated, var_rows, expected_bad_row = (
         _reference_presolve(coeffs, rhs, n)
     )
@@ -1054,6 +1054,7 @@ def _assert_presolve_and_patch_match_reference(coeffs, rhs, scales, sweep, n):
             coeffs, scales, dual, eliminated, var_rows
         )
         assert list(patched.items()) == list(expected.items())
+    return eliminated
 
 
 def _differential_theories():
@@ -1066,101 +1067,118 @@ def _differential_theories():
         yield random_frustrated_cycle(random.Random(seed))
 
 
-def test_handed_sweep_presolve_and_row_wise_patch_match_reference():
-    # the build hands presolve its first sweep (zero marginal rows); from
-    # there presolve must reach the blocks, eliminations (in order) and
+def test_scanned_presolve_and_row_wise_patch_match_reference():
+    # presolve makes its first pass as a scan and indexes only the columns
+    # left; it must reach the blocks, eliminations (in order) and
     # contradiction row of the full queue, and the row-wise patch must give
     # the column-wise patch's multipliers in dict order
-    handed = 0
+    eliminating = 0
     for theory in _differential_theories():
         lp = global_section_system(theory)
         integer = lp._integer
-        handed += bool(integer.sweep)
-        _assert_presolve_and_patch_match_reference(
-            integer.coeffs,
-            integer.rhs,
-            integer.scales,
-            integer.sweep,
-            len(lp.variables),
+        eliminating += bool(
+            _assert_presolve_and_patch_match_reference(
+                integer.coeffs, integer.rhs, integer.scales, len(lp.variables)
+            )
         )
-    assert handed > 100
+    assert eliminating > 100
 
 
-def test_declared_spekkens_scenarios_hand_their_sweep():
-    # every zero-weight marginal row, in row order, with all its columns
-    for name in ("spekkens-preparation", "spekkens-unsharp"):
-        lp = global_section_system(builtin_example(name).theory)
-        integer = lp._integer
-        zero = [
-            r
-            for r, c in enumerate(lp.constraints)
-            if c.name.startswith("marg[") and c.rhs == 0
-        ]
-        assert zero and [r for r, _ in integer.sweep] == zero
-        assert all(cols == sorted(integer.coeffs[r]) for r, cols in integer.sweep)
+def _counted_presolve(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("scan", True))
+        return _presolve(*args, **kwargs)
+
+    monkeypatch.setattr(linprog, "_presolve", counted)
+    return calls
 
 
 @pytest.mark.parametrize(
-    "theory, row",
+    "theory, row, scans",
     [
-        pytest.param(builtin_example("mermin").theory, 25, id="mermin"),
-        pytest.param(builtin_example("specker-triangle").theory, 10, id="specker"),
-        pytest.param(random_instance(random.Random(1)), 20, id="random-instance-1"),
+        pytest.param(builtin_example("mermin").theory, 25, [True], id="mermin"),
+        pytest.param(
+            builtin_example("specker-triangle").theory, 10, [True], id="specker"
+        ),
+        pytest.param(
+            random_instance(random.Random(1)), 20, [True, False], id="random-instance-1"
+        ),
     ],
 )
-def test_sweep_stopped_by_a_contradiction_is_left_to_presolve(theory, row, monkeypatch):
-    # a nonzero marginal row whose every column a zero row forces to 0 stops
-    # the full queue's first pass part-way, at that row; the whole sweep
-    # would eliminate more, so the build hands none, and one presolve finds
-    # the row
+def test_presolve_contradictions_by_name(theory, row, scans, monkeypatch):
+    # mermin and specker-triangle each have a nonzero marginal row whose
+    # every column an earlier zero row forces to 0: the full queue's first
+    # pass stops there, and so does the scan, with no second presolve.  In
+    # random_instance(Random(1)) row 20 loses its last column only after its
+    # turn, so presolve runs again without the scan to find it
     lp = global_section_system(theory)
     integer = lp._integer
-    assert integer.sweep is None
     _assert_presolve_and_patch_match_reference(
-        integer.coeffs, integer.rhs, integer.scales, None, len(lp.variables)
+        integer.coeffs, integer.rhs, integer.scales, len(lp.variables)
     )
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return _presolve(*args)
-
-    monkeypatch.setattr(linprog, "_presolve", counted)
+    calls = _counted_presolve(monkeypatch)
     result = solve_feasibility(lp)
     assert isinstance(result, Infeasible)
-    assert len(calls) == 1 and _presolve(*calls[0])[2] == row
+    assert calls == scans
+    assert _presolve(integer.coeffs, integer.rhs)[2] == row
+
+
+def test_contradiction_after_the_scan_is_the_full_queues(monkeypatch):
+    # x0 = 1, x1 = 1, x1 = 0, x0 = 0: the scan forces both columns, which
+    # empties rows 0 and 1 after their turn; the full queue sees row 1
+    # again first (its column went first), so presolve runs again unscanned
+    coeffs = [{0: 1}, {1: 1}, {1: 1}, {0: 1}]
+    rhs = [1, 1, 0, 0]
+    assert _reference_presolve(coeffs, rhs, 2)[3] == 1
+    calls = _counted_presolve(monkeypatch)
+    assert linprog._presolve(coeffs, rhs) == ([], [(1, 2), (0, 3)], 1)
+    assert calls == [True, False]
+
+
+def test_scan_stops_at_a_zero_row_of_mixed_signs():
+    # x0 - x1 = 0 forces nothing until x1 = 0 has forced x1, so x0 goes
+    # second, by row 0 when the queue sees it again
+    coeffs = [{0: 1, 1: -1}, {1: 1}, {0: 1, 2: 1}]
+    rhs = [0, 0, 1]
+    expected = ([([2], [2])], [(1, 1), (0, 0)], None)
+    assert _presolve(coeffs, rhs) == expected
+    blocks, eliminated, _, bad_row = _reference_presolve(coeffs, rhs, 3)
+    assert (blocks, eliminated, bad_row) == expected
 
 
 @st.composite
-def _swept_systems(draw):
-    """Integer rows, and a sweep of them: (coeffs, rhs, sweep, columns).
+def _scanned_systems(draw):
+    """Integer rows whose first rows the scan covers: (coeffs, rhs, columns).
 
-    The first rows mix zero-rhs rows of one sign, which make the sweep,
-    with nonzero-rhs rows; the rows after them are drawn freely, so the
-    queue still eliminates after the sweep, and contradictions show up
-    during the sweep and after it.
+    The first rows mix zero-rhs rows of one sign with nonzero-rhs rows; the
+    rows after them are drawn freely, zero rhs as often as not, so the scan
+    stops at a row of mixed signs, the queue still eliminates after it, and
+    contradictions show up during the scan and after it.
     """
     n = draw(st.integers(1, 8))
     nonzero = st.integers(-3, 3).filter(bool)
-    coeffs, rhs, sweep = [], [], []
+    columns = st.lists(st.integers(0, n - 1), min_size=1, unique=True)
+    coeffs, rhs = [], []
     for _ in range(draw(st.integers(0, 6))):
-        cols = draw(st.lists(st.integers(0, n - 1), unique=True))
+        cols = draw(columns)
         if draw(st.booleans()):
             sign = draw(st.sampled_from([1, -1]))
             coeffs.append({j: sign * draw(st.integers(1, 3)) for j in cols})
             rhs.append(0)
-            sweep.append((len(coeffs) - 1, sorted(cols)))
         else:
             coeffs.append({j: draw(nonzero) for j in cols})
             rhs.append(draw(nonzero))
     for _ in range(draw(st.integers(0, 6))):
-        cols = draw(st.lists(st.integers(0, n - 1), unique=True))
+        cols = draw(columns)
         coeffs.append({j: draw(nonzero) for j in cols})
-        rhs.append(draw(st.integers(-2, 2)))
-    return coeffs, rhs, sweep, n
+        rhs.append(draw(st.sampled_from([0, 0, 0, 1, -1, 2])))
+    return coeffs, rhs, n
 
 
-@given(_swept_systems())
-def test_any_handed_sweep_presolves_like_the_full_queue(case):
-    coeffs, rhs, sweep, n = case
-    _assert_presolve_and_patch_match_reference(coeffs, rhs, [1] * len(coeffs), sweep, n)
+@settings(max_examples=500)
+@given(_scanned_systems())
+def test_any_scanned_presolve_matches_the_full_queue(case):
+    coeffs, rhs, n = case
+    _assert_presolve_and_patch_match_reference(coeffs, rhs, [1] * len(coeffs), n)
