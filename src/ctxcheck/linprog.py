@@ -9,9 +9,10 @@ The solver works on sparse integer-indexed rows of Python ints: each
 constraint becomes one ``{column index: nonzero coefficient}`` dict, the row
 times the lcm of its denominators, and names are used again only for the
 returned point and certificate.  ``sheaf.global_section_system`` makes these
-integer rows in the same pass as its named rows, and the system it returns
-carries them to the solver (``_built_system``); a system built any other way
-is converted here (``_integer_rows``).  Either way the verdict is checked
+integer rows beside its named rows, both copied from a memoized per-scenario
+skeleton with the table weights filled in, and the system it returns carries
+them to the solver (``_built_system``); a system built any other way is
+converted here (``_integer_rows``).  Either way the verdict is checked
 against the named rows.  A light presolve (forced-zero variable elimination
 plus connected-component splitting) keeps the tableaus small.  Its first
 pass, up to the first zero-rhs row of mixed signs, is one scan without a
@@ -683,7 +684,9 @@ def solve_feasibility(system: LinearSystem) -> Feasible | Infeasible:
     A system from ``sheaf.global_section_system`` carries the integer rows
     its build made, and its first solve takes them instead of converting the
     named rows, provided the system still holds the variable and constraint
-    tuples they were made from (a replaced row means a new tuple).  A
+    tuples they were made from (a replaced row means a new tuple).  Those
+    rows are the system's own, copied from the build's memoized skeleton, so
+    the solve and any edit touch no other system's rows.  A
     coefficient dict edited in place after the build escapes that test, so
     the solve may run on stale integer rows; but the verdict is checked
     against the edited named rows, so the solver returns a verdict that holds

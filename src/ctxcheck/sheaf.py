@@ -24,14 +24,28 @@ pushes a distribution forward, and ``_context_groups`` groups the full
 assignments by their restriction, for the LP build and the possibilistic
 check.  ``verify_global_section`` uses ``marginal_weights`` only, so it stays
 an independent re-encoding of the LP.
+
+In the LP ``M d = v``, the tables enter only through the marginal rows'
+right-hand sides ``v`` (Abramsky, Barbosa and Mansfield, PRL 119, 050504
+(2017)).  The rest, its skeleton, depends only on the system type, the state
+names and the declarations: the variables, every row name, column list and
+coefficient, and the normalization and declaration rows whole.
+``_skeleton`` builds it, memoized by value on those three, and
+``_scenario`` the assignments and context groups a system type fixes,
+memoized on it alone, which the possibilistic check and ``extract_sections``
+read too.  Each memo keeps at most ``_MEMO_SIZE`` (8) scenarios and never
+holds an LP, a verdict or a table entry: a build copies every dict it hands
+out, so each LP owns its rows.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from math import gcd, lcm, prod
+from typing import Iterable, Iterator
 
 from ctxcheck.linprog import (
     FarkasCertificate,
@@ -124,55 +138,156 @@ def global_section_system(theory: EmpiricalTheory) -> LinearSystem:
     mixtures bind the aggregated per-label statistics of the underlying
     distribution, using the declared outcome identifications).
 
-    Each row is made twice in one pass: named, over ``Fraction``s, and as
-    the solver's integer row over column indices (state ``k``'s assignment
-    ``i`` is column ``k * len(assignments) + i``), which the returned system
-    carries to ``solve_feasibility``.
+    Each row comes twice: named, over ``Fraction``s, and as the solver's
+    integer row over column indices (state ``k``'s assignment ``i`` is
+    column ``k * len(assignments) + i``), which the returned system carries
+    to ``solve_feasibility``.  Only the marginal rows' right-hand sides read
+    the tables.  Everything else (the variables, every row name and column
+    list, the coefficients, and the normalization and declaration rows
+    whole) depends only on the system type, the state names and the
+    declarations, and comes from ``_skeleton``, memoized on those three.  A
+    build copies every row's dicts from it, so each LP owns its rows.
     """
-    system = theory.system
-    state_names = tuple(theory.states)
-    assignments = list(global_outcome_tuples(system))
-    names = {s: [variable_name(s, g) for g in assignments] for s in state_names}
-    offsets = {s: k * len(assignments) for k, s in enumerate(state_names)}
-    variables = tuple(v for s in state_names for v in names[s])
-    marginals = [(ctx, _context_groups(system, ctx)) for ctx in system.cover]
-    rows: list[tuple[LinearConstraint, dict[int, int], int, int]] = []
-    for s in state_names:
-        state_vars = names[s]
-        offset = offsets[s]
-        rows.append(
-            (
-                LinearConstraint(
-                    name=f"norm[{s}]", coeffs=dict.fromkeys(state_vars, ONE), rhs=ONE
-                ),
-                dict.fromkeys(range(offset, offset + len(state_vars)), 1),
-                1,
-                1,
-            )
-        )
+    skeleton = _skeleton(theory.system, tuple(theory.states), tuple(theory.convex))
+    rows: list[_Row] = []
+    for s, norm, marginals in skeleton.states:
+        rows.extend(_fresh((norm,)))
         state = theory.state(s)
-        for ctx, groups in marginals:
-            dist = state.distribution(ctx)
-            for t, group in zip(context_outcome_tuples(system, ctx), groups):
-                w = dist.weight(t)
+        for ctx, entries in marginals:
+            weights = state.distribution(ctx).weights
+            for t, name, template, columns in entries:
+                w = weights.get(t, ZERO)
                 # coefficients 1, so the row scale is the rhs denominator
                 rows.append(
                     (
-                        LinearConstraint(
-                            name=f"marg[{s};{','.join(ctx)};{','.join(t)}]",
-                            coeffs={state_vars[i]: ONE for i in group},
-                            rhs=w,
-                        ),
-                        dict.fromkeys([offset + i for i in group], w.denominator),
+                        LinearConstraint(name=name, coeffs=template.copy(), rhs=w),
+                        dict.fromkeys(columns, w.denominator),
                         w.numerator,
                         w.denominator,
                     )
                 )
-    for index, decl in enumerate(theory.convex):
-        rows.extend(
-            _declaration_rows(theory, decl, index, assignments, names, offsets)
+    rows.extend(_fresh(skeleton.declarations))
+    return _built_system(skeleton.variables, rows)
+
+
+# One LP row: (named constraint, integer coefficients by column, integer
+# rhs, scale), as ``linprog._built_system`` takes it.
+_Row = tuple[LinearConstraint, dict[int, int], int, int]
+# One marginal row of a skeleton: (outcome tuple, row name, named
+# coefficients, columns); its rhs is the weight the table gives the tuple.
+_Marginal = tuple[tuple[str, ...], str, dict[str, Fraction], tuple[int, ...]]
+
+# Distinct scenarios each memo keeps.  Eight holds the five bundled
+# scenarios, or the five ring sizes of the ``rings`` benchmark workload, with
+# room to spare, while a long-running process that meets ever new scenarios
+# retains at most eight skeletons (the five bundled ones take about 1.3 MB).
+_MEMO_SIZE = 8
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _scenario(system: SystemType) -> tuple[tuple, tuple]:
+    """What a system type alone fixes, memoized by value on it.
+
+    The full assignments, and per context (context, its outcome tuples, the
+    assignment indices restricting to each, as ``_context_groups``).
+    """
+    marginals = tuple(
+        (
+            ctx,
+            tuple(context_outcome_tuples(system, ctx)),
+            tuple(map(tuple, _context_groups(system, ctx))),
         )
-    return _built_system(variables, rows)
+        for ctx in system.cover
+    )
+    return tuple(global_outcome_tuples(system)), marginals
+
+
+@dataclass(frozen=True)
+class _Skeleton:
+    """Everything of a global-section LP that reads no table.
+
+    ``names`` holds each state's variable names by assignment index.
+    ``states`` holds per state its name, its normalization row and per
+    context its marginal rows.  Every dict in it is a template that a build
+    copies and never hands out.
+    """
+
+    variables: tuple[str, ...]
+    names: dict[str, tuple[str, ...]]
+    states: tuple[
+        tuple[str, _Row, tuple[tuple[Context, tuple[_Marginal, ...]], ...]], ...
+    ]
+    declarations: tuple[_Row, ...]
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _skeleton(
+    system: SystemType,
+    state_names: tuple[str, ...],
+    convex: tuple[ConvexDeclaration, ...],
+) -> _Skeleton:
+    """The table-free part of ``global_section_system``, memoized by value.
+
+    A declaration the scenario cannot hold raises ``ModelError`` here, and
+    since a raised call is not memoized, it raises on every build.
+    """
+    assignments, marginals = _scenario(system)
+    size = len(assignments)
+    names = {
+        s: tuple(variable_name(s, g) for g in assignments) for s in state_names
+    }
+    # one int object per column, shared by every row that holds it
+    every_column = tuple(range(len(state_names) * size))
+    columns = {
+        s: every_column[k * size : (k + 1) * size] for k, s in enumerate(state_names)
+    }
+    states = []
+    for s in state_names:
+        state_vars = names[s]
+        state_columns = columns[s]
+        norm = (
+            LinearConstraint(
+                name=f"norm[{s}]", coeffs=dict.fromkeys(state_vars, ONE), rhs=ONE
+            ),
+            dict.fromkeys(state_columns, 1),
+            1,
+            1,
+        )
+        per_context = tuple(
+            (
+                ctx,
+                tuple(
+                    (
+                        t,
+                        f"marg[{s};{','.join(ctx)};{','.join(t)}]",
+                        dict.fromkeys(map(state_vars.__getitem__, group), ONE),
+                        tuple(map(state_columns.__getitem__, group)),
+                    )
+                    for t, group in zip(tuples, groups)
+                ),
+            )
+            for ctx, tuples, groups in marginals
+        )
+        states.append((s, norm, per_context))
+    declarations = tuple(
+        row
+        for index, decl in enumerate(convex)
+        for row in _declaration_rows(system, decl, index, assignments, names, columns)
+    )
+    return _Skeleton(
+        variables=tuple(v for s in state_names for v in names[s]),
+        names=names,
+        states=tuple(states),
+        declarations=declarations,
+    )
+
+
+def _fresh(rows: Iterable[_Row]) -> Iterator[_Row]:
+    """Copies of skeleton rows, each with dicts of its own."""
+    return (
+        (LinearConstraint(c.name, c.coeffs.copy(), c.rhs), integer.copy(), rhs, scale)
+        for c, integer, rhs, scale in rows
+    )
 
 
 def _context_groups(system: SystemType, ctx: Context) -> list[list[int]]:
@@ -199,16 +314,19 @@ def _context_groups(system: SystemType, ctx: Context) -> list[list[int]]:
 
 
 def _declaration_rows(
-    theory: EmpiricalTheory,
+    system: SystemType,
     decl: ConvexDeclaration,
     index: int,
-    assignments: list[tuple[str, ...]],
-    names: dict[str, list[str]],
-    offsets: dict[str, int],
-) -> list[tuple[LinearConstraint, dict[int, int], int, int]]:
-    """The declaration's rows, each named and as an integer row (rhs 0)."""
-    system = theory.system
-    rows: list[tuple[LinearConstraint, dict[int, int], int, int]] = []
+    assignments: tuple[tuple[str, ...], ...],
+    names: dict[str, tuple[str, ...]],
+    columns: dict[str, tuple[int, ...]],
+) -> list[_Row]:
+    """The declaration's rows, each named and as an integer row (rhs 0).
+
+    ``names`` and ``columns`` give each state's variable names and column
+    indices by assignment index.
+    """
+    rows: list[_Row] = []
     if decl.kind == "state":
         needed = {decl.target, *(c.name for c in decl.components)}
         if not needed <= names.keys():
@@ -219,10 +337,10 @@ def _declaration_rows(
         weights = {decl.target: ONE}
         for c in decl.components:
             weights[c.name] = weights.get(c.name, ZERO) - c.coefficient
-        terms = [(names[s], offsets[s], a) for s, a in weights.items() if a != 0]
+        terms = [(names[s], columns[s], a) for s, a in weights.items() if a != 0]
         scale = lcm(*(a.denominator for _, _, a in terms))
         integer = [
-            (offset, a.numerator * (scale // a.denominator)) for _, offset, a in terms
+            (cols, a.numerator * (scale // a.denominator)) for _, cols, a in terms
         ]
         for i, g in enumerate(assignments):
             rows.append(
@@ -232,7 +350,7 @@ def _declaration_rows(
                         coeffs={state_vars[i]: a for state_vars, _, a in terms},
                         rhs=ZERO,
                     ),
-                    {offset + i: n for offset, n in integer},
+                    {cols[i]: n for cols, n in integer},
                     0,
                     scale,
                 )
@@ -274,7 +392,7 @@ def _declaration_rows(
                 )
             )
         for s, state_vars in names.items():
-            offset = offsets[s]
+            state_columns = columns[s]
             for k, fractions, integers, scale in shapes:
                 rows.append(
                     (
@@ -283,7 +401,7 @@ def _declaration_rows(
                             coeffs={state_vars[i]: a for i, a in fractions.items()},
                             rhs=ZERO,
                         ),
-                        {offset + i: n for i, n in integers.items()},
+                        {state_columns[i]: n for i, n in integers.items()},
                         0,
                         scale,
                     )
@@ -481,14 +599,18 @@ def _product_sections(
 def extract_sections(
     theory: EmpiricalTheory, point: dict[str, Fraction]
 ) -> dict[str, RationalDistribution]:
-    """Per-state full-assignment distributions from a solved LP point."""
+    """Per-state full-assignment distributions from a solved LP point.
+
+    The variable names are the LP build's, read from its memoized skeleton.
+    """
     system = theory.system
-    assignments = list(global_outcome_tuples(system))
+    assignments, _ = _scenario(system)
+    names = _skeleton(system, tuple(theory.states), tuple(theory.convex)).names
     sections: dict[str, RationalDistribution] = {}
     for s in theory.states:
         weights = {}
-        for g in assignments:
-            w = point.get(variable_name(s, g), ZERO)
+        for g, v in zip(assignments, names[s]):
+            w = point.get(v, ZERO)
             if w != 0:
                 weights[g] = w
         sections[s] = RationalDistribution(domain=system.labels, weights=weights)
@@ -577,12 +699,7 @@ def verify_global_section(
 
 
 def _check_possibilistic(theory: EmpiricalTheory) -> ContextualityVerdict:
-    system = theory.system
-    assignments = list(global_outcome_tuples(system))
-    marginals = [
-        (ctx, list(context_outcome_tuples(system, ctx)), _context_groups(system, ctx))
-        for ctx in system.cover
-    ]
+    assignments, marginals = _scenario(theory.system)
     boolean: dict[str, tuple[tuple[str, ...], ...]] = {}
     blocked: list[tuple[str, Context, tuple[str, ...]]] = []
     for name, state in theory.states.items():

@@ -599,3 +599,143 @@ def test_join_order_matches_graham_reduction(cover):
             earlier = [c for c, _ in order[:k]]
             assert set(shared) == set(ctx) & {m for c in earlier for m in c}
             assert not shared or any(set(shared) <= set(c) for c in earlier)
+
+
+# --- the memoized LP skeleton ----------------------------------------------
+
+
+def _lp_content(lp):
+    """Everything a build makes, dict order included: variables, named rows
+    and the integer rows it hands the solver."""
+    integer = lp._integer
+    return (
+        lp.variables,
+        [(c.name, list(c.coeffs.items()), c.rhs) for c in lp.constraints],
+        [list(row.items()) for row in integer.coeffs],
+        integer.rhs,
+        integer.scales,
+    )
+
+
+def _cold_build(theory):
+    sheaf._skeleton.cache_clear()
+    sheaf._scenario.cache_clear()
+    return global_section_system(theory)
+
+
+def _skeleton_theories():
+    for name in ("bell", "spekkens-preparation", "spekkens-unsharp"):
+        yield pytest.param(builtin_example(name).theory, id=name)
+    yield pytest.param(_frustrated_ring(random.Random(6), 6), id="frustrated6")
+
+
+@pytest.mark.parametrize("theory", _skeleton_theories())
+def test_build_after_edits_in_place_matches_a_cold_build(theory):
+    expected = _lp_content(_cold_build(theory))
+    lp = global_section_system(theory)
+    assert _lp_content(lp) == expected
+    held = {id(c.coeffs) for c in lp.constraints}
+    held |= {id(row) for row in lp._integer.coeffs}
+    # every dict and list the LP holds, edited in place
+    for c in lp.constraints:
+        for v in c.coeffs:
+            c.coeffs[v] = Fraction(7)
+        c.coeffs["ghost"] = ONE
+    for row in lp._integer.coeffs:
+        for k in row:
+            row[k] = 7
+        row[-1] = 1
+    lp._integer.rhs[:] = [3] * len(lp._integer.rhs)
+    lp._integer.scales[:] = [5] * len(lp._integer.scales)
+    lp.constraints = lp.constraints[1:]
+    again = global_section_system(theory)
+    assert _lp_content(again) == expected
+    assert not held & {id(c.coeffs) for c in again.constraints}
+    assert not held & {id(row) for row in again._integer.coeffs}
+    # a solve consumes an LP's integer rows; the next build is unchanged
+    solve_feasibility(again)
+    assert _lp_content(global_section_system(theory)) == expected
+
+
+def test_equal_system_on_a_distinct_object_reads_its_own_tables():
+    first = _frustrated_ring(random.Random(1), 7)
+    global_section_system(first)
+    system = _ring_system(7)
+    assert system == first.system and system is not first.system
+    other = theory_from_sections(
+        system, random_sections(random.Random(2), system, ("s0",))
+    )
+    misses = sheaf._skeleton.cache_info().misses
+    warm = global_section_system(other)
+    assert sheaf._skeleton.cache_info().misses == misses  # shared by value
+    assert _lp_content(warm) == _lp_content(_cold_build(other))
+    assert [c.rhs for c in warm.constraints] != [
+        c.rhs for c in global_section_system(first).constraints
+    ]
+
+
+def test_states_in_another_order_build_their_own_lp():
+    theory = builtin_example("spekkens-preparation").theory
+    reordered = EmpiricalTheory(
+        system=theory.system,
+        states=dict(reversed(theory.states.items())),
+        convex=theory.convex,
+    )
+    global_section_system(theory)
+    warm = global_section_system(reordered)
+    assert _lp_content(warm) == _lp_content(_cold_build(reordered))
+    assert warm.variables != global_section_system(theory).variables
+
+
+def test_declared_and_undeclared_forms_each_build_their_own_lp():
+    declared = builtin_example("spekkens-unsharp").theory
+    undeclared = without_declarations(declared)
+    expected = [_lp_content(_cold_build(t)) for t in (declared, undeclared)]
+    sheaf._skeleton.cache_clear()
+    for _ in range(2):
+        for theory, want in zip((declared, undeclared), expected):
+            assert _lp_content(global_section_system(theory)) == want
+
+
+def test_convex_given_as_a_list_builds_the_tuple_forms_lp():
+    theory = builtin_example("spekkens-preparation").theory
+    listed = EmpiricalTheory(
+        system=theory.system, states=theory.states, convex=list(theory.convex)
+    )
+    expected = _lp_content(_cold_build(theory))
+    assert _lp_content(global_section_system(listed)) == expected
+    assert _lp_content(_cold_build(listed)) == expected
+
+
+def test_unknown_state_in_a_declaration_raises_on_every_build():
+    theory = builtin_example("spekkens-preparation").theory
+    decl = ConvexDeclaration(
+        kind="state",
+        target=next(iter(theory.states)),
+        components=(ConvexComponent(coefficient=ONE, name="nonesuch"),),
+    )
+    bad = EmpiricalTheory(system=theory.system, states=theory.states, convex=(decl,))
+    for _ in range(3):
+        with pytest.raises(ModelError, match="references states outside the system"):
+            global_section_system(bad)
+
+
+def test_memo_keeps_at_most_its_bound_and_rebuilds_what_it_evicted():
+    def scenario(k):
+        # distinct label names make distinct system types of the same shape
+        a, b, c = f"a{k}", f"b{k}", f"c{k}"
+        binary = dict.fromkeys((a, b, c), ("0", "1"))
+        system = system_type(binary, [(a, b), (b, c), (a, c)])
+        return theory_from_sections(
+            system, random_sections(random.Random(k), system, ("s", "t"))
+        )
+
+    theories = [scenario(k) for k in range(sheaf._MEMO_SIZE + 3)]
+    first = [_lp_content(global_section_system(t)) for t in theories]
+    for memo in (sheaf._skeleton, sheaf._scenario):
+        assert memo.cache_info().currsize <= sheaf._MEMO_SIZE
+    misses = sheaf._skeleton.cache_info().misses
+    # the first scenario was evicted: it misses, and rebuilds the same LP
+    assert _lp_content(global_section_system(theories[0])) == first[0]
+    assert sheaf._skeleton.cache_info().misses == misses + 1
+    assert _lp_content(_cold_build(theories[0])) == first[0]
