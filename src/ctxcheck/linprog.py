@@ -5,19 +5,20 @@ Bland's anti-cycling rule.  Infeasible systems come with a Farkas
 certificate: multipliers whose row combination has only nonnegative variable
 coefficients but a negative right-hand side.
 
-The solver works on sparse integer-indexed rows of Python ints: each
-constraint becomes one ``{column index: nonzero coefficient}`` dict, the row
-times the lcm of its denominators, and names are used again only for the
-returned point and certificate.  ``sheaf.global_section_system`` makes these
-integer rows beside its named rows, both copied from a memoized per-scenario
-skeleton with the table weights filled in, and the system it returns carries
-them to the solver (``_built_system``); a system built any other way is
-converted here (``_integer_rows``).  Either way the verdict is checked
-against the named rows.  A light presolve (forced-zero variable elimination
-plus connected-component splitting) keeps the tableaus small.  Its first
-pass, up to the first zero-rhs row of mixed signs, is one scan without a
-column index, so the columns forced there (on a sheaf LP, those of the
-zero-weight marginals) never enter the index.
+A ``LinearSystem`` is its sparse integer-indexed rows of Python ints: each
+row is one ``{column index: nonzero coefficient}`` dict with an integer rhs,
+the constraint times the lcm of its denominators (the row's scale).  The
+public constructor converts named ``Fraction`` constraints to these rows
+once, and rejects malformed input there; ``sheaf.global_section_system``
+builds the rows directly, from a memoized per-scenario skeleton.  Names are
+used again only for the returned point and certificate, and for the
+read-only named view ``LinearSystem.constraints``, rendered from the rows
+when it is first read.  Nothing here writes a row, so systems may share
+them.  A light presolve (forced-zero variable elimination plus
+connected-component splitting) keeps the tableaus small.  Its first pass, up
+to the first zero-rhs row of mixed signs, is one scan without a column
+index, so the columns forced there (on a sheaf LP, those of the zero-weight
+marginals) never enter the index.
 Each block's tableau is fraction-free (Edmonds): a row is a list of Python
 ints, kept only up to a positive scale and divided by its content after
 every pivot.  An update whose pivot-row multiplier is 1 subtracts a multiple
@@ -34,20 +35,24 @@ Certificates found on the reduced system are patched back so they verify
 against the original rows: the patch sums every column's combined
 coefficient once over the rows that carry a multiplier, then walks the
 columns presolve eliminated and adds each patch row to those sums.  Both
-verdicts are checked over Python ints: a certificate by combining its rows
-with one common denominator (``_combine``), a point by putting it over one
-common denominator and summing each row only over the point's nonzero
-entries (``verify_point``), so signs and equalities are read from integers.
+verdicts are checked on the system's integer rows: a certificate by
+combining its rows with one common denominator (``_combine``), a point by
+putting it over one common denominator and summing each row only over the
+point's nonzero entries (``verify_point``), so signs and equalities are read
+from integers.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import repeat
 from math import gcd, lcm
 from operator import itemgetter, mul
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 from ctxcheck.model import ModelError, ZERO
 
@@ -61,35 +66,115 @@ class LinearConstraint:
     """One equality row ``sum(coeffs[v] * v) == rhs`` with a stable name."""
 
     name: str
-    coeffs: dict[str, Fraction]
+    coeffs: Mapping[str, Fraction]
     rhs: Fraction
 
 
-@dataclass
+@dataclass(frozen=True, init=False)
 class LinearSystem:
-    """An equality system over named nonnegative variables."""
+    """An equality system over named nonnegative variables, as integer rows.
+
+    Row ``r`` is named ``names[r]`` and is its constraint times
+    ``scales[r]``, the lcm of the constraint's denominators: ``coeffs[r]``
+    maps column index (into ``variables``) to every nonzero integer
+    coefficient, stored zeros dropped so row supports stay exact, and
+    ``rhs[r]`` is the integer rhs.  Two systems are equal when these five
+    are.  The system is immutable, and nothing reads its rows but to solve
+    and check it, so systems may share row dicts.
+
+    ``LinearSystem(variables, constraints)`` converts named constraints and
+    raises ``LinearSystemError`` for a duplicate variable or constraint
+    name, an unknown variable or an entry that is not rational.
+    """
 
     variables: tuple[str, ...]
-    constraints: tuple[LinearConstraint, ...]
-    # the integer rows its builder made alongside (``_built_system``); the
-    # next ``solve_feasibility`` takes them and leaves None
-    _integer: _IntegerRows | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    names: tuple[str, ...]
+    coeffs: tuple[dict[int, int], ...]
+    rhs: tuple[int, ...]
+    scales: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if len(set(self.variables)) != len(self.variables):
+    def __init__(
+        self, variables: Iterable[str], constraints: Iterable[LinearConstraint]
+    ) -> None:
+        variables = tuple(variables)
+        vindex = {v: i for i, v in enumerate(variables)}
+        if len(vindex) != len(variables):
             raise LinearSystemError("duplicate variable names")
-        names = [c.name for c in self.constraints]
-        if len(set(names)) != len(names):
-            raise LinearSystemError("duplicate constraint names")
-        varset = set(self.variables)
-        for c in self.constraints:
-            if not varset.issuperset(c.coeffs):
-                unknown = sorted(set(c.coeffs) - varset)
+        names: dict[str, None] = {}
+        coeffs: list[dict[int, int]] = []
+        rhs: list[int] = []
+        scales: list[int] = []
+        for c in constraints:
+            if c.name in names:
+                raise LinearSystemError(f"duplicate constraint name {c.name!r}")
+            names[c.name] = None
+            try:
+                values = c.coeffs.values()
+                nums = [a.numerator for a in values]
+                dens = [a.denominator for a in values]
+                b_num, b_den = c.rhs.numerator, c.rhs.denominator
+                # the distinct denominators are few, and lcm is slow on many
+                scale = lcm(b_den, *set(dens))
+            except (AttributeError, TypeError):
                 raise LinearSystemError(
-                    f"constraint {c.name!r} uses unknown variables {unknown}"
-                )
+                    f"constraint {c.name!r} has a coefficient or rhs that is not rational"
+                ) from None
+            try:
+                columns = [vindex[v] for v in c.coeffs]
+            except KeyError as exc:
+                raise LinearSystemError(
+                    f"constraint {c.name!r} uses unknown variable {exc.args[0]!r}"
+                ) from None
+            coeffs.append(
+                {j: n * (scale // d) for j, n, d in zip(columns, nums, dens) if n}
+            )
+            rhs.append(b_num * (scale // b_den))
+            scales.append(scale)
+        self.__dict__.update(
+            variables=variables,
+            names=tuple(names),
+            coeffs=tuple(coeffs),
+            rhs=tuple(rhs),
+            scales=tuple(scales),
+        )
+
+    @classmethod
+    def _from_rows(
+        cls,
+        variables: tuple[str, ...],
+        names: tuple[str, ...],
+        coeffs: tuple[dict[int, int], ...],
+        rhs: tuple[int, ...],
+        scales: tuple[int, ...],
+    ) -> LinearSystem:
+        """A system of rows its builder made, and checked, in this form."""
+        system = object.__new__(cls)
+        system.__dict__.update(
+            variables=variables, names=names, coeffs=coeffs, rhs=rhs, scales=scales
+        )
+        return system
+
+    def __getstate__(self) -> dict:
+        # a rendered view holds read-only mappings, which do not pickle
+        return {k: v for k, v in self.__dict__.items() if k != "constraints"}
+
+    @cached_property
+    def constraints(self) -> tuple[LinearConstraint, ...]:
+        """The rows as named constraints, rendered on first access.
+
+        Each entry is ``Fraction(a, scale)``, and each coefficient mapping
+        is read-only, so the rows cannot be edited through the view.
+        """
+        variables = self.variables
+        rows = []
+        for name, row, b, scale in zip(self.names, self.coeffs, self.rhs, self.scales):
+            # a row holds few distinct values, so each becomes one Fraction
+            value = {a: Fraction(a, scale) for a in set(row.values())}
+            coeffs = {variables[j]: value[a] for j, a in row.items()}
+            rows.append(
+                LinearConstraint(name, MappingProxyType(coeffs), Fraction(b, scale))
+            )
+        return tuple(rows)
 
 
 @dataclass
@@ -103,128 +188,49 @@ class FarkasCertificate:
     multipliers: dict[str, Fraction]
 
     def combined(self, system: LinearSystem) -> tuple[dict[str, Fraction], Fraction]:
-        """Recompute the combined row and rhs from the original system."""
+        """Recompute the combined row and rhs from the original system.
+
+        The row's keys are the variables on which some row with a nonzero
+        multiplier has a nonzero coefficient; a sum may still be 0.
+        """
         coeffs, rhs, den = _combine(system, self.multipliers)
-        return {v: Fraction(a, den) for v, a in coeffs.items()}, Fraction(rhs, den)
-
-
-def _rational_row(c: LinearConstraint) -> tuple[list[int], list[int], int, int, int]:
-    """A row's numbers read once as ints: the coefficients' numerators and
-    denominators (in ``c.coeffs`` order), the rhs numerator and denominator,
-    and the lcm of every denominator, times which the row is integer."""
-    try:
-        values = c.coeffs.values()
-        nums = [a.numerator for a in values]
-        dens = [a.denominator for a in values]
-        b_num, b_den = c.rhs.numerator, c.rhs.denominator
-        # the distinct denominators are few, and lcm is slow on many arguments
-        return nums, dens, b_num, b_den, lcm(b_den, *set(dens))
-    except (AttributeError, TypeError):
-        raise LinearSystemError(
-            f"constraint {c.name!r} has a coefficient or rhs that is not rational"
-        ) from None
-
-
-@dataclass
-class _IntegerRows:
-    """A system's rows as the solver reads them.
-
-    Row ``r`` is constraint ``r`` times ``scales[r]`` (``_rational_row``):
-    ``coeffs[r]`` maps column index to every nonzero integer coefficient,
-    stored zeros dropped so row supports stay exact, and ``rhs[r]`` is the
-    integer rhs.  ``variables`` and ``constraints`` are the tuples the rows
-    were made from.
-    """
-
-    variables: tuple[str, ...]
-    constraints: tuple[LinearConstraint, ...]
-    coeffs: list[dict[int, int]]
-    rhs: list[int]
-    scales: list[int]
-
-
-def _integer_rows(system: LinearSystem) -> _IntegerRows:
-    """Convert the named rows of ``system`` to the solver's integer rows."""
-    vindex = {v: i for i, v in enumerate(system.variables)}
-    coeffs: list[dict[int, int]] = []
-    rhs: list[int] = []
-    scales: list[int] = []
-    for c in system.constraints:
-        nums, dens, b_num, b_den, scale = _rational_row(c)
-        try:
-            coeffs.append(
-                {
-                    vindex[v]: n * (scale // d)
-                    for v, n, d in zip(c.coeffs, nums, dens)
-                    if n
-                }
-            )
-        except KeyError as exc:
-            raise LinearSystemError(
-                f"constraint {c.name!r} uses unknown variable {exc.args[0]!r}"
-            ) from None
-        rhs.append(b_num * (scale // b_den))
-        scales.append(scale)
-    return _IntegerRows(system.variables, system.constraints, coeffs, rhs, scales)
-
-
-def _built_system(
-    variables: tuple[str, ...],
-    rows: list[tuple[LinearConstraint, dict[int, int], int, int]],
-) -> LinearSystem:
-    """A system that carries the integer rows its builder made with it.
-
-    ``rows`` holds one (constraint, coefficients, rhs, scale) per row, the
-    last three what ``_integer_rows`` makes of the constraint with column
-    indices into ``variables``.
-    """
-    constraints = tuple(row[0] for row in rows)
-    system = LinearSystem(variables=variables, constraints=constraints)
-    system._integer = _IntegerRows(
-        variables,
-        constraints,
-        [row[1] for row in rows],
-        [row[2] for row in rows],
-        [row[3] for row in rows],
-    )
-    return system
+        named = {system.variables[j]: Fraction(a, den) for j, a in coeffs.items()}
+        return named, Fraction(rhs, den)
 
 
 def _combine(
     system: LinearSystem, multipliers: dict[str, Fraction]
-) -> tuple[dict[str, int], int, int]:
+) -> tuple[dict[int, int], int, int]:
     """``sum_r y_r * row_r`` over Python ints: (coefficients, rhs, denominator).
 
     Every value is an integer over the one common denominator ``den > 0``, so
-    signs read straight off the integers.  Each row is taken as its integer
-    multiple (``_rational_row``) with its multiplier divided by that scale;
-    ``den`` is the lcm of the resulting multiplier denominators.  Multipliers
-    naming no constraint are ignored.  The coefficient keys are those of
-    every row with a nonzero multiplier, stored zeros included, in row order.
+    signs read straight off the integers.  Each integer row comes with its
+    multiplier divided by the row's scale; ``den`` is the lcm of the
+    resulting multiplier denominators.  Multipliers naming no constraint are
+    ignored.  The coefficients are keyed by column index, in the order of
+    the rows with a nonzero multiplier and of each row's entries.
     """
     rows = []
     den = 1
-    for c in system.constraints:
-        y = multipliers.get(c.name)
+    for name, row, b, scale in zip(
+        system.names, system.coeffs, system.rhs, system.scales
+    ):
+        y = multipliers.get(name)
         if not y:
             continue
-        nums, dens, b_num, b_den, scale = _rational_row(c)
         y = Fraction(y)
         # the weight y / scale in lowest terms, y's own terms being lowest
         g = gcd(y.numerator, scale)
         w_num, w_den = y.numerator // g, y.denominator * (scale // g)
         den = lcm(den, w_den)
-        b = b_num * (scale // b_den)
-        rows.append((c.coeffs, nums, dens, b, scale, w_num, w_den))
-    coeffs: dict[str, int] = {}
+        rows.append((row, b, w_num, w_den))
+    coeffs: dict[int, int] = {}
     rhs = 0
-    for keys, nums, dens, b, scale, w_num, w_den in rows:
+    for row, b, w_num, w_den in rows:
         w = w_num * (den // w_den)
         rhs += w * b
-        # w * (n * (scale // d)), the integer row's entry times the weight
-        ws = w * scale
-        for v, n, d in zip(keys, nums, dens):
-            coeffs[v] = coeffs.get(v, 0) + ws * n // d
+        for j, a in row.items():
+            coeffs[j] = coeffs.get(j, 0) + w * a
     return coeffs, rhs, den
 
 
@@ -244,8 +250,7 @@ class Infeasible:
 
 
 def _unknown_names(system: LinearSystem, certificate: FarkasCertificate) -> bool:
-    known = {c.name for c in system.constraints}
-    return any(name not in known for name in certificate.multipliers)
+    return not set(system.names).issuperset(certificate.multipliers)
 
 
 def _certified_rhs(
@@ -261,10 +266,7 @@ def _certified_rhs(
 
 
 def verify_certificate(system: LinearSystem, certificate: FarkasCertificate) -> bool:
-    """True iff the multipliers genuinely witness infeasibility (exact check).
-
-    Raises ``LinearSystemError`` when a row it combines is not rational.
-    """
+    """True iff the multipliers genuinely witness infeasibility (exact check)."""
     return _certified_rhs(system, certificate) is not None
 
 
@@ -272,8 +274,7 @@ def certificate_margin(system: LinearSystem, certificate: FarkasCertificate) -> 
     """|combined rhs| after scaling multipliers to max absolute value 1.
 
     Raises ``LinearSystemError`` when the certificate has no nonzero
-    multiplier, names a constraint the system does not have, or combines a
-    row that is not rational.
+    multiplier or names a constraint the system does not have.
     """
     if _unknown_names(system, certificate):
         raise LinearSystemError("certificate names constraints outside the system")
@@ -293,39 +294,23 @@ def verify_point(system: LinearSystem, point: dict[str, Fraction]) -> bool:
     """Exact check that ``point`` is nonnegative and satisfies every row.
 
     Keys that are not variables are ignored, and a missing variable reads 0.
-    Each row is checked over Python ints, as ``_combine`` checks a
+    Each integer row is checked over Python ints, as ``_combine`` checks a
     certificate: the point is put over one common denominator ``den``, and
-    each row is summed only over the point's nonzero entries, as an integer
-    ``total`` over the lcm ``scale`` of the denominators it has met.  Raises
-    ``LinearSystemError`` when an entry of the point, or an entry of a row
-    that the check reads, is not rational.
+    each row is summed only over the point's nonzero entries and compared
+    with its rhs times ``den``.  Raises ``LinearSystemError`` when an entry
+    of the point is not rational.
     """
-    nonzero = {v: x for v in system.variables if (x := point.get(v))}
+    nonzero = {j: x for j, v in enumerate(system.variables) if (x := point.get(v))}
     try:
         den = lcm(*[x.denominator for x in nonzero.values()])
     except (AttributeError, TypeError):
         raise LinearSystemError("point has an entry that is not rational") from None
-    ints = {v: x.numerator * (den // x.denominator) for v, x in nonzero.items()}
+    ints = {j: x.numerator * (den // x.denominator) for j, x in nonzero.items()}
     if min(ints.values(), default=0) < 0:
         return False
-    try:
-        for c in system.constraints:
-            coeffs, b = c.coeffs, c.rhs
-            total, scale = 0, 1
-            for v in coeffs.keys() & ints.keys():
-                a = coeffs[v]
-                d = a.denominator
-                if scale % d:
-                    f = d // gcd(scale, d)
-                    total, scale = total * f, scale * f
-                total += a.numerator * (scale // d) * ints[v]
-            # total / scale == b * den, cross-multiplied
-            if total * b.denominator != b.numerator * scale * den:
-                return False
-    except (AttributeError, TypeError):
-        raise LinearSystemError(
-            f"constraint {c.name!r} has a coefficient or rhs that is not rational"
-        ) from None
+    for row, b in zip(system.coeffs, system.rhs):
+        if sum(row[j] * ints[j] for j in row.keys() & ints.keys()) != b * den:
+            return False
     return True
 
 
@@ -334,7 +319,7 @@ def verify_point(system: LinearSystem, point: dict[str, Fraction]) -> bool:
 # ---------------------------------------------------------------------------
 
 def _presolve(
-    coeffs: list[dict[int, int]], rhs: list[int], scan: bool = True
+    coeffs: Sequence[dict[int, int]], rhs: Sequence[int], scan: bool = True
 ) -> tuple[list[tuple[list[int], list[int]]], list[tuple[int, int]], int | None]:
     """Iteratively eliminate forced-zero variables, then split what is left.
 
@@ -440,9 +425,9 @@ def _presolve(
 
 
 def _simplex_phase1(
-    coeffs: list[dict[int, int]],
-    rhs: list[int],
-    scales: list[int],
+    coeffs: Sequence[dict[int, int]],
+    rhs: Sequence[int],
+    scales: Sequence[int],
     rows: list[int],
     cols: list[int],
 ) -> tuple[dict[int, Fraction] | None, dict[int, int] | None]:
@@ -626,8 +611,8 @@ def _simplex_phase1(
 
 
 def _patch_certificate(
-    coeffs: list[dict[int, int]],
-    scales: list[int],
+    coeffs: Sequence[dict[int, int]],
+    scales: Sequence[int],
     multipliers: dict[int, int],
     eliminated: list[tuple[int, int]],
 ) -> dict[int, int]:
@@ -678,38 +663,17 @@ def solve_feasibility(system: LinearSystem) -> Feasible | Infeasible:
 
     Deterministic: fixed variable order and Bland's rule.  A Feasible result
     always satisfies every row exactly; an Infeasible result always carries a
-    certificate that passes ``verify_certificate`` (both re-checked here,
-    against the named rows).
-
-    A system from ``sheaf.global_section_system`` carries the integer rows
-    its build made, and its first solve takes them instead of converting the
-    named rows, provided the system still holds the variable and constraint
-    tuples they were made from (a replaced row means a new tuple).  Those
-    rows are the system's own, copied from the build's memoized skeleton, so
-    the solve and any edit touch no other system's rows.  A
-    coefficient dict edited in place after the build escapes that test, so
-    the solve may run on stale integer rows; but the verdict is checked
-    against the edited named rows, so the solver returns a verdict that holds
-    on them or raises ``LinearSystemError``, never one that fails
-    ``verify_point`` or ``verify_certificate`` on them.
+    certificate that passes ``verify_certificate`` (both re-checked here, on
+    the system's integer rows, which the solve reads and never writes).
     """
-    integer, system._integer = system._integer, None
-    if (
-        integer is None
-        or integer.variables is not system.variables
-        or integer.constraints is not system.constraints
-    ):
-        integer = _integer_rows(system)
     varnames = system.variables
-    coeffs, rhs, scales = integer.coeffs, integer.rhs, integer.scales
+    coeffs, rhs, scales = system.coeffs, system.rhs, system.scales
     blocks, eliminated, bad_row = _presolve(coeffs, rhs)
 
     def finish_infeasible(block_dual: dict[int, int]) -> Infeasible:
         full = _patch_certificate(coeffs, scales, block_dual, eliminated)
         scale = max(abs(v) for v in full.values())
-        named = {
-            system.constraints[r].name: Fraction(v, scale) for r, v in full.items()
-        }
+        named = {system.names[r]: Fraction(v, scale) for r, v in full.items()}
         cert = FarkasCertificate(multipliers=named)
         rhs = _certified_rhs(system, cert)
         if rhs is None:

@@ -382,8 +382,6 @@ def canonical_representation(
             )
         original_of[g] = decoded
 
-    labels = theory.system.labels
-    pos = {m: i for i, m in enumerate(labels)}
     mu: dict[str, Weights] = {}
     for p in target.preparations:
         dist = m_sections[qmap.state_forward[p]]
@@ -392,10 +390,11 @@ def canonical_representation(
     xi: dict[str, dict[str, Weights]] = {}
     for name in target.measurements:
         meas = target.measurements[name]
+        positions = [theory.system.label_position(x) for x in meas.labels]
         family: dict[str, Weights] = {}
         for g in support:
             orig = original_of[g]
-            values = tuple(orig[pos[x]] for x in meas.labels)
+            values = tuple(orig[i] for i in positions)
             family[ontic_name(g)] = {meas.outcome_of(values): ONE}
         xi[name] = family
     return OntologicalRepresentation(ontic=ontic, mu=mu, xi=xi, target=target)

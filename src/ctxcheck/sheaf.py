@@ -25,17 +25,19 @@ assignments by their restriction, for the LP build and the possibilistic
 check.  ``verify_global_section`` uses ``marginal_weights`` only, so it stays
 an independent re-encoding of the LP.
 
-In the LP ``M d = v``, the tables enter only through the marginal rows'
-right-hand sides ``v`` (Abramsky, Barbosa and Mansfield, PRL 119, 050504
-(2017)).  The rest, its skeleton, depends only on the system type, the state
-names and the declarations: the variables, every row name, column list and
-coefficient, and the normalization and declaration rows whole.
+In the LP ``M d = v``, the tables enter only through the marginal rows
+(Abramsky, Barbosa and Mansfield, PRL 119, 050504 (2017)): a marginal row's
+rhs is a table weight, and its integer coefficients are that weight's
+denominator.  The rest, its skeleton, depends only on the system type, the
+state names and the declarations: the variables, every row name, every
+marginal row's columns, and the normalization and declaration rows whole.
 ``_skeleton`` builds it, memoized by value on those three, and
 ``_scenario`` the assignments and context groups a system type fixes,
 memoized on it alone, which the possibilistic check and ``extract_sections``
 read too.  Each memo keeps at most ``_MEMO_SIZE`` (8) scenarios and never
-holds an LP, a verdict or a table entry: a build copies every dict it hands
-out, so each LP owns its rows.
+holds a verdict or a table entry.  Every LP of a scenario shares the
+skeleton's normalization and declaration rows, since a ``LinearSystem`` is
+immutable and nothing writes its rows.
 """
 
 from __future__ import annotations
@@ -45,14 +47,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 from math import gcd, lcm, prod
-from typing import Iterable, Iterator
 
 from ctxcheck.linprog import (
     FarkasCertificate,
     Feasible,
-    LinearConstraint,
     LinearSystem,
-    _built_system,
+    LinearSystemError,
     solve_feasibility,
 )
 from ctxcheck.model import (
@@ -132,55 +132,58 @@ def variable_name(state: str, values: tuple[str, ...]) -> str:
 def global_section_system(theory: EmpiricalTheory) -> LinearSystem:
     """The exact linear system whose nonnegative solutions are global sections.
 
-    One variable per (state, full outcome assignment).  Rows: normalization
-    per state, every context marginal per state, and one row per declared
-    convex relation (state mixtures bind assignment-wise; measurement
-    mixtures bind the aggregated per-label statistics of the underlying
-    distribution, using the declared outcome identifications).
+    One variable per (state, full outcome assignment): state ``k``'s
+    assignment ``i`` is column ``k * len(assignments) + i``.  Rows:
+    normalization per state, every context marginal per state, and one row
+    per declared convex relation (state mixtures bind assignment-wise;
+    measurement mixtures bind the aggregated per-label statistics of the
+    underlying distribution, using the declared outcome identifications).
 
-    Each row comes twice: named, over ``Fraction``s, and as the solver's
-    integer row over column indices (state ``k``'s assignment ``i`` is
-    column ``k * len(assignments) + i``), which the returned system carries
-    to ``solve_feasibility``.  Only the marginal rows' right-hand sides read
-    the tables.  Everything else (the variables, every row name and column
-    list, the coefficients, and the normalization and declaration rows
-    whole) depends only on the system type, the state names and the
-    declarations, and comes from ``_skeleton``, memoized on those three.  A
-    build copies every row's dicts from it, so each LP owns its rows.
+    Only the marginal rows read the tables.  Everything else (the variables,
+    every row name and column list, and the normalization and declaration
+    rows whole) depends only on the system type, the state names and the
+    declarations, and comes from ``_skeleton``, memoized on those three.
+    Every LP of a scenario shares those rows, which nothing writes.
     """
     skeleton = _skeleton(theory.system, tuple(theory.states), tuple(theory.convex))
-    rows: list[_Row] = []
+    coeffs: list[dict[int, int]] = []
+    rhs: list[int] = []
+    scales: list[int] = []
     for s, norm, marginals in skeleton.states:
-        rows.extend(_fresh((norm,)))
+        coeffs.append(norm)
+        rhs.append(1)
+        scales.append(1)
         state = theory.state(s)
         for ctx, entries in marginals:
             weights = state.distribution(ctx).weights
-            for t, name, template, columns in entries:
+            for t, columns in entries:
                 w = weights.get(t, ZERO)
-                # coefficients 1, so the row scale is the rhs denominator
-                rows.append(
-                    (
-                        LinearConstraint(name=name, coeffs=template.copy(), rhs=w),
-                        dict.fromkeys(columns, w.denominator),
-                        w.numerator,
-                        w.denominator,
-                    )
-                )
-    rows.extend(_fresh(skeleton.declarations))
-    return _built_system(skeleton.variables, rows)
+                # the row reads 1 on each column, so its scale is the rhs
+                # denominator
+                coeffs.append(dict.fromkeys(columns, w.denominator))
+                rhs.append(w.numerator)
+                scales.append(w.denominator)
+    for row, scale in skeleton.declarations:
+        coeffs.append(row)
+        rhs.append(0)
+        scales.append(scale)
+    return LinearSystem._from_rows(
+        skeleton.variables, skeleton.rows, tuple(coeffs), tuple(rhs), tuple(scales)
+    )
 
 
-# One LP row: (named constraint, integer coefficients by column, integer
-# rhs, scale), as ``linprog._built_system`` takes it.
-_Row = tuple[LinearConstraint, dict[int, int], int, int]
-# One marginal row of a skeleton: (outcome tuple, row name, named
-# coefficients, columns); its rhs is the weight the table gives the tuple.
-_Marginal = tuple[tuple[str, ...], str, dict[str, Fraction], tuple[int, ...]]
+# One marginal row of a skeleton: (outcome tuple, columns); its rhs is the
+# weight the table gives the tuple.
+_Marginal = tuple[tuple[str, ...], tuple[int, ...]]
+# One declaration row: (name, integer coefficients by column, scale); its
+# rhs is 0.
+_Declaration = tuple[str, dict[int, int], int]
 
 # Distinct scenarios each memo keeps.  Eight holds the five bundled
 # scenarios, or the five ring sizes of the ``rings`` benchmark workload, with
 # room to spare, while a long-running process that meets ever new scenarios
-# retains at most eight skeletons (the five bundled ones take about 1.3 MB).
+# retains at most eight skeletons (the five bundled ones take about 0.7 MB
+# beside their scenarios).
 _MEMO_SIZE = 8
 
 
@@ -206,18 +209,22 @@ def _scenario(system: SystemType) -> tuple[tuple, tuple]:
 class _Skeleton:
     """Everything of a global-section LP that reads no table.
 
-    ``names`` holds each state's variable names by assignment index.
-    ``states`` holds per state its name, its normalization row and per
-    context its marginal rows.  Every dict in it is a template that a build
-    copies and never hands out.
+    ``variables`` and ``rows`` are the LP's variable and row names.
+    ``state_variables`` holds each state's variable names by assignment
+    index.  ``states`` holds per state its name, its normalization row and
+    per context its marginal rows.  ``declarations`` holds the declaration
+    rows' integer coefficients and scales.  Every LP of the scenario shares
+    the normalization and declaration row dicts.
     """
 
     variables: tuple[str, ...]
-    names: dict[str, tuple[str, ...]]
+    rows: tuple[str, ...]
+    state_variables: dict[str, tuple[str, ...]]
     states: tuple[
-        tuple[str, _Row, tuple[tuple[Context, tuple[_Marginal, ...]], ...]], ...
+        tuple[str, dict[int, int], tuple[tuple[Context, tuple[_Marginal, ...]], ...]],
+        ...,
     ]
-    declarations: tuple[_Row, ...]
+    declarations: tuple[tuple[dict[int, int], int], ...]
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -228,8 +235,10 @@ def _skeleton(
 ) -> _Skeleton:
     """The table-free part of ``global_section_system``, memoized by value.
 
-    A declaration the scenario cannot hold raises ``ModelError`` here, and
-    since a raised call is not memoized, it raises on every build.
+    Variable and row names are checked to be unique here, once per
+    scenario.  A scenario that fails that check, or holds a declaration it
+    cannot hold, raises here; since a raised call is not memoized, it raises
+    on every build.
     """
     assignments, marginals = _scenario(system)
     size = len(assignments)
@@ -241,52 +250,43 @@ def _skeleton(
     columns = {
         s: every_column[k * size : (k + 1) * size] for k, s in enumerate(state_names)
     }
+    rows: list[str] = []
     states = []
     for s in state_names:
-        state_vars = names[s]
         state_columns = columns[s]
-        norm = (
-            LinearConstraint(
-                name=f"norm[{s}]", coeffs=dict.fromkeys(state_vars, ONE), rhs=ONE
-            ),
-            dict.fromkeys(state_columns, 1),
-            1,
-            1,
-        )
-        per_context = tuple(
-            (
-                ctx,
-                tuple(
-                    (
-                        t,
-                        f"marg[{s};{','.join(ctx)};{','.join(t)}]",
-                        dict.fromkeys(map(state_vars.__getitem__, group), ONE),
-                        tuple(map(state_columns.__getitem__, group)),
-                    )
-                    for t, group in zip(tuples, groups)
-                ),
+        rows.append(f"norm[{s}]")
+        per_context = []
+        for ctx, tuples, groups in marginals:
+            prefix = f"marg[{s};{','.join(ctx)};"
+            rows.extend(f"{prefix}{','.join(t)}]" for t in tuples)
+            per_context.append(
+                (
+                    ctx,
+                    tuple(
+                        (t, tuple(map(state_columns.__getitem__, group)))
+                        for t, group in zip(tuples, groups)
+                    ),
+                )
             )
-            for ctx, tuples, groups in marginals
-        )
-        states.append((s, norm, per_context))
-    declarations = tuple(
-        row
-        for index, decl in enumerate(convex)
-        for row in _declaration_rows(system, decl, index, assignments, names, columns)
-    )
+        states.append((s, dict.fromkeys(state_columns, 1), tuple(per_context)))
+    declarations = []
+    for index, decl in enumerate(convex):
+        for name, row, scale in _declaration_rows(
+            system, decl, index, assignments, columns
+        ):
+            rows.append(name)
+            declarations.append((row, scale))
+    variables = tuple(v for s in state_names for v in names[s])
+    if len(set(variables)) != len(variables):
+        raise LinearSystemError("duplicate variable names")
+    if len(set(rows)) != len(rows):
+        raise LinearSystemError("duplicate constraint names")
     return _Skeleton(
-        variables=tuple(v for s in state_names for v in names[s]),
-        names=names,
+        variables=variables,
+        rows=tuple(rows),
+        state_variables=names,
         states=tuple(states),
-        declarations=declarations,
-    )
-
-
-def _fresh(rows: Iterable[_Row]) -> Iterator[_Row]:
-    """Copies of skeleton rows, each with dicts of its own."""
-    return (
-        (LinearConstraint(c.name, c.coeffs.copy(), c.rhs), integer.copy(), rhs, scale)
-        for c, integer, rhs, scale in rows
+        declarations=tuple(declarations),
     )
 
 
@@ -318,18 +318,16 @@ def _declaration_rows(
     decl: ConvexDeclaration,
     index: int,
     assignments: tuple[tuple[str, ...], ...],
-    names: dict[str, tuple[str, ...]],
     columns: dict[str, tuple[int, ...]],
-) -> list[_Row]:
-    """The declaration's rows, each named and as an integer row (rhs 0).
+) -> list[_Declaration]:
+    """The declaration's rows (rhs 0), each as (name, integer row, scale).
 
-    ``names`` and ``columns`` give each state's variable names and column
-    indices by assignment index.
+    ``columns`` gives each state's column indices by assignment index.
     """
-    rows: list[_Row] = []
+    rows: list[_Declaration] = []
     if decl.kind == "state":
         needed = {decl.target, *(c.name for c in decl.components)}
-        if not needed <= names.keys():
+        if not needed <= columns.keys():
             raise ModelError(
                 f"state mixture {decl.target!r} references states outside the system"
             )
@@ -337,21 +335,14 @@ def _declaration_rows(
         weights = {decl.target: ONE}
         for c in decl.components:
             weights[c.name] = weights.get(c.name, ZERO) - c.coefficient
-        terms = [(names[s], columns[s], a) for s, a in weights.items() if a != 0]
-        scale = lcm(*(a.denominator for _, _, a in terms))
-        integer = [
-            (cols, a.numerator * (scale // a.denominator)) for _, cols, a in terms
-        ]
+        terms = [(columns[s], a) for s, a in weights.items() if a != 0]
+        scale = lcm(*(a.denominator for _, a in terms))
+        integer = [(cols, a.numerator * (scale // a.denominator)) for cols, a in terms]
         for i, g in enumerate(assignments):
             rows.append(
                 (
-                    LinearConstraint(
-                        name=f"mix:state[{decl.target}#{index};{','.join(g)}]",
-                        coeffs={state_vars[i]: a for state_vars, _, a in terms},
-                        rhs=ZERO,
-                    ),
+                    f"mix:state[{decl.target}#{index};{','.join(g)}]",
                     {cols[i]: n for cols, n in integer},
-                    0,
                     scale,
                 )
             )
@@ -359,8 +350,8 @@ def _declaration_rows(
         # One row per (state, target outcome k): the assignments giving the
         # target k, minus each component's weight on the assignments whose
         # component outcome is identified with k.  The rows are the same for
-        # every state up to variable names, so they are built once, over
-        # assignment indices, in integers over the coefficients' lcm.
+        # every state up to columns, so they are built once, over assignment
+        # indices, in integers over the coefficients' lcm.
         target_pos = system.label_position(decl.target)
         den = lcm(*(c.coefficient.denominator for c in decl.components))
         pattern: dict[str, dict[int, int]] = {
@@ -375,34 +366,21 @@ def _declaration_rows(
             for i, g in enumerate(assignments):
                 row = pattern[bij[g[pos]]]
                 row[i] = row.get(i, 0) - step
-        values = {n for row in pattern.values() for n in row.values() if n}
-        weight = {n: Fraction(n, den) for n in values}
         # row k times den // content is integer, with content the gcd of
         # den and its entries, and its coefficients are then n // content
-        shapes: list[tuple[str, dict[int, Fraction], dict[int, int], int]] = []
+        shapes: list[tuple[str, dict[int, int], int]] = []
         for k, row in pattern.items():
             nonzero = {i: n for i, n in row.items() if n}
             content = gcd(den, *nonzero.values())
             shapes.append(
-                (
-                    k,
-                    {i: weight[n] for i, n in nonzero.items()},
-                    {i: n // content for i, n in nonzero.items()},
-                    den // content,
-                )
+                (k, {i: n // content for i, n in nonzero.items()}, den // content)
             )
-        for s, state_vars in names.items():
-            state_columns = columns[s]
-            for k, fractions, integers, scale in shapes:
+        for s, state_columns in columns.items():
+            for k, integers, scale in shapes:
                 rows.append(
                     (
-                        LinearConstraint(
-                            name=f"mix:meas[{decl.target}#{index};{k};{s}]",
-                            coeffs={state_vars[i]: a for i, a in fractions.items()},
-                            rhs=ZERO,
-                        ),
+                        f"mix:meas[{decl.target}#{index};{k};{s}]",
                         {state_columns[i]: n for i, n in integers.items()},
-                        0,
                         scale,
                     )
                 )
@@ -485,7 +463,7 @@ def _check_probabilistic(theory: EmpiricalTheory) -> ContextualityVerdict:
             contextual=False,
             mode="probabilistic",
             variable_count=len(lp.variables),
-            constraint_count=len(lp.constraints),
+            constraint_count=len(lp.names),
             sections=sections,
             system=lp,
         )
@@ -493,7 +471,7 @@ def _check_probabilistic(theory: EmpiricalTheory) -> ContextualityVerdict:
         contextual=True,
         mode="probabilistic",
         variable_count=len(lp.variables),
-        constraint_count=len(lp.constraints),
+        constraint_count=len(lp.names),
         certificate=result.certificate,
         margin=result.margin,
         system=lp,
@@ -605,7 +583,9 @@ def extract_sections(
     """
     system = theory.system
     assignments, _ = _scenario(system)
-    names = _skeleton(system, tuple(theory.states), tuple(theory.convex)).names
+    names = _skeleton(
+        system, tuple(theory.states), tuple(theory.convex)
+    ).state_variables
     sections: dict[str, RationalDistribution] = {}
     for s in theory.states:
         weights = {}

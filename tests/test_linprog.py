@@ -2,8 +2,10 @@
 
 import hashlib
 import itertools
+import pickle
 import random
 from collections import deque
+from copy import deepcopy
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -25,7 +27,6 @@ from ctxcheck.linprog import (
     LinearConstraint,
     LinearSystem,
     LinearSystemError,
-    _integer_rows,
     _patch_certificate,
     _presolve,
     _simplex_phase1,
@@ -155,6 +156,35 @@ def test_duplicate_names_rejected():
 def test_unknown_variable_rejected():
     with pytest.raises(LinearSystemError):
         _system([("r", {"ghost": 1}, 1)], ["x"])
+
+
+def test_named_view_and_system_are_read_only():
+    system = _system([("r", {"x": 1, "y": "1/2"}, 1)], ["x", "y"])
+    row = system.constraints[0]
+    assert dict(row.coeffs) == {"x": 1, "y": Fraction(1, 2)}
+    with pytest.raises(TypeError):
+        row.coeffs["x"] = Fraction(2)
+    with pytest.raises(TypeError):
+        del row.coeffs["x"]
+    with pytest.raises(TypeError):
+        row.coeffs["ghost"] = Fraction(1)
+    with pytest.raises(AttributeError):
+        row.rhs = Fraction(3)
+    with pytest.raises(AttributeError):
+        system.constraints = ()
+    with pytest.raises(AttributeError):
+        system.variables = ("x",)
+    assert (system.coeffs, system.rhs, system.scales) == (({0: 2, 1: 1},), (2,), (2,))
+    assert system == _system([("r", {"x": 1, "y": "1/2"}, 1)], ["x", "y"])
+    assert system != _system([("r", {"x": 2, "y": 1}, 2)], ["x", "y"])
+
+
+def test_system_with_its_view_rendered_pickles_and_copies():
+    system = global_section_system(builtin_example("bell").theory)
+    view = system.constraints
+    for copied in (pickle.loads(pickle.dumps(system)), deepcopy(system)):
+        assert copied == system
+        assert copied.constraints == view
 
 
 def test_stored_zero_coefficient_is_not_eliminated_by_presolve():
@@ -363,17 +393,6 @@ def test_ring_solver_output_matches_golden_digest():
     )
 
 
-def _rebuilt(system):
-    """A copy of ``system`` made by hand, so it carries no built integer rows."""
-    return LinearSystem(
-        variables=tuple(system.variables),
-        constraints=tuple(
-            LinearConstraint(name=c.name, coeffs=dict(c.coeffs), rhs=c.rhs)
-            for c in system.constraints
-        ),
-    )
-
-
 def _vanishing_declaration_theory():
     """A measurement mixture of one-outcome labels: its row is all zeros.
 
@@ -407,23 +426,21 @@ def _vanishing_declaration_theory():
 
 
 def test_built_integer_rows_match_conversion_and_solve_alike():
-    # the digests above pin solve_feasibility(global_section_system(T)), which
-    # reads the integer rows the build made; a hand-rebuilt copy is converted
-    # from its named rows instead, and both must give the same rows and the
+    # the digests above pin solve_feasibility(global_section_system(T)), whose
+    # rows the build makes without the public constructor; converting the
+    # named view back must give the same rows, dict order included, and the
     # same verdict, multipliers (in dict order), margin and point
     theories = itertools.chain(
         _golden_theories(), _ring_theories(), [_vanishing_declaration_theory()]
     )
     for theory in theories:
         lp = global_section_system(theory)
-        copy = _rebuilt(lp)
-        assert copy == lp and copy._integer is None
-        built, converted = lp._integer, _integer_rows(copy)
-        assert built.coeffs == converted.coeffs
-        assert built.rhs == converted.rhs
-        assert built.scales == converted.scales
+        copy = LinearSystem(lp.variables, lp.constraints)
+        assert copy == lp
+        assert [list(row.items()) for row in copy.coeffs] == [
+            list(row.items()) for row in lp.coeffs
+        ]
         result, expected = solve_feasibility(lp), solve_feasibility(copy)
-        assert lp._integer is None  # handed over once, not kept alive
         assert type(result) is type(expected)
         if isinstance(result, Feasible):
             assert list(result.point.items()) == list(expected.point.items())
@@ -432,31 +449,6 @@ def test_built_integer_rows_match_conversion_and_solve_alike():
                 expected.certificate.multipliers.items()
             )
             assert result.margin == expected.margin
-
-
-def _assert_verdict_of_rows(lp, result):
-    """``result`` verifies on the rows of ``lp`` and agrees with a fresh solve."""
-    expected = solve_feasibility(_rebuilt(lp))
-    assert type(result) is type(expected)
-    if isinstance(result, Feasible):
-        assert verify_point(lp, result.point)
-    else:
-        assert verify_certificate(lp, result.certificate)
-        assert certificate_margin(lp, result.certificate) == result.margin
-
-
-def test_row_edited_in_place_after_build_raises_instead_of_a_wrong_verdict():
-    # doubling the normalization row in place contradicts the marginal rows,
-    # but the built integer rows do not see it: their point fails the named
-    # row, so the solver must raise rather than return it
-    theory, _ = random_feasible_theory(random.Random(3))
-    lp = global_section_system(theory)
-    norm = lp.constraints[0]
-    for v in norm.coeffs:
-        norm.coeffs[v] = Fraction(2)
-    with pytest.raises(LinearSystemError, match="solution failed verification"):
-        solve_feasibility(lp)
-    assert isinstance(solve_feasibility(_rebuilt(lp)), Infeasible)
 
 
 _EDITED_THEORIES = (
@@ -476,32 +468,27 @@ _EDITED_THEORIES = (
 def test_row_edited_after_build_never_yields_an_unverified_verdict(
     theory, index, edit, value
 ):
+    # the view is read-only, so an edit goes to a copy of its rows, and the
+    # edited rows make a new system, whose verdict must verify on it
     lp = global_section_system(theory)
-    row = lp.constraints[index % len(lp.constraints)]
+    rows = list(lp.constraints)
+    row = rows[index % len(rows)]
     variable = sorted(row.coeffs)[index % len(row.coeffs)]
+    coeffs, rhs = dict(row.coeffs), row.rhs
     if edit == "rhs":
-        # a constraint is frozen, so a new rhs means a new constraints tuple,
-        # which the solver sees: it converts the named rows and must succeed
-        edited = LinearConstraint(name=row.name, coeffs=row.coeffs, rhs=value)
-        lp.constraints = tuple(edited if c is row else c for c in lp.constraints)
-        result = solve_feasibility(lp)
+        rhs = value
+    elif edit == "coefficient":
+        coeffs[variable] = value
     else:
-        if edit == "coefficient":
-            row.coeffs[variable] = value
-        else:
-            del row.coeffs[variable]
-        try:
-            result = solve_feasibility(lp)
-        except LinearSystemError:
-            return
-    _assert_verdict_of_rows(lp, result)
-
-
-def test_variable_added_in_place_after_construction_is_rejected():
-    system = _system([("r", {"x": 1}, 1)], ["x"])
-    system.constraints[0].coeffs["ghost"] = Fraction(1)
-    with pytest.raises(LinearSystemError, match="unknown variable 'ghost'"):
-        solve_feasibility(system)
+        del coeffs[variable]
+    rows[index % len(rows)] = LinearConstraint(name=row.name, coeffs=coeffs, rhs=rhs)
+    edited = LinearSystem(lp.variables, rows)
+    result = solve_feasibility(edited)
+    if isinstance(result, Feasible):
+        assert verify_point(edited, result.point)
+    else:
+        assert verify_certificate(edited, result.certificate)
+        assert certificate_margin(edited, result.certificate) == result.margin
 
 
 @pytest.mark.parametrize("value", [0.5, "1/2"])
@@ -510,17 +497,9 @@ def test_non_rational_entries_raise_linear_system_error(value):
         LinearConstraint("r", {"x": value, "y": 1}, 1),
         LinearConstraint("r", {"x": 1, "y": 1}, value),
     )
-    certificate = FarkasCertificate(multipliers={"r": Fraction(1)})
     for row in rows:
-        system = LinearSystem(variables=("x", "y"), constraints=(row,))
         with pytest.raises(LinearSystemError, match="constraint 'r'"):
-            solve_feasibility(system)
-        with pytest.raises(LinearSystemError, match="constraint 'r'"):
-            verify_certificate(system, certificate)
-        with pytest.raises(LinearSystemError, match="constraint 'r'"):
-            certificate_margin(system, certificate)
-        with pytest.raises(LinearSystemError, match="constraint 'r'"):
-            verify_point(system, {"x": Fraction(1), "y": Fraction(0)})
+            LinearSystem(variables=("x", "y"), constraints=(row,))
     system = _system([("r", {"x": 1, "y": 1}, 1)], ["x", "y"])
     for point in ({"x": value}, {"x": Fraction(1, 2), "y": value}):
         with pytest.raises(LinearSystemError, match="not rational"):
@@ -927,10 +906,9 @@ def _blocks(draw):
 def test_phase1_matches_dense_bland_reference(system):
     # no global-section LP has a non-uniform column in a wide block, so the
     # golden digests do not pin that path; this reference does
-    integer = _integer_rows(system)
     m, n = len(system.constraints), len(system.variables)
     point, dual = _simplex_phase1(
-        integer.coeffs, integer.rhs, integer.scales, list(range(m)), list(range(n))
+        system.coeffs, system.rhs, system.scales, list(range(m)), list(range(n))
     )
     expected_point, expected_dual = _dense_phase1(system)
     assert point == expected_point
@@ -1075,10 +1053,9 @@ def test_scanned_presolve_and_row_wise_patch_match_reference():
     eliminating = 0
     for theory in _differential_theories():
         lp = global_section_system(theory)
-        integer = lp._integer
         eliminating += bool(
             _assert_presolve_and_patch_match_reference(
-                integer.coeffs, integer.rhs, integer.scales, len(lp.variables)
+                lp.coeffs, lp.rhs, lp.scales, len(lp.variables)
             )
         )
     assert eliminating > 100
@@ -1114,15 +1091,14 @@ def test_presolve_contradictions_by_name(theory, row, scans, monkeypatch):
     # random_instance(Random(1)) row 20 loses its last column only after its
     # turn, so presolve runs again without the scan to find it
     lp = global_section_system(theory)
-    integer = lp._integer
     _assert_presolve_and_patch_match_reference(
-        integer.coeffs, integer.rhs, integer.scales, len(lp.variables)
+        lp.coeffs, lp.rhs, lp.scales, len(lp.variables)
     )
     calls = _counted_presolve(monkeypatch)
     result = solve_feasibility(lp)
     assert isinstance(result, Infeasible)
     assert calls == scans
-    assert _presolve(integer.coeffs, integer.rhs)[2] == row
+    assert _presolve(lp.coeffs, lp.rhs)[2] == row
 
 
 def test_contradiction_after_the_scan_is_the_full_queues(monkeypatch):

@@ -10,7 +10,12 @@ from hypothesis import given, settings, strategies as st
 from ctxcheck import sheaf
 from ctxcheck.equivalence import minimalize, quotient_theory
 from ctxcheck.generate import random_sections, theory_from_sections
-from ctxcheck.linprog import Feasible, solve_feasibility, verify_certificate
+from ctxcheck.linprog import (
+    Feasible,
+    LinearSystem,
+    solve_feasibility,
+    verify_certificate,
+)
 from ctxcheck.model import (
     ConvexComponent,
     ConvexDeclaration,
@@ -153,7 +158,8 @@ def test_verify_global_section_checks_measurement_mixtures(mixture_variant):
         assert verify_global_section(theory, sections) == []
 
 
-def test_verify_global_section_checks_state_mixtures(mixture_theory):
+def _state_mixture():
+    """Sections of states s, t and u = 1/2 s + 1/2 t, and that declaration."""
     labels = ("a", "b", "c")
     ends = {"s": ("0", "0", "0"), "t": ("1", "1", "1")}
     sections = {
@@ -168,6 +174,12 @@ def test_verify_global_section_checks_state_mixtures(mixture_theory):
         target="u",
         components=(ConvexComponent(H, "s"), ConvexComponent(H, "t")),
     )
+    return sections, u_mix
+
+
+def test_verify_global_section_checks_state_mixtures(mixture_theory):
+    sections, u_mix = _state_mixture()
+    labels = ("a", "b", "c")
     theory = mixture_theory(sections, u_mix)
     verdict = check_contextuality(theory)
     assert not verdict.contextual
@@ -209,15 +221,13 @@ def test_measurement_declarations_enter_the_system():
 
 @pytest.mark.parametrize("name", ["bell", "spekkens-preparation"])
 def test_verdict_system_is_the_named_lp_without_its_integer_rows(name):
-    # the build's integer rows serve the solve only; the verdict keeps the
-    # named system, equal to a fresh build, and not the rows
+    # the verdict keeps the system that decided it, equal to a fresh build
     declared = builtin_example(name).theory
     for theory in (declared, without_declarations(declared)):
         verdict = check_contextuality(theory)
         built = global_section_system(theory)
         if theory.convex or name == "bell":
             assert verdict.system == built
-            assert verdict.system._integer is None
         else:
             # undeclared on a disjoint cover: the product path builds no LP,
             # but reports the sizes it would have
@@ -225,6 +235,23 @@ def test_verdict_system_is_the_named_lp_without_its_integer_rows(name):
             assert verdict.variable_count == len(built.variables)
             assert verdict.constraint_count == len(built.constraints)
             assert verify_global_section(theory, verdict.sections) == []
+
+
+def test_check_renders_no_named_view(monkeypatch):
+    # the check reads the integer rows only; counting rows by the view would
+    # render every named row of every LP it decides
+    rendered = []
+    view = LinearSystem.constraints
+    monkeypatch.setattr(
+        LinearSystem,
+        "constraints",
+        property(lambda lp: rendered.append(lp) or view.func(lp)),
+    )
+    for name in BUILTIN_NAMES:
+        theory = builtin_example(name).theory
+        for mode in ("probabilistic", "possibilistic"):
+            check_contextuality(theory, mode)
+    assert rendered == []
 
 
 def test_variable_count_matches_assignment_space():
@@ -605,15 +632,14 @@ def test_join_order_matches_graham_reduction(cover):
 
 
 def _lp_content(lp):
-    """Everything a build makes, dict order included: variables, named rows
-    and the integer rows it hands the solver."""
-    integer = lp._integer
+    """Everything a build makes, dict order included: variables, row names
+    and the integer rows."""
     return (
         lp.variables,
-        [(c.name, list(c.coeffs.items()), c.rhs) for c in lp.constraints],
-        [list(row.items()) for row in integer.coeffs],
-        integer.rhs,
-        integer.scales,
+        lp.names,
+        [list(row.items()) for row in lp.coeffs],
+        lp.rhs,
+        lp.scales,
     )
 
 
@@ -634,27 +660,42 @@ def test_build_after_edits_in_place_matches_a_cold_build(theory):
     expected = _lp_content(_cold_build(theory))
     lp = global_section_system(theory)
     assert _lp_content(lp) == expected
-    held = {id(c.coeffs) for c in lp.constraints}
-    held |= {id(row) for row in lp._integer.coeffs}
-    # every dict and list the LP holds, edited in place
+    # every edit in place of the LP or of its named view raises
     for c in lp.constraints:
-        for v in c.coeffs:
+        v = next(iter(c.coeffs))
+        with pytest.raises(TypeError):
             c.coeffs[v] = Fraction(7)
-        c.coeffs["ghost"] = ONE
-    for row in lp._integer.coeffs:
-        for k in row:
-            row[k] = 7
-        row[-1] = 1
-    lp._integer.rhs[:] = [3] * len(lp._integer.rhs)
-    lp._integer.scales[:] = [5] * len(lp._integer.scales)
-    lp.constraints = lp.constraints[1:]
-    again = global_section_system(theory)
-    assert _lp_content(again) == expected
-    assert not held & {id(c.coeffs) for c in again.constraints}
-    assert not held & {id(row) for row in again._integer.coeffs}
-    # a solve consumes an LP's integer rows; the next build is unchanged
-    solve_feasibility(again)
+        with pytest.raises(TypeError):
+            del c.coeffs[v]
+        with pytest.raises(TypeError):
+            c.coeffs["ghost"] = ONE
+        with pytest.raises(AttributeError):
+            c.rhs = ONE
+    with pytest.raises(AttributeError):
+        lp.constraints = lp.constraints[1:]
+    with pytest.raises(AttributeError):
+        lp.coeffs = ()
+    assert _lp_content(lp) == expected
     assert _lp_content(global_section_system(theory)) == expected
+
+
+@pytest.mark.parametrize(
+    "name", ["spekkens-preparation", "spekkens-unsharp", "state-mixture"]
+)
+def test_builds_share_the_rows_no_solve_writes(name, mixture_theory):
+    if name == "state-mixture":
+        # declared and feasible, with zero-weight marginals for presolve
+        theory = mixture_theory(*_state_mixture())
+    else:
+        theory = builtin_example(name).theory
+    first, second = global_section_system(theory), global_section_system(theory)
+    shared = [r for r, row in enumerate(first.names) if not row.startswith("marg[")]
+    assert any(first.names[r].startswith("mix:") for r in shared)
+    assert all(first.coeffs[r] is second.coeffs[r] for r in shared)
+    expected = [_lp_content(lp) for lp in (first, second)]
+    result = solve_feasibility(first)
+    assert isinstance(result, Feasible) == (name == "state-mixture")
+    assert [_lp_content(lp) for lp in (first, second)] == expected
 
 
 def test_equal_system_on_a_distinct_object_reads_its_own_tables():
