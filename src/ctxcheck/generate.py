@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import Sequence
 
 from ctxcheck.bridge import outcome_id, subcontext_measurements, to_operational
 from ctxcheck.model import (
+    ZERO,
     EmpiricalTheory,
     ModelError,
     OperationalTheory,
@@ -32,6 +34,7 @@ from ctxcheck.ontology import (
     preparation_classes,
     validate_representation,
 )
+from ctxcheck.quantum import _uniform_mix
 from ctxcheck.sheaf import global_outcome_tuples, marginal_weights
 
 MAX_ATTEMPTS = 50
@@ -280,6 +283,41 @@ def random_instance(rng: random.Random) -> EmpiricalTheory:
         if bumped is not None:
             return bumped
     return theory
+
+
+def bloch_preparation_scenario(ts: Sequence[Fraction | int]) -> EmpiricalTheory:
+    """An exact preparation scenario on the Bloch circle, one pair per ``t``.
+
+    The j-th rational ``t`` gives the rational unit vector
+    r_j = ((1 - t²) / (1 + t²), 2t / (1 + t²)).  The states are ``psi{j}``
+    (Bloch vector r_j), ``perp{j}`` (-r_j) and ``mix`` (0).  The binary
+    measurement ``M{j}`` along r_j is its own context, with
+    P(0 | r, M_j) = (1 + r·r_j) / 2, and ``mix = 1/2 psi{j} + 1/2 perp{j}``
+    is declared for every j, which the tables satisfy exactly.  Two ``t``
+    giving parallel vectors raise ``GeneratorError``.
+    """
+    directions = []
+    for t in map(Fraction, ts):
+        r = ((1 - t * t) / (1 + t * t), 2 * t / (1 + t * t))
+        if any(r[0] * s[1] == r[1] * s[0] for s in directions):
+            raise GeneratorError(f"t = {t} repeats a direction")
+        directions.append(r)
+    labels = [f"M{j}" for j in range(len(directions))]
+    system = system_type({m: ("0", "1") for m in labels}, [(m,) for m in labels])
+    bloch = {"mix": (ZERO, ZERO)}
+    for j, (x, y) in enumerate(directions):
+        bloch[f"psi{j}"], bloch[f"perp{j}"] = (x, y), (-x, -y)
+    states = {}
+    for name, (x, y) in bloch.items():
+        table = {}
+        for m, (u, v) in zip(labels, directions):
+            p0 = (1 + x * u + y * v) / 2
+            table[(m,)] = RationalDistribution((m,), {("0",): p0, ("1",): 1 - p0})
+        states[name] = State(name=name, table=table)
+    convex = tuple(
+        _uniform_mix((f"psi{j}", f"perp{j}"), "mix") for j in range(len(directions))
+    )
+    return EmpiricalTheory(system=system, states=states, convex=convex)
 
 
 def duplicated_label_theory(

@@ -19,15 +19,19 @@ connected-component splitting) keeps the tableaus small.  Its first pass, up
 to the first zero-rhs row of mixed signs, is one scan without a column
 index, so the columns forced there (on a sheaf LP, those of the zero-weight
 marginals) never enter the index.
-Each block's tableau is fraction-free (Edmonds): a row is a list of Python
-ints, kept only up to a positive scale and divided by its content after
-every pivot.  An update whose pivot-row multiplier is 1 subtracts a multiple
-of the pivot row only at its nonzero entries.  A block with no more columns
-than rows stores every column.  A wider block stores only its basis inverse
-and rhs, keeps each column packed as its row indices and coefficients, and
-computes a column's reduced cost and entries from them when Bland's rule
-asks for them, so a pivot costs rows times rows instead of rows times
-columns; the pivots, point and certificate are those of the stored form.
+Each block's tableau is fraction-free (Edmonds): a row holds Python ints,
+kept only up to a positive scale and divided by its content after every
+pivot.  An update whose pivot-row multiplier is 1 subtracts a multiple of
+the pivot row only at its nonzero entries.  A block with no more columns
+than rows stores every column, each row as a sparse dict of its nonzero
+entries: such a tall block's row is mostly its artificial part, the basis
+inverse, which stays near the identity, so a pivot's updates and content
+divisions cost per nonzero, not per column.  A wider block stores only its
+basis inverse and rhs, as dense lists, keeps each column packed as its row
+indices and coefficients, and computes a column's reduced cost and entries
+from them when Bland's rule asks for them, so a pivot costs rows times rows
+instead of rows times columns; the pivots, point and certificate are those
+of the stored form.
 No ``Fraction`` is used between the input rows and the returned point and
 multipliers.
 
@@ -433,10 +437,10 @@ def _simplex_phase1(
 ) -> tuple[dict[int, Fraction] | None, dict[int, int] | None]:
     """Phase-I simplex on a block.  Returns (point, None) or (None, dual).
 
-    Fraction-free: each tableau row is a list of Python ints equal to the
-    exact rational row up to a positive scale, divided by its content after
-    every update.  Positive scaling changes neither the sign of an entry nor
-    the order of two ratios, so Bland's pivot sequence is the one of the
+    Fraction-free: each tableau row holds Python ints equal to the exact
+    rational row up to a positive scale, divided by its content after every
+    update.  Positive scaling changes neither the sign of an entry nor the
+    order of two ratios, so Bland's pivot sequence is the one of the
     rational tableau.  The objective row is read exactly, so it carries its
     own denominator: its rational value is ``obj / oden``.
 
@@ -448,63 +452,188 @@ def _simplex_phase1(
     one positive scale, valid for the block rows (before any elimination
     patching).
 
-    What a row stores depends on the block's shape.  A block with no more
-    columns than rows stores every column.  A wider block stores only the
-    artificial columns (the basis inverse, up to row scales) and the rhs,
-    and computes a structural column when it is needed.  With ``L`` the lcm
-    of the block's row scales and ``A[k][j] = (L / scales[k]) * a[k][j]``
-    the sign-flipped input rows made integer over one denominator, tableau
-    row ``i`` times ``L`` reads ``sum_k row_i[k] * A[k][j]`` on column
-    ``j``; the reduced cost of ``j`` times ``L`` is ``sum_k (obj[k] - oden)
-    * A[k][j]``, where ``(obj[k] - oden) * flip[k]`` is the returned dual.
-    Bland's rule prices columns in order and stops at the first negative
-    one, and the ratio test and the update need only the entering column,
-    so a pivot costs about the rows times the rows, not times the columns.
-    Each column is packed once as its row indices ``ks`` and entries
+    What a row stores depends on the block's shape, and both forms take the
+    same pivots.  A block with no more columns than rows stores every
+    column, each row as a sparse dict (``_stored_phase1``), since such a
+    row is mostly the basis inverse, which stays near the identity.  A wider
+    block stores only its basis inverse and rhs, as dense lists, and
+    computes a structural column when Bland's rule asks for it
+    (``_inverse_phase1``); there a row has only m + 1 entries, so a dict
+    would save little.
+    """
+    if len(cols) <= len(rows):
+        return _stored_phase1(coeffs, rhs, scales, rows, cols)
+    return _inverse_phase1(coeffs, rhs, scales, rows, cols)
+
+
+def _stored_phase1(
+    coeffs: Sequence[dict[int, int]],
+    rhs: Sequence[int],
+    scales: Sequence[int],
+    rows: list[int],
+    cols: list[int],
+) -> tuple[dict[int, Fraction] | None, dict[int, int] | None]:
+    """``_simplex_phase1`` on a block with no more columns than rows.
+
+    Each row is a dict ``{column: nonzero int}`` over structural columns
+    ``0 .. n - 1``, artificial columns ``n .. n + m - 1`` and the rhs at
+    ``n + m``; an entry that cancels to 0 is deleted.  A tall block's row is
+    mostly its artificial part, the basis inverse, which stays near the
+    identity, so it holds few nonzeros, and a pivot's updates, content gcds
+    and divisions cost per nonzero rather than per column.  The objective
+    row is a dense list, since Bland's rule scans it in column order.
+
+    A row update is ``row * q - f * prow``, made at the pivot row's
+    nonzeros; with ``q == 1`` it is made in place.
+    """
+    m = len(rows)
+    n = len(cols)
+    end = n + m  # the rhs column
+    oden = lcm(*(scales[r] for r in rows))
+    position = {j: i for i, j in enumerate(cols)}
+    flip: list[int] = []
+    tab: list[dict[int, int]] = []
+    # phase-I reduced costs: structural -column sums, artificial 0
+    obj = [0] * (end + 1)
+    for k, r in enumerate(rows):
+        sign = -1 if rhs[r] < 0 else 1
+        mult = oden // scales[r]
+        row: dict[int, int] = {}
+        for j, a in coeffs[r].items():
+            i = position.get(j)
+            if i is not None:
+                row[i] = sign * a
+                obj[i] -= sign * a * mult
+        row[n + k] = scales[r]
+        if rhs[r]:
+            row[end] = sign * rhs[r]
+            obj[end] -= sign * rhs[r] * mult
+        flip.append(sign)
+        tab.append(row)
+
+    basis = list(range(n, end))
+    while True:
+        # Bland: lowest structural index with a negative reduced cost;
+        # artificials barred
+        enter = -1
+        for j in range(n):
+            if obj[j] < 0:
+                enter = j
+                break
+        if enter < 0:
+            break
+        column = [row.get(enter, 0) for row in tab]
+        leave = -1
+        for i, a in enumerate(column):
+            if a > 0:
+                b = tab[i].get(end, 0)
+                if leave < 0:
+                    leave, best_b, best_a = i, b, a
+                    continue
+                # b / a against best_b / best_a by cross-multiplying (a > 0)
+                here, best = b * best_a, best_b * a
+                if here < best or (here == best and basis[i] < basis[leave]):
+                    leave, best_b, best_a = i, b, a
+        if leave < 0:
+            raise LinearSystemError("phase-I objective unbounded; invalid system")
+        prow = tab[leave]
+        p = column[leave]
+        for i, f in enumerate(column):
+            if f and i != leave:
+                g = gcd(p, f)
+                q, f = p // g, f // g
+                row = tab[i] if q == 1 else {k: a * q for k, a in tab[i].items()}
+                for k, b in prow.items():
+                    a = row.get(k, 0) - f * b
+                    if a:
+                        row[k] = a
+                    else:
+                        del row[k]
+                g = gcd(*row.values())
+                tab[i] = {k: a // g for k, a in row.items()} if g > 1 else row
+        price = obj[enter]
+        g = gcd(p, price)
+        q, f = p // g, price // g
+        if q != 1:
+            obj = [a * q for a in obj]
+        for k, b in prow.items():
+            obj[k] -= f * b
+        oden *= q
+        g = gcd(oden, *obj)
+        if g > 1:
+            obj = [a // g for a in obj]
+            oden //= g
+        basis[leave] = enter
+    if obj[end] == 0:
+        point: dict[int, Fraction] = {}
+        for row, j in zip(tab, basis):
+            if j < n:
+                point[cols[j]] = Fraction(row.get(end, 0), row[j])
+        return point, None
+    # y_k = (obj[n + k] / oden - 1) * flip[k], all over the one denominator
+    dual: dict[int, int] = {}
+    for k in range(m):
+        y = (obj[n + k] - oden) * flip[k]
+        if y:
+            dual[rows[k]] = y
+    return None, dual
+
+
+def _inverse_phase1(
+    coeffs: Sequence[dict[int, int]],
+    rhs: Sequence[int],
+    scales: Sequence[int],
+    rows: list[int],
+    cols: list[int],
+) -> tuple[dict[int, Fraction] | None, dict[int, int] | None]:
+    """``_simplex_phase1`` on a block with more columns than rows.
+
+    Each row is a dense list of the artificial columns (the basis inverse,
+    up to row scales) and the rhs.  With ``L`` the lcm of the block's row
+    scales and ``A[k][j] = (L / scales[k]) * a[k][j]`` the sign-flipped
+    input rows made integer over one denominator, tableau row ``i`` times
+    ``L`` reads ``sum_k row_i[k] * A[k][j]`` on column ``j``; the reduced
+    cost of ``j`` times ``L`` is ``sum_k (obj[k] - oden) * A[k][j]``, where
+    ``(obj[k] - oden) * flip[k]`` is the returned dual.  Bland's rule
+    prices columns in order and stops at the first negative one, and the
+    ratio test and the update need only the entering column, so a pivot
+    costs about the rows times the rows, not times the columns.  Each
+    column is packed once as its row indices ``ks`` and entries
     ``A[k][j]``.  A column with two or more entries, all equal to ``c``,
     reads ``c * sum(itemgetter(*ks)(row))``, as every wide column of a
     global-section LP does (all ``L`` or ``-L``); any other column reads
     ``sum(map(mul, map(row.__getitem__, ks), vals))``.  Either way the sum
     runs in C builtins, so pricing a column calls no Python function.
-    Computed entries carry the extra
-    factor ``L``; dividing ``gcd(p, f)`` out of the two multipliers of every
-    row update removes it (and any other common factor) before it reaches
-    the row, instead of leaving it to the content division.
+    Computed entries carry the extra factor ``L``; dividing ``gcd(p, f)``
+    out of the two multipliers of every row update removes it (and any
+    other common factor) before it reaches the row, instead of leaving it
+    to the content division.
 
     A row update is ``row * q - f * prow``.  When ``q == 1`` it changes the
     row only where ``prow`` is nonzero, so it subtracts there and leaves the
-    other entries alone, in place; the objective row is updated the same
-    way.  The content division after it is unchanged.
+    other entries alone, in place.
     """
     m = len(rows)
     n = len(cols)
-    stored = n <= m
-    lead = n if stored else 0  # stored structural entries before the artificials
     oden = lcm(*(scales[r] for r in rows))
-    unit = 1 if stored else oden  # computed entries are ``oden`` times the row's
+    unit = oden  # computed entries are ``unit`` times the row's
     position = {j: i for i, j in enumerate(cols)}
     flip: list[int] = []
     columns: list[tuple[list[int], list[int]]] = [([], []) for _ in cols]
     tab: list[list[int]] = []
-    # phase-I reduced costs: structural -column sums (stored form only),
-    # artificial 0
-    obj = [0] * (lead + m + 1)
+    # phase-I reduced costs: artificial 0, then the rhs
+    obj = [0] * (m + 1)
     for k, r in enumerate(rows):
         sign = -1 if rhs[r] < 0 else 1
         mult = oden // scales[r]
-        row = [0] * (lead + m + 1)
+        row = [0] * (m + 1)
         for j, a in coeffs[r].items():
             i = position.get(j)
-            if i is None:
-                continue
-            if stored:
-                row[i] = sign * a
-                obj[i] -= sign * a * mult
-            else:
+            if i is not None:
                 ks, vals = columns[i]
                 ks.append(k)
                 vals.append(sign * a * mult)
-        row[lead + k] = scales[r]
+        row[k] = scales[r]
         row[-1] = sign * rhs[r]
         obj[-1] -= row[-1] * mult
         flip.append(sign)
@@ -522,8 +651,6 @@ def _simplex_phase1(
 
     def column_entries(j: int, rows: list[list[int]]) -> list[int]:
         """Structural column ``j`` of each of ``rows``."""
-        if stored:
-            return [row[j] for row in rows]
         get, c, ks, vals = packed[j]
         if c:
             return [c * sum(get(row)) for row in rows]
@@ -534,21 +661,15 @@ def _simplex_phase1(
         # Bland: lowest structural index with a negative reduced cost;
         # artificials barred
         enter = -1
-        if stored:
-            for j in range(n):
-                if obj[j] < 0:
-                    enter, price = j, obj[j]
-                    break
-        else:
-            prices = [a - oden for a in obj[:m]]
-            for j, (get, c, ks, vals) in enumerate(packed):
-                if c:
-                    price = c * sum(get(prices))
-                else:
-                    price = sum(map(mul, map(prices.__getitem__, ks), vals))
-                if price < 0:
-                    enter = j
-                    break
+        prices = [a - oden for a in obj[:m]]
+        for j, (get, c, ks, vals) in enumerate(packed):
+            if c:
+                price = c * sum(get(prices))
+            else:
+                price = sum(map(mul, map(prices.__getitem__, ks), vals))
+            if price < 0:
+                enter = j
+                break
         if enter < 0:
             break
         column = column_entries(enter, tab)
@@ -601,10 +722,10 @@ def _simplex_phase1(
             if j < n:
                 point[cols[j]] = Fraction(row[-1] * unit, column_entries(j, [row])[0])
         return point, None
-    # y_k = (obj[lead + k] / oden - 1) * flip[k], all over the one denominator
+    # y_k = (obj[k] / oden - 1) * flip[k], all over the one denominator
     dual: dict[int, int] = {}
     for k in range(m):
-        y = (obj[lead + k] - oden) * flip[k]
+        y = (obj[k] - oden) * flip[k]
         if y:
             dual[rows[k]] = y
     return None, dual

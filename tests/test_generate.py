@@ -5,8 +5,12 @@ import hashlib
 import random
 from fractions import Fraction
 
+import pytest
+
 from ctxcheck import (
+    GeneratorError,
     analyze_representation,
+    bloch_preparation_scenario,
     check_contextuality,
     dump_document,
     duplicated_label_theory,
@@ -26,7 +30,9 @@ from ctxcheck import (
     theory_from_sections,
     validate_representation,
     validate_theory,
+    verify_certificate,
     verify_global_section,
+    without_declarations,
 )
 
 
@@ -169,3 +175,48 @@ def test_generated_representations_match_golden_digest():
     assert digest.hexdigest() == (
         "7b85fd3aa347be6261d0a961c57a2dc353482a470c62c96f508103d0208a157b"
     )
+
+
+@pytest.mark.parametrize(
+    "k, size, margin",
+    [
+        (3, (56, 73), Fraction(7, 80)),
+        (4, (144, 145), Fraction(63, 500)),
+        (5, (352, 281), Fraction(737, 9775)),
+    ],
+)
+def test_bloch_preparation_scenarios_hold_their_declarations_and_are_contextual(
+    k, size, margin
+):
+    theory = bloch_preparation_scenario(range(k))
+    assert validate_theory(theory) == []
+    require_no_signalling(theory)
+    assert len(theory.states) == 2 * k + 1 and len(theory.convex) == k
+    # every declared mixture holds exactly on every table
+    for decl in theory.convex:
+        for ctx in theory.system.cover:
+            target = theory.states[decl.target].table[ctx]
+            for values in (("0",), ("1",)):
+                mixed = sum(
+                    c.coefficient * theory.states[c.name].table[ctx].weight(values)
+                    for c in decl.components
+                )
+                assert target.weight(values) == mixed
+    verdict = check_contextuality(theory)
+    assert verdict.contextual
+    assert verify_certificate(verdict.system, verdict.certificate)
+    assert verdict.margin == margin
+    assert (len(verdict.system.variables), len(verdict.system.names)) == size
+    # the cover is disjoint, so without declarations the product path
+    # decides, with no LP
+    bare_theory = without_declarations(theory)
+    bare = check_contextuality(bare_theory)
+    assert not bare.contextual and bare.system is None
+    assert verify_global_section(bare_theory, bare.sections) == []
+
+
+def test_bloch_preparation_scenario_rejects_a_repeated_direction():
+    # t and -1/t give opposite vectors, so psi of one is perp of the other
+    for ts in ((0, 0), (1, -1), (Fraction(1, 2), -2)):
+        with pytest.raises(GeneratorError):
+            bloch_preparation_scenario(ts)

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ctxcheck.generate import (
+    bloch_preparation_scenario,
     random_feasible_theory,
     random_frustrated_cycle,
     random_instance,
@@ -844,7 +845,9 @@ def _dense_phase1(system):
         )
         prow = [a / tab[leave][enter] for a in tab[leave]]
         tab = [
-            prow if i == leave else [a - row[enter] * b for a, b in zip(row, prow)]
+            prow if i == leave
+            else row if not row[enter]
+            else [a - row[enter] * b if b else a for a, b in zip(row, prow)]
             for i, row in enumerate(tab)
         ]
         obj = [a - obj[enter] * b for a, b in zip(obj, prow)]
@@ -869,6 +872,12 @@ def _blocks(draw):
     rhs of a planted nonnegative point, so that tall blocks are feasible
     too; their entries are drawn unflipped, and a row whose planted rhs is
     negative flips them.
+
+    Half the blocks are made tall, up to 12 rows over no more columns than
+    rows, by derived rows: a multiple of a drawn row (an exact repeat
+    included), or of one plus a multiple of another, with the rhs of that
+    combination or, unless planted, rhs 0.  So updated rows cancel to exact
+    zero and ratio tests tie.
     """
     m = draw(st.integers(1, 5))
     n = draw(st.integers(1, 8))
@@ -895,30 +904,79 @@ def _blocks(draw):
                 values += [draw(_NONZERO) for _ in ks[2:]]
         for k, a in zip(ks, values):
             rows[k][f"v{j}"] = a * flip[k]
+    if draw(st.booleans()):
+        for _ in range(draw(st.integers(max(m, n), 12)) - m):
+            a, b = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+            x = draw(st.one_of(st.just(Fraction(1)), _NONZERO))
+            y = draw(st.one_of(st.just(Fraction(0)), _NONZERO))
+            row = {v: x * c for v, c in rows[a].items()}
+            for v, c in rows[b].items():
+                row[v] = row.get(v, 0) + y * c
+            rows.append({v: c for v, c in row.items() if c})
+            if not planted:
+                combined = x * rhs[a] + y * rhs[b]
+                rhs.append(combined if draw(st.booleans()) else Fraction(0))
     if planted:
         rhs = [sum(a * point[v] for v, a in row.items()) for row in rows]
     return _system(
-        [(f"r{k}", rows[k], rhs[k]) for k in range(m)], [f"v{j}" for j in range(n)]
+        [(f"r{k}", row, b) for k, (row, b) in enumerate(zip(rows, rhs))],
+        [f"v{j}" for j in range(n)],
     )
+
+
+def _assert_phase1_matches_dense_reference(system, rows, cols):
+    """The kernel on block (rows, cols) of ``system`` against ``_dense_phase1``
+    on that block alone: the same point, or the same dual up to one positive
+    scale."""
+    position = {j: i for i, j in enumerate(cols)}
+    block = LinearSystem._from_rows(
+        tuple(system.variables[j] for j in cols),
+        tuple(system.names[r] for r in rows),
+        tuple(
+            {position[j]: a for j, a in system.coeffs[r].items() if j in position}
+            for r in rows
+        ),
+        tuple(system.rhs[r] for r in rows),
+        tuple(system.scales[r] for r in rows),
+    )
+    point, dual = _simplex_phase1(system.coeffs, system.rhs, system.scales, rows, cols)
+    expected_point, expected_dual = _dense_phase1(block)
+    if expected_point is not None:
+        expected_point = {cols[j]: x for j, x in expected_point.items()}
+    assert point == expected_point
+    if expected_dual is None:
+        assert dual is None
+        return
+    expected_dual = {rows[k]: y for k, y in expected_dual.items()}
+    assert dual.keys() == expected_dual.keys()
+    scale = Fraction(dual[next(iter(dual))]) / expected_dual[next(iter(dual))]
+    assert scale > 0
+    assert all(dual[k] == scale * y for k, y in expected_dual.items())
 
 
 @given(_blocks())
 def test_phase1_matches_dense_bland_reference(system):
     # no global-section LP has a non-uniform column in a wide block, so the
     # golden digests do not pin that path; this reference does
-    m, n = len(system.constraints), len(system.variables)
-    point, dual = _simplex_phase1(
-        system.coeffs, system.rhs, system.scales, list(range(m)), list(range(n))
-    )
-    expected_point, expected_dual = _dense_phase1(system)
-    assert point == expected_point
-    if expected_dual is None:
-        assert dual is None
-        return
-    assert dual.keys() == expected_dual.keys()
-    scale = Fraction(dual[next(iter(dual))]) / expected_dual[next(iter(dual))]
-    assert scale > 0
-    assert all(dual[k] == scale * y for k, y in expected_dual.items())
+    m, n = len(system.names), len(system.variables)
+    _assert_phase1_matches_dense_reference(system, list(range(m)), list(range(n)))
+
+
+@pytest.mark.parametrize("name", [*BUILTIN_NAMES, "bloch3", "bloch4"])
+def test_phase1_matches_dense_bland_reference_on_stored_lp_blocks(name):
+    # every block of these LPs, as presolve leaves them, is no wider than
+    # tall; mermin's and specker-triangle's presolve finds a contradiction,
+    # so they have no block
+    if name in BUILTIN_NAMES:
+        theory = builtin_example(name).theory
+    else:
+        theory = bloch_preparation_scenario(range(int(name[-1])))
+    system = global_section_system(theory)
+    blocks, _, bad_row = _presolve(system.coeffs, system.rhs)
+    assert (bad_row is None) == (name not in ("mermin", "specker-triangle"))
+    assert all(len(cols) <= len(rows) for rows, cols in blocks)
+    for rows, cols in blocks:
+        _assert_phase1_matches_dense_reference(system, rows, cols)
 
 
 # ---------------------------------------------------------------------------
