@@ -12,10 +12,10 @@ equalities compare tables through ``Measurement.marginal`` and
 
 Morphisms of empirical theories (state, label and outcome maps preserving
 statistics and statistical equivalence) are transported to the operational
-presentation by ``apply_operational_morphism``.  ``forget_statistics``
-recovers an operational theory from a representation; on a canonical
-representation this returns the operational form of the original theory
-exactly, which ``check_iso_diagram`` verifies.
+presentation by ``apply_operational_morphism``.  The map back from
+representations, ``forget_statistics``, and the triangle identity
+``check_iso_diagram`` live in the ``ontology`` module, which builds on
+this one; this module does not import it.
 """
 
 from __future__ import annotations
@@ -36,11 +36,6 @@ from ctxcheck.model import (
     ZERO,
     empirical_system,
     validate_operational_theory,
-)
-from ctxcheck.ontology import (
-    OntologicalRepresentation,
-    canonical_representation,
-    realized_weight,
 )
 from ctxcheck.sheaf import (
     context_outcome_tuples,
@@ -448,28 +443,8 @@ def validate_operational_morphism(g: OperationalMorphism) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Forgetting ontology; the triangle identity
+# Statistical equality
 # ---------------------------------------------------------------------------
-
-
-def forget_statistics(rep: OntologicalRepresentation) -> OperationalTheory:
-    """Operational theory whose tables are the representation's realized
-    statistics (law of total probability over the ontic values)."""
-    statistics: dict[tuple[str, str], dict[str, Fraction]] = {}
-    for p in rep.target.preparations:
-        for m, meas in rep.target.measurements.items():
-            dist: dict[str, Fraction] = {}
-            for k in meas.outcomes:
-                w = realized_weight(rep, p, m, k)
-                if w != 0:
-                    dist[k] = w
-            statistics[(p, m)] = dist
-    return OperationalTheory(
-        preparations=rep.target.preparations,
-        measurements=dict(rep.target.measurements),
-        statistics=statistics,
-        convex=rep.target.convex,
-    )
 
 
 def operational_theories_statistically_equal(
@@ -531,14 +506,3 @@ def empirical_theories_statistically_equal(
             if marginal_weights(da, order) != marginal_weights(db, order):
                 return False
     return True
-
-
-def check_iso_diagram(
-    theory: EmpiricalTheory, sections: dict[str, RationalDistribution]
-) -> bool:
-    """Forgetting the canonical representation's ontology must reproduce the
-    operational form of the theory exactly."""
-    rep = canonical_representation(theory, sections)
-    return operational_theories_statistically_equal(
-        forget_statistics(rep), to_operational(theory)
-    )

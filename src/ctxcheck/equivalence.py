@@ -649,21 +649,3 @@ def transport_sections_from_minimal(
     )
     return transport_sections_from_split(mmap.split_map, split_sections)
 
-
-def theories_equal(a: EmpiricalTheory, b: EmpiricalTheory) -> bool:
-    """Exact structural equality of two theories (labels, tables, declarations)."""
-    if a.system.labels != b.system.labels:
-        return False
-    if a.system.outcomes != b.system.outcomes:
-        return False
-    if a.system.cover != b.system.cover:
-        return False
-    if set(a.states) != set(b.states):
-        return False
-    for name in a.states:
-        sa, sb = a.state(name), b.state(name)
-        if set(sa.table) != set(sb.table):
-            return False
-        if any(sa.table[c] != sb.table[c] for c in sa.table):
-            return False
-    return a.convex == b.convex

@@ -30,8 +30,11 @@ from ctxcheck.model import (
 )
 from ctxcheck.ontology import (
     OntologicalRepresentation,
+    forget_statistics,
+    measurement_nc_witness,
     outcome_pair_classes,
     preparation_classes,
+    preparation_nc_witness,
     validate_representation,
 )
 from ctxcheck.quantum import _uniform_mix
@@ -378,9 +381,11 @@ def random_factorizable_representation(
     """A noncontextual factorizable representation with generic weights.
 
     Elementary responses are deterministic and joints are their products,
-    so factorizability holds by construction; realized statistics become
-    the target theory.  Resamples when weight collisions would put
-    structurally different preparations or outcome events in one class.
+    so factorizability holds by construction; the realized statistics
+    (``forget_statistics``) become the target theory.  Resamples when weight
+    collisions put structurally different preparations or outcome events in
+    one class, which shows as a preparation or measurement
+    non-contextuality witness.
     """
     for _ in range(MAX_ATTEMPTS):
         ontic = tuple(f"l{i}" for i in range(rng.randint(1, 6)))
@@ -404,36 +409,15 @@ def random_factorizable_representation(
             for lam in ontic:
                 values = tuple(elementary[m][lam] for m in meas.labels)
                 xi[name][lam] = {outcome_id(values): Fraction(1)}
-        statistics: dict[tuple[str, str], dict[str, Fraction]] = {}
-        for p in preps:
-            for name in measurements:
-                weights: dict[str, Fraction] = {}
-                for lam in ontic:
-                    for k, w in xi[name][lam].items():
-                        weights[k] = weights.get(k, Fraction(0)) + mu[p][lam] * w
-                statistics[(p, name)] = {
-                    k: w for k, w in weights.items() if w != 0
-                }
-        target = OperationalTheory(
-            preparations=preps,
-            measurements=measurements,
-            statistics=statistics,
-            convex=(),
+        rep = OntologicalRepresentation(
+            ontic=ontic,
+            mu=mu,
+            xi=xi,
+            target=OperationalTheory(preps, measurements, statistics={}),
         )
-
-        def column(pair: tuple[str, str]) -> tuple[Fraction, ...]:
-            m, k = pair
-            return tuple(xi[m][lam].get(k, Fraction(0)) for lam in ontic)
-
-        if any(
-            mu[cls[0]] != mu[p] for cls in preparation_classes(target) for p in cls
-        ) or any(
-            column(cls[0]) != column(pair)
-            for cls in outcome_pair_classes(target)
-            for pair in cls
-        ):
+        rep.target = forget_statistics(rep)
+        if preparation_nc_witness(rep) or measurement_nc_witness(rep):
             continue
-        rep = OntologicalRepresentation(ontic=ontic, mu=mu, xi=xi, target=target)
         problems = validate_representation(rep)
         if problems:
             raise GeneratorError("; ".join(problems))

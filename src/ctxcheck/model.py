@@ -323,11 +323,10 @@ def validate_theory(theory: EmpiricalTheory) -> list[str]:
                     f"state {name!r}: table domain {dist.domain} != context {ctx}"
                 )
                 continue
-            # a label outside the system raises in ``outcomes_of``
-            outcome_sets = [
-                label_outcomes.get(m) or set(system.outcomes_of(m).labels)
-                for m in ctx
-            ]
+            try:
+                outcome_sets = [label_outcomes[m] for m in ctx]
+            except KeyError:
+                continue  # ``validate_system_type`` reports the unknown label
             # each label's outcomes against its set; only a table with an
             # outcome outside it is sorted, to report them in a fixed order
             if all(map(set.issuperset, outcome_sets, zip(*dist.weights))):
@@ -524,6 +523,16 @@ def validate_operational_theory(theory: OperationalTheory) -> list[str]:
         for m in theory.measurements:
             if (p, m) not in theory.statistics:
                 violations.append(f"missing statistics for ({p!r}, {m!r})")
+    for decl in theory.convex:
+        if decl.kind == "state":
+            known, noun = theory.preparations, "preparation"
+        else:
+            known, noun = theory.measurements, "measurement"
+        for name in (decl.target, *(c.name for c in decl.components)):
+            if name not in known:
+                violations.append(
+                    f"{decl.kind} mixture references unknown {noun} {name!r}"
+                )
     # marginal consistency along the joint-measurability order
     by_labels = {frozenset(meas.labels): name for name, meas in theory.measurements.items()}
     for name, meas in theory.measurements.items():

@@ -11,6 +11,11 @@ identical distributions), outcome determinism, parameter independence, and
 factorizability of joint-measurement responses into single-measurement ones.
 Each flag has one witness function returning its first counterexample in a
 fixed search order, or None; realization's is ``verify_realization``.
+Realized statistics have one construction, ``realized_distribution`` (one
+pass over a preparation's support); ``forget_statistics`` applies it to
+every table, turning a representation back into an operational theory, and
+``check_iso_diagram`` tests that forgetting the canonical representation's
+ontology gives the theory's ``bridge.to_operational`` form exactly.
 Constructions: the trivial representation (one ontic value per preparation
 class), the canonical representation (ontic values are the supported full
 assignments of the minimalized theory, with delta responses), and the
@@ -29,6 +34,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from ctxcheck.bridge import operational_theories_statistically_equal, to_operational
 from ctxcheck.equivalence import (
     minimalize,
     partition,
@@ -43,6 +49,7 @@ from ctxcheck.model import (
     State,
     ZERO,
     empirical_system,
+    validate_operational_theory,
 )
 from ctxcheck.sheaf import (
     global_outcome_tuples,
@@ -115,17 +122,22 @@ def validate_representation(rep: OntologicalRepresentation) -> list[str]:
     return out
 
 
-def realized_weight(
-    rep: OntologicalRepresentation, prep: str, meas: str, outcome: str
-) -> Fraction:
-    mu = rep.mu_of(prep)
+def realized_distribution(
+    rep: OntologicalRepresentation, prep: str, meas: str
+) -> Weights:
+    """Outcome weights of ``meas`` at ``prep`` by the law of total probability.
+
+    One pass over the support of the preparation's distribution; outcomes
+    appear in the order the ontic values first reach them, zeros dropped.
+    """
     family = rep.xi[meas]
-    total = ZERO
-    for lam, w in mu.items():
+    weights: Weights = {}
+    for lam, w in rep.mu_of(prep).items():
         if w == 0:
             continue
-        total += w * family[lam].get(outcome, ZERO)
-    return total
+        for k, x in family[lam].items():
+            weights[k] = weights.get(k, ZERO) + w * x
+    return {k: w for k, w in weights.items() if w != 0}
 
 
 def verify_realization(
@@ -136,10 +148,28 @@ def verify_realization(
     for p in target.preparations:
         for m in sorted(target.measurements):
             stats = target.distribution(p, m)
+            realized = realized_distribution(rep, p, m)
             for k in target.measurements[m].outcomes:
-                if realized_weight(rep, p, m, k) != stats.get(k, ZERO):
+                if realized.get(k, ZERO) != stats.get(k, ZERO):
                     return False, (p, m, k)
     return True, None
+
+
+def forget_statistics(rep: OntologicalRepresentation) -> OperationalTheory:
+    """Operational theory whose tables are the representation's realized
+    statistics (``realized_distribution`` of every preparation and
+    measurement)."""
+    target = rep.target
+    return OperationalTheory(
+        preparations=target.preparations,
+        measurements=dict(target.measurements),
+        statistics={
+            (p, m): realized_distribution(rep, p, m)
+            for p in target.preparations
+            for m in target.measurements
+        },
+        convex=target.convex,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +244,8 @@ def analyze_representation(
     _require_valid(rep)
     witnesses = {
         "realizes": verify_realization(rep)[1],
-        "preparation_nc": _preparation_nc_witness(rep),
-        "measurement_nc": _measurement_nc_witness(rep),
+        "preparation_nc": preparation_nc_witness(rep),
+        "measurement_nc": measurement_nc_witness(rep),
         "outcome_deterministic": _determinism_witness(
             rep, sorted(rep.target.measurements)
         ),
@@ -234,7 +264,7 @@ def _require_valid(rep: OntologicalRepresentation) -> None:
         raise RepresentationError("; ".join(problems))
 
 
-def _preparation_nc_witness(rep: OntologicalRepresentation):
+def preparation_nc_witness(rep: OntologicalRepresentation):
     """First pair of equivalent preparations with different distributions."""
     for cls in preparation_classes(rep.target):
         base = rep.mu_of(cls[0])
@@ -244,7 +274,7 @@ def _preparation_nc_witness(rep: OntologicalRepresentation):
     return None
 
 
-def _measurement_nc_witness(rep: OntologicalRepresentation):
+def measurement_nc_witness(rep: OntologicalRepresentation):
     """First equivalent outcome-event pair answered differently, and where."""
     for cls in outcome_pair_classes(rep.target):
         m0, k0 = cls[0]
@@ -354,8 +384,6 @@ def canonical_representation(
     operational form exactly and is preparation non-contextual, parameter
     independent, outcome deterministic, and factorizable by construction.
     """
-    from ctxcheck.bridge import to_operational
-
     violations = verify_global_section(theory, sections)
     if violations:
         raise RepresentationError(
@@ -412,8 +440,8 @@ def induced_theory(
     """
     _require_valid(rep)
     if (
-        _preparation_nc_witness(rep)
-        or _measurement_nc_witness(rep)
+        preparation_nc_witness(rep)
+        or measurement_nc_witness(rep)
         or _factorizability_witness(rep)
     ):
         raise RepresentationError(
@@ -459,6 +487,17 @@ def induced_theory(
     return theory, sections
 
 
+def check_iso_diagram(
+    theory: EmpiricalTheory, sections: dict[str, RationalDistribution]
+) -> bool:
+    """Forgetting the canonical representation's ontology must reproduce the
+    operational form of the theory exactly."""
+    rep = canonical_representation(theory, sections)
+    return operational_theories_statistically_equal(
+        forget_statistics(rep), to_operational(theory)
+    )
+
+
 # ---------------------------------------------------------------------------
 # Sharpness: perfect predictability and maximally mixed preparations
 # ---------------------------------------------------------------------------
@@ -482,18 +521,26 @@ def sharpness_report(target: OperationalTheory) -> SharpnessReport:
     equivalence of targets) through every other preparation, and through a
     certainty family for every perfectly predictable measurement.
     """
+    problems = validate_operational_theory(target)
+    if problems:
+        raise ModelError("invalid operational theory: " + "; ".join(problems))
+    # (preparation, measurement) -> the outcome it gives with weight 1
+    certain: dict[tuple[str, str], str] = {}
+    for (p, m), dist in target.statistics.items():
+        for k, w in dist.items():
+            if w == ONE:
+                certain[(p, m)] = k
+
     predictable: dict[str, dict[str, str]] = {}
     for m in sorted(target.measurements):
         witnesses: dict[str, str] = {}
-        for k in target.measurements[m].outcomes:
-            for p in sorted(target.preparations):
-                if target.distribution(p, m).get(k, ZERO) == ONE:
-                    witnesses[k] = p
-                    break
-            else:
-                break
-        else:
-            predictable[m] = witnesses
+        for p in sorted(target.preparations):
+            k = certain.get((p, m))
+            if k is not None and k not in witnesses:
+                witnesses[k] = p
+        outcomes = target.measurements[m].outcomes
+        if len(witnesses) == len(outcomes):
+            predictable[m] = {k: witnesses[k] for k in outcomes}
 
     classes = preparation_classes(target)
     class_of = {p: cls for cls in classes for p in cls}
@@ -514,30 +561,18 @@ def sharpness_report(target: OperationalTheory) -> SharpnessReport:
         )
         if not covers_all_preps:
             continue
-        ok = True
-        for m, witnesses in predictable.items():
-            outcomes = set(target.measurements[m].outcomes)
-            found = False
-            for d in decls:
-                predicted: set[str] = set()
-                family = True
-                for c in d.components:
-                    hits = [
-                        k
-                        for k in outcomes
-                        if target.distribution(c.name, m).get(k, ZERO) == ONE
-                    ]
-                    if not hits:
-                        family = False
-                        break
-                    predicted.update(hits)
-                if family and predicted == outcomes:
-                    found = True
-                    break
-            if not found:
-                ok = False
-                break
-        if ok:
+        # a certainty family: each component is certain of an outcome, and
+        # together they reach every outcome (a component certain of none
+        # adds None, which no outcome set holds)
+        has_families = all(
+            any(
+                {certain.get((c.name, m)) for c in d.components}
+                == set(target.measurements[m].outcomes)
+                for d in decls
+            )
+            for m in predictable
+        )
+        if has_families:
             mixed.append(p)
     return SharpnessReport(
         perfectly_predictable=predictable, maximally_mixed=tuple(mixed)
@@ -552,7 +587,7 @@ def check_sharpness_forces_determinism(
     maximally mixed preparation exists.  Returns False with a (m, λ, k)
     witness when the claimed preconditions cannot actually hold."""
     _require_valid(rep)
-    if _preparation_nc_witness(rep):
+    if preparation_nc_witness(rep):
         raise RepresentationError(
             "representation is not preparation non-contextual",
             analyze_representation(rep),

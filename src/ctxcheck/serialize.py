@@ -58,6 +58,17 @@ def _rational(text, where: str) -> Fraction:
         raise DocumentError(f"{where}: {e}") from None
 
 
+def _cover(doc: dict, where: str) -> list[tuple[str, ...]]:
+    """The ``cover`` field: a list of contexts, each a list of label names."""
+    cover = _require(doc, "cover", list, where)
+    for ctx in cover:
+        if not isinstance(ctx, list) or not all(isinstance(m, str) for m in ctx):
+            raise DocumentError(
+                f"{where}: cover entry {ctx!r} must be a list of label names"
+            )
+    return [tuple(ctx) for ctx in cover]
+
+
 def _weights(value, arity: int, where: str, key_kind: str) -> dict:
     """An object of rationals keyed by comma-joined outcome tuples of ``arity``
     entries; ``key_kind`` opens the wrong-arity message."""
@@ -148,13 +159,13 @@ def theory_to_document(theory: EmpiricalTheory) -> dict:
 
 def theory_from_document(doc: dict) -> EmpiricalTheory:
     labels = _require(doc, "labels", dict, "scenario")
-    cover = _require(doc, "cover", list, "scenario")
+    cover = _cover(doc, "scenario")
     outcome_sets = {}
     for m, outs in labels.items():
         if not isinstance(outs, list) or not all(isinstance(o, str) for o in outs):
             raise DocumentError(f"scenario: outcomes of label {m!r} must be strings")
         outcome_sets[m] = tuple(outs)
-    system = system_type(outcome_sets, [tuple(ctx) for ctx in cover])
+    system = system_type(outcome_sets, cover)
     states = {}
     for name, tables in _require(doc, "states", dict, "scenario").items():
         if not isinstance(tables, dict):
@@ -235,9 +246,7 @@ def quantum_from_document(
             _complex_array(e, where) for e in _require(spec, "effects", list, where)
         )
         labels[name] = QuantumLabel(name=name, outcomes=outcomes, effects=effects)
-    cover = tuple(
-        tuple(ctx) for ctx in _require(section, "cover", list, "quantum")
-    )
+    cover = tuple(_cover(section, "quantum"))
     convex = ()
     if "convex" in doc:
         convex = convex_from_document(doc["convex"], "convex")

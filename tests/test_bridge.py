@@ -9,11 +9,9 @@ import pytest
 from ctxcheck.bridge import (
     EmpiricalMorphism,
     apply_operational_morphism,
-    check_iso_diagram,
     compose_empirical,
     compose_operational,
     empirical_theories_statistically_equal,
-    forget_statistics,
     identity_morphism,
     operational_morphisms_equal,
     operational_theories_statistically_equal,
@@ -34,7 +32,11 @@ from ctxcheck.model import (
     system_type,
     validate_operational_theory,
 )
-from ctxcheck.ontology import canonical_representation
+from ctxcheck.ontology import (
+    canonical_representation,
+    check_iso_diagram,
+    forget_statistics,
+)
 from ctxcheck.quantum import builtin_example, without_declarations
 from ctxcheck.sheaf import find_global_section
 

@@ -232,8 +232,17 @@ def test_check_quantum_document_from_file(tmp_path, capsys):
         _quantum_doc(effect=[[_ONE, _ZERO, _ZERO], [_ZERO, _ZERO, _ZERO]]),
         _quantum_doc(state=[_ONE, _ZERO, _ZERO]),  # 3-dim state, 2-dim effects
         _quantum_doc(cover=[["z", "q"]]),  # undeclared label
+        _quantum_doc(cover=["z"]),  # a context written as a string
     ],
-    ids=["scalar", "empty-row", "ragged", "non-square", "dimensions", "label"],
+    ids=[
+        "scalar",
+        "empty-row",
+        "ragged",
+        "non-square",
+        "dimensions",
+        "label",
+        "string-context",
+    ],
 )
 def test_check_reports_malformed_quantum_documents(tmp_path, capsys, doc):
     path = _write(tmp_path, "bad.json", doc)
@@ -269,6 +278,22 @@ def _unknown_target_outcome(doc):
     table[_first(table)]["zz"] = "1"
 
 
+def _ghost_state_mixture(doc):
+    target = doc["target"]
+    target["convex"] = [
+        {
+            "kind": "state",
+            "target": target["preparations"][0],
+            "components": [{"coefficient": "1", "name": "ghost"}],
+        }
+    ]
+
+
+def _string_cover_entry(doc):
+    # bell's first context ["a", "b"] written "ab", which splits into (a, b)
+    doc["cover"][0] = "".join(doc["cover"][0])
+
+
 def _string_context_table(doc):
     tables = doc["states"][_first(doc["states"])]
     tables[_first(tables)] = "1"
@@ -288,17 +313,21 @@ def _bell_doc():
         ("analyze-rep", _rep_doc, _drop_outcome_values),
         ("analyze-rep", _rep_doc, _string_mu),
         ("analyze-rep", _rep_doc, _unknown_target_outcome),
+        ("analyze-rep", _rep_doc, _ghost_state_mixture),
         ("induce", _rep_doc, _unknown_target_outcome),
         ("check", _bell_doc, _string_context_table),
         ("check", _bell_doc, _string_convex_item),
+        ("check", _bell_doc, _string_cover_entry),
     ],
     ids=[
         "outcome-values-lack-outcome",
         "mu-entry-string",
         "analyze-target-outcome-unknown",
+        "analyze-target-mixture-unknown-preparation",
         "induce-target-outcome-unknown",
         "context-table-string",
         "convex-item-string",
+        "cover-entry-string",
     ],
 )
 def test_malformed_documents_exit_with_error(

@@ -8,7 +8,6 @@ from ctxcheck.equivalence import (
     minimalize,
     observable_split,
     quotient_theory,
-    theories_equal,
     transport_sections_from_minimal,
     transport_sections_from_split,
     transport_sections_to_minimal,
@@ -124,7 +123,7 @@ def test_split_is_identity_on_binary_labels():
     theory = _twin_theory()
     split, smap = observable_split(theory)
     assert smap.is_identity()
-    assert theories_equal(split, theory)
+    assert split == theory
 
 
 def test_split_one_hots_ternary_labels():
@@ -173,7 +172,7 @@ def test_minimalize_is_identity_on_builtins():
         theory = builtin_example(name).theory
         small, mmap = minimalize(theory)
         assert mmap.is_identity()
-        assert theories_equal(small, theory)
+        assert small == theory
 
 
 def test_minimalize_collapses_duplicated_labels_with_exact_transport():

@@ -24,7 +24,8 @@ from ctxcheck.model import (
     validate_system_type,
     validate_theory,
 )
-from ctxcheck.quantum import builtin_example
+from ctxcheck.quantum import builtin_example, without_declarations
+from ctxcheck.sheaf import check_contextuality
 
 
 def test_parse_and_format_rational_round_trip():
@@ -136,6 +137,18 @@ def test_validate_theory_catches_missing_context_table():
     assert validate_theory(theory)
 
 
+def test_validate_theory_reports_a_cover_label_the_system_lacks():
+    system = system_type({"x": ("0", "1")}, [("x", "z")])
+    ctx = system.cover[0]
+    dist = RationalDistribution(domain=ctx, weights={("0", "0"): Fraction(1)})
+    state = State(name="s", table={ctx: dist})
+    theory = EmpiricalTheory(system=system, states={"s": state})
+    problem = "context ('x', 'z') uses unknown label 'z'"
+    assert problem in validate_theory(theory)
+    with pytest.raises(ModelError, match=r"^invalid theory: context \('x', 'z'\)"):
+        check_contextuality(theory)
+
+
 def test_convex_declaration_coefficients_must_sum_to_one():
     with pytest.raises(ModelError):
         ConvexDeclaration(
@@ -210,3 +223,19 @@ def test_unknown_outcome_in_a_joint_table_is_a_violation_not_a_crash():
     op.statistics[("ghz", "a,b")] = {"zz": Fraction(1)}
     violations = validate_operational_theory(op)
     assert any("unknown outcomes {'zz'}" in v for v in violations)
+
+
+def test_validate_operational_theory_reports_unknown_mixture_members():
+    theory = without_declarations(builtin_example("spekkens-preparation").theory)
+    op = to_operational(theory)
+    prep, meas = op.preparations[0], sorted(op.measurements)[0]
+    op.convex = (
+        ConvexDeclaration("state", prep, (ConvexComponent(Fraction(1), "ghost"),)),
+        ConvexDeclaration(
+            "measurement", "nowhere", (ConvexComponent(Fraction(1), meas),)
+        ),
+    )
+    assert validate_operational_theory(op) == [
+        "state mixture references unknown preparation 'ghost'",
+        "measurement mixture references unknown measurement 'nowhere'",
+    ]

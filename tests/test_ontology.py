@@ -19,6 +19,7 @@ from ctxcheck.model import (
     ConvexDeclaration,
     EmpiricalTheory,
     Measurement,
+    ModelError,
     OperationalTheory,
     RationalDistribution,
     State,
@@ -30,8 +31,8 @@ from ctxcheck.ontology import (
     analyze_representation,
     canonical_representation,
     check_sharpness_forces_determinism,
+    forget_statistics,
     induced_theory,
-    realized_weight,
     sharpness_report,
     trivial_representation,
     validate_representation,
@@ -60,8 +61,9 @@ def test_trivial_representation_realizes_the_triangle():
     assert validate_representation(rep) == []
     ok, witness = verify_realization(rep)
     assert ok and witness is None
-    assert realized_weight(rep, "coin", "a,b", "0,1") == H
-    assert realized_weight(rep, "coin", "a,b", "0,0") == 0
+    realized = forget_statistics(rep).distribution("coin", "a,b")
+    assert realized["0,1"] == H
+    assert "0,0" not in realized
 
 
 def test_one_point_representation_flag_profile():
@@ -213,6 +215,15 @@ def test_sharpness_report_finds_certainty_witnesses():
     report = sharpness_report(op)
     assert report.perfectly_predictable == {"m": {"0": "p0", "1": "p1"}}
     assert report.maximally_mixed == ("mix",)
+
+
+def test_sharpness_report_rejects_a_mixture_of_an_unknown_preparation():
+    op = to_operational(_predictable_theory())
+    op.convex = (
+        ConvexDeclaration("state", "mix", (ConvexComponent(Fraction(1), "ghost"),)),
+    )
+    with pytest.raises(ModelError, match="unknown preparation 'ghost'"):
+        sharpness_report(op)
 
 
 def test_check_sharpness_forces_determinism_on_canonical_representation():
