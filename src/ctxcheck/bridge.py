@@ -386,16 +386,6 @@ def compose_operational(
     )
 
 
-def operational_morphisms_equal(
-    a: OperationalMorphism, b: OperationalMorphism
-) -> bool:
-    return (
-        a.prep_map == b.prep_map
-        and a.meas_map == b.meas_map
-        and a.outcome_map == b.outcome_map
-    )
-
-
 def validate_operational_morphism(g: OperationalMorphism) -> list[str]:
     """Exact statistics preservation on every (preparation, measurement,
     outcome); unmapped outcomes must be unreachable."""

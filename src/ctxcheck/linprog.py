@@ -19,19 +19,23 @@ connected-component splitting) keeps the tableaus small.  Its first pass, up
 to the first zero-rhs row of mixed signs, is one scan without a column
 index, so the columns forced there (on a sheaf LP, those of the zero-weight
 marginals) never enter the index.
-Each block's tableau is fraction-free (Edmonds): a row holds Python ints,
-kept only up to a positive scale and divided by its content after every
-pivot.  An update whose pivot-row multiplier is 1 subtracts a multiple of
-the pivot row only at its nonzero entries.  A block with no more columns
-than rows stores every column, each row as a sparse dict of its nonzero
-entries: such a tall block's row is mostly its artificial part, the basis
-inverse, which stays near the identity, so a pivot's updates and content
-divisions cost per nonzero, not per column.  A wider block stores only its
-basis inverse and rhs, as dense lists, keeps each column packed as its row
-indices and coefficients, and computes a column's reduced cost and entries
-from them when Bland's rule asks for them, so a pivot costs rows times rows
-instead of rows times columns; the pivots, point and certificate are those
-of the stored form.
+Each block's phase I writes once what does not depend on how its tableau
+rows are stored: ``_simplex_phase1`` computes the block's common denominator
+and row signs and reads the Farkas dual from the final objective row, and
+``_objective_step`` takes the exact objective row through a pivot.  Each of
+the two storages keeps its set-up, Bland's entering column, the column read,
+the ratio test, the row updates and the basic values, since these read or
+write the rows.  A block with no more columns than rows stores every column,
+each row as a sparse dict of its nonzero entries: such a tall block's row is
+mostly its artificial part, the basis inverse, which stays near the
+identity, so a pivot's updates and content divisions cost per nonzero, not
+per column.  A wider block stores only its basis inverse and rhs, as dense
+lists (a row has only rows + 1 entries, so a dict would save little), keeps
+each column packed as its row indices and coefficients, and computes a
+column's reduced cost and entries from them when Bland's rule asks for them,
+so a pivot costs rows times rows instead of rows times columns.  Both
+storages take the same pivots, so the point and certificate do not depend on
+the block's shape.
 No ``Fraction`` is used between the input rows and the returned point and
 multipliers.
 
@@ -437,33 +441,73 @@ def _simplex_phase1(
 ) -> tuple[dict[int, Fraction] | None, dict[int, int] | None]:
     """Phase-I simplex on a block.  Returns (point, None) or (None, dual).
 
-    Fraction-free: each tableau row holds Python ints equal to the exact
-    rational row up to a positive scale, divided by its content after every
-    update.  Positive scaling changes neither the sign of an entry nor the
-    order of two ratios, so Bland's pivot sequence is the one of the
-    rational tableau.  The objective row is read exactly, so it carries its
-    own denominator: its rational value is ``obj / oden``.
+    Row ``r = rows[k]`` arrives as ``scales[r]`` times the rational row,
+    flipped by ``flip[k]`` to a nonnegative rhs, and starts basic on its own
+    artificial column.  Columns are ``cols`` in sorted order, then one
+    artificial per row, then the rhs.  Bland's rule: the entering column is
+    the lowest structural column with a negative reduced cost (artificials
+    are barred); the leaving row has the least ratio of rhs to a positive
+    entry, ties going to the lowest basic column.  Since ``cols`` is sorted,
+    the rule sees the original variable order.
 
-    Row ``r`` arrives as ``scales[r]`` times the rational row, so its
-    artificial column starts at ``scales[r]``.  Columns are ``cols`` in
-    sorted order (Bland's rule sees the original variable order), then one
-    artificial per row, then the rhs.  ``point`` maps column index -> value;
-    ``dual`` maps row index -> Farkas multiplier on the rational row, up to
-    one positive scale, valid for the block rows (before any elimination
-    patching).
+    Fraction-free (Edmonds): each tableau row holds Python ints equal to the
+    exact rational row up to a positive scale, divided by its content after
+    every update.  Positive scaling changes neither the sign of an entry nor
+    the order of two ratios, so the pivots are those of the rational
+    tableau.  The objective row is read exactly, so it carries its own
+    denominator: its rational value is ``obj / oden``, ``oden`` starting at
+    the lcm of the block's row scales, and ``_objective_step`` takes both
+    through a pivot.
 
-    What a row stores depends on the block's shape, and both forms take the
-    same pivots.  A block with no more columns than rows stores every
-    column, each row as a sparse dict (``_stored_phase1``), since such a
-    row is mostly the basis inverse, which stays near the identity.  A wider
-    block stores only its basis inverse and rhs, as dense lists, and
-    computes a structural column when Bland's rule asks for it
-    (``_inverse_phase1``); there a row has only m + 1 entries, so a dict
-    would save little.
+    ``point`` maps column index -> value.  Otherwise, with the artificial
+    column of row ``k`` at ``art + k`` in the final objective row, ``dual``
+    maps ``rows[k]`` to ``y_k = (obj[art + k] / oden - 1) * flip[k]``: the
+    Farkas multiplier on the rational row, up to one positive scale, valid
+    for the block rows (before any elimination patching).
     """
+    oden = lcm(*(scales[r] for r in rows))
+    flip = [-1 if rhs[r] < 0 else 1 for r in rows]
     if len(cols) <= len(rows):
-        return _stored_phase1(coeffs, rhs, scales, rows, cols)
-    return _inverse_phase1(coeffs, rhs, scales, rows, cols)
+        point, obj, oden = _stored_phase1(coeffs, rhs, scales, rows, cols, oden, flip)
+        art = len(cols)
+    else:
+        point, obj, oden = _inverse_phase1(coeffs, rhs, scales, rows, cols, oden, flip)
+        art = 0
+    if point is not None:
+        return point, None
+    # each y_k times oden, so all are ints
+    dual: dict[int, int] = {}
+    for k, r in enumerate(rows):
+        y = (obj[art + k] - oden) * flip[k]
+        if y:
+            dual[r] = y
+    return None, dual
+
+
+def _objective_step(
+    obj: list[int], oden: int, prow: Iterable[tuple[int, int]], p: int, price: int
+) -> tuple[list[int], int]:
+    """The objective row ``obj / oden`` after a pivot on ``p``: (obj, oden).
+
+    ``prow`` holds the pivot row's nonzero entries as (column, value) pairs
+    and ``price`` is the entering column's reduced cost, both on the scale of
+    ``p``.  With ``g = gcd(p, price)``, the row becomes ``obj * (p / g) -
+    (price / g) * prow`` over ``oden * (p / g)``, and then the content the
+    row shares with its denominator is divided out of both.  ``obj`` is
+    changed in place when ``p / g == 1``.
+    """
+    g = gcd(p, price)
+    q, f = p // g, price // g
+    if q != 1:
+        obj = [a * q for a in obj]
+    for k, b in prow:
+        obj[k] -= f * b
+    oden *= q
+    g = gcd(oden, *obj)
+    if g > 1:
+        obj = [a // g for a in obj]
+        oden //= g
+    return obj, oden
 
 
 def _stored_phase1(
@@ -472,31 +516,27 @@ def _stored_phase1(
     scales: Sequence[int],
     rows: list[int],
     cols: list[int],
-) -> tuple[dict[int, Fraction] | None, dict[int, int] | None]:
-    """``_simplex_phase1`` on a block with no more columns than rows.
+    oden: int,
+    flip: list[int],
+) -> tuple[dict[int, Fraction] | None, list[int], int]:
+    """``_simplex_phase1``'s loop on a block with no more columns than rows.
 
-    Each row is a dict ``{column: nonzero int}`` over structural columns
-    ``0 .. n - 1``, artificial columns ``n .. n + m - 1`` and the rhs at
-    ``n + m``; an entry that cancels to 0 is deleted.  A tall block's row is
-    mostly its artificial part, the basis inverse, which stays near the
-    identity, so it holds few nonzeros, and a pivot's updates, content gcds
-    and divisions cost per nonzero rather than per column.  The objective
-    row is a dense list, since Bland's rule scans it in column order.
-
-    A row update is ``row * q - f * prow``, made at the pivot row's
-    nonzeros; with ``q == 1`` it is made in place.
+    Returns (point or None, objective row, its denominator).  Each row is a
+    dict ``{column: nonzero int}`` over structural columns ``0 .. n - 1``,
+    artificial columns ``n .. n + m - 1`` and the rhs at ``n + m``; an entry
+    that cancels to 0 is deleted.  The objective row is a dense list over
+    the same columns, since Bland's rule scans it in column order.  A row
+    update is ``row * q - f * prow``, made at the pivot row's nonzeros; with
+    ``q == 1`` it is made in place.
     """
     m = len(rows)
     n = len(cols)
     end = n + m  # the rhs column
-    oden = lcm(*(scales[r] for r in rows))
     position = {j: i for i, j in enumerate(cols)}
-    flip: list[int] = []
     tab: list[dict[int, int]] = []
     # phase-I reduced costs: structural -column sums, artificial 0
     obj = [0] * (end + 1)
-    for k, r in enumerate(rows):
-        sign = -1 if rhs[r] < 0 else 1
+    for k, (r, sign) in enumerate(zip(rows, flip)):
         mult = oden // scales[r]
         row: dict[int, int] = {}
         for j, a in coeffs[r].items():
@@ -508,13 +548,10 @@ def _stored_phase1(
         if rhs[r]:
             row[end] = sign * rhs[r]
             obj[end] -= sign * rhs[r] * mult
-        flip.append(sign)
         tab.append(row)
 
     basis = list(range(n, end))
     while True:
-        # Bland: lowest structural index with a negative reduced cost;
-        # artificials barred
         enter = -1
         for j in range(n):
             if obj[j] < 0:
@@ -523,6 +560,7 @@ def _stored_phase1(
         if enter < 0:
             break
         column = [row.get(enter, 0) for row in tab]
+        # ratio test kept per storage: a shared rhs getter ran slower on tall blocks
         leave = -1
         for i, a in enumerate(column):
             if a > 0:
@@ -551,32 +589,15 @@ def _stored_phase1(
                         del row[k]
                 g = gcd(*row.values())
                 tab[i] = {k: a // g for k, a in row.items()} if g > 1 else row
-        price = obj[enter]
-        g = gcd(p, price)
-        q, f = p // g, price // g
-        if q != 1:
-            obj = [a * q for a in obj]
-        for k, b in prow.items():
-            obj[k] -= f * b
-        oden *= q
-        g = gcd(oden, *obj)
-        if g > 1:
-            obj = [a // g for a in obj]
-            oden //= g
+        obj, oden = _objective_step(obj, oden, prow.items(), p, obj[enter])
         basis[leave] = enter
-    if obj[end] == 0:
-        point: dict[int, Fraction] = {}
-        for row, j in zip(tab, basis):
-            if j < n:
-                point[cols[j]] = Fraction(row.get(end, 0), row[j])
-        return point, None
-    # y_k = (obj[n + k] / oden - 1) * flip[k], all over the one denominator
-    dual: dict[int, int] = {}
-    for k in range(m):
-        y = (obj[n + k] - oden) * flip[k]
-        if y:
-            dual[rows[k]] = y
-    return None, dual
+    if obj[end]:
+        return None, obj, oden
+    point: dict[int, Fraction] = {}
+    for row, j in zip(tab, basis):
+        if j < n:
+            point[cols[j]] = Fraction(row.get(end, 0), row[j])
+    return point, obj, oden
 
 
 def _inverse_phase1(
@@ -585,22 +606,24 @@ def _inverse_phase1(
     scales: Sequence[int],
     rows: list[int],
     cols: list[int],
-) -> tuple[dict[int, Fraction] | None, dict[int, int] | None]:
-    """``_simplex_phase1`` on a block with more columns than rows.
+    oden: int,
+    flip: list[int],
+) -> tuple[dict[int, Fraction] | None, list[int], int]:
+    """``_simplex_phase1``'s loop on a block with more columns than rows.
 
-    Each row is a dense list of the artificial columns (the basis inverse,
-    up to row scales) and the rhs.  With ``L`` the lcm of the block's row
-    scales and ``A[k][j] = (L / scales[k]) * a[k][j]`` the sign-flipped
-    input rows made integer over one denominator, tableau row ``i`` times
-    ``L`` reads ``sum_k row_i[k] * A[k][j]`` on column ``j``; the reduced
-    cost of ``j`` times ``L`` is ``sum_k (obj[k] - oden) * A[k][j]``, where
-    ``(obj[k] - oden) * flip[k]`` is the returned dual.  Bland's rule
-    prices columns in order and stops at the first negative one, and the
-    ratio test and the update need only the entering column, so a pivot
-    costs about the rows times the rows, not times the columns.  Each
-    column is packed once as its row indices ``ks`` and entries
-    ``A[k][j]``.  A column with two or more entries, all equal to ``c``,
-    reads ``c * sum(itemgetter(*ks)(row))``, as every wide column of a
+    Returns (point or None, objective row, its denominator).  Each row is a
+    dense list of the artificial columns (the basis inverse, up to row
+    scales) and the rhs, and so is the objective row.  With ``L`` the lcm of
+    the block's row scales and ``A[k][j] = (L / scales[k]) * a[k][j]`` the
+    sign-flipped input rows made integer over one denominator, tableau row
+    ``i`` times ``L`` reads ``sum_k row_i[k] * A[k][j]`` on column ``j``,
+    and the reduced cost of ``j`` times ``L`` is ``sum_k (obj[k] - oden) *
+    A[k][j]``.  Bland's rule prices columns in order and stops at the first
+    negative one, and the ratio test and the update need only the entering
+    column, so a pivot costs about the rows times the rows, not times the
+    columns.  Each column is packed once as its row indices ``ks`` and
+    entries ``A[k][j]``.  A column with two or more entries, all equal to
+    ``c``, reads ``c * sum(itemgetter(*ks)(row))``, as every wide column of a
     global-section LP does (all ``L`` or ``-L``); any other column reads
     ``sum(map(mul, map(row.__getitem__, ks), vals))``.  Either way the sum
     runs in C builtins, so pricing a column calls no Python function.
@@ -608,23 +631,16 @@ def _inverse_phase1(
     out of the two multipliers of every row update removes it (and any
     other common factor) before it reaches the row, instead of leaving it
     to the content division.
-
-    A row update is ``row * q - f * prow``.  When ``q == 1`` it changes the
-    row only where ``prow`` is nonzero, so it subtracts there and leaves the
-    other entries alone, in place.
     """
     m = len(rows)
     n = len(cols)
-    oden = lcm(*(scales[r] for r in rows))
     unit = oden  # computed entries are ``unit`` times the row's
     position = {j: i for i, j in enumerate(cols)}
-    flip: list[int] = []
     columns: list[tuple[list[int], list[int]]] = [([], []) for _ in cols]
     tab: list[list[int]] = []
     # phase-I reduced costs: artificial 0, then the rhs
     obj = [0] * (m + 1)
-    for k, r in enumerate(rows):
-        sign = -1 if rhs[r] < 0 else 1
+    for k, (r, sign) in enumerate(zip(rows, flip)):
         mult = oden // scales[r]
         row = [0] * (m + 1)
         for j, a in coeffs[r].items():
@@ -636,7 +652,6 @@ def _inverse_phase1(
         row[k] = scales[r]
         row[-1] = sign * rhs[r]
         obj[-1] -= row[-1] * mult
-        flip.append(sign)
         tab.append(row)
 
     # a packed column is (getter, c, ks, vals): a column with two or more
@@ -658,8 +673,6 @@ def _inverse_phase1(
 
     basis = [n + k for k in range(m)]
     while True:
-        # Bland: lowest structural index with a negative reduced cost;
-        # artificials barred
         enter = -1
         prices = [a - oden for a in obj[:m]]
         for j, (get, c, ks, vals) in enumerate(packed):
@@ -673,6 +686,7 @@ def _inverse_phase1(
         if enter < 0:
             break
         column = column_entries(enter, tab)
+        # ratio test kept per storage: a shared rhs getter ran slower on tall blocks
         leave = -1
         for i, a in enumerate(column):
             if a > 0:
@@ -703,32 +717,15 @@ def _inverse_phase1(
                     row = [a * q - f * b for a, b in zip(tab[i], prow)]
                 g = gcd(*row)
                 tab[i] = [a // g for a in row] if g > 1 else row
-        g = gcd(p, price)
-        q, f = p // g, price // g
-        if q == 1:
-            for k, b in support:
-                obj[k] -= f * b
-        else:
-            obj = [a * q - f * b for a, b in zip(obj, prow)]
-        oden *= q
-        g = gcd(oden, *obj)
-        if g > 1:
-            obj = [a // g for a in obj]
-            oden //= g
+        obj, oden = _objective_step(obj, oden, support, p, price)
         basis[leave] = enter
-    if obj[-1] == 0:
-        point: dict[int, Fraction] = {}
-        for row, j in zip(tab, basis):
-            if j < n:
-                point[cols[j]] = Fraction(row[-1] * unit, column_entries(j, [row])[0])
-        return point, None
-    # y_k = (obj[k] / oden - 1) * flip[k], all over the one denominator
-    dual: dict[int, int] = {}
-    for k in range(m):
-        y = (obj[k] - oden) * flip[k]
-        if y:
-            dual[rows[k]] = y
-    return None, dual
+    if obj[-1]:
+        return None, obj, oden
+    point: dict[int, Fraction] = {}
+    for row, j in zip(tab, basis):
+        if j < n:
+            point[cols[j]] = Fraction(row[-1] * unit, column_entries(j, [row])[0])
+    return point, obj, oden
 
 
 def _patch_certificate(

@@ -133,19 +133,18 @@ def system_type(
 def validate_system_type(system: SystemType) -> list[str]:
     """Check the scenario structure; returns a list of violations (empty = valid)."""
     violations: list[str] = []
-    label_set = set(system.labels)
+    order = {m: i for i, m in enumerate(system.labels)}
     for ctx in system.cover:
         if not ctx:
             violations.append("empty context in cover")
         for m in ctx:
-            if m not in label_set:
+            if m not in order:
                 violations.append(f"context {ctx} uses unknown label {m!r}")
         if len(set(ctx)) < len(ctx):
             repeat = next(m for i, m in enumerate(ctx) if m in ctx[:i])
             violations.append(f"context {ctx} repeats label {repeat!r}")
-        elif list(ctx) != sorted(
-            ctx, key=lambda m: system.label_position(m) if m in label_set else -1
-        ):
+        # an unknown label sorts after every known one, as in ``system_type``
+        elif list(ctx) != sorted(ctx, key=lambda m: order.get(m, len(order))):
             violations.append(f"context {ctx} not in global label order")
     covered = {m for ctx in system.cover for m in ctx}
     for m in system.labels:

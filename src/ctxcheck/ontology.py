@@ -129,13 +129,24 @@ def realized_distribution(
 
     One pass over the support of the preparation's distribution; outcomes
     appear in the order the ontic values first reach them, zeros dropped.
+    Raises ``RepresentationError`` when ``meas`` has no response family, or
+    when its family lacks an ontic value the preparation reaches.
     """
-    family = rep.xi[meas]
+    try:
+        family = rep.xi[meas]
+    except KeyError:
+        raise RepresentationError(f"no response family for {meas!r}") from None
     weights: Weights = {}
     for lam, w in rep.mu_of(prep).items():
         if w == 0:
             continue
-        for k, x in family[lam].items():
+        try:
+            response = family[lam]
+        except KeyError:
+            raise RepresentationError(
+                f"xi[{meas!r}] has no response for ontic value {lam!r}"
+            ) from None
+        for k, x in response.items():
             weights[k] = weights.get(k, ZERO) + w * x
     return {k: w for k, w in weights.items() if w != 0}
 

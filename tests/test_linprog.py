@@ -7,6 +7,7 @@ import random
 from collections import deque
 from copy import deepcopy
 from fractions import Fraction
+from functools import partial
 from math import gcd, lcm
 
 import pytest
@@ -28,9 +29,11 @@ from ctxcheck.linprog import (
     LinearConstraint,
     LinearSystem,
     LinearSystemError,
+    _inverse_phase1,
     _patch_certificate,
     _presolve,
     _simplex_phase1,
+    _stored_phase1,
     certificate_margin,
     is_robust,
     solve_feasibility,
@@ -924,7 +927,7 @@ def _blocks(draw):
     )
 
 
-def _assert_phase1_matches_dense_reference(system, rows, cols):
+def _assert_phase1_matches_dense_reference(system, rows, cols, phase1=_simplex_phase1):
     """The kernel on block (rows, cols) of ``system`` against ``_dense_phase1``
     on that block alone: the same point, or the same dual up to one positive
     scale."""
@@ -939,7 +942,7 @@ def _assert_phase1_matches_dense_reference(system, rows, cols):
         tuple(system.rhs[r] for r in rows),
         tuple(system.scales[r] for r in rows),
     )
-    point, dual = _simplex_phase1(system.coeffs, system.rhs, system.scales, rows, cols)
+    point, dual = phase1(system.coeffs, system.rhs, system.scales, rows, cols)
     expected_point, expected_dual = _dense_phase1(block)
     if expected_point is not None:
         expected_point = {cols[j]: x for j, x in expected_point.items()}
@@ -960,6 +963,31 @@ def test_phase1_matches_dense_bland_reference(system):
     # golden digests do not pin that path; this reference does
     m, n = len(system.names), len(system.variables)
     _assert_phase1_matches_dense_reference(system, list(range(m)), list(range(n)))
+
+
+def _storage_phase1(loop, coeffs, rhs, scales, rows, cols):
+    """``_simplex_phase1`` with ``loop`` as the storage, whatever the block's
+    shape: the dual is read from the artificial columns of the objective row
+    the loop returns, which follow the structural ones in the stored form."""
+    oden = lcm(*(scales[r] for r in rows))
+    flip = [-1 if rhs[r] < 0 else 1 for r in rows]
+    point, obj, oden = loop(coeffs, rhs, scales, rows, cols, oden, flip)
+    if point is not None:
+        return point, None
+    art = len(cols) if loop is _stored_phase1 else 0
+    dual = {r: (obj[art + k] - oden) * flip[k] for k, r in enumerate(rows)}
+    return None, {r: y for r, y in dual.items() if y}
+
+
+@given(_blocks())
+def test_both_storages_match_dense_bland_reference_on_every_shape(system):
+    # a block runs only the storage its shape picks, so neither storage
+    # would otherwise run on the other's shapes
+    m, n = len(system.names), len(system.variables)
+    for loop in (_stored_phase1, _inverse_phase1):
+        _assert_phase1_matches_dense_reference(
+            system, list(range(m)), list(range(n)), partial(_storage_phase1, loop)
+        )
 
 
 @pytest.mark.parametrize("name", [*BUILTIN_NAMES, "bloch3", "bloch4"])

@@ -144,6 +144,7 @@ def test_validate_theory_reports_a_cover_label_the_system_lacks():
     state = State(name="s", table={ctx: dist})
     theory = EmpiricalTheory(system=system, states={"s": state})
     problem = "context ('x', 'z') uses unknown label 'z'"
+    assert validate_system_type(system) == [problem]
     assert problem in validate_theory(theory)
     with pytest.raises(ModelError, match=r"^invalid theory: context \('x', 'z'\)"):
         check_contextuality(theory)

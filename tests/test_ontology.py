@@ -66,6 +66,20 @@ def test_trivial_representation_realizes_the_triangle():
     assert "0,0" not in realized
 
 
+def test_realized_statistics_name_a_missing_response():
+    no_family = _specker_one_point()
+    del no_family.xi["a,b"]
+    no_response = _specker_one_point()
+    del no_response.xi["a,b"]["[coin]"]
+    for rep, problem in [
+        (no_family, r"no response family for 'a,b'"),
+        (no_response, r"xi\['a,b'\] has no response for ontic value '\[coin\]'"),
+    ]:
+        for check in (verify_realization, forget_statistics):
+            with pytest.raises(RepresentationError, match=problem):
+                check(rep)
+
+
 def test_one_point_representation_flag_profile():
     report = analyze_representation(_specker_one_point())
     assert report.realizes
