@@ -17,7 +17,7 @@ Classes failing a guard are split back to singletons, deterministically, so
 the quotient is as coarse as these conditions allow.  ``observable_split``
 rewrites every many-outcome label as one-hot binary labels; ``minimalize``
 is the split followed by the quotient.  Transport functions move global
-sections across each construction in both directions, exactly.
+sections across the composite ``minimalize`` map in both directions, exactly.
 """
 
 from __future__ import annotations
@@ -190,11 +190,10 @@ def _refine(
 
 
 def _joint_mismatch(
-    theory: EmpiricalTheory, classes: tuple[tuple[str, ...], ...]
+    theory: EmpiricalTheory, class_of: dict[str, tuple[str, ...]]
 ) -> set[tuple[str, ...]]:
     """Guard (ii): merged classes must have one well-defined joint table."""
     system = theory.system
-    class_of = {m: cls for cls in classes for m in cls}
     ctx_members: list[dict[tuple[str, ...], str]] = [
         {class_of[m]: m for m in ctx} for ctx in system.cover
     ]
@@ -219,10 +218,10 @@ def _joint_mismatch(
 
 
 def _embedding_failures(
-    system: SystemType, classes: tuple[tuple[str, ...], ...]
+    theory: EmpiricalTheory, class_of: dict[str, tuple[str, ...]]
 ) -> set[tuple[str, ...]]:
     """Guard (iii): representatives of each context image lie in some context."""
-    class_of = {m: cls for cls in classes for m in cls}
+    system = theory.system
     cover_sets = [set(ctx) for ctx in system.cover]
     bad: set[tuple[str, ...]] = set()
     for ctx in system.cover:
@@ -233,11 +232,10 @@ def _embedding_failures(
 
 
 def _declaration_collisions(
-    theory: EmpiricalTheory, classes: tuple[tuple[str, ...], ...]
+    theory: EmpiricalTheory, class_of: dict[str, tuple[str, ...]]
 ) -> set[tuple[str, ...]]:
     """Guard (iv): renaming must keep measurement declarations well formed."""
     system = theory.system
-    class_of = {m: cls for cls in classes for m in cls}
     bad: set[tuple[str, ...]] = set()
     for decl in theory.convex:
         if decl.kind != "measurement":
@@ -294,19 +292,15 @@ def quotient_theory(
     classes = equivalence_classes(theory, "measurement").classes
     while True:
         classes = _conflict_split(system, classes)
-        bad = _joint_mismatch(theory, classes)
-        if bad:
-            classes = _refine(classes, bad)
-            continue
-        bad = _embedding_failures(system, classes)
-        if bad:
-            classes = _refine(classes, bad)
-            continue
-        bad = _declaration_collisions(theory, classes)
-        if bad:
-            classes = _refine(classes, bad)
-            continue
-        break
+        class_of = {m: cls for cls in classes for m in cls}
+        # the first guard that reports classes splits them, then all rerun
+        for guard in (_joint_mismatch, _embedding_failures, _declaration_collisions):
+            bad = guard(theory, class_of)
+            if bad:
+                classes = _refine(classes, bad)
+                break
+        else:
+            break
 
     forward = {m: cls[0] for cls in classes for m in cls}
     reps = sorted({cls[0] for cls in classes}, key=system.label_position)
@@ -398,38 +392,6 @@ def quotient_theory(
     return q_theory, qmap
 
 
-def transport_sections_to_quotient(
-    qmap: QuotientMap,
-    sections: dict[str, RationalDistribution],
-) -> dict[str, RationalDistribution]:
-    """Push global sections down: marginalize each onto the representatives."""
-    out: dict[str, RationalDistribution] = {}
-    for cls in qmap.state_classes:
-        rep = cls[0]
-        weights = marginal_weights(sections[rep], qmap.quotient_labels)
-        out[rep] = RationalDistribution(
-            domain=qmap.quotient_labels, weights=weights
-        )
-    return out
-
-
-def transport_sections_from_quotient(
-    theory: EmpiricalTheory,
-    qmap: QuotientMap,
-    qsections: dict[str, RationalDistribution],
-) -> dict[str, RationalDistribution]:
-    """Lift global sections up: weight class-constant assignments only."""
-    labels = theory.system.labels
-    out: dict[str, RationalDistribution] = {}
-    for name in theory.states:
-        qdist = qsections[qmap.state_forward[name]]
-        weights = {
-            qmap.lift_assignment(labels, values): w for values, w in qdist.items()
-        }
-        out[name] = RationalDistribution(domain=labels, weights=weights)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Observable splitting
 # ---------------------------------------------------------------------------
@@ -503,6 +465,7 @@ def observable_split(
         for name in names:
             if name in existing:
                 raise ModelError(f"split label {name!r} collides with an existing label")
+            existing.add(name)
         split[m] = names
         outcomes_of[m] = outs
         for name in names:
@@ -574,38 +537,6 @@ def observable_split(
     return s_theory, smap
 
 
-def transport_sections_to_split(
-    smap: SplitMap, sections: dict[str, RationalDistribution]
-) -> dict[str, RationalDistribution]:
-    """Push global sections along the one-hot encoding (a bijection)."""
-    out: dict[str, RationalDistribution] = {}
-    for name, dist in sections.items():
-        weights = {
-            smap.encode(smap.original_labels, values): w
-            for values, w in dist.items()
-        }
-        out[name] = RationalDistribution(domain=smap.split_labels, weights=weights)
-    return out
-
-
-def transport_sections_from_split(
-    smap: SplitMap, sections: dict[str, RationalDistribution]
-) -> dict[str, RationalDistribution]:
-    """Decode split global sections; support must be one-hot throughout."""
-    out: dict[str, RationalDistribution] = {}
-    for name, dist in sections.items():
-        weights: dict[tuple[str, ...], Fraction] = {}
-        for values, w in dist.items():
-            decoded = smap.decode(values)
-            if decoded is None:
-                raise ModelError(
-                    f"section for {name!r} supports a non-one-hot assignment"
-                )
-            weights[decoded] = weights.get(decoded, ZERO) + w
-        out[name] = RationalDistribution(domain=smap.original_labels, weights=weights)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Minimalization
 # ---------------------------------------------------------------------------
@@ -622,6 +553,16 @@ class MinimalizeMap:
     def is_identity(self) -> bool:
         return self.split_map.is_identity() and self.quotient_map.is_identity()
 
+    def original_assignment(
+        self, values: tuple[str, ...]
+    ) -> tuple[str, ...] | None:
+        """The original assignment a minimal assignment ``values`` reads back
+        as: its class-constant lift, decoded; None when that is not one-hot."""
+        smap = self.split_map
+        return smap.decode(
+            self.quotient_map.lift_assignment(smap.split_labels, values)
+        )
+
 
 def minimalize(theory: EmpiricalTheory) -> tuple[EmpiricalTheory, MinimalizeMap]:
     """One-hot split, then the safe quotient of the result."""
@@ -636,16 +577,43 @@ def transport_sections_to_minimal(
     mmap: MinimalizeMap,
     sections: dict[str, RationalDistribution],
 ) -> dict[str, RationalDistribution]:
-    split_sections = transport_sections_to_split(mmap.split_map, sections)
-    return transport_sections_to_quotient(mmap.quotient_map, split_sections)
+    """Push global sections down: one-hot encode each state class
+    representative's section and marginalize it onto the quotient labels."""
+    smap, qmap = mmap.split_map, mmap.quotient_map
+    out: dict[str, RationalDistribution] = {}
+    for cls in qmap.state_classes:
+        rep = cls[0]
+        split = RationalDistribution(
+            domain=smap.split_labels,
+            weights={
+                smap.encode(smap.original_labels, values): w
+                for values, w in sections[rep].items()
+            },
+        )
+        out[rep] = RationalDistribution(
+            domain=qmap.quotient_labels,
+            weights=marginal_weights(split, qmap.quotient_labels),
+        )
+    return out
 
 
 def transport_sections_from_minimal(
     mmap: MinimalizeMap,
     sections: dict[str, RationalDistribution],
 ) -> dict[str, RationalDistribution]:
-    split_sections = transport_sections_from_quotient(
-        mmap.split_theory, mmap.quotient_map, sections
-    )
-    return transport_sections_from_split(mmap.split_map, split_sections)
-
+    """Lift global sections up through ``original_assignment``; the support
+    must read back one-hot throughout."""
+    out: dict[str, RationalDistribution] = {}
+    for name in mmap.split_theory.states:
+        weights: dict[tuple[str, ...], Fraction] = {}
+        for values, w in sections[mmap.quotient_map.state_forward[name]].items():
+            original = mmap.original_assignment(values)
+            if original is None:
+                raise ModelError(
+                    f"section for {name!r} supports a non-one-hot assignment"
+                )
+            weights[original] = weights.get(original, ZERO) + w
+        out[name] = RationalDistribution(
+            domain=mmap.split_map.original_labels, weights=weights
+        )
+    return out

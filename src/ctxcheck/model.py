@@ -533,10 +533,10 @@ def validate_operational_theory(theory: OperationalTheory) -> list[str]:
                     f"{decl.kind} mixture references unknown {noun} {name!r}"
                 )
     # marginal consistency along the joint-measurability order
-    by_labels = {frozenset(meas.labels): name for name, meas in theory.measurements.items()}
+    label_sets = {name: frozenset(meas.labels) for name, meas in theory.measurements.items()}
     for name, meas in theory.measurements.items():
-        for other_labels, other_name in by_labels.items():
-            if other_labels < frozenset(meas.labels):
+        for other_name, other_labels in label_sets.items():
+            if other_labels < label_sets[name]:
                 sub = theory.measurements[other_name]
                 for p in theory.preparations:
                     if (p, name) not in theory.statistics or (p, other_name) not in theory.statistics:

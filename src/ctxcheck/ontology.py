@@ -400,7 +400,7 @@ def canonical_representation(
         raise RepresentationError(
             "sections do not verify: " + "; ".join(violations)
         )
-    m_theory, mmap = minimalize(theory)
+    _, mmap = minimalize(theory)
     m_sections = transport_sections_to_minimal(mmap, sections)
     target = to_operational(theory)
 
@@ -409,21 +409,18 @@ def canonical_representation(
     )
     ontic = tuple(ontic_name(g) for g in support)
 
-    qmap = mmap.quotient_map
-    smap = mmap.split_map
     original_of: dict[tuple[str, ...], tuple[str, ...]] = {}
     for g in support:
-        lifted = qmap.lift_assignment(smap.split_labels, g)
-        decoded = smap.decode(lifted)
-        if decoded is None:
+        original = mmap.original_assignment(g)
+        if original is None:
             raise RepresentationError(
                 "internal error: supported assignment does not decode"
             )
-        original_of[g] = decoded
+        original_of[g] = original
 
     mu: dict[str, Weights] = {}
     for p in target.preparations:
-        dist = m_sections[qmap.state_forward[p]]
+        dist = m_sections[mmap.quotient_map.state_forward[p]]
         mu[p] = {ontic_name(g): w for g, w in dist.items()}
 
     xi: dict[str, dict[str, Weights]] = {}

@@ -1,5 +1,6 @@
 """Translations between the empirical and operational forms, and morphisms."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -296,6 +297,28 @@ def _two_joints_over_a_b():
     return OperationalTheory(
         preparations=("p",), measurements=measurements, statistics=statistics
     )
+
+
+def test_validation_compares_every_measurement_over_a_shared_label_set():
+    op = to_operational(builtin_example("specker-triangle").theory)
+    measurements = {}
+    for name, meas in op.measurements.items():
+        measurements[name] = meas
+        if name == "a":
+            measurements["a2"] = dataclasses.replace(meas, name="a2")
+    statistics = dict(op.statistics)
+    for p in op.preparations:
+        statistics[(p, "a2")] = statistics[(p, "a")]
+        statistics[(p, "a")] = {"0": Fraction(1)}
+    clash = dataclasses.replace(
+        op, measurements=measurements, statistics=statistics
+    )
+    violations = validate_operational_theory(clash)
+    assert (
+        "('coin'): 'a' inconsistent with marginal of 'a,b' at outcome '0' (1 != 1/2)"
+        in violations
+    )
+    assert all("'a' inconsistent with marginal of" in v for v in violations)
 
 
 def test_to_empirical_rejects_a_joint_that_the_reconstructed_joint_contradicts():

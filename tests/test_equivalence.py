@@ -3,13 +3,14 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from ctxcheck.equivalence import (
     equivalence_classes,
     minimalize,
     observable_split,
     quotient_theory,
     transport_sections_from_minimal,
-    transport_sections_from_split,
     transport_sections_to_minimal,
 )
 from ctxcheck.generate import (
@@ -19,6 +20,7 @@ from ctxcheck.generate import (
 )
 from ctxcheck.model import (
     EmpiricalTheory,
+    ModelError,
     RationalDistribution,
     State,
     system_type,
@@ -146,6 +148,45 @@ def test_split_one_hots_ternary_labels():
     assert not v.contextual
 
 
+def _uniform_theory(outcomes, cover):
+    system = system_type(outcomes, cover)
+    table = {}
+    for ctx in cover:
+        (label,) = ctx
+        outs = outcomes[label]
+        weights = {(o,): Fraction(1, len(outs)) for o in outs}
+        table[ctx] = RationalDistribution(domain=ctx, weights=weights)
+    return EmpiricalTheory(
+        system=system, states={"s": State(name="s", table=table)}
+    )
+
+
+def test_split_labels_collide_with_labels_and_with_each_other():
+    clash_with_label = _uniform_theory(
+        {"a": ("0", "1", "2"), "a:0": ("0", "1")}, [("a",), ("a:0",)]
+    )
+    # both 'a' (outcome 'x:y') and 'a:x' (outcome 'y') split into 'a:x:y'
+    clash_with_split = _uniform_theory(
+        {"a": ("x:y", "1", "2"), "a:x": ("y", "1", "2")}, [("a",), ("a:x",)]
+    )
+    for theory, name in ((clash_with_label, "a:0"), (clash_with_split, "a:x:y")):
+        with pytest.raises(ModelError, match=f"split label '{name}' collides"):
+            observable_split(theory)
+
+
+def test_transport_from_minimal_rejects_a_section_that_is_not_one_hot():
+    theory = _uniform_theory({"m": ("u", "v", "w")}, [("m",)])
+    small, mmap = minimalize(theory)
+    assert small.system.labels == ("m:u", "m:v", "m:w")
+    two_hot = {
+        "s": RationalDistribution(
+            domain=small.system.labels, weights={("1", "1", "0"): Fraction(1)}
+        )
+    }
+    with pytest.raises(ModelError, match="section for 's' supports a non-one-hot"):
+        transport_sections_from_minimal(mmap, two_hot)
+
+
 def test_split_and_minimalize_carry_a_measurement_mixture(mixture_variant):
     theory, _, contextual = mixture_variant
     split, smap = observable_split(theory)
@@ -161,8 +202,7 @@ def test_split_and_minimalize_carry_a_measurement_mixture(mixture_variant):
     v_small = check_contextuality(small)
     assert v_split.contextual == v_small.contextual == contextual
     if not contextual:
-        back = transport_sections_from_split(smap, v_split.sections)
-        assert verify_global_section(theory, back) == []
+        assert mmap.quotient_map.is_identity()
         back = transport_sections_from_minimal(mmap, v_small.sections)
         assert verify_global_section(theory, back) == []
 
