@@ -28,14 +28,17 @@ the ratio test, the row updates and the basic values, since these read or
 write the rows.  A block with no more columns than rows stores every column,
 each row as a sparse dict of its nonzero entries: such a tall block's row is
 mostly its artificial part, the basis inverse, which stays near the
-identity, so a pivot's updates and content divisions cost per nonzero, not
-per column.  A wider block stores only its basis inverse and rhs, as dense
-lists (a row has only rows + 1 entries, so a dict would save little), keeps
-each column packed as its row indices and coefficients, and computes a
-column's reduced cost and entries from them when Bland's rule asks for them,
-so a pivot costs rows times rows instead of rows times columns.  Both
-storages take the same pivots, so the point and certificate do not depend on
-the block's shape.
+identity, so a pivot's updates cost per nonzero, not per column.  A wider
+block stores only its basis inverse and rhs, as dense lists (a row has only
+rows + 1 entries, so a dict would save little), keeps each column packed as
+its row indices and coefficients, and computes a column's reduced cost and
+entries from them when Bland's rule asks for them, so a pivot costs rows
+times rows instead of rows times columns.  Both storages take the same
+pivots, so the point and certificate do not depend on the block's shape.
+Nor do they depend on a tableau row's positive scale, so a row is divided
+by its content only when it becomes the pivot row or when the multipliers
+applied to it since its last division pass ``_GROWTH_BITS`` bits, and the
+objective row only after a pivot that multiplied it.
 No ``Fraction`` is used between the input rows and the returned point and
 multipliers.
 
@@ -226,7 +229,8 @@ def _combine(
         y = multipliers.get(name)
         if not y:
             continue
-        y = Fraction(y)
+        if type(y) is not Fraction and type(y) is not int:
+            y = Fraction(y)
         # the weight y / scale in lowest terms, y's own terms being lowest
         g = gcd(y.numerator, scale)
         w_num, w_den = y.numerator // g, y.denominator * (scale // g)
@@ -325,6 +329,11 @@ def verify_point(system: LinearSystem, point: dict[str, Fraction]) -> bool:
 # ---------------------------------------------------------------------------
 # Solver
 # ---------------------------------------------------------------------------
+
+# A tableau row is divided by its content once the multipliers ``q`` applied
+# to it since its last division sum to more than this many bits.
+_GROWTH_BITS = 64
+
 
 def _presolve(
     coeffs: Sequence[dict[int, int]], rhs: Sequence[int], scan: bool = True
@@ -451,13 +460,21 @@ def _simplex_phase1(
     the rule sees the original variable order.
 
     Fraction-free (Edmonds): each tableau row holds Python ints equal to the
-    exact rational row up to a positive scale, divided by its content after
-    every update.  Positive scaling changes neither the sign of an entry nor
-    the order of two ratios, so the pivots are those of the rational
-    tableau.  The objective row is read exactly, so it carries its own
-    denominator: its rational value is ``obj / oden``, ``oden`` starting at
-    the lcm of the block's row scales, and ``_objective_step`` takes both
-    through a pivot.
+    exact rational row up to a positive scale.  Positive scaling changes
+    neither the sign of an entry nor the order of two ratios, so the pivots
+    are those of the rational tableau; a point entry is the ratio of two
+    entries of one row, and the dual is read up to one positive scale, so
+    no output depends on a row's scale.  A row is therefore divided by its
+    content only where that keeps its integers from growing.  An update
+    ``row * q - f * prow``, with ``q`` and ``f`` the pivot and the row's
+    entry over their gcd, grows the row's scale by ``q`` alone.  So the
+    pivot row is divided when it is chosen (and ``p`` with it), and any
+    other row once the ``q``'s applied to it since its last division pass
+    ``_GROWTH_BITS`` bits; an update with ``q == 1`` leaves it undivided.
+    The objective row is read exactly, so it carries its own denominator:
+    its rational value is ``obj / oden``, ``oden`` starting at the lcm of
+    the block's row scales, and ``_objective_step`` takes both through a
+    pivot.
 
     ``point`` maps column index -> value.  Otherwise, with the artificial
     column of row ``k`` at ``art + k`` in the final objective row, ``dual``
@@ -491,10 +508,10 @@ def _objective_step(
 
     ``prow`` holds the pivot row's nonzero entries as (column, value) pairs
     and ``price`` is the entering column's reduced cost, both on the scale of
-    ``p``.  With ``g = gcd(p, price)``, the row becomes ``obj * (p / g) -
-    (price / g) * prow`` over ``oden * (p / g)``, and then the content the
-    row shares with its denominator is divided out of both.  ``obj`` is
-    changed in place when ``p / g == 1``.
+    ``p``.  With ``g = gcd(p, price)`` and ``q = p / g``, the row becomes
+    ``obj * q - (price / g) * prow`` over ``oden * q``.  Only ``q`` grows
+    the pair, so only when ``q != 1`` is the content the row shares with its
+    denominator divided out of both; otherwise ``obj`` is changed in place.
     """
     g = gcd(p, price)
     q, f = p // g, price // g
@@ -502,11 +519,12 @@ def _objective_step(
         obj = [a * q for a in obj]
     for k, b in prow:
         obj[k] -= f * b
-    oden *= q
-    g = gcd(oden, *obj)
-    if g > 1:
-        obj = [a // g for a in obj]
-        oden //= g
+    if q != 1:
+        oden *= q
+        g = gcd(oden, *obj)
+        if g > 1:
+            obj = [a // g for a in obj]
+            oden //= g
     return obj, oden
 
 
@@ -551,6 +569,7 @@ def _stored_phase1(
         tab.append(row)
 
     basis = list(range(n, end))
+    grown = [0] * m  # bits of the q's applied to each row since its division
     while True:
         enter = -1
         for j in range(n):
@@ -576,19 +595,30 @@ def _stored_phase1(
             raise LinearSystemError("phase-I objective unbounded; invalid system")
         prow = tab[leave]
         p = column[leave]
+        g = gcd(*prow.values())
+        if g > 1:
+            prow = tab[leave] = {k: a // g for k, a in prow.items()}
+            p //= g
+        grown[leave] = 0
         for i, f in enumerate(column):
             if f and i != leave:
                 g = gcd(p, f)
                 q, f = p // g, f // g
-                row = tab[i] if q == 1 else {k: a * q for k, a in tab[i].items()}
+                row = tab[i]
+                if q != 1:
+                    row = tab[i] = {k: a * q for k, a in row.items()}
+                    grown[i] += q.bit_length()
                 for k, b in prow.items():
                     a = row.get(k, 0) - f * b
                     if a:
                         row[k] = a
                     else:
                         del row[k]
-                g = gcd(*row.values())
-                tab[i] = {k: a // g for k, a in row.items()} if g > 1 else row
+                if grown[i] > _GROWTH_BITS:
+                    grown[i] = 0
+                    g = gcd(*row.values())
+                    if g > 1:
+                        tab[i] = {k: a // g for k, a in row.items()}
         obj, oden = _objective_step(obj, oden, prow.items(), p, obj[enter])
         basis[leave] = enter
     if obj[end]:
@@ -629,8 +659,9 @@ def _inverse_phase1(
     runs in C builtins, so pricing a column calls no Python function.
     Computed entries carry the extra factor ``L``; dividing ``gcd(p, f)``
     out of the two multipliers of every row update removes it (and any
-    other common factor) before it reaches the row, instead of leaving it
-    to the content division.
+    other common factor) before it reaches the row.  As in the stored form,
+    an update is ``row * q - f * prow``, made at the pivot row's nonzeros
+    and in place when ``q == 1``.
     """
     m = len(rows)
     n = len(cols)
@@ -672,6 +703,7 @@ def _inverse_phase1(
         return [sum(map(mul, map(row.__getitem__, ks), vals)) for row in rows]
 
     basis = [n + k for k in range(m)]
+    grown = [0] * m  # bits of the q's applied to each row since its division
     while True:
         enter = -1
         prices = [a - oden for a in obj[:m]]
@@ -702,21 +734,28 @@ def _inverse_phase1(
             raise LinearSystemError("phase-I objective unbounded; invalid system")
         prow = tab[leave]
         p = column[leave]
-        # with q == 1 an update only subtracts f * prow, which changes the
-        # row only where prow is nonzero
+        g = gcd(*prow)
+        if g > 1:
+            prow = tab[leave] = [a // g for a in prow]
+            p //= g
+        grown[leave] = 0
+        # an update subtracts f * prow only where prow is nonzero
         support = [(k, b) for k, b in enumerate(prow) if b]
         for i, f in enumerate(column):
             if f and i != leave:
                 g = gcd(p, f)
                 q, f = p // g, f // g
-                if q == 1:
-                    row = tab[i]
-                    for k, b in support:
-                        row[k] -= f * b
-                else:
-                    row = [a * q - f * b for a, b in zip(tab[i], prow)]
-                g = gcd(*row)
-                tab[i] = [a // g for a in row] if g > 1 else row
+                row = tab[i]
+                if q != 1:
+                    row = tab[i] = [a * q for a in row]
+                    grown[i] += q.bit_length()
+                for k, b in support:
+                    row[k] -= f * b
+                if grown[i] > _GROWTH_BITS:
+                    grown[i] = 0
+                    g = gcd(*row)
+                    if g > 1:
+                        tab[i] = [a // g for a in row]
         obj, oden = _objective_step(obj, oden, support, p, price)
         basis[leave] = enter
     if obj[-1]:

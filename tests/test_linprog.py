@@ -121,6 +121,21 @@ def test_verify_certificate_rejects_wrong_multipliers():
     )
 
 
+def test_certificate_check_reads_multipliers_of_every_rational_type():
+    # ints and Fractions are read as they are, anything else through Fraction
+    system = _system(
+        [("one", {"x": 1, "y": 1}, 1), ("two", {"x": 1, "y": 1}, 2)],
+        ["x", "y"],
+    )
+    cases = ((Fraction(1, 2), Fraction(-1, 2)), ("1/2", -0.5), (1, -1), (True, -1.0))
+    for one, two in cases:
+        certificate = FarkasCertificate(multipliers={"one": one, "two": two})
+        assert verify_certificate(system, certificate)
+        coeffs, rhs = certificate.combined(system)
+        assert coeffs == {"x": 0, "y": 0}
+        assert rhs == Fraction(one) + 2 * Fraction(two)
+
+
 def test_certificate_margin_rejects_empty_multipliers():
     system = _system([("one", {"x": 1}, 1)], ["x"])
     with pytest.raises(LinearSystemError):
@@ -367,12 +382,17 @@ def _frustrated_ring(rng, n):
     return EmpiricalTheory(system=system, states={"s0": State(name="s0", table=table)})
 
 
+def _feasible_ring(n, seed):
+    """A binary n-cycle marginalized from random positive sections."""
+    system = _ring_system(n)
+    sections = random_sections(random.Random(100 * n + seed), system, ("s0",))
+    return theory_from_sections(system, sections)
+
+
 def _ring_theories():
     for n in range(5, 9):
         for seed in (1, 2):
-            system = _ring_system(n)
-            sections = random_sections(random.Random(100 * n + seed), system, ("s0",))
-            yield theory_from_sections(system, sections)
+            yield _feasible_ring(n, seed)
     for n in range(5, 10):
         yield _frustrated_ring(random.Random(n), n)
 
@@ -394,6 +414,46 @@ def test_ring_solver_output_matches_golden_digest():
             digest.update(f"{name}={value};".encode())
     assert digest.hexdigest() == (
         "f1dcee4450e05ef177dfb50b7e37cc6f2c2af63bf0dddce4fddc8880971c41bf"
+    )
+
+
+def _long_run_systems():
+    """LPs with long phase-I runs, whose points and certificates are pinned.
+
+    In the first four, multipliers of more than ``_GROWTH_BITS`` bits reach
+    some rows between divisions (2, 30, 74 and 126 times), so the kernel
+    divides those rows by their content: feasible rings n = 10 (seed 8) and
+    n = 11 (seeds 2 and 8), and the n = 11 seed-2 ring with one marginal rhs
+    lowered by 1/1000, which then signals and is infeasible.  Bloch k = 6
+    ends in a 551-multiplier certificate after about 400 stored-form pivots.
+    """
+    for n, seed in ((10, 8), (11, 2), (11, 8)):
+        yield global_section_system(_feasible_ring(n, seed))
+    lp = global_section_system(_feasible_ring(11, 2))
+    constraints = list(lp.constraints)
+    r = lp.names.index("marg[s0;x0,x10;1,0]")
+    c = constraints[r]
+    constraints[r] = LinearConstraint(c.name, dict(c.coeffs), c.rhs - Fraction(1, 1000))
+    yield LinearSystem(lp.variables, constraints)
+    yield global_section_system(bloch_preparation_scenario(range(6)))
+
+
+def test_long_run_solver_output_matches_golden_digest():
+    # sha256 over every point, multiplier and margin of the long runs; no
+    # row of the other digests' LPs grows past the division bound
+    digest = hashlib.sha256()
+    for lp in _long_run_systems():
+        result = solve_feasibility(lp)
+        if isinstance(result, Feasible):
+            digest.update(b"F")
+            values = result.point
+        else:
+            digest.update(b"I" + str(result.margin).encode())
+            values = result.certificate.multipliers
+        for name, value in sorted(values.items()):
+            digest.update(f"{name}={value};".encode())
+    assert digest.hexdigest() == (
+        "3b3295e1783a5b89dd35217a5459b550ef8e7752ca27d455f703f27621247483"
     )
 
 
@@ -979,15 +1039,59 @@ def _storage_phase1(loop, coeffs, rhs, scales, rows, cols):
     return None, {r: y for r, y in dual.items() if y}
 
 
-@given(_blocks())
-def test_both_storages_match_dense_bland_reference_on_every_shape(system):
-    # a block runs only the storage its shape picks, so neither storage
-    # would otherwise run on the other's shapes
+def _assert_both_storages_match_dense_reference(system):
     m, n = len(system.names), len(system.variables)
     for loop in (_stored_phase1, _inverse_phase1):
         _assert_phase1_matches_dense_reference(
             system, list(range(m)), list(range(n)), partial(_storage_phase1, loop)
         )
+
+
+@given(_blocks())
+def test_both_storages_match_dense_bland_reference_on_every_shape(system):
+    # a block runs only the storage its shape picks, so neither storage
+    # would otherwise run on the other's shapes
+    _assert_both_storages_match_dense_reference(system)
+
+
+_PRIMES = (999_983, 999_979, 999_961, 999_959, 999_953, 999_931, 999_917, 999_907)
+
+
+@st.composite
+def _coprime_blocks(draw):
+    """Blocks whose entries have large prime denominators, drawn per entry.
+
+    A row's integer entries are then products of distinct large primes, so
+    the pivot entry and a row's entry share little and nearly every row
+    update multiplies the row by ``q != 1``: a few updates carry a row past
+    the division bound.  Half the blocks get the rhs of a planted
+    nonnegative point, the rest a drawn rhs of either sign.
+    """
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 8))
+
+    def entry():
+        num = draw(st.integers(-(10**6), 10**6).filter(bool))
+        return Fraction(num, draw(st.sampled_from(_PRIMES)))
+
+    rows = [{f"v{j}": entry() for j in range(n) if draw(st.booleans())} for _ in range(m)]
+    if draw(st.booleans()):
+        point = {f"v{j}": abs(entry()) for j in range(n)}
+        rhs = [sum(a * point[v] for v, a in row.items()) for row in rows]
+    else:
+        rhs = [entry() for _ in range(m)]
+    return _system(
+        [(f"r{k}", row, b) for k, (row, b) in enumerate(zip(rows, rhs))],
+        [f"v{j}" for j in range(n)],
+    )
+
+
+@given(_coprime_blocks())
+def test_both_storages_match_dense_bland_reference_when_rows_grow(system):
+    # with ``_blocks``' small denominators about half the updates have
+    # q != 1 and no row reaches the division bound; here more than nine in
+    # ten have q != 1 and rows reach it within a few updates
+    _assert_both_storages_match_dense_reference(system)
 
 
 @pytest.mark.parametrize("name", [*BUILTIN_NAMES, "bloch3", "bloch4"])
