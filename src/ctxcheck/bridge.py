@@ -8,7 +8,7 @@ measurements the labels and the maximal ones the cover, and every
 measurement's table is checked against ``Measurement.marginal`` of the
 maximal measurement its context's joint was read from.  The statistical
 equalities compare tables through ``Measurement.marginal`` and
-``sheaf.marginal_weights`` in a shared label order.
+``sheaf.marginals_agree`` in a shared label order.
 
 Morphisms of empirical theories (state, label and outcome maps preserving
 statistics and statistical equivalence) are transported to the operational
@@ -40,6 +40,7 @@ from ctxcheck.model import (
 from ctxcheck.sheaf import (
     context_outcome_tuples,
     marginal_weights,
+    marginals_agree,
     require_no_signalling,
     sub_contexts,
 )
@@ -493,6 +494,6 @@ def empirical_theories_statistically_equal(
         for p in a.states:
             da = a.state(p).distribution(a_ctx)
             db = b.state(p).distribution(b_ctx)
-            if marginal_weights(da, order) != marginal_weights(db, order):
+            if not marginals_agree(da, order, db, order):
                 return False
     return True

@@ -39,7 +39,7 @@ from ctxcheck.model import (
     ZERO,
     component_outcome_map,
 )
-from ctxcheck.sheaf import marginal_weights, require_no_signalling
+from ctxcheck.sheaf import marginal_weights, marginals_agree, require_no_signalling
 
 EQUIVALENCE_KINDS = ("state", "measurement", "outcome-pair")
 
@@ -208,10 +208,13 @@ def _joint_mismatch(
         sub_j = tuple(ctx_members[j][c] for c in shared)
         if sub_i == sub_j:
             continue
-        for name, state in theory.states.items():
-            a = marginal_weights(state.distribution(system.cover[i]), sub_i)
-            b = marginal_weights(state.distribution(system.cover[j]), sub_j)
-            if a != b:
+        for state in theory.states.values():
+            if not marginals_agree(
+                state.distribution(system.cover[i]),
+                sub_i,
+                state.distribution(system.cover[j]),
+                sub_j,
+            ):
                 bad.update(c for c in shared if len(c) > 1)
                 break
     return bad

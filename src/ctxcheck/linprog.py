@@ -209,6 +209,23 @@ class FarkasCertificate:
         return named, Fraction(rhs, den)
 
 
+def _multiplier(name: str, y: object) -> Fraction | int:
+    """A certificate's multiplier for constraint ``name`` as a rational.
+
+    Ints and Fractions are read as they are, anything else through
+    ``Fraction``; ``LinearSystemError`` names the constraint when that
+    fails.
+    """
+    if type(y) is Fraction or type(y) is int:
+        return y
+    try:
+        return Fraction(y)  # type: ignore[arg-type]
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise LinearSystemError(
+            f"multiplier of constraint {name!r} is not rational: {y!r}"
+        ) from None
+
+
 def _combine(
     system: LinearSystem, multipliers: dict[str, Fraction]
 ) -> tuple[dict[int, int], int, int]:
@@ -218,8 +235,10 @@ def _combine(
     signs read straight off the integers.  Each integer row comes with its
     multiplier divided by the row's scale; ``den`` is the lcm of the
     resulting multiplier denominators.  Multipliers naming no constraint are
-    ignored.  The coefficients are keyed by column index, in the order of
-    the rows with a nonzero multiplier and of each row's entries.
+    ignored, and a falsy one (0, None) reads 0; one that is not rational
+    raises ``LinearSystemError`` (``_multiplier``).  The coefficients are
+    keyed by column index, in the order of the rows with a nonzero
+    multiplier and of each row's entries.
     """
     rows = []
     den = 1
@@ -229,8 +248,7 @@ def _combine(
         y = multipliers.get(name)
         if not y:
             continue
-        if type(y) is not Fraction and type(y) is not int:
-            y = Fraction(y)
+        y = _multiplier(name, y)
         # the weight y / scale in lowest terms, y's own terms being lowest
         g = gcd(y.numerator, scale)
         w_num, w_den = y.numerator // g, y.denominator * (scale // g)
@@ -278,19 +296,27 @@ def _certified_rhs(
 
 
 def verify_certificate(system: LinearSystem, certificate: FarkasCertificate) -> bool:
-    """True iff the multipliers genuinely witness infeasibility (exact check)."""
+    """True iff the multipliers genuinely witness infeasibility (exact check).
+
+    Raises ``LinearSystemError`` when a multiplier is not rational.
+    """
     return _certified_rhs(system, certificate) is not None
 
 
 def certificate_margin(system: LinearSystem, certificate: FarkasCertificate) -> Fraction:
     """|combined rhs| after scaling multipliers to max absolute value 1.
 
-    Raises ``LinearSystemError`` when the certificate has no nonzero
-    multiplier or names a constraint the system does not have.
+    The multipliers are read as ``_combine`` reads them.  Raises
+    ``LinearSystemError`` when the certificate has no nonzero multiplier,
+    names a constraint the system does not have, or has a multiplier that
+    is not rational.
     """
     if _unknown_names(system, certificate):
         raise LinearSystemError("certificate names constraints outside the system")
-    scale = max((abs(y) for y in certificate.multipliers.values()), default=0)
+    scale = max(
+        (abs(_multiplier(name, y)) for name, y in certificate.multipliers.items() if y),
+        default=0,
+    )
     if scale == 0:
         raise LinearSystemError("certificate has no nonzero multiplier")
     _, rhs, den = _combine(system, certificate.multipliers)

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Iterable, Iterator, Mapping
 
 ZERO = Fraction(0)
@@ -188,7 +189,12 @@ class RationalDistribution:
     """Exact finitely-supported probability distribution over sections.
 
     ``weights`` maps outcome tuples (aligned with ``domain``) to Fractions.
-    Zero entries are dropped so equality is canonical.
+    A weight given as anything else (an int, a ``"p/q"`` string, a float)
+    is converted with ``Fraction``; one that already is a ``Fraction`` is
+    kept.  Zero entries are dropped so equality is canonical.  The weights
+    must sum to exactly 1, a sum taken in integers over the lcm of their
+    denominators; a length mismatch, a negative weight or another sum
+    raises ``ModelError``.
     """
 
     domain: tuple[str, ...]
@@ -196,20 +202,23 @@ class RationalDistribution:
 
     def __post_init__(self) -> None:
         cleaned: dict[tuple[str, ...], Fraction] = {}
-        total = ZERO
         for values, w in self.weights.items():
             if len(values) != len(self.domain):
                 raise ModelError(
                     f"outcome tuple {values} does not match domain {self.domain}"
                 )
-            w = Fraction(w)
-            if w < 0:
+            if type(w) is not Fraction:
+                w = Fraction(w)
+            if w.numerator < 0:
                 raise ModelError(f"negative probability {w} at {values}")
-            total += w
-            if w != 0:
+            if w.numerator:
                 cleaned[tuple(values)] = w
-        if total != ONE:
-            raise ModelError(f"distribution weights sum to {total}, expected 1")
+        den = lcm(*[w.denominator for w in cleaned.values()])
+        total = sum(w.numerator * (den // w.denominator) for w in cleaned.values())
+        if total != den:
+            raise ModelError(
+                f"distribution weights sum to {Fraction(total, den)}, expected 1"
+            )
         self.weights = cleaned
 
     def weight(self, values: tuple[str, ...]) -> Fraction:

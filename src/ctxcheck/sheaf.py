@@ -19,11 +19,18 @@ rejects any other before either runs.
 The possibilistic variant asks the same question of supports: every supported
 local section must extend to a full assignment that is supported everywhere.
 
-Restriction to a context has one helper per data shape: ``marginal_weights``
-pushes a distribution forward, and ``_context_groups`` groups the full
-assignments by their restriction, for the LP build and the possibilistic
-check.  ``verify_global_section`` uses ``marginal_weights`` only, so it stays
-an independent re-encoding of the LP.
+Restriction to a context has one helper per data shape: ``_integer_marginal``
+pushes a distribution forward in integers, over the lcm of its denominators,
+and ``_context_groups`` groups the full assignments by their restriction, for
+the LP build and the possibilistic check.  Every table sum and equality is
+built on the integer pushforward: ``marginal_weights`` is its ``Fraction``
+view, with the same keys in the same order, and ``marginals_agree``, the one
+table equality, cross-multiplies two of them (for the no-signalling gate,
+``equivalence`` and ``bridge``).  ``verify_global_section`` compares each
+marginal of a section with its table the same way, and reads no product or
+LP code, so it stays an independent re-encoding of the LP.  The product
+section carries each weight as an integer pair and makes one ``Fraction``
+per returned weight.
 
 In the LP ``M d = v``, the tables enter only through the marginal rows
 (Abramsky, Barbosa and Mansfield, PRL 119, 050504 (2017)): a marginal row's
@@ -43,10 +50,12 @@ immutable and nothing writes its rows.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 from math import gcd, lcm, prod
+from operator import itemgetter
 
 from ctxcheck.linprog import (
     FarkasCertificate,
@@ -89,16 +98,61 @@ def sub_contexts(ctx: Context):
         yield from itertools.combinations(ctx, r)
 
 
+def _picker(pos: list[int]) -> Callable[[tuple[str, ...]], tuple[str, ...]]:
+    """The map from a tuple to the tuple of its entries at ``pos``."""
+    if len(pos) > 1:
+        return itemgetter(*pos)
+    # itemgetter of one position returns the bare entry; a slice keeps a tuple
+    start = pos[0] if pos else 0
+    return itemgetter(slice(start, start + len(pos)))
+
+
+def _integer_marginal(
+    dist: RationalDistribution, sub: tuple[str, ...]
+) -> tuple[dict[tuple[str, ...], int], int]:
+    """Pushforward of a distribution along restriction to ``sub`` labels, in
+    integers: (numerator by outcome tuple, den).
+
+    ``den`` is the lcm of the distribution's denominators, so every weight
+    is an integer over it and the pushforward sums ints.  The outcome tuples
+    come in the order they are first reached in sorted order.
+    """
+    weights = dist.weights
+    den = lcm(*[w.denominator for w in weights.values()])
+    restrict = _picker([dist.domain.index(m) for m in sub])
+    acc: dict[tuple[str, ...], int] = {}
+    for values in sorted(weights):
+        w = weights[values]
+        key = restrict(values)
+        acc[key] = acc.get(key, 0) + w.numerator * (den // w.denominator)
+    return acc, den
+
+
 def marginal_weights(
     dist: RationalDistribution, sub: tuple[str, ...]
 ) -> dict[tuple[str, ...], Fraction]:
     """Pushforward of a distribution along restriction to ``sub`` labels."""
-    pos = [dist.domain.index(m) for m in sub]
-    acc: dict[tuple[str, ...], Fraction] = {}
-    for values, w in dist.items():
-        key = tuple(values[i] for i in pos)
-        acc[key] = acc.get(key, ZERO) + w
-    return acc
+    acc, den = _integer_marginal(dist, sub)
+    return {key: Fraction(n, den) for key, n in acc.items()}
+
+
+def marginals_agree(
+    a: RationalDistribution,
+    a_sub: tuple[str, ...],
+    b: RationalDistribution,
+    b_sub: tuple[str, ...],
+) -> bool:
+    """Whether ``a`` restricted to ``a_sub`` and ``b`` restricted to ``b_sub``
+    have equal pushforwards, outcome tuples read position by position.
+
+    Compares the integer pushforwards by cross-multiplying their
+    denominators, so no ``Fraction`` is made.
+    """
+    a_acc, a_den = _integer_marginal(a, a_sub)
+    b_acc, b_den = _integer_marginal(b, b_sub)
+    return a_acc.keys() == b_acc.keys() and all(
+        n * b_den == b_acc[key] * a_den for key, n in a_acc.items()
+    )
 
 
 def signalling_violations(theory: EmpiricalTheory) -> list[str]:
@@ -110,9 +164,9 @@ def signalling_violations(theory: EmpiricalTheory) -> list[str]:
             shared = tuple(m for m in ctx if m in other)
             if not shared:
                 continue
-            a = marginal_weights(state.distribution(ctx), shared)
-            b = marginal_weights(state.distribution(other), shared)
-            if a != b:
+            if not marginals_agree(
+                state.distribution(ctx), shared, state.distribution(other), shared
+            ):
                 out.append(
                     f"state {name!r}: contexts {ctx} and {other} disagree on {shared}"
                 )
@@ -539,34 +593,43 @@ def _product_sections(
         plan.append(
             (
                 ctx,
-                [ctx.index(m) for m in shared],
-                [run.index(m) for m in shared],
-                [i for i, m in enumerate(ctx) if m not in shared],
+                _picker([ctx.index(m) for m in shared]),
+                _picker([run.index(m) for m in shared]),
+                _picker([i for i, m in enumerate(ctx) if m not in shared]),
             )
         )
         run.extend(m for m in ctx if m not in shared)
-    perm = [run.index(m) for m in system.labels]
+    perm = _picker([run.index(m) for m in system.labels])
     sections: dict[str, RationalDistribution] = {}
     for name, state in theory.states.items():
-        partial: dict[tuple[str, ...], Fraction] = {(): ONE}
+        # each weight as an integer pair (numerator, denominator)
+        partial: dict[tuple[str, ...], tuple[int, int]] = {(): (1, 1)}
         for ctx, in_ctx, in_run, new in plan:
-            groups: dict[tuple[str, ...], list[tuple[tuple[str, ...], Fraction]]] = {}
-            totals: dict[tuple[str, ...], Fraction] = {}
-            for t, w in state.distribution(ctx).weights.items():
-                key = tuple(t[i] for i in in_ctx)
-                groups.setdefault(key, []).append((tuple(t[i] for i in new), w))
-                totals[key] = totals.get(key, ZERO) + w
-            grown: dict[tuple[str, ...], Fraction] = {}
-            for h, w in partial.items():
-                key = tuple(h[i] for i in in_run)
+            # the table in integers over one denominator, which cancels in
+            # p(t) / p(key) = n_t / (sum of n over key)
+            weights = state.distribution(ctx).weights
+            den = lcm(*[w.denominator for w in weights.values()])
+            groups: dict[tuple[str, ...], list[tuple[tuple[str, ...], int]]] = {}
+            totals: dict[tuple[str, ...], int] = {}
+            for t, w in weights.items():
+                n = w.numerator * (den // w.denominator)
+                key = in_ctx(t)
+                groups.setdefault(key, []).append((new(t), n))
+                totals[key] = totals.get(key, 0) + n
+            grown: dict[tuple[str, ...], tuple[int, int]] = {}
+            for h, (num, hden) in partial.items():
+                key = in_run(h)
                 if key in groups:
-                    share = w / totals[key]
-                    for ext, p in groups[key]:
-                        grown[h + ext] = share * p
+                    hden *= totals[key]
+                    for ext, n in groups[key]:
+                        grown[h + ext] = (num * n, hden)
             partial = grown
         sections[name] = RationalDistribution(
             domain=system.labels,
-            weights={tuple(h[i] for i in perm): w for h, w in partial.items()},
+            weights={
+                perm(h): Fraction(num, hden)
+                for h, (num, hden) in partial.items()
+            },
         )
     violations = verify_global_section(theory, sections)
     if violations:
@@ -626,10 +689,11 @@ def verify_global_section(
                 f"outside the outcome set of {m!r}"
             )
         for ctx in system.cover:
-            acc = marginal_weights(dist, ctx)
+            acc, den = _integer_marginal(dist, ctx)
             table = state.distribution(ctx)
+            want, want_den = _integer_marginal(table, table.domain)
             for t in context_outcome_tuples(system, ctx):
-                if acc.get(t, ZERO) != table.weight(t):
+                if acc.get(t, 0) * want_den != want.get(t, 0) * den:
                     out.append(
                         f"state {name!r}: marginal at {ctx} differs at {t}"
                     )

@@ -136,6 +136,44 @@ def test_certificate_check_reads_multipliers_of_every_rational_type():
         assert rhs == Fraction(one) + 2 * Fraction(two)
 
 
+@pytest.mark.parametrize(
+    "value, rational",
+    [
+        ("1/2", Fraction(1, 2)),
+        (0.5, Fraction(1, 2)),
+        (-0.25, Fraction(-1, 4)),
+        (2, Fraction(2)),
+        (True, Fraction(1)),
+        (None, Fraction(0)),
+        ("abc", None),
+        (float("nan"), None),
+        (object(), None),
+    ],
+)
+def test_certificate_functions_read_each_multiplier_alike(value, rational):
+    # the three functions read a multiplier one way: as a rational, None as
+    # 0, and anything else as an error naming its constraint
+    system = _system(
+        [("one", {"x": 1, "y": 1}, 1), ("two", {"x": 1, "y": 1}, 2)],
+        ["x", "y"],
+    )
+    half = Fraction(1, 2)
+    certificate = FarkasCertificate(multipliers={"one": value, "two": -half})
+    if rational is None:
+        for check in (verify_certificate, certificate_margin):
+            with pytest.raises(LinearSystemError, match="constraint 'one'"):
+                check(system, certificate)
+        with pytest.raises(LinearSystemError, match="constraint 'one'"):
+            certificate.combined(system)
+        return
+    coeffs, rhs = certificate.combined(system)
+    assert rhs == rational - 1
+    assert coeffs == {"x": rational - half, "y": rational - half}
+    assert verify_certificate(system, certificate) == (half <= rational < 1)
+    scale = max(abs(rational), half)
+    assert certificate_margin(system, certificate) == abs(rhs) / scale
+
+
 def test_certificate_margin_rejects_empty_multipliers():
     system = _system([("one", {"x": 1}, 1)], ["x"])
     with pytest.raises(LinearSystemError):
