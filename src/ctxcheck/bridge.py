@@ -7,8 +7,9 @@ cover (``subcontext_measurements``), with exact marginal statistics.
 measurements the labels and the maximal ones the cover, and every
 measurement's table is checked against ``Measurement.marginal`` of the
 maximal measurement its context's joint was read from.  The statistical
-equalities compare tables through ``Measurement.marginal`` and
-``sheaf.marginals_agree`` in a shared label order.
+equalities compare tables in a shared label order, as integer pushforwards:
+``Measurement.integer_marginal`` under ``model.integer_weights_equal`` and
+``sheaf.marginals_agree``.
 
 Morphisms of empirical theories (state, label and outcome maps preserving
 statistics and statistical equivalence) are transported to the operational
@@ -35,6 +36,7 @@ from ctxcheck.model import (
     SystemType,
     ZERO,
     empirical_system,
+    integer_weights_equal,
     validate_operational_theory,
 )
 from ctxcheck.sheaf import (
@@ -465,7 +467,9 @@ def operational_theories_statistically_equal(
         for p in a.preparations:
             da = a.distribution(p, a_name)
             db = b.distribution(p, b_name)
-            if ma.marginal(da, order) != mb.marginal(db, order):
+            if not integer_weights_equal(
+                ma.integer_marginal(da, order), mb.integer_marginal(db, order)
+            ):
                 return False
     return True
 

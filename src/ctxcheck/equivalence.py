@@ -86,8 +86,16 @@ def partition(items: list, key) -> tuple[tuple, ...]:
     return tuple(classes)
 
 
+def weight_key(w: Fraction | int) -> tuple[int, int]:
+    """A weight as a partition key: (numerator, denominator) in lowest terms,
+    an ``int`` read as n/1.  Equal weights give equal keys, which hash as
+    ints."""
+    return w.numerator, w.denominator
+
+
 def equivalence_classes(theory: EmpiricalTheory, kind: str) -> EquivalenceClasses:
-    """Partition states, labels, or (label, outcome) pairs by statistics."""
+    """Partition states, labels, or (label, outcome) pairs by statistics,
+    keyed by weights as (numerator, denominator) pairs."""
     if kind not in EQUIVALENCE_KINDS:
         raise ModelError(f"unknown equivalence kind {kind!r}")
     system = theory.system
@@ -95,7 +103,8 @@ def equivalence_classes(theory: EmpiricalTheory, kind: str) -> EquivalenceClasse
         def state_key(name: str):
             table = theory.state(name).table
             return tuple(
-                tuple(table[ctx].items()) for ctx in system.cover
+                tuple((t, weight_key(w)) for t, w in table[ctx].items())
+                for ctx in system.cover
             )
         return EquivalenceClasses(
             kind=kind, classes=partition(sorted(theory.states), state_key)
@@ -109,7 +118,8 @@ def equivalence_classes(theory: EmpiricalTheory, kind: str) -> EquivalenceClasse
         def label_key(label: str):
             outs = system.outcomes_of(label).labels
             stats = tuple(
-                tuple(marg.get(o, ZERO) for o in outs) for marg in marginals[label]
+                tuple(weight_key(marg.get(o, ZERO)) for o in outs)
+                for marg in marginals[label]
             )
             return (outs, stats)
         return EquivalenceClasses(
@@ -120,7 +130,7 @@ def equivalence_classes(theory: EmpiricalTheory, kind: str) -> EquivalenceClasse
     ]
     def pair_key(pair: tuple[str, str]):
         m, o = pair
-        return tuple(marg.get(o, ZERO) for marg in marginals[m])
+        return tuple(weight_key(marg.get(o, ZERO)) for marg in marginals[m])
     return EquivalenceClasses(kind="outcome-pair", classes=partition(pairs, pair_key))
 
 

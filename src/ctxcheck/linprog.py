@@ -867,12 +867,16 @@ def solve_feasibility(system: LinearSystem) -> Feasible | Infeasible:
     if bad_row is not None:
         return finish_infeasible({bad_row: -1 if rhs[bad_row] > 0 else 1})
 
-    point: dict[str, Fraction] = {v: ZERO for v in varnames}
+    solved: list[dict[int, Fraction]] = []
     for rows, cols in blocks:
         block_point, block_dual = _simplex_phase1(coeffs, rhs, scales, rows, cols)
         if block_point is None:
             assert block_dual is not None
             return finish_infeasible(block_dual)
+        solved.append(block_point)
+    # the full point, built only once every block is feasible
+    point: dict[str, Fraction] = dict.fromkeys(varnames, ZERO)
+    for block_point in solved:
         for j, value in block_point.items():
             point[varnames[j]] = value
     if not verify_point(system, point):

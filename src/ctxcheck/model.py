@@ -15,10 +15,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, TypeVar
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+K = TypeVar("K")
 
 
 class ModelError(ValueError):
@@ -35,6 +37,31 @@ def parse_rational(text: str | int) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ModelError(f"cannot parse rational {text!r}: {exc}") from exc
+
+
+def integer_weights(
+    weights: Mapping[K, Fraction | int],
+) -> tuple[dict[K, int], int]:
+    """Weights as integers over one denominator: (numerator by key, den).
+
+    ``den`` is the lcm of the weights' denominators, an ``int`` weight read
+    as n/1, so each weight is its numerator over ``den``; the keys keep
+    their order.  Sums and comparisons of weights then run on ints.
+    """
+    den = lcm(*[w.denominator for w in weights.values()])
+    return {k: w.numerator * (den // w.denominator) for k, w in weights.items()}, den
+
+
+def integer_weights_equal(
+    a: tuple[Mapping[K, int], int], b: tuple[Mapping[K, int], int]
+) -> bool:
+    """Whether two (numerator by key, den) maps, as ``integer_weights``
+    gives, are equal as ``Fraction`` maps: the same keys, and the numerators
+    equal over their dens, compared by cross-multiplying."""
+    (a_nums, a_den), (b_nums, b_den) = a, b
+    return a_nums.keys() == b_nums.keys() and all(
+        n * b_den == b_nums[k] * a_den for k, n in a_nums.items()
+    )
 
 
 def format_rational(value: Fraction) -> str:
@@ -468,17 +495,27 @@ class Measurement:
         pos = self._position
         return tuple(vals[pos[m]] for m in sub_labels)
 
+    def integer_marginal(
+        self, dist: Mapping[str, Fraction | int], sub_labels: tuple[str, ...]
+    ) -> tuple[dict[tuple[str, ...], int], int]:
+        """Pushforward of an outcome distribution onto ``sub_labels`` values,
+        in integers over ``integer_weights``' denominator: (numerator by
+        value tuple, den).  Value tuples come in the order their first
+        nonzero outcome does."""
+        nums, den = integer_weights(dist)
+        out: dict[tuple[str, ...], int] = {}
+        for k, n in nums.items():
+            if n:
+                key = self.project(sub_labels, k)
+                out[key] = out.get(key, 0) + n
+        return out, den
+
     def marginal(
-        self, dist: Mapping[str, Fraction], sub_labels: tuple[str, ...]
+        self, dist: Mapping[str, Fraction | int], sub_labels: tuple[str, ...]
     ) -> dict[tuple[str, ...], Fraction]:
-        """Pushforward of an outcome distribution onto ``sub_labels`` values."""
-        out: dict[tuple[str, ...], Fraction] = {}
-        for k, w in dist.items():
-            if w == 0:
-                continue
-            key = self.project(sub_labels, k)
-            out[key] = out.get(key, ZERO) + w
-        return out
+        """``integer_marginal`` as ``Fraction`` weights, same keys and order."""
+        out, den = self.integer_marginal(dist, sub_labels)
+        return {key: Fraction(n, den) for key, n in out.items()}
 
 
 def elementary_measurement(name: str, outcomes: Iterable[str]) -> Measurement:

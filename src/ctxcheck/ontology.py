@@ -26,6 +26,21 @@ sharpness check only for preparation non-contextuality; either builds the
 full report only when it refuses.
 Preparation and outcome-event classes are ``equivalence.partition`` groups;
 response projections and outcome lookups are ``Measurement`` methods.
+
+Weights have one arithmetic path: ``model.integer_weights`` reads a weight
+map, of ints or ``Fraction``s, as numerators over the lcm of its
+denominators, and every sum of weights here runs on it.  That covers the
+validation sums, realization (``_integer_realized``, of which
+``realized_distribution`` is the ``Fraction`` view, and which
+``verify_realization`` cross-multiplies against the target's tables), the
+factorizability and parameter-independence witnesses (the last compares
+``Measurement.integer_marginal``s with ``model.integer_weights_equal``), and
+the induced product formula, which makes one ``Fraction`` per nonzero
+section weight.  Partition keys are
+(numerator, denominator) pairs (``equivalence.weight_key``), so grouping
+hashes ints.  Tests that compare single weights, one against another or
+against 0 or 1 (the preparation and measurement non-contextuality witnesses,
+determinism and sharpness), sum nothing and stay plain comparisons.
 """
 
 from __future__ import annotations
@@ -33,12 +48,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm, prod
 
 from ctxcheck.bridge import operational_theories_statistically_equal, to_operational
 from ctxcheck.equivalence import (
     minimalize,
     partition,
     transport_sections_to_minimal,
+    weight_key,
 )
 from ctxcheck.model import (
     EmpiricalTheory,
@@ -49,6 +66,8 @@ from ctxcheck.model import (
     State,
     ZERO,
     empirical_system,
+    integer_weights,
+    integer_weights_equal,
     validate_operational_theory,
 )
 from ctxcheck.sheaf import (
@@ -95,13 +114,16 @@ def validate_representation(rep: OntologicalRepresentation) -> list[str]:
         out.append("preparation distributions do not match target preparations")
     if set(rep.xi) != set(target.measurements):
         out.append("response families do not match target measurements")
+    reached: set[str] = set()
     for p, dist in rep.mu.items():
         if set(dist) - values:
             out.append(f"mu[{p!r}] uses unknown ontic values")
-        if any(w < 0 for w in dist.values()):
+        nums, den = integer_weights(dist)
+        if any(n < 0 for n in nums.values()):
             out.append(f"mu[{p!r}] has a negative weight")
-        if sum(dist.values(), start=ZERO) != ONE:
+        if sum(nums.values()) != den:
             out.append(f"mu[{p!r}] does not sum to 1")
+        reached.update(lam for lam, n in nums.items() if n > 0)
     for m, family in rep.xi.items():
         meas = target.measurements.get(m)
         if meas is None:
@@ -111,34 +133,33 @@ def validate_representation(rep: OntologicalRepresentation) -> list[str]:
         for lam, dist in family.items():
             if set(dist) - set(meas.outcomes):
                 out.append(f"xi[{m!r}][{lam!r}] uses unknown outcomes")
-            if any(w < 0 for w in dist.values()):
+            nums, den = integer_weights(dist)
+            if any(n < 0 for n in nums.values()):
                 out.append(f"xi[{m!r}][{lam!r}] has a negative weight")
-            if sum(dist.values(), start=ZERO) != ONE:
+            if sum(nums.values()) != den:
                 out.append(f"xi[{m!r}][{lam!r}] does not sum to 1")
-    reached = {lam for dist in rep.mu.values() for lam, w in dist.items() if w > 0}
     for lam in rep.ontic:
         if lam not in reached:
             out.append(f"ontic value {lam!r} unreachable by every preparation")
     return out
 
 
-def realized_distribution(
+def _integer_realized(
     rep: OntologicalRepresentation, prep: str, meas: str
-) -> Weights:
-    """Outcome weights of ``meas`` at ``prep`` by the law of total probability.
+) -> tuple[dict[str, int], int]:
+    """``realized_distribution`` in integers: (numerator by outcome, den).
 
     One pass over the support of the preparation's distribution; outcomes
     appear in the order the ontic values first reach them, zeros dropped.
-    Raises ``RepresentationError`` when ``meas`` has no response family, or
-    when its family lacks an ontic value the preparation reaches.
     """
     try:
         family = rep.xi[meas]
     except KeyError:
         raise RepresentationError(f"no response family for {meas!r}") from None
-    weights: Weights = {}
-    for lam, w in rep.mu_of(prep).items():
-        if w == 0:
+    mu, mu_den = integer_weights(rep.mu_of(prep))
+    terms = []  # (weight, response numerators, response den) per reached value
+    for lam, n in mu.items():
+        if not n:
             continue
         try:
             response = family[lam]
@@ -146,22 +167,43 @@ def realized_distribution(
             raise RepresentationError(
                 f"xi[{meas!r}] has no response for ontic value {lam!r}"
             ) from None
+        terms.append((n, *integer_weights(response)))
+    den = lcm(*[d for _, _, d in terms])
+    acc: dict[str, int] = {}
+    for n, response, d in terms:
+        n *= den // d
         for k, x in response.items():
-            weights[k] = weights.get(k, ZERO) + w * x
-    return {k: w for k, w in weights.items() if w != 0}
+            acc[k] = acc.get(k, 0) + n * x
+    return {k: n for k, n in acc.items() if n}, mu_den * den
+
+
+def realized_distribution(
+    rep: OntologicalRepresentation, prep: str, meas: str
+) -> Weights:
+    """Outcome weights of ``meas`` at ``prep`` by the law of total probability.
+
+    The ``Fraction`` view of ``_integer_realized``: outcomes appear in the
+    order the ontic values first reach them, zeros dropped.  Raises
+    ``RepresentationError`` when ``meas`` has no response family, or when
+    its family lacks an ontic value the preparation reaches.
+    """
+    acc, den = _integer_realized(rep, prep, meas)
+    return {k: Fraction(n, den) for k, n in acc.items()}
 
 
 def verify_realization(
     rep: OntologicalRepresentation,
 ) -> tuple[bool, tuple[str, str, str] | None]:
-    """Exact check of the total-probability law; first failing (p, m, k)."""
+    """Exact check of the total-probability law; first failing (p, m, k).
+
+    Cross-multiplies the integer realized weights with the target's."""
     target = rep.target
     for p in target.preparations:
         for m in sorted(target.measurements):
-            stats = target.distribution(p, m)
-            realized = realized_distribution(rep, p, m)
+            stats, stats_den = integer_weights(target.distribution(p, m))
+            realized, den = _integer_realized(rep, p, m)
             for k in target.measurements[m].outcomes:
-                if realized.get(k, ZERO) != stats.get(k, ZERO):
+                if realized.get(k, 0) * stats_den != stats.get(k, 0) * den:
                     return False, (p, m, k)
     return True, None
 
@@ -194,7 +236,10 @@ def preparation_classes(target: OperationalTheory) -> tuple[tuple[str, ...], ...
 
     def key(p: str):
         return tuple(
-            tuple(sorted(target.distribution(p, m).items())) for m in names
+            tuple(
+                sorted((k, weight_key(w)) for k, w in target.distribution(p, m).items())
+            )
+            for m in names
         )
 
     return partition(sorted(target.preparations), key)
@@ -213,7 +258,7 @@ def outcome_pair_classes(
 
     def key(pair: tuple[str, str]):
         m, k = pair
-        return tuple(target.distribution(p, m).get(k, ZERO) for p in preps)
+        return tuple(weight_key(target.distribution(p, m).get(k, 0)) for p in preps)
 
     return partition(pairs, key)
 
@@ -307,7 +352,8 @@ def _determinism_witness(rep: OntologicalRepresentation, names: list[str]):
 
 
 def _parameter_independence_witness(rep: OntologicalRepresentation):
-    """First two measurements whose responses disagree on their shared labels."""
+    """First two measurements whose responses disagree on their shared labels,
+    compared as integer pushforwards."""
     target = rep.target
     for a, b in itertools.combinations(sorted(target.measurements), 2):
         ma, mb = target.measurements[a], target.measurements[b]
@@ -315,8 +361,9 @@ def _parameter_independence_witness(rep: OntologicalRepresentation):
         if not shared:
             continue
         for lam in rep.ontic:
-            if ma.marginal(rep.xi[a][lam], shared) != mb.marginal(
-                rep.xi[b][lam], shared
+            if not integer_weights_equal(
+                ma.integer_marginal(rep.xi[a][lam], shared),
+                mb.integer_marginal(rep.xi[b][lam], shared),
             ):
                 return a, b, lam, shared
     return None
@@ -337,15 +384,18 @@ def _factorizability_witness(rep: OntologicalRepresentation):
                 f"cannot assess factorizability: no single measurement for {missing}"
             )
         for lam in rep.ontic:
+            joint, den = integer_weights(rep.xi[m][lam])
+            singles = [integer_weights(rep.xi[elem[x]][lam]) for x in meas.labels]
+            singles_den = prod(d for _, d in singles)
             for k in meas.outcomes:
-                product = ONE
-                for x in meas.labels:
+                product = 1
+                for x, (nums, _) in zip(meas.labels, singles):
                     ex = target.measurements[elem[x]]
                     kx = ex.outcome_of(meas.project((x,), k))
-                    product *= rep.xi[elem[x]][lam].get(kx, ZERO)
-                    if product == 0:
+                    product *= nums.get(kx, 0)
+                    if not product:
                         break
-                if rep.xi[m][lam].get(k, ZERO) != product:
+                if joint.get(k, 0) * singles_den != product * den:
                     return m, lam, k
     return None
 
@@ -374,7 +424,7 @@ def trivial_representation(target: OperationalTheory) -> OntologicalRepresentati
         family: dict[str, Weights] = {}
         for cls in classes:
             stats = target.distribution(cls[0], m)
-            family[name_of_class[cls]] = {k: w for k, w in stats.items() if w != 0}
+            family[name_of_class[cls]] = {k: w for k, w in stats.items() if w}
         xi[m] = family
     return OntologicalRepresentation(ontic=ontic, mu=mu, xi=xi, target=target)
 
@@ -404,9 +454,8 @@ def canonical_representation(
     m_sections = transport_sections_to_minimal(mmap, sections)
     target = to_operational(theory)
 
-    support = sorted(
-        {g for dist in m_sections.values() for g, w in dist.items() if w != 0}
-    )
+    # a distribution's weights hold no zero
+    support = sorted({g for dist in m_sections.values() for g in dist.weights})
     ontic = tuple(ontic_name(g) for g in support)
 
     original_of: dict[tuple[str, ...], tuple[str, ...]] = {}
@@ -463,24 +512,34 @@ def induced_theory(
         raise RepresentationError(str(exc), analyze_representation(rep)) from None
     minimal = system.labels
 
-    # global section per preparation from the product formula
+    # global section per preparation from the product formula, in ints: each
+    # minimal measurement's responses over one denominator, keyed by
+    # (ontic value, outcome), so a product is over mu's denominator times
+    # theirs
+    responses: list[dict[tuple[str, str], int]] = []
+    den = 1
+    for m in minimal:
+        nums, m_den = integer_weights(
+            {(lam, k): w for lam, dist in rep.xi[m].items() for k, w in dist.items()}
+        )
+        responses.append(nums)
+        den *= m_den
     assignments = list(global_outcome_tuples(system))
     sections: dict[str, RationalDistribution] = {}
     for p in target.preparations:
+        mu, mu_den = integer_weights(rep.mu_of(p))
+        section_den = mu_den * den
         weights: dict[tuple[str, ...], Fraction] = {}
         for values in assignments:
-            total = ZERO
-            for lam, w in rep.mu_of(p).items():
-                if w == 0:
-                    continue
-                product = w
-                for m, k in zip(minimal, values):
-                    product *= rep.xi[m][lam].get(k, ZERO)
-                    if product == 0:
+            total = 0
+            for lam, n in mu.items():
+                for nums, k in zip(responses, values):
+                    n *= nums.get((lam, k), 0)
+                    if not n:
                         break
-                total += product
-            if total != 0:
-                weights[values] = total
+                total += n
+            if total:
+                weights[values] = Fraction(total, section_den)
         sections[p] = RationalDistribution(domain=minimal, weights=weights)
 
     states: dict[str, State] = {}

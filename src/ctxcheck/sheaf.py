@@ -19,18 +19,22 @@ rejects any other before either runs.
 The possibilistic variant asks the same question of supports: every supported
 local section must extend to a full assignment that is supported everywhere.
 
-Restriction to a context has one helper per data shape: ``_integer_marginal``
-pushes a distribution forward in integers, over the lcm of its denominators,
-and ``_context_groups`` groups the full assignments by their restriction, for
-the LP build and the possibilistic check.  Every table sum and equality is
-built on the integer pushforward: ``marginal_weights`` is its ``Fraction``
-view, with the same keys in the same order, and ``marginals_agree``, the one
-table equality, cross-multiplies two of them (for the no-signalling gate,
-``equivalence`` and ``bridge``).  ``verify_global_section`` compares each
-marginal of a section with its table the same way, and reads no product or
-LP code, so it stays an independent re-encoding of the LP.  The product
-section carries each weight as an integer pair and makes one ``Fraction``
-per returned weight.
+Restriction to a context has one helper per data shape: ``_pushforward``
+sums a distribution's integer weights (``_integer_distribution``, read by
+``model.integer_weights``) by restriction, and ``_context_groups`` groups the
+full assignments by their restriction, for the LP build and the possibilistic
+check.  Every table sum and equality is built on the integer pushforward
+``_integer_marginal``, the composition of the two: ``marginal_weights`` is
+its ``Fraction`` view, with the same keys in the same order, and
+``marginals_agree``, the one table equality, compares two of them with
+``model.integer_weights_equal`` (for the no-signalling gate, ``equivalence``
+and ``bridge``).  ``verify_global_section`` puts each section in integers
+once, restricts that to every context and to every label a measurement
+mixture names, and compares by cross-multiplying, declarations included.  It
+reads no product or LP code, so it stays an independent re-encoding of the
+LP.  The product section reads each table with ``integer_weights``, carries
+each weight as an integer pair and makes one ``Fraction`` per returned
+weight.
 
 In the LP ``M d = v``, the tables enter only through the marginal rows
 (Abramsky, Barbosa and Mansfield, PRL 119, 050504 (2017)): a marginal row's
@@ -41,10 +45,11 @@ marginal row's columns, and the normalization and declaration rows whole.
 ``_skeleton`` builds it, memoized by value on those three, and
 ``_scenario`` the assignments and context groups a system type fixes,
 memoized on it alone, which the possibilistic check and ``extract_sections``
-read too.  Each memo keeps at most ``_MEMO_SIZE`` (8) scenarios and never
-holds a verdict or a table entry.  Every LP of a scenario shares the
-skeleton's normalization and declaration rows, since a ``LinearSystem`` is
-immutable and nothing writes its rows.
+read too; ``_join_order``, the product path's order of the cover, is
+memoized on the system type the same way.  Each memo keeps at most
+``_MEMO_SIZE`` (8) scenarios and never holds a verdict or a table entry.
+Every LP of a scenario shares the skeleton's normalization and declaration
+rows, since a ``LinearSystem`` is immutable and nothing writes its rows.
 """
 
 from __future__ import annotations
@@ -74,6 +79,8 @@ from ctxcheck.model import (
     SystemType,
     ZERO,
     component_outcome_map,
+    integer_weights,
+    integer_weights_equal,
     validate_theory,
 )
 
@@ -107,6 +114,15 @@ def _picker(pos: list[int]) -> Callable[[tuple[str, ...]], tuple[str, ...]]:
     return itemgetter(slice(start, start + len(pos)))
 
 
+def _integer_distribution(
+    dist: RationalDistribution,
+) -> tuple[list[tuple[tuple[str, ...], int]], int]:
+    """A distribution's weights as ``integer_weights`` reads them: its
+    (outcome tuple, numerator) pairs in sorted order, and their den."""
+    nums, den = integer_weights(dist.weights)
+    return sorted(nums.items()), den
+
+
 def _integer_marginal(
     dist: RationalDistribution, sub: tuple[str, ...]
 ) -> tuple[dict[tuple[str, ...], int], int]:
@@ -117,15 +133,23 @@ def _integer_marginal(
     is an integer over it and the pushforward sums ints.  The outcome tuples
     come in the order they are first reached in sorted order.
     """
-    weights = dist.weights
-    den = lcm(*[w.denominator for w in weights.values()])
-    restrict = _picker([dist.domain.index(m) for m in sub])
+    items, den = _integer_distribution(dist)
+    return _pushforward(items, dist.domain, sub), den
+
+
+def _pushforward(
+    items: list[tuple[tuple[str, ...], int]],
+    domain: tuple[str, ...],
+    sub: tuple[str, ...],
+) -> dict[tuple[str, ...], int]:
+    """Sums of integer weights by restriction of their ``domain`` outcome
+    tuples to ``sub`` labels, in the order the tuples are first reached."""
+    restrict = _picker([domain.index(m) for m in sub])
     acc: dict[tuple[str, ...], int] = {}
-    for values in sorted(weights):
-        w = weights[values]
+    for values, n in items:
         key = restrict(values)
-        acc[key] = acc.get(key, 0) + w.numerator * (den // w.denominator)
-    return acc, den
+        acc[key] = acc.get(key, 0) + n
+    return acc
 
 
 def marginal_weights(
@@ -148,10 +172,8 @@ def marginals_agree(
     Compares the integer pushforwards by cross-multiplying their
     denominators, so no ``Fraction`` is made.
     """
-    a_acc, a_den = _integer_marginal(a, a_sub)
-    b_acc, b_den = _integer_marginal(b, b_sub)
-    return a_acc.keys() == b_acc.keys() and all(
-        n * b_den == b_acc[key] * a_den for key, n in a_acc.items()
+    return integer_weights_equal(
+        _integer_marginal(a, a_sub), _integer_marginal(b, b_sub)
     )
 
 
@@ -532,12 +554,14 @@ def _check_probabilistic(theory: EmpiricalTheory) -> ContextualityVerdict:
     )
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def _join_order(
     system: SystemType,
-) -> list[tuple[Context, tuple[str, ...]]] | None:
+) -> tuple[tuple[Context, tuple[str, ...]], ...] | None:
     """The cover in a running-intersection order, or None if it is cyclic.
 
-    Each context comes with the labels it shares with the contexts before it.
+    Memoized by value on the system type, like ``_scenario``.  Each context
+    comes with the labels it shares with the contexts before it.
     The order is a maximum cardinality search (Tarjan and Yannakakis, SIAM J.
     Comput. 13, 566 (1984)): next comes the context with the most labels
     already seen, the first listed among ties.  The cover is alpha-acyclic
@@ -568,7 +592,7 @@ def _join_order(
                 seen.add(m)
                 for j in holders[m]:
                     counts[j] += 1
-    return order
+    return tuple(order)
 
 
 def _product_sections(
@@ -607,12 +631,10 @@ def _product_sections(
         for ctx, in_ctx, in_run, new in plan:
             # the table in integers over one denominator, which cancels in
             # p(t) / p(key) = n_t / (sum of n over key)
-            weights = state.distribution(ctx).weights
-            den = lcm(*[w.denominator for w in weights.values()])
+            nums, _ = integer_weights(state.distribution(ctx).weights)
             groups: dict[tuple[str, ...], list[tuple[tuple[str, ...], int]]] = {}
             totals: dict[tuple[str, ...], int] = {}
-            for t, w in weights.items():
-                n = w.numerator * (den // w.denominator)
+            for t, n in nums.items():
                 key = in_ctx(t)
                 groups.setdefault(key, []).append((new(t), n))
                 totals[key] = totals.get(key, 0) + n
@@ -664,10 +686,20 @@ def verify_global_section(
     theory: EmpiricalTheory, sections: dict[str, RationalDistribution]
 ) -> list[str]:
     """Exact re-check that ``sections`` marginalize to every table and
-    satisfy every declaration; returns violations (empty = verified)."""
+    satisfy every declaration; returns violations (empty = verified).
+
+    Each section is put in integers once (``_integer_distribution``) and
+    restricted from there; every sum and comparison is over ints,
+    cross-multiplied where denominators differ.
+    """
     system = theory.system
     allowed = [set(o.labels) for o in system.outcomes]
     out: list[str] = []
+    integer = {
+        name: _integer_distribution(dist)
+        for name, dist in sections.items()
+        if dist.domain == system.labels
+    }
     for name, state in theory.states.items():
         if name not in sections:
             out.append(f"missing section for state {name!r}")
@@ -688,10 +720,10 @@ def verify_global_section(
                 f"section for {name!r} puts mass on outcome {v!r} "
                 f"outside the outcome set of {m!r}"
             )
+        items, den = integer[name]
         for ctx in system.cover:
-            acc, den = _integer_marginal(dist, ctx)
-            table = state.distribution(ctx)
-            want, want_den = _integer_marginal(table, table.domain)
+            acc = _pushforward(items, dist.domain, ctx)
+            want, want_den = integer_weights(state.distribution(ctx).weights)
             for t in context_outcome_tuples(system, ctx):
                 if acc.get(t, 0) * want_den != want.get(t, 0) * den:
                     out.append(
@@ -705,36 +737,47 @@ def verify_global_section(
             ):
                 out.append(f"state mixture {decl.target!r}: section missing")
                 continue
-            target = sections[decl.target]
+            # the mixture's weight at g is sum(n * nums[g]) over mix_den
+            coefs, coef_den = integer_weights(
+                {c.name: c.coefficient for c in decl.components}
+            )
+            parts = [
+                (coefs[c.name], integer_weights(sections[c.name].weights))
+                for c in decl.components
+            ]
+            den = lcm(*[d for _, (_, d) in parts])
+            parts = [(n * (den // d), nums) for n, (nums, d) in parts]
+            mix_den = coef_den * den
+            target, target_den = integer_weights(sections[decl.target].weights)
             for g in global_outcome_tuples(system):
-                want = sum(
-                    (
-                        c.coefficient * sections[c.name].weight(g)
-                        for c in decl.components
-                    ),
-                    start=ZERO,
-                )
-                if target.weight(g) != want:
+                want = sum(n * nums.get(g, 0) for n, nums in parts)
+                if target.get(g, 0) * mix_den != want * target_den:
                     out.append(
                         f"state mixture {decl.target!r} violated at {g}"
                     )
                     break
         else:
             outcomes = system.outcomes_of(decl.target).labels
+            coefs, coef_den = integer_weights(
+                {c.name: c.coefficient for c in decl.components}
+            )
             for name, dist in sections.items():
                 if dist.domain != system.labels:
                     continue  # a state's is reported above
-                lhs = marginal_weights(dist, (decl.target,))
-                rhs = dict.fromkeys(outcomes, ZERO)
+                # every marginal of one section shares its denominator, so
+                # both sides are over coef_den times it
+                items, _ = integer[name]
+                lhs = _pushforward(items, dist.domain, (decl.target,))
+                rhs = dict.fromkeys(outcomes, 0)
                 for c in decl.components:
                     bij = component_outcome_map(system, decl, c)
                     inv = {t: (o,) for o, t in bij.items()}
                     system.label_position(c.name)  # ModelError if unknown
-                    marg = marginal_weights(dist, (c.name,))
+                    marg = _pushforward(items, dist.domain, (c.name,))
                     for k in outcomes:
-                        rhs[k] += c.coefficient * marg.get(inv[k], ZERO)
+                        rhs[k] += coefs[c.name] * marg.get(inv[k], 0)
                 for k in outcomes:
-                    if lhs.get((k,), ZERO) != rhs[k]:
+                    if lhs.get((k,), 0) * coef_den != rhs[k]:
                         out.append(
                             f"measurement mixture {decl.target!r} violated for "
                             f"state {name!r} at outcome {k!r}"

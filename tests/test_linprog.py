@@ -1386,3 +1386,17 @@ def _scanned_systems(draw):
 def test_any_scanned_presolve_matches_the_full_queue(case):
     coeffs, rhs, n = case
     _assert_presolve_and_patch_match_reference(coeffs, rhs, [1] * len(coeffs), n)
+
+
+def test_feasible_point_lists_every_variable_in_variable_order():
+    # the full point is built once every block is feasible; it still names
+    # every variable, zeros included, in the system's order
+    feasible = 0
+    for theory in itertools.islice(_golden_theories(), 40):
+        lp = global_section_system(theory)
+        result = solve_feasibility(lp)
+        if isinstance(result, Feasible):
+            feasible += 1
+            assert list(result.point) == list(lp.variables)
+            assert all(type(v) is Fraction for v in result.point.values())
+    assert feasible >= 10

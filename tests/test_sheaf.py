@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from copy import deepcopy
 from fractions import Fraction
 
 import pytest
@@ -780,3 +781,16 @@ def test_memo_keeps_at_most_its_bound_and_rebuilds_what_it_evicted():
     assert _lp_content(global_section_system(theories[0])) == first[0]
     assert sheaf._skeleton.cache_info().misses == misses + 1
     assert _lp_content(_cold_build(theories[0])) == first[0]
+
+
+def test_join_order_is_memoized_on_the_system_type():
+    system = without_declarations(builtin_example("spekkens-unsharp").theory).system
+    sheaf._join_order.cache_clear()
+    order = sheaf._join_order(system)
+    assert isinstance(order, tuple)
+    # an equal system type, built apart, reads the same entry
+    twin = deepcopy(system)
+    assert twin is not system and twin == system
+    assert sheaf._join_order(twin) is order
+    info = sheaf._join_order.cache_info()
+    assert (info.hits, info.misses, info.maxsize) == (1, 1, sheaf._MEMO_SIZE)

@@ -386,3 +386,118 @@ def test_distribution_errors_match_the_fraction_check(data):
         dist = RationalDistribution(domain=domain, weights=dict(weights))
         assert list(dist.weights.items()) == list(want.items())
         assert all(type(w) is Fraction for w in dist.weights.values())
+
+
+def _reference_declaration_violations(theory, sections):
+    """The plain-Fraction declaration checks of ``verify_global_section``."""
+    system = theory.system
+    out = []
+    for decl in theory.convex:
+        if decl.kind == "state":
+            if decl.target not in sections or any(
+                c.name not in sections for c in decl.components
+            ):
+                out.append(f"state mixture {decl.target!r}: section missing")
+                continue
+            target = sections[decl.target]
+            for g in global_outcome_tuples(system):
+                want = sum(
+                    (c.coefficient * sections[c.name].weight(g) for c in decl.components),
+                    start=ZERO,
+                )
+                if target.weight(g) != want:
+                    out.append(f"state mixture {decl.target!r} violated at {g}")
+                    break
+        else:
+            outcomes = system.outcomes_of(decl.target).labels
+            for name, dist in sections.items():
+                lhs = _reference_marginal(dist, (decl.target,))
+                rhs = dict.fromkeys(outcomes, ZERO)
+                for c in decl.components:
+                    marg = _reference_marginal(dist, (c.name,))
+                    for k in outcomes:
+                        rhs[k] += c.coefficient * marg.get((k,), ZERO)
+                for k in outcomes:
+                    if lhs.get((k,), ZERO) != rhs[k]:
+                        out.append(
+                            f"measurement mixture {decl.target!r} violated for "
+                            f"state {name!r} at outcome {k!r}"
+                        )
+    return out
+
+
+@st.composite
+def _sections_on_ab_and_c(draw, mixed):
+    """A section on a, b, c: a drawn table on (a, b) times a law of c that is
+    the even mixture of a's and b's when ``mixed``, else a drawn one."""
+    ab = draw(_big_distributions(("a", "b")))
+    if mixed:
+        half = Fraction(1, 2)
+        law = {}
+        for label in ("a", "b"):
+            for key, w in _reference_marginal(ab, (label,)).items():
+                law[key] = law.get(key, ZERO) + half * w
+    else:
+        law = draw(_big_weights([(k,) for k in _TERNARY]))
+    weights = {
+        t + key: w * v for t, w in ab.weights.items() for key, v in law.items() if v
+    }
+    return RationalDistribution(domain=_LABELS, weights=weights)
+
+
+@given(st.data())
+def test_declaration_checks_are_the_fraction_checks(data):
+    # a measurement mixture c = 1/2 a + 1/2 b and a state mixture
+    # u = q s + (1 - q) t, each holding or not, with one section then
+    # possibly moved by a tiny weight
+    system = system_type({m: _TERNARY for m in _LABELS}, [("a", "b"), ("c",)])
+    mixed = data.draw(st.booleans())
+    s = data.draw(_sections_on_ab_and_c(mixed))
+    t = data.draw(_sections_on_ab_and_c(mixed))
+    p = data.draw(st.sampled_from(_PRIMES))
+    q = Fraction(data.draw(st.integers(1, p - 1)), p)
+    u = {
+        g: q * s.weight(g) + (1 - q) * t.weight(g)
+        for g in set(s.weights) | set(t.weights)
+    }
+    sections = {"s": s, "t": t, "u": RationalDistribution(domain=_LABELS, weights=u)}
+    half = Fraction(1, 2)
+    declarations = (
+        ConvexDeclaration(
+            kind="measurement",
+            target="c",
+            components=(ConvexComponent(half, "a"), ConvexComponent(half, "b")),
+        ),
+        ConvexDeclaration(
+            kind="state",
+            target="u",
+            components=(ConvexComponent(q, "s"), ConvexComponent(1 - q, "t")),
+        ),
+    )
+    states = {
+        name: State(
+            name=name,
+            table={
+                ctx: RationalDistribution(
+                    domain=ctx, weights=_reference_marginal(dist, ctx)
+                )
+                for ctx in system.cover
+            },
+        )
+        for name, dist in sections.items()
+    }
+    theory = EmpiricalTheory(system=system, states=states, convex=declarations)
+    name = data.draw(st.sampled_from(sorted(sections)))
+    tuples = list(global_outcome_tuples(system))
+    sections[name] = data.draw(_moved_by_a_tiny_weight(sections[name], tuples))
+    want = []
+    for state, dist in sections.items():
+        for ctx in system.cover:
+            acc = _reference_marginal(dist, ctx)
+            table = theory.states[state].table[ctx]
+            for t in context_outcome_tuples(system, ctx):
+                if acc.get(t, ZERO) != table.weight(t):
+                    want.append(f"state {state!r}: marginal at {ctx} differs at {t}")
+                    break
+    want += _reference_declaration_violations(theory, sections)
+    assert verify_global_section(theory, sections) == want
