@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from ctxcheck.model import (
     Context,
@@ -38,8 +39,15 @@ from ctxcheck.model import (
     SystemType,
     ZERO,
     component_outcome_map,
+    integer_weights,
 )
-from ctxcheck.sheaf import marginal_weights, marginals_agree, require_no_signalling
+from ctxcheck.sheaf import (
+    _pushforwards,
+    _restriction,
+    marginal_weights,
+    marginals_agree,
+    require_no_signalling,
+)
 
 EQUIVALENCE_KINDS = ("state", "measurement", "outcome-pair")
 
@@ -111,15 +119,32 @@ def equivalence_classes(theory: EmpiricalTheory, kind: str) -> EquivalenceClasse
         )
     require_no_signalling(theory)
     states = sorted(theory.states)
-    marginals = {
-        m: [label_marginal(theory, s, m) for s in states] for m in system.labels
-    }
+    # each label's outcome weights per state as partition keys, read as
+    # ``label_marginal`` does from the first context holding the label; each
+    # (state, context) table is read as ints once, for all its labels
+    first: dict[Context | None, list[str]] = {}
+    for m in system.labels:
+        ctx = next((c for c in system.cover if m in c), None)
+        first.setdefault(ctx, []).append(m)
+    keys: dict[str, list[dict[str, tuple[int, int]]]] = {m: [] for m in system.labels}
+    for ctx, labels in first.items():
+        if ctx is None and states:
+            raise ModelError(f"label {labels[0]!r} not covered")
+        for s in states:
+            dist = theory.state(s).distribution(ctx)
+            nums, den = integer_weights(dist.weights)
+            at = [_restriction(dist.domain, (m,)) for m in labels]
+            for m, acc in zip(labels, _pushforwards(nums.items(), at)):
+                marg: dict[str, tuple[int, int]] = {}
+                for (o,), n in acc.items():
+                    g = gcd(n, den)
+                    marg[o] = n // g, den // g
+                keys[m].append(marg)
     if kind == "measurement":
         def label_key(label: str):
             outs = system.outcomes_of(label).labels
             stats = tuple(
-                tuple(weight_key(marg.get(o, ZERO)) for o in outs)
-                for marg in marginals[label]
+                tuple(marg.get(o, (0, 1)) for o in outs) for marg in keys[label]
             )
             return (outs, stats)
         return EquivalenceClasses(
@@ -130,7 +155,7 @@ def equivalence_classes(theory: EmpiricalTheory, kind: str) -> EquivalenceClasse
     ]
     def pair_key(pair: tuple[str, str]):
         m, o = pair
-        return tuple(weight_key(marg.get(o, ZERO)) for marg in marginals[m])
+        return tuple(marg.get(o, (0, 1)) for marg in keys[m])
     return EquivalenceClasses(kind="outcome-pair", classes=partition(pairs, pair_key))
 
 

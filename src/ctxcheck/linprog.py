@@ -19,6 +19,11 @@ connected-component splitting) keeps the tableaus small.  Its first pass, up
 to the first zero-rhs row of mixed signs, is one scan without a column
 index, so the columns forced there (on a sheaf LP, those of the zero-weight
 marginals) never enter the index.
+A block's set-up reads only the block's columns: a block row may hold
+many columns presolve eliminated, so each kernel places a row's entries
+from the intersection of the row's columns with the block's, which
+iterates the smaller of the two.  No output depends on the order of a
+tableau row's entries.
 Each block's phase I writes once what does not depend on how its tableau
 rows are stored: ``_simplex_phase1`` computes the block's common denominator
 and row signs and reads the Farkas dual from the final objective row, and
@@ -583,11 +588,12 @@ def _stored_phase1(
     for k, (r, sign) in enumerate(zip(rows, flip)):
         mult = oden // scales[r]
         row: dict[int, int] = {}
-        for j, a in coeffs[r].items():
-            i = position.get(j)
-            if i is not None:
-                row[i] = sign * a
-                obj[i] -= sign * a * mult
+        entries = coeffs[r]
+        for j in position.keys() & entries.keys():
+            i = position[j]
+            a = sign * entries[j]
+            row[i] = a
+            obj[i] -= a * mult
         row[n + k] = scales[r]
         if rhs[r]:
             row[end] = sign * rhs[r]
@@ -700,12 +706,11 @@ def _inverse_phase1(
     for k, (r, sign) in enumerate(zip(rows, flip)):
         mult = oden // scales[r]
         row = [0] * (m + 1)
-        for j, a in coeffs[r].items():
-            i = position.get(j)
-            if i is not None:
-                ks, vals = columns[i]
-                ks.append(k)
-                vals.append(sign * a * mult)
+        entries = coeffs[r]
+        for j in position.keys() & entries.keys():
+            ks, vals = columns[position[j]]
+            ks.append(k)
+            vals.append(sign * entries[j] * mult)
         row[k] = scales[r]
         row[-1] = sign * rhs[r]
         obj[-1] -= row[-1] * mult

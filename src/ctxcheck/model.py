@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import lcm
 from typing import Iterable, Iterator, Mapping, TypeVar
 
@@ -57,8 +57,11 @@ def integer_weights_equal(
 ) -> bool:
     """Whether two (numerator by key, den) maps, as ``integer_weights``
     gives, are equal as ``Fraction`` maps: the same keys, and the numerators
-    equal over their dens, compared by cross-multiplying."""
+    equal over their dens, compared by cross-multiplying (or directly,
+    over one den)."""
     (a_nums, a_den), (b_nums, b_den) = a, b
+    if a_den == b_den:
+        return a_nums == b_nums
     return a_nums.keys() == b_nums.keys() and all(
         n * b_den == b_nums[k] * a_den for k, n in a_nums.items()
     )
@@ -158,8 +161,54 @@ def system_type(
     return SystemType(labels=labels, outcomes=outs, cover=ctxs)
 
 
+# Distinct scenarios each memo keeps: ``_system_type_violations`` here, and
+# ``_scenario``, ``_overlaps``, ``_join_order`` and ``_skeleton`` in
+# ``sheaf``, each keyed by value on the system type (the skeleton also on the
+# state names and declarations).  Eight holds the five bundled scenarios, or
+# the five ring sizes of the ``rings`` benchmark workload, with room to
+# spare, while a long-running process that meets ever new scenarios retains
+# at most eight of each (the five bundled skeletons take about 0.7 MB beside
+# their scenarios).  No memo holds a verdict or a table entry.
+_MEMO_SIZE = 8
+
+
 def validate_system_type(system: SystemType) -> list[str]:
-    """Check the scenario structure; returns a list of violations (empty = valid)."""
+    """Check the scenario structure; returns a list of violations (empty = valid).
+
+    A field or context that is not a tuple is reported, by name, before
+    anything hashes the system type; it makes the type unhashable, or, for
+    a string context, splits it into characters.  Nothing is coerced.  The
+    other checks depend only on the system type and are memoized on it
+    (``_system_type_violations``); each call returns a fresh list.
+    """
+    violations = [
+        f"{field} is a {type(value).__name__}, not a tuple"
+        for field, value in (
+            ("labels", system.labels),
+            ("outcomes", system.outcomes),
+            ("cover", system.cover),
+        )
+        if type(value) is not tuple
+    ]
+    violations.extend(
+        f"outcome set of {m!r} is a {type(o.labels).__name__}, not a tuple"
+        for m, o in zip(system.labels, system.outcomes)
+        if isinstance(o, OutcomeSet) and type(o.labels) is not tuple
+    )
+    violations.extend(
+        f"context {ctx!r} is a {type(ctx).__name__}, not a tuple"
+        for ctx in system.cover
+        if type(ctx) is not tuple
+    )
+    if violations:
+        return violations
+    return list(_system_type_violations(system))
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _system_type_violations(system: SystemType) -> tuple[str, ...]:
+    """``validate_system_type``'s structural checks of a system type whose
+    fields and contexts are tuples, memoized by value on it."""
     violations: list[str] = []
     order = {m: i for i, m in enumerate(system.labels)}
     for ctx in system.cover:
@@ -187,7 +236,7 @@ def validate_system_type(system: SystemType) -> list[str]:
                         violations.append(f"duplicate context {ctx}")
                 else:
                     violations.append(f"context {ctx} contained in {other} (cover must be an antichain)")
-    return violations
+    return tuple(violations)
 
 
 @dataclass(frozen=True)

@@ -19,22 +19,31 @@ rejects any other before either runs.
 The possibilistic variant asks the same question of supports: every supported
 local section must extend to a full assignment that is supported everywhere.
 
-Restriction to a context has one helper per data shape: ``_pushforward``
-sums a distribution's integer weights (``_integer_distribution``, read by
-``model.integer_weights``) by restriction, and ``_context_groups`` groups the
-full assignments by their restriction, for the LP build and the possibilistic
-check.  Every table sum and equality is built on the integer pushforward
-``_integer_marginal``, the composition of the two: ``marginal_weights`` is
-its ``Fraction`` view, with the same keys in the same order, and
-``marginals_agree``, the one table equality, compares two of them with
-``model.integer_weights_equal`` (for the no-signalling gate, ``equivalence``
-and ``bridge``).  ``verify_global_section`` puts each section in integers
-once, restricts that to every context and to every label a measurement
-mixture names, and compares by cross-multiplying, declarations included.  It
-reads no product or LP code, so it stays an independent re-encoding of the
-LP.  The product section reads each table with ``integer_weights``, carries
-each weight as an integer pair and makes one ``Fraction`` per returned
-weight.
+Restriction to a context has one helper per data shape: ``_pushforwards``
+sums integer weights (as ``model.integer_weights`` reads them) by
+restriction onto several label tuples in one call, and ``_context_groups``
+groups the full assignments by their restriction, for the LP build and the
+possibilistic check.  ``_integer_marginal`` pushes a distribution's sorted
+integer weights (``_integer_distribution``) onto one label tuple:
+``marginal_weights`` is its ``Fraction`` view, with the same keys in the same
+order, and ``marginals_agree`` compares two of them with
+``model.integer_weights_equal`` (for ``equivalence`` and ``bridge``).
+``verify_global_section`` puts each section in integers once, pushes that
+onto every context in one call and onto every label a measurement mixture
+names, and compares by cross-multiplying, declarations included.  It reads
+no product or LP code, so it stays an independent re-encoding of the LP.
+The product section reads each table with ``integer_weights``, carries each
+weight as an integer pair and makes one ``Fraction`` per returned weight.
+
+The input gate reads each table once.  ``check_contextuality`` first runs
+``validate_theory``, whose system-type checks are memoized on the system
+type (``model.validate_system_type``), and then the no-signalling check
+``signalling_violations``.  That reads each state's table as ints once, with
+no sort (an equality needs none), and pushes it in one call onto every label
+tuple it shares with another context; each overlapping pair then compares
+two pushforwards with ``integer_weights_equal``.  Which pairs overlap, on
+which labels, and where those labels sit in each context depend only on the
+system type, so ``_overlaps`` memoizes them on it, from the cover alone.
 
 In the LP ``M d = v``, the tables enter only through the marginal rows
 (Abramsky, Barbosa and Mansfield, PRL 119, 050504 (2017)): a marginal row's
@@ -45,9 +54,10 @@ marginal row's columns, and the normalization and declaration rows whole.
 ``_skeleton`` builds it, memoized by value on those three, and
 ``_scenario`` the assignments and context groups a system type fixes,
 memoized on it alone, which the possibilistic check and ``extract_sections``
-read too; ``_join_order``, the product path's order of the cover, is
-memoized on the system type the same way.  Each memo keeps at most
-``_MEMO_SIZE`` (8) scenarios and never holds a verdict or a table entry.
+read too; ``_join_order``, the product path's order of the cover, and the
+gate's ``_overlaps`` are memoized on the system type the same way.  Each
+memo keeps at most ``model._MEMO_SIZE`` (8) scenarios and never holds a
+verdict or a table entry.
 Every LP of a scenario shares the skeleton's normalization and declaration
 rows, since a ``LinearSystem`` is immutable and nothing writes its rows.
 """
@@ -55,7 +65,7 @@ rows, since a ``LinearSystem`` is immutable and nothing writes its rows.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable
+from collections.abc import Callable, Collection, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
@@ -78,6 +88,7 @@ from ctxcheck.model import (
     RationalDistribution,
     SystemType,
     ZERO,
+    _MEMO_SIZE,
     component_outcome_map,
     integer_weights,
     integer_weights_equal,
@@ -105,7 +116,7 @@ def sub_contexts(ctx: Context):
         yield from itertools.combinations(ctx, r)
 
 
-def _picker(pos: list[int]) -> Callable[[tuple[str, ...]], tuple[str, ...]]:
+def _picker(pos: Sequence[int]) -> Callable[[tuple[str, ...]], tuple[str, ...]]:
     """The map from a tuple to the tuple of its entries at ``pos``."""
     if len(pos) > 1:
         return itemgetter(*pos)
@@ -134,22 +145,37 @@ def _integer_marginal(
     come in the order they are first reached in sorted order.
     """
     items, den = _integer_distribution(dist)
-    return _pushforward(items, dist.domain, sub), den
+    (acc,) = _pushforwards(items, [_restriction(dist.domain, sub)])
+    return acc, den
 
 
-def _pushforward(
-    items: list[tuple[tuple[str, ...], int]],
-    domain: tuple[str, ...],
-    sub: tuple[str, ...],
-) -> dict[tuple[str, ...], int]:
-    """Sums of integer weights by restriction of their ``domain`` outcome
-    tuples to ``sub`` labels, in the order the tuples are first reached."""
-    restrict = _picker([domain.index(m) for m in sub])
-    acc: dict[tuple[str, ...], int] = {}
-    for values, n in items:
-        key = restrict(values)
-        acc[key] = acc.get(key, 0) + n
-    return acc
+def _restriction(
+    domain: tuple[str, ...], sub: tuple[str, ...]
+) -> Callable[[tuple[str, ...]], tuple[str, ...]]:
+    """The map from a ``domain`` outcome tuple to its ``sub`` labels' values."""
+    return _picker([domain.index(m) for m in sub])
+
+
+def _pushforwards(
+    items: Collection[tuple[tuple[str, ...], int]],
+    restrictions: Sequence[Callable[[tuple[str, ...]], tuple[str, ...]]],
+) -> list[dict[tuple[str, ...], int]]:
+    """Sums of integer weights by restriction of their outcome tuples, one
+    sum per label tuple, each given by its restriction (``_restriction``).
+
+    Each sum keeps the outcome tuples in the order they are first reached.
+    ``items`` is walked once per restriction: one walk updating every sum
+    measured slower, at the three or four label tuples a table or section
+    is pushed onto.
+    """
+    accs = []
+    for restrict in restrictions:
+        acc: dict[tuple[str, ...], int] = {}
+        for values, n in items:
+            key = restrict(values)
+            acc[key] = acc.get(key, 0) + n
+        accs.append(acc)
+    return accs
 
 
 def marginal_weights(
@@ -178,19 +204,35 @@ def marginals_agree(
 
 
 def signalling_violations(theory: EmpiricalTheory) -> list[str]:
-    """Context pairs whose tables disagree on shared labels, per state."""
-    system = theory.system
+    """Context pairs whose tables disagree on shared labels, per state.
+
+    Each table that shares labels with another context is read as ints
+    once per state and pushed onto all of its shared label tuples in one
+    call (``_overlaps`` lists them); each pair compares two pushforwards.
+    Pairs come in ``itertools.combinations`` order of the cover.
+    """
+    cover = theory.system.cover
+    pushes, pairs = _overlaps(theory.system)
     out: list[str] = []
     for name, state in theory.states.items():
-        for ctx, other in itertools.combinations(system.cover, 2):
-            shared = tuple(m for m in ctx if m in other)
-            if not shared:
-                continue
-            if not marginals_agree(
-                state.distribution(ctx), shared, state.distribution(other), shared
+        # per context index: (pushforwards onto its shared tuples, den)
+        read: dict[int, tuple[list[dict[tuple[str, ...], int]], int]] = {}
+        for i, j, shared, i_slot, j_slot in pairs:
+            for k in (i, j):
+                if k not in read:
+                    dist = state.distribution(cover[k])
+                    subs, at = pushes[k]
+                    if dist.domain != cover[k]:  # invalid, but read as labeled
+                        at = [_restriction(dist.domain, sub) for sub in subs]
+                    nums, den = integer_weights(dist.weights)
+                    read[k] = _pushforwards(nums.items(), at), den
+            (i_accs, i_den), (j_accs, j_den) = read[i], read[j]
+            if not integer_weights_equal(
+                (i_accs[i_slot], i_den), (j_accs[j_slot], j_den)
             ):
                 out.append(
-                    f"state {name!r}: contexts {ctx} and {other} disagree on {shared}"
+                    f"state {name!r}: contexts {cover[i]} and {cover[j]} "
+                    f"disagree on {shared}"
                 )
     return out
 
@@ -255,13 +297,6 @@ _Marginal = tuple[tuple[str, ...], tuple[int, ...]]
 # rhs is 0.
 _Declaration = tuple[str, dict[int, int], int]
 
-# Distinct scenarios each memo keeps.  Eight holds the five bundled
-# scenarios, or the five ring sizes of the ``rings`` benchmark workload, with
-# room to spare, while a long-running process that meets ever new scenarios
-# retains at most eight skeletons (the five bundled ones take about 0.7 MB
-# beside their scenarios).
-_MEMO_SIZE = 8
-
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def _scenario(system: SystemType) -> tuple[tuple, tuple]:
@@ -279,6 +314,43 @@ def _scenario(system: SystemType) -> tuple[tuple, tuple]:
         for ctx in system.cover
     )
     return tuple(global_outcome_tuples(system)), marginals
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _overlaps(
+    system: SystemType,
+) -> tuple[
+    tuple[tuple[tuple[tuple[str, ...], ...], tuple[Callable, ...]], ...],
+    tuple[tuple[int, int, tuple[str, ...], int, int], ...],
+]:
+    """The cover's overlapping pairs, memoized by value on the system type.
+
+    Returns (pushes, pairs).  ``pushes[k]`` holds the distinct label tuples
+    context ``k`` shares with other contexts, and their restrictions from
+    context ``k`` (``_restriction``, which reads their labels' positions in
+    it).  ``pairs`` holds per overlapping pair, in
+    ``itertools.combinations`` order of the cover, (i, j, shared labels,
+    the slot of ``shared`` in ``pushes[i]``, its slot in ``pushes[j]``).
+    Reads the cover alone, no assignment.
+    """
+    cover = system.cover
+    shares: list[list[tuple[str, ...]]] = [[] for _ in cover]
+    pairs = []
+    for (i, ctx), (j, other) in itertools.combinations(enumerate(cover), 2):
+        shared = tuple(m for m in ctx if m in other)
+        if not shared:
+            continue
+        slots = []
+        for k in (i, j):
+            if shared not in shares[k]:
+                shares[k].append(shared)
+            slots.append(shares[k].index(shared))
+        pairs.append((i, j, shared, *slots))
+    pushes = tuple(
+        (tuple(subs), tuple(_restriction(ctx, sub) for sub in subs))
+        for ctx, subs in zip(cover, shares)
+    )
+    return pushes, tuple(pairs)
 
 
 @dataclass(frozen=True)
@@ -721,8 +793,10 @@ def verify_global_section(
                 f"outside the outcome set of {m!r}"
             )
         items, den = integer[name]
-        for ctx in system.cover:
-            acc = _pushforward(items, dist.domain, ctx)
+        pushes = _pushforwards(
+            items, [_restriction(dist.domain, ctx) for ctx in system.cover]
+        )
+        for ctx, acc in zip(system.cover, pushes):
             want, want_den = integer_weights(state.distribution(ctx).weights)
             for t in context_outcome_tuples(system, ctx):
                 if acc.get(t, 0) * want_den != want.get(t, 0) * den:
@@ -767,13 +841,16 @@ def verify_global_section(
                 # every marginal of one section shares its denominator, so
                 # both sides are over coef_den times it
                 items, _ = integer[name]
-                lhs = _pushforward(items, dist.domain, (decl.target,))
+                (lhs,) = _pushforwards(
+                    items, [_picker([system.label_position(decl.target)])]
+                )
                 rhs = dict.fromkeys(outcomes, 0)
                 for c in decl.components:
                     bij = component_outcome_map(system, decl, c)
                     inv = {t: (o,) for o, t in bij.items()}
-                    system.label_position(c.name)  # ModelError if unknown
-                    marg = _pushforward(items, dist.domain, (c.name,))
+                    (marg,) = _pushforwards(
+                        items, [_picker([system.label_position(c.name)])]
+                    )
                     for k in outcomes:
                         rhs[k] += coefs[c.name] * marg.get(inv[k], 0)
                 for k in outcomes:

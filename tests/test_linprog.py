@@ -9,6 +9,8 @@ from copy import deepcopy
 from fractions import Fraction
 from functools import partial
 from math import gcd, lcm
+from operator import itemgetter, mul
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,7 +31,9 @@ from ctxcheck.linprog import (
     LinearConstraint,
     LinearSystem,
     LinearSystemError,
+    _GROWTH_BITS,
     _inverse_phase1,
+    _objective_step,
     _patch_certificate,
     _presolve,
     _simplex_phase1,
@@ -1400,3 +1404,297 @@ def test_feasible_point_lists_every_variable_in_variable_order():
             assert list(result.point) == list(lp.variables)
             assert all(type(v) is Fraction for v in result.point.values())
     assert feasible >= 10
+
+
+# ---------------------------------------------------------------------------
+# Kernel set-up against the earlier kernels, on rows reaching outside the block
+# ---------------------------------------------------------------------------
+
+# The phase-I kernels as they were when their set-up walked every entry of a
+# block row and kept those inside the block (docstrings dropped).  The
+# objective step they call is the module's, which they shared.
+
+def _parent_simplex_phase1(
+    coeffs: Sequence[dict[int, int]],
+    rhs: Sequence[int],
+    scales: Sequence[int],
+    rows: list[int],
+    cols: list[int],
+) -> tuple[dict[int, Fraction] | None, dict[int, int] | None]:
+    oden = lcm(*(scales[r] for r in rows))
+    flip = [-1 if rhs[r] < 0 else 1 for r in rows]
+    if len(cols) <= len(rows):
+        point, obj, oden = _parent_stored_phase1(
+            coeffs, rhs, scales, rows, cols, oden, flip
+        )
+        art = len(cols)
+    else:
+        point, obj, oden = _parent_inverse_phase1(
+            coeffs, rhs, scales, rows, cols, oden, flip
+        )
+        art = 0
+    if point is not None:
+        return point, None
+    # each y_k times oden, so all are ints
+    dual: dict[int, int] = {}
+    for k, r in enumerate(rows):
+        y = (obj[art + k] - oden) * flip[k]
+        if y:
+            dual[r] = y
+    return None, dual
+
+
+def _parent_stored_phase1(
+    coeffs: Sequence[dict[int, int]],
+    rhs: Sequence[int],
+    scales: Sequence[int],
+    rows: list[int],
+    cols: list[int],
+    oden: int,
+    flip: list[int],
+) -> tuple[dict[int, Fraction] | None, list[int], int]:
+    m = len(rows)
+    n = len(cols)
+    end = n + m  # the rhs column
+    position = {j: i for i, j in enumerate(cols)}
+    tab: list[dict[int, int]] = []
+    # phase-I reduced costs: structural -column sums, artificial 0
+    obj = [0] * (end + 1)
+    for k, (r, sign) in enumerate(zip(rows, flip)):
+        mult = oden // scales[r]
+        row: dict[int, int] = {}
+        for j, a in coeffs[r].items():
+            i = position.get(j)
+            if i is not None:
+                row[i] = sign * a
+                obj[i] -= sign * a * mult
+        row[n + k] = scales[r]
+        if rhs[r]:
+            row[end] = sign * rhs[r]
+            obj[end] -= sign * rhs[r] * mult
+        tab.append(row)
+
+    basis = list(range(n, end))
+    grown = [0] * m  # bits of the q's applied to each row since its division
+    while True:
+        enter = -1
+        for j in range(n):
+            if obj[j] < 0:
+                enter = j
+                break
+        if enter < 0:
+            break
+        column = [row.get(enter, 0) for row in tab]
+        # ratio test kept per storage: a shared rhs getter ran slower on tall blocks
+        leave = -1
+        for i, a in enumerate(column):
+            if a > 0:
+                b = tab[i].get(end, 0)
+                if leave < 0:
+                    leave, best_b, best_a = i, b, a
+                    continue
+                # b / a against best_b / best_a by cross-multiplying (a > 0)
+                here, best = b * best_a, best_b * a
+                if here < best or (here == best and basis[i] < basis[leave]):
+                    leave, best_b, best_a = i, b, a
+        if leave < 0:
+            raise LinearSystemError("phase-I objective unbounded; invalid system")
+        prow = tab[leave]
+        p = column[leave]
+        g = gcd(*prow.values())
+        if g > 1:
+            prow = tab[leave] = {k: a // g for k, a in prow.items()}
+            p //= g
+        grown[leave] = 0
+        for i, f in enumerate(column):
+            if f and i != leave:
+                g = gcd(p, f)
+                q, f = p // g, f // g
+                row = tab[i]
+                if q != 1:
+                    row = tab[i] = {k: a * q for k, a in row.items()}
+                    grown[i] += q.bit_length()
+                for k, b in prow.items():
+                    a = row.get(k, 0) - f * b
+                    if a:
+                        row[k] = a
+                    else:
+                        del row[k]
+                if grown[i] > _GROWTH_BITS:
+                    grown[i] = 0
+                    g = gcd(*row.values())
+                    if g > 1:
+                        tab[i] = {k: a // g for k, a in row.items()}
+        obj, oden = _objective_step(obj, oden, prow.items(), p, obj[enter])
+        basis[leave] = enter
+    if obj[end]:
+        return None, obj, oden
+    point: dict[int, Fraction] = {}
+    for row, j in zip(tab, basis):
+        if j < n:
+            point[cols[j]] = Fraction(row.get(end, 0), row[j])
+    return point, obj, oden
+
+
+def _parent_inverse_phase1(
+    coeffs: Sequence[dict[int, int]],
+    rhs: Sequence[int],
+    scales: Sequence[int],
+    rows: list[int],
+    cols: list[int],
+    oden: int,
+    flip: list[int],
+) -> tuple[dict[int, Fraction] | None, list[int], int]:
+    m = len(rows)
+    n = len(cols)
+    unit = oden  # computed entries are ``unit`` times the row's
+    position = {j: i for i, j in enumerate(cols)}
+    columns: list[tuple[list[int], list[int]]] = [([], []) for _ in cols]
+    tab: list[list[int]] = []
+    # phase-I reduced costs: artificial 0, then the rhs
+    obj = [0] * (m + 1)
+    for k, (r, sign) in enumerate(zip(rows, flip)):
+        mult = oden // scales[r]
+        row = [0] * (m + 1)
+        for j, a in coeffs[r].items():
+            i = position.get(j)
+            if i is not None:
+                ks, vals = columns[i]
+                ks.append(k)
+                vals.append(sign * a * mult)
+        row[k] = scales[r]
+        row[-1] = sign * rhs[r]
+        obj[-1] -= row[-1] * mult
+        tab.append(row)
+
+    # a packed column is (getter, c, ks, vals): a column with two or more
+    # entries, all equal to c, reads ``c * sum(getter(row))``; any other has
+    # c = 0 and reads ``sum(map(mul, map(row.__getitem__, ks), vals))``
+    packed: list[tuple[itemgetter | None, int, list[int], list[int]]] = []
+    for ks, vals in columns:
+        if len(ks) > 1 and vals.count(vals[0]) == len(vals):
+            packed.append((itemgetter(*ks), vals[0], ks, vals))
+        else:
+            packed.append((None, 0, ks, vals))
+
+    def column_entries(j: int, rows: list[list[int]]) -> list[int]:
+        """Structural column ``j`` of each of ``rows``."""
+        get, c, ks, vals = packed[j]
+        if c:
+            return [c * sum(get(row)) for row in rows]
+        return [sum(map(mul, map(row.__getitem__, ks), vals)) for row in rows]
+
+    basis = [n + k for k in range(m)]
+    grown = [0] * m  # bits of the q's applied to each row since its division
+    while True:
+        enter = -1
+        prices = [a - oden for a in obj[:m]]
+        for j, (get, c, ks, vals) in enumerate(packed):
+            if c:
+                price = c * sum(get(prices))
+            else:
+                price = sum(map(mul, map(prices.__getitem__, ks), vals))
+            if price < 0:
+                enter = j
+                break
+        if enter < 0:
+            break
+        column = column_entries(enter, tab)
+        # ratio test kept per storage: a shared rhs getter ran slower on tall blocks
+        leave = -1
+        for i, a in enumerate(column):
+            if a > 0:
+                b = tab[i][-1]
+                if leave < 0:
+                    leave, best_b, best_a = i, b, a
+                    continue
+                # b / a against best_b / best_a by cross-multiplying (a > 0)
+                here, best = b * best_a, best_b * a
+                if here < best or (here == best and basis[i] < basis[leave]):
+                    leave, best_b, best_a = i, b, a
+        if leave < 0:
+            raise LinearSystemError("phase-I objective unbounded; invalid system")
+        prow = tab[leave]
+        p = column[leave]
+        g = gcd(*prow)
+        if g > 1:
+            prow = tab[leave] = [a // g for a in prow]
+            p //= g
+        grown[leave] = 0
+        # an update subtracts f * prow only where prow is nonzero
+        support = [(k, b) for k, b in enumerate(prow) if b]
+        for i, f in enumerate(column):
+            if f and i != leave:
+                g = gcd(p, f)
+                q, f = p // g, f // g
+                row = tab[i]
+                if q != 1:
+                    row = tab[i] = [a * q for a in row]
+                    grown[i] += q.bit_length()
+                for k, b in support:
+                    row[k] -= f * b
+                if grown[i] > _GROWTH_BITS:
+                    grown[i] = 0
+                    g = gcd(*row)
+                    if g > 1:
+                        tab[i] = [a // g for a in row]
+        obj, oden = _objective_step(obj, oden, support, p, price)
+        basis[leave] = enter
+    if obj[-1]:
+        return None, obj, oden
+    point: dict[int, Fraction] = {}
+    for row, j in zip(tab, basis):
+        if j < n:
+            point[cols[j]] = Fraction(row[-1] * unit, column_entries(j, [row])[0])
+    return point, obj, oden
+
+
+@st.composite
+def _blocks_in_wider_rows(draw):
+    """A ``_blocks`` system whose rows also hold many columns outside the
+    block, among rows outside it: (coeffs, rhs, scales, rows, cols).
+
+    The block's columns are spread over a wider column range, and each of
+    its rows gets nonzero entries on a drawn set of the other columns, in a
+    drawn dict order, as a presolved block's rows keep the columns presolve
+    eliminated.  Rows outside the block hold only such entries.
+    """
+    system = draw(_blocks())
+    n = len(system.variables)
+    width = n + draw(st.integers(1, 24))
+    cols = sorted(draw(st.permutations(range(width)))[:n])
+    outside = [j for j in range(width) if j not in cols]
+    entries = st.integers(-9, 9).filter(bool)
+    coeffs, rhs, scales, rows = [], [], [], []
+    for r in range(len(system.names)):
+        for _ in range(draw(st.integers(0, 2))):
+            extra = draw(st.lists(st.sampled_from(outside), min_size=1, unique=True))
+            coeffs.append({j: draw(entries) for j in extra})
+            rhs.append(draw(entries))
+            scales.append(1)
+        extra = draw(st.lists(st.sampled_from(outside), unique=True))
+        row = [(cols[j], a) for j, a in system.coeffs[r].items()]
+        row += [(j, draw(entries)) for j in extra]
+        rows.append(len(coeffs))
+        coeffs.append(dict(draw(st.permutations(row))))
+        rhs.append(system.rhs[r])
+        scales.append(system.scales[r])
+    return coeffs, rhs, scales, rows, cols
+
+
+@given(_blocks_in_wider_rows())
+def test_phase1_reads_only_block_columns_as_before(case):
+    coeffs, rhs, scales, rows, cols = case
+    assert _simplex_phase1(coeffs, rhs, scales, rows, cols) == _parent_simplex_phase1(
+        coeffs, rhs, scales, rows, cols
+    )
+    # each storage on every shape, down to its objective row and denominator
+    oden = lcm(*(scales[r] for r in rows))
+    flip = [-1 if rhs[r] < 0 else 1 for r in rows]
+    for loop, before in (
+        (_stored_phase1, _parent_stored_phase1),
+        (_inverse_phase1, _parent_inverse_phase1),
+    ):
+        assert loop(coeffs, rhs, scales, rows, cols, oden, flip) == before(
+            coeffs, rhs, scales, rows, cols, oden, flip
+        )

@@ -240,3 +240,60 @@ def test_validate_operational_theory_reports_unknown_mixture_members():
         "state mixture references unknown preparation 'ghost'",
         "measurement mixture references unknown measurement 'nowhere'",
     ]
+
+
+def test_validate_system_type_returns_a_fresh_list_per_call():
+    nested = system_type({m: ("0", "1") for m in "abc"}, [("a", "b"), ("a",), ("c",)])
+    first = validate_system_type(nested)
+    assert first and any("antichain" in v for v in first)
+    first.append("edited by the caller")
+    first.clear()
+    again = validate_system_type(nested)
+    assert again and "edited by the caller" not in again
+    assert again is not validate_system_type(nested)
+    # an equal system type, built apart, gives an equal result
+    twin = system_type({m: ("0", "1") for m in "abc"}, [("a", "b"), ("a",), ("c",)])
+    assert twin is not nested and twin == nested
+    assert validate_system_type(twin) == again
+    valid = system_type({m: ("0", "1") for m in "ab"}, [("a", "b")])
+    listed = validate_system_type(valid)
+    listed.append("edited by the caller")
+    assert validate_system_type(valid) == []
+
+
+def _listed_system_theory(**fields):
+    """One context (a, b) over binary labels, one uniform state, with the
+    given ``SystemType`` fields in place of their tuple forms."""
+    binary = OutcomeSet(("0", "1"))
+    system = SystemType(
+        **{"labels": ("a", "b"), "outcomes": (binary, binary), "cover": (("a", "b"),)}
+        | fields
+    )
+    half = Fraction(1, 2)
+    dist = RationalDistribution(("a", "b"), {("0", "0"): half, ("1", "1"): half})
+    state = State(name="s", table={("a", "b"): dist})
+    return EmpiricalTheory(system=system, states={"s": state})
+
+
+@pytest.mark.parametrize("mode", ["probabilistic", "possibilistic"])
+@pytest.mark.parametrize(
+    "fields, problem",
+    [
+        ({"labels": ["a", "b"]}, "labels is a list, not a tuple"),
+        ({"cover": [("a", "b")]}, "cover is a list, not a tuple"),
+        ({"cover": (["a", "b"],)}, "context ['a', 'b'] is a list, not a tuple"),
+        # a string context is reported, not read as its characters
+        ({"cover": ("ab",)}, "context 'ab' is a str, not a tuple"),
+        (
+            {"outcomes": (OutcomeSet(["0", "1"]), OutcomeSet(("0", "1")))},
+            "outcome set of 'a' is a list, not a tuple",
+        ),
+    ],
+)
+def test_system_type_fields_that_are_not_tuples_are_invalid(fields, problem, mode):
+    theory = _listed_system_theory(**fields)
+    assert validate_system_type(theory.system) == [problem]
+    assert validate_theory(theory)[0] == problem
+    with pytest.raises(ModelError) as raised:
+        check_contextuality(theory, mode=mode)
+    assert str(raised.value) == f"invalid theory: {problem}"

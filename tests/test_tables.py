@@ -24,7 +24,10 @@ from ctxcheck.model import (
     ModelError,
     RationalDistribution,
     State,
+    integer_weights,
+    integer_weights_equal,
     system_type,
+    validate_system_type,
 )
 from ctxcheck.quantum import BUILTIN_NAMES, builtin_example, without_declarations
 from ctxcheck.sheaf import (
@@ -501,3 +504,125 @@ def test_declaration_checks_are_the_fraction_checks(data):
                     break
     want += _reference_declaration_violations(theory, sections)
     assert verify_global_section(theory, sections) == want
+
+
+# ---------------------------------------------------------------------------
+# The no-signalling gate against its earlier pairwise form
+# ---------------------------------------------------------------------------
+
+
+def _reference_signalling_violations(theory):
+    """The gate as it was when each overlapping pair pushed both tables
+    forward on its own, each put in integers over the lcm of its sorted
+    weights."""
+
+    def integer_marginal(dist, sub):
+        nums, den = integer_weights(dist.weights)
+        pos = [dist.domain.index(m) for m in sub]
+        acc = {}
+        for values, n in sorted(nums.items()):
+            key = tuple(values[i] for i in pos)
+            acc[key] = acc.get(key, 0) + n
+        return acc, den
+
+    system = theory.system
+    out = []
+    for name, state in theory.states.items():
+        for ctx, other in itertools.combinations(system.cover, 2):
+            shared = tuple(m for m in ctx if m in other)
+            if not shared:
+                continue
+            if not integer_weights_equal(
+                integer_marginal(state.distribution(ctx), shared),
+                integer_marginal(state.distribution(other), shared),
+            ):
+                out.append(
+                    f"state {name!r}: contexts {ctx} and {other} disagree on {shared}"
+                )
+    return out
+
+
+@st.composite
+def _overlapping_theories(draw):
+    """1-4 no-signalling states on a cover of 2-4 contexts whose contexts
+    share 1-3 labels, the first two sharing 2, then up to three single-entry
+    edits (part of one table weight moved to another outcome tuple).
+
+    Each context after the first takes 1-3 labels of an earlier one (2 of
+    the first, for the second), maybe one label of another, and 1-2 fresh
+    labels, so no context holds another.  The states are the marginals of
+    sparse global distributions, so no assignment space is enumerated.
+    """
+    fresh = (f"m{i}" for i in itertools.count())
+    cover = [tuple(itertools.islice(fresh, draw(st.integers(3, 4))))]
+    for k in range(1, draw(st.integers(2, 4))):
+        base = cover[0] if k == 1 else draw(st.sampled_from(cover))
+        size = 2 if k == 1 else draw(st.integers(1, min(3, len(base) - 1)))
+        ctx = list(draw(st.permutations(base))[:size])
+        if k > 1 and draw(st.booleans()):
+            ctx.append(draw(st.sampled_from([m for c in cover for m in c])))
+        ctx += itertools.islice(fresh, draw(st.integers(1, 2)))
+        cover.append(tuple(dict.fromkeys(ctx)))
+    labels = list(dict.fromkeys(m for ctx in cover for m in ctx))
+    outcomes = {m: _TERNARY[: draw(st.integers(2, 3))] for m in labels}
+    system = system_type(outcomes, cover)
+    assume(not validate_system_type(system))
+    assignment = st.tuples(*(st.sampled_from(outcomes[m]) for m in system.labels))
+    states = {}
+    for s in range(draw(st.integers(1, 4))):
+        support = draw(st.lists(assignment, min_size=1, max_size=6, unique=True))
+        raw = [draw(st.integers(1, 9)) for _ in support]
+        section = RationalDistribution(
+            domain=system.labels,
+            weights={g: Fraction(w, sum(raw)) for g, w in zip(support, raw)},
+        )
+        table = {
+            ctx: RationalDistribution(
+                domain=ctx, weights=marginal_weights(section, ctx)
+            )
+            for ctx in system.cover
+        }
+        states[f"s{s}"] = State(name=f"s{s}", table=table)
+    theory = EmpiricalTheory(system=system, states=states)
+    for _ in range(draw(st.integers(0, 3))):
+        name = draw(st.sampled_from(sorted(theory.states)))
+        ctx = draw(st.sampled_from(system.cover))
+        dist = theory.states[name].table[ctx]
+        weights = dict(dist.weights)
+        source = draw(st.sampled_from(sorted(weights)))
+        target = draw(st.tuples(*(st.sampled_from(outcomes[m]) for m in ctx)))
+        delta = weights[source] / draw(st.integers(1, 3))
+        weights[source] -= delta
+        weights[target] = weights.get(target, ZERO) + delta
+        table = RationalDistribution(domain=ctx, weights=weights)
+        theory = _with_table(theory, name, ctx, table)
+    return theory
+
+
+@given(_overlapping_theories())
+def test_signalling_violations_match_the_pairwise_gate(theory):
+    assert signalling_violations(theory) == _reference_signalling_violations(theory)
+
+
+def test_gate_compares_joints_on_two_shared_labels():
+    # every single-label marginal agrees, but the (a, b) joints of the
+    # first two contexts differ
+    half = Fraction(1, 2)
+    cover = (("a", "b", "c"), ("a", "b", "d"), ("c", "d"))
+    system = system_type({m: ("0", "1") for m in "abcd"}, cover)
+    table = {
+        cover[0]: {("0", "0", "0"): half, ("1", "1", "0"): half},
+        cover[1]: {("0", "1", "0"): half, ("1", "0", "0"): half},
+        cover[2]: {("0", "0"): Fraction(1)},
+    }
+    state = State(
+        name="s",
+        table={
+            ctx: RationalDistribution(domain=ctx, weights=w)
+            for ctx, w in table.items()
+        },
+    )
+    theory = EmpiricalTheory(system=system, states={"s": state})
+    assert signalling_violations(theory) == [
+        "state 's': contexts ('a', 'b', 'c') and ('a', 'b', 'd') disagree on ('a', 'b')"
+    ]
