@@ -39,7 +39,6 @@ from ctxcheck.model import (
     SystemType,
     ZERO,
     component_outcome_map,
-    integer_weights,
 )
 from ctxcheck.sheaf import (
     _pushforwards,
@@ -132,7 +131,7 @@ def equivalence_classes(theory: EmpiricalTheory, kind: str) -> EquivalenceClasse
             raise ModelError(f"label {labels[0]!r} not covered")
         for s in states:
             dist = theory.state(s).distribution(ctx)
-            nums, den = integer_weights(dist.weights)
+            nums, den = dist.integer
             at = [_restriction(dist.domain, (m,)) for m in labels]
             for m, acc in zip(labels, _pushforwards(nums.items(), at)):
                 marg: dict[str, tuple[int, int]] = {}

@@ -83,10 +83,11 @@ class OutcomeSet:
     def __post_init__(self) -> None:
         if not self.labels:
             raise ModelError("outcome set must be nonempty")
-        if len(set(self.labels)) != len(self.labels):
-            raise ModelError(f"duplicate outcome labels in {self.labels}")
+        # checked before the labels are hashed, which a list label cannot be
         if not all(isinstance(o, str) and o for o in self.labels):
             raise ModelError("outcome labels must be nonempty strings")
+        if len(set(self.labels)) != len(self.labels):
+            raise ModelError(f"duplicate outcome labels in {self.labels}")
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.labels)
@@ -268,9 +269,12 @@ class RationalDistribution:
     A weight given as anything else (an int, a ``"p/q"`` string, a float)
     is converted with ``Fraction``; one that already is a ``Fraction`` is
     kept.  Zero entries are dropped so equality is canonical.  The weights
-    must sum to exactly 1, a sum taken in integers over the lcm of their
-    denominators; a length mismatch, a negative weight or another sum
-    raises ``ModelError``.
+    must sum to exactly 1, a sum taken over their ``integer_weights``
+    reading; a length mismatch, a negative weight or another sum raises
+    ``ModelError``.  That reading is kept as ``integer``, (numerator by
+    outcome tuple, den) in ``weights`` order, for every reader that sums or
+    compares the weights; it is not a field, so ``repr`` and ``==`` ignore
+    it, and nothing writes it after construction.
     """
 
     domain: tuple[str, ...]
@@ -289,13 +293,14 @@ class RationalDistribution:
                 raise ModelError(f"negative probability {w} at {values}")
             if w.numerator:
                 cleaned[tuple(values)] = w
-        den = lcm(*[w.denominator for w in cleaned.values()])
-        total = sum(w.numerator * (den // w.denominator) for w in cleaned.values())
+        nums, den = integer_weights(cleaned)
+        total = sum(nums.values())
         if total != den:
             raise ModelError(
                 f"distribution weights sum to {Fraction(total, den)}, expected 1"
             )
         self.weights = cleaned
+        self.integer = nums, den
 
     def weight(self, values: tuple[str, ...]) -> Fraction:
         return self.weights.get(tuple(values), ZERO)
@@ -349,7 +354,11 @@ class ConvexDeclaration:
 
     These are *declarations* supplied with a theory, not consequences of the
     tables: the global-section problem imposes them as exact linear
-    constraints.
+    constraints.  The coefficients must sum to exactly 1, a sum taken over
+    their ``integer_weights`` reading, which is kept as ``integer``,
+    (numerator by component name, den) in component order.  Like
+    ``SystemType._index`` it is set on the frozen instance and is not a
+    field, so ``repr``, ``==`` and hashing ignore it.
     """
 
     kind: str  # "state" or "measurement"
@@ -361,15 +370,23 @@ class ConvexDeclaration:
             raise ModelError(f"unknown convex declaration kind {self.kind!r}")
         if not self.components:
             raise ModelError("convex declaration needs at least one component")
-        total = sum((c.coefficient for c in self.components), start=ZERO)
-        if total != ONE:
-            raise ModelError(f"convex coefficients sum to {total}, expected 1")
+        # read by position, so a repeated component is summed, not merged,
+        # and is reported as such below
+        nums, den = integer_weights(
+            dict(enumerate(c.coefficient for c in self.components))
+        )
+        total = sum(nums.values())
+        if total != den:
+            raise ModelError(
+                f"convex coefficients sum to {Fraction(total, den)}, expected 1"
+            )
         for c in self.components:
             if c.coefficient <= 0:
                 raise ModelError(f"coefficient {c.coefficient} must be positive")
         names = [c.name for c in self.components]
         if len(set(names)) != len(names):
             raise ModelError("convex declaration components must be distinct")
+        object.__setattr__(self, "integer", (dict(zip(names, nums.values())), den))
 
 
 @dataclass

@@ -58,15 +58,21 @@ def _rational(text, where: str) -> Fraction:
         raise DocumentError(f"{where}: {e}") from None
 
 
+def _strings(value, message: str) -> tuple[str, ...]:
+    """``value``, a list of strings, as a tuple; anything else, a list
+    holding a list included, raises ``DocumentError(message)`` before it
+    can reach a set or a dict key."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise DocumentError(message)
+    return tuple(value)
+
+
 def _cover(doc: dict, where: str) -> list[tuple[str, ...]]:
     """The ``cover`` field: a list of contexts, each a list of label names."""
-    cover = _require(doc, "cover", list, where)
-    for ctx in cover:
-        if not isinstance(ctx, list) or not all(isinstance(m, str) for m in ctx):
-            raise DocumentError(
-                f"{where}: cover entry {ctx!r} must be a list of label names"
-            )
-    return [tuple(ctx) for ctx in cover]
+    return [
+        _strings(ctx, f"{where}: cover entry {ctx!r} must be a list of label names")
+        for ctx in _require(doc, "cover", list, where)
+    ]
 
 
 def _weights(value, arity: int, where: str, key_kind: str) -> dict:
@@ -118,6 +124,10 @@ def convex_from_document(doc, where: str) -> tuple[ConvexDeclaration, ...]:
             outcome_map = None
             if "outcome_map" in _object(c, cspot):
                 mapping = _require(c, "outcome_map", dict, cspot)
+                _strings(
+                    list(mapping.values()),
+                    f"{cspot}: outcome_map values must be strings",
+                )
                 outcome_map = tuple(sorted(mapping.items()))
             components.append(
                 ConvexComponent(
@@ -160,11 +170,10 @@ def theory_to_document(theory: EmpiricalTheory) -> dict:
 def theory_from_document(doc: dict) -> EmpiricalTheory:
     labels = _require(doc, "labels", dict, "scenario")
     cover = _cover(doc, "scenario")
-    outcome_sets = {}
-    for m, outs in labels.items():
-        if not isinstance(outs, list) or not all(isinstance(o, str) for o in outs):
-            raise DocumentError(f"scenario: outcomes of label {m!r} must be strings")
-        outcome_sets[m] = tuple(outs)
+    outcome_sets = {
+        m: _strings(outs, f"scenario: outcomes of label {m!r} must be strings")
+        for m, outs in labels.items()
+    }
     system = system_type(outcome_sets, cover)
     states = {}
     for name, tables in _require(doc, "states", dict, "scenario").items():
@@ -241,7 +250,10 @@ def quantum_from_document(
     labels = {}
     for name, spec in _require(section, "labels", dict, "quantum").items():
         where = f"quantum label {name!r}"
-        outcomes = tuple(_require(spec, "outcomes", list, where))
+        outcomes = _strings(
+            _require(spec, "outcomes", list, where),
+            f"{where}: outcomes must be strings",
+        )
         effects = tuple(
             _complex_array(e, where) for e in _require(spec, "effects", list, where)
         )
@@ -251,7 +263,8 @@ def quantum_from_document(
     if "convex" in doc:
         convex = convex_from_document(doc["convex"], "convex")
     denominator = max_denominator or section.get("max_denominator")
-    if not isinstance(denominator, int) or denominator < 1:
+    # ``True`` is an ``int`` too, so the type is compared exactly
+    if type(denominator) is not int or denominator < 1:
         raise DocumentError(
             "quantum: max_denominator must be a positive integer "
             "(in the file or via --max-denominator)"
@@ -351,24 +364,30 @@ def operational_to_document(theory: OperationalTheory) -> dict:
 
 
 def operational_from_document(doc: dict) -> OperationalTheory:
-    preparations = tuple(_require(doc, "preparations", list, "target"))
+    preparations = _strings(
+        _require(doc, "preparations", list, "target"),
+        "target: preparations must be strings",
+    )
     measurements = {}
     for name, spec in _require(doc, "measurements", dict, "target").items():
         where = f"measurement {name!r}"
         values = _require(spec, "outcome_values", dict, where)
-        outcomes = tuple(_require(spec, "outcomes", list, where))
+        outcomes = _strings(
+            _require(spec, "outcomes", list, where),
+            f"{where}: outcomes must be strings",
+        )
+        outcome_values = []
         for o in outcomes:
-            if not isinstance(values.get(o), list) or not all(
-                isinstance(v, str) for v in values[o]
-            ):
-                raise DocumentError(
-                    f"{where}: outcome {o!r} needs a list of string values"
-                )
+            message = f"{where}: outcome {o!r} needs a list of string values"
+            outcome_values.append((o, _strings(values.get(o), message)))
         measurements[name] = Measurement(
             name=name,
-            labels=tuple(_require(spec, "labels", list, where)),
+            labels=_strings(
+                _require(spec, "labels", list, where),
+                f"{where}: labels must be strings",
+            ),
             outcomes=outcomes,
-            outcome_values=tuple((o, tuple(values[o])) for o in outcomes),
+            outcome_values=tuple(outcome_values),
         )
     statistics = {}
     for p, per_meas in _require(doc, "statistics", dict, "target").items():
@@ -407,7 +426,10 @@ def representation_to_document(rep: OntologicalRepresentation) -> dict:
 def representation_from_document(doc: dict) -> OntologicalRepresentation:
     if not isinstance(doc, dict):
         raise DocumentError("representation: top level must be an object")
-    ontic = tuple(_require(doc, "ontic", list, "representation"))
+    ontic = _strings(
+        _require(doc, "ontic", list, "representation"),
+        "representation: ontic states must be strings",
+    )
     mu = {
         p: {
             lam: _rational(w, f"mu[{p!r}]")

@@ -19,31 +19,33 @@ rejects any other before either runs.
 The possibilistic variant asks the same question of supports: every supported
 local section must extend to a full assignment that is supported everywhere.
 
+Every table, section and declaration holds its weights' integer reading
+(``integer``, as ``model.integer_weights`` gives it), computed once by the
+sum check its constructor runs; no reader here computes it again.
 Restriction to a context has one helper per data shape: ``_pushforwards``
-sums integer weights (as ``model.integer_weights`` reads them) by
-restriction onto several label tuples in one call, and ``_context_groups``
-groups the full assignments by their restriction, for the LP build and the
-possibilistic check.  ``_integer_marginal`` pushes a distribution's sorted
-integer weights (``_integer_distribution``) onto one label tuple:
-``marginal_weights`` is its ``Fraction`` view, with the same keys in the same
-order, and ``marginals_agree`` compares two of them with
-``model.integer_weights_equal`` (for ``equivalence`` and ``bridge``).
-``verify_global_section`` puts each section in integers once, pushes that
-onto every context in one call and onto every label a measurement mixture
-names, and compares by cross-multiplying, declarations included.  It reads
-no product or LP code, so it stays an independent re-encoding of the LP.
-The product section reads each table with ``integer_weights``, carries each
-weight as an integer pair and makes one ``Fraction`` per returned weight.
+sums integer weights by restriction onto several label tuples in one call,
+and ``_context_groups`` groups the full assignments by their restriction,
+for the LP build and the possibilistic check.  ``marginal_weights`` pushes a
+distribution's sorted integer reading onto one label tuple and returns
+``Fraction`` weights, and ``marginals_agree`` compares two unsorted
+pushforwards with ``model.integer_weights_equal`` (for ``equivalence`` and
+``bridge``).  ``verify_global_section`` pushes each section's reading onto
+every context in one call and onto every label a measurement mixture names,
+and compares by cross-multiplying, declarations included.  It reads no
+product or LP code, so it stays an independent re-encoding of the LP.  The
+product section reads each table's reading, carries each weight as an
+integer pair and makes one ``Fraction`` per returned weight.
 
 The input gate reads each table once.  ``check_contextuality`` first runs
 ``validate_theory``, whose system-type checks are memoized on the system
 type (``model.validate_system_type``), and then the no-signalling check
-``signalling_violations``.  That reads each state's table as ints once, with
-no sort (an equality needs none), and pushes it in one call onto every label
-tuple it shares with another context; each overlapping pair then compares
-two pushforwards with ``integer_weights_equal``.  Which pairs overlap, on
-which labels, and where those labels sit in each context depend only on the
-system type, so ``_overlaps`` memoizes them on it, from the cover alone.
+``signalling_violations``.  That takes each state's table's integer
+reading, with no sort (an equality needs none), and pushes it in one call
+onto every label tuple it shares with another context; each overlapping
+pair then compares two pushforwards with ``integer_weights_equal``.  Which
+pairs overlap, on which labels, and where those labels sit in each context
+depend only on the system type, so ``_overlaps`` memoizes them on it, from
+the cover alone.
 
 In the LP ``M d = v``, the tables enter only through the marginal rows
 (Abramsky, Barbosa and Mansfield, PRL 119, 050504 (2017)): a marginal row's
@@ -90,7 +92,6 @@ from ctxcheck.model import (
     ZERO,
     _MEMO_SIZE,
     component_outcome_map,
-    integer_weights,
     integer_weights_equal,
     validate_theory,
 )
@@ -125,30 +126,6 @@ def _picker(pos: Sequence[int]) -> Callable[[tuple[str, ...]], tuple[str, ...]]:
     return itemgetter(slice(start, start + len(pos)))
 
 
-def _integer_distribution(
-    dist: RationalDistribution,
-) -> tuple[list[tuple[tuple[str, ...], int]], int]:
-    """A distribution's weights as ``integer_weights`` reads them: its
-    (outcome tuple, numerator) pairs in sorted order, and their den."""
-    nums, den = integer_weights(dist.weights)
-    return sorted(nums.items()), den
-
-
-def _integer_marginal(
-    dist: RationalDistribution, sub: tuple[str, ...]
-) -> tuple[dict[tuple[str, ...], int], int]:
-    """Pushforward of a distribution along restriction to ``sub`` labels, in
-    integers: (numerator by outcome tuple, den).
-
-    ``den`` is the lcm of the distribution's denominators, so every weight
-    is an integer over it and the pushforward sums ints.  The outcome tuples
-    come in the order they are first reached in sorted order.
-    """
-    items, den = _integer_distribution(dist)
-    (acc,) = _pushforwards(items, [_restriction(dist.domain, sub)])
-    return acc, den
-
-
 def _restriction(
     domain: tuple[str, ...], sub: tuple[str, ...]
 ) -> Callable[[tuple[str, ...]], tuple[str, ...]]:
@@ -181,8 +158,13 @@ def _pushforwards(
 def marginal_weights(
     dist: RationalDistribution, sub: tuple[str, ...]
 ) -> dict[tuple[str, ...], Fraction]:
-    """Pushforward of a distribution along restriction to ``sub`` labels."""
-    acc, den = _integer_marginal(dist, sub)
+    """Pushforward of a distribution along restriction to ``sub`` labels.
+
+    Sums the distribution's integer reading, so the outcome tuples come in
+    the order they are first reached in sorted order.
+    """
+    nums, den = dist.integer
+    (acc,) = _pushforwards(sorted(nums.items()), [_restriction(dist.domain, sub)])
     return {key: Fraction(n, den) for key, n in acc.items()}
 
 
@@ -195,20 +177,21 @@ def marginals_agree(
     """Whether ``a`` restricted to ``a_sub`` and ``b`` restricted to ``b_sub``
     have equal pushforwards, outcome tuples read position by position.
 
-    Compares the integer pushforwards by cross-multiplying their
-    denominators, so no ``Fraction`` is made.
+    Compares the pushforwards of the integer readings by cross-multiplying
+    their denominators, so no ``Fraction`` is made.
     """
-    return integer_weights_equal(
-        _integer_marginal(a, a_sub), _integer_marginal(b, b_sub)
-    )
+    (a_nums, a_den), (b_nums, b_den) = a.integer, b.integer
+    (a_acc,) = _pushforwards(a_nums.items(), [_restriction(a.domain, a_sub)])
+    (b_acc,) = _pushforwards(b_nums.items(), [_restriction(b.domain, b_sub)])
+    return integer_weights_equal((a_acc, a_den), (b_acc, b_den))
 
 
 def signalling_violations(theory: EmpiricalTheory) -> list[str]:
     """Context pairs whose tables disagree on shared labels, per state.
 
-    Each table that shares labels with another context is read as ints
-    once per state and pushed onto all of its shared label tuples in one
-    call (``_overlaps`` lists them); each pair compares two pushforwards.
+    The integer reading of each table that shares labels with another
+    context is pushed onto all of its shared label tuples in one call per
+    state (``_overlaps`` lists them); each pair compares two pushforwards.
     Pairs come in ``itertools.combinations`` order of the cover.
     """
     cover = theory.system.cover
@@ -224,7 +207,7 @@ def signalling_violations(theory: EmpiricalTheory) -> list[str]:
                     subs, at = pushes[k]
                     if dist.domain != cover[k]:  # invalid, but read as labeled
                         at = [_restriction(dist.domain, sub) for sub in subs]
-                    nums, den = integer_weights(dist.weights)
+                    nums, den = dist.integer
                     read[k] = _pushforwards(nums.items(), at), den
             (i_accs, i_den), (j_accs, j_den) = read[i], read[j]
             if not integer_weights_equal(
@@ -499,9 +482,9 @@ def _declaration_rows(
         # target k, minus each component's weight on the assignments whose
         # component outcome is identified with k.  The rows are the same for
         # every state up to columns, so they are built once, over assignment
-        # indices, in integers over the coefficients' lcm.
+        # indices, in integers over the coefficients' den (``decl.integer``).
         target_pos = system.label_position(decl.target)
-        den = lcm(*(c.coefficient.denominator for c in decl.components))
+        coefs, den = decl.integer
         pattern: dict[str, dict[int, int]] = {
             k: {} for k in system.outcomes_of(decl.target).labels
         }
@@ -510,10 +493,9 @@ def _declaration_rows(
         for c in decl.components:
             bij = component_outcome_map(system, decl, c)
             pos = system.label_position(c.name)
-            step = c.coefficient.numerator * (den // c.coefficient.denominator)
             for i, g in enumerate(assignments):
                 row = pattern[bij[g[pos]]]
-                row[i] = row.get(i, 0) - step
+                row[i] = row.get(i, 0) - coefs[c.name]
         # row k times den // content is integer, with content the gcd of
         # den and its entries, and its coefficients are then n // content
         shapes: list[tuple[str, dict[int, int], int]] = []
@@ -703,7 +685,7 @@ def _product_sections(
         for ctx, in_ctx, in_run, new in plan:
             # the table in integers over one denominator, which cancels in
             # p(t) / p(key) = n_t / (sum of n over key)
-            nums, _ = integer_weights(state.distribution(ctx).weights)
+            nums, _ = state.distribution(ctx).integer
             groups: dict[tuple[str, ...], list[tuple[tuple[str, ...], int]]] = {}
             totals: dict[tuple[str, ...], int] = {}
             for t, n in nums.items():
@@ -760,18 +742,15 @@ def verify_global_section(
     """Exact re-check that ``sections`` marginalize to every table and
     satisfy every declaration; returns violations (empty = verified).
 
-    Each section is put in integers once (``_integer_distribution``) and
-    restricted from there; every sum and comparison is over ints,
-    cross-multiplied where denominators differ.
+    Each section, table and declaration is read through its integer
+    reading (``integer``), and every sum and comparison is over ints,
+    cross-multiplied where denominators differ.  A section for a state the
+    theory lacks is reported after the per-state checks, and no declaration
+    check reads it.
     """
     system = theory.system
     allowed = [set(o.labels) for o in system.outcomes]
     out: list[str] = []
-    integer = {
-        name: _integer_distribution(dist)
-        for name, dist in sections.items()
-        if dist.domain == system.labels
-    }
     for name, state in theory.states.items():
         if name not in sections:
             out.append(f"missing section for state {name!r}")
@@ -792,18 +771,23 @@ def verify_global_section(
                 f"section for {name!r} puts mass on outcome {v!r} "
                 f"outside the outcome set of {m!r}"
             )
-        items, den = integer[name]
+        nums, den = dist.integer
         pushes = _pushforwards(
-            items, [_restriction(dist.domain, ctx) for ctx in system.cover]
+            nums.items(), [_restriction(dist.domain, ctx) for ctx in system.cover]
         )
         for ctx, acc in zip(system.cover, pushes):
-            want, want_den = integer_weights(state.distribution(ctx).weights)
+            want, want_den = state.distribution(ctx).integer
             for t in context_outcome_tuples(system, ctx):
                 if acc.get(t, 0) * want_den != want.get(t, 0) * den:
                     out.append(
                         f"state {name!r}: marginal at {ctx} differs at {t}"
                     )
                     break
+    out.extend(
+        f"section for unknown state {name!r}"
+        for name in sections
+        if name not in theory.states
+    )
     for decl in theory.convex:
         if decl.kind == "state":
             if decl.target not in sections or any(
@@ -812,17 +796,14 @@ def verify_global_section(
                 out.append(f"state mixture {decl.target!r}: section missing")
                 continue
             # the mixture's weight at g is sum(n * nums[g]) over mix_den
-            coefs, coef_den = integer_weights(
-                {c.name: c.coefficient for c in decl.components}
-            )
+            coefs, coef_den = decl.integer
             parts = [
-                (coefs[c.name], integer_weights(sections[c.name].weights))
-                for c in decl.components
+                (coefs[c.name], sections[c.name].integer) for c in decl.components
             ]
             den = lcm(*[d for _, (_, d) in parts])
             parts = [(n * (den // d), nums) for n, (nums, d) in parts]
             mix_den = coef_den * den
-            target, target_den = integer_weights(sections[decl.target].weights)
+            target, target_den = sections[decl.target].integer
             for g in global_outcome_tuples(system):
                 want = sum(n * nums.get(g, 0) for n, nums in parts)
                 if target.get(g, 0) * mix_den != want * target_den:
@@ -832,15 +813,13 @@ def verify_global_section(
                     break
         else:
             outcomes = system.outcomes_of(decl.target).labels
-            coefs, coef_den = integer_weights(
-                {c.name: c.coefficient for c in decl.components}
-            )
+            coefs, coef_den = decl.integer
             for name, dist in sections.items():
-                if dist.domain != system.labels:
-                    continue  # a state's is reported above
+                if dist.domain != system.labels or name not in theory.states:
+                    continue  # reported above
                 # every marginal of one section shares its denominator, so
                 # both sides are over coef_den times it
-                items, _ = integer[name]
+                items = dist.integer[0].items()
                 (lhs,) = _pushforwards(
                     items, [_picker([system.label_position(decl.target)])]
                 )

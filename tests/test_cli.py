@@ -223,6 +223,21 @@ def test_check_quantum_document_from_file(tmp_path, capsys):
     assert "NON-CONTEXTUAL" in capsys.readouterr().out
 
 
+def _spoiled_quantum_doc(spoil):
+    doc = _quantum_doc()
+    spoil(doc["quantum"])
+    return doc
+
+
+def _list_outcome(section):
+    section["labels"]["z"]["outcomes"][0] = ["0"]
+
+
+def _true_max_denominator(section):
+    # ``True`` is an int in Python, so it must not be read as 1
+    section["max_denominator"] = True
+
+
 @pytest.mark.parametrize(
     "doc",
     [
@@ -233,6 +248,8 @@ def test_check_quantum_document_from_file(tmp_path, capsys):
         _quantum_doc(state=[_ONE, _ZERO, _ZERO]),  # 3-dim state, 2-dim effects
         _quantum_doc(cover=[["z", "q"]]),  # undeclared label
         _quantum_doc(cover=["z"]),  # a context written as a string
+        _spoiled_quantum_doc(_list_outcome),
+        _spoiled_quantum_doc(_true_max_denominator),
     ],
     ids=[
         "scalar",
@@ -242,6 +259,8 @@ def test_check_quantum_document_from_file(tmp_path, capsys):
         "dimensions",
         "label",
         "string-context",
+        "list-outcome",
+        "true-max-denominator",
     ],
 )
 def test_check_reports_malformed_quantum_documents(tmp_path, capsys, doc):
@@ -307,6 +326,59 @@ def _bell_doc():
     return theory_to_document(builtin_example("bell").theory)
 
 
+def _list_in_ontic(doc):
+    doc["ontic"][0] = [doc["ontic"][0]]
+
+
+def _list_in_preparations(doc):
+    preparations = doc["target"]["preparations"]
+    preparations[0] = [preparations[0]]
+
+
+def _first_measurement(doc):
+    return doc["target"]["measurements"][_first(doc["target"]["measurements"])]
+
+
+def _list_in_measurement_labels(doc):
+    labels = _first_measurement(doc)["labels"]
+    labels[0] = [labels[0]]
+
+
+def _list_in_measurement_outcomes(doc):
+    outcomes = _first_measurement(doc)["outcomes"]
+    outcomes[0] = [outcomes[0]]
+
+
+def _list_in_measurement_mixture_map(doc):
+    doc["convex"] = [
+        {
+            "kind": "measurement",
+            "target": "a",
+            "components": [
+                {"coefficient": "1/2", "name": "a'"},
+                {
+                    "coefficient": "1/2",
+                    "name": "b",
+                    "outcome_map": {"0": ["0"], "1": "1"},
+                },
+            ],
+        }
+    ]
+
+
+def _list_in_state_mixture_map(doc):
+    state = _first(doc["states"])
+    doc["convex"] = [
+        {
+            "kind": "state",
+            "target": state,
+            "components": [
+                {"coefficient": "1", "name": state, "outcome_map": {"0": ["0"]}}
+            ],
+        }
+    ]
+
+
 @pytest.mark.parametrize(
     "command, make_doc, spoil",
     [
@@ -318,6 +390,15 @@ def _bell_doc():
         ("check", _bell_doc, _string_context_table),
         ("check", _bell_doc, _string_convex_item),
         ("check", _bell_doc, _string_cover_entry),
+        ("analyze-rep", _rep_doc, _list_in_ontic),
+        ("induce", _rep_doc, _list_in_ontic),
+        ("analyze-rep", _rep_doc, _list_in_preparations),
+        ("induce", _rep_doc, _list_in_preparations),
+        ("analyze-rep", _rep_doc, _list_in_measurement_labels),
+        ("analyze-rep", _rep_doc, _list_in_measurement_outcomes),
+        ("induce", _rep_doc, _list_in_measurement_outcomes),
+        ("check", _bell_doc, _list_in_measurement_mixture_map),
+        ("check", _bell_doc, _list_in_state_mixture_map),
     ],
     ids=[
         "outcome-values-lack-outcome",
@@ -328,6 +409,15 @@ def _bell_doc():
         "context-table-string",
         "convex-item-string",
         "cover-entry-string",
+        "analyze-ontic-list",
+        "induce-ontic-list",
+        "analyze-preparation-list",
+        "induce-preparation-list",
+        "analyze-measurement-label-list",
+        "analyze-measurement-outcome-list",
+        "induce-measurement-outcome-list",
+        "measurement-mixture-map-list",
+        "state-mixture-map-list",
     ],
 )
 def test_malformed_documents_exit_with_error(
@@ -338,6 +428,15 @@ def test_malformed_documents_exit_with_error(
     path = _write(tmp_path, "spoiled.json", doc)
     assert main([command, path]) == EXIT_ERROR
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_verify_reports_a_section_for_an_unknown_state(tmp_path, capsys):
+    path, theory = _theory_file(tmp_path, "spekkens-preparation", strip=True)
+    doc = sections_to_document(theory, find_global_section(theory))
+    doc["sections"]["stray"] = doc["sections"][_first(doc["sections"])]
+    sections = _write(tmp_path, "sections.json", doc)
+    assert main(["verify", path, sections]) == EXIT_CONTEXTUAL
+    assert capsys.readouterr().out == "section for unknown state 'stray'\n"
 
 
 def test_verify_rejects_non_object_section(tmp_path, capsys):

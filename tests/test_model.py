@@ -297,3 +297,9 @@ def test_system_type_fields_that_are_not_tuples_are_invalid(fields, problem, mod
     with pytest.raises(ModelError) as raised:
         check_contextuality(theory, mode=mode)
     assert str(raised.value) == f"invalid theory: {problem}"
+
+
+@pytest.mark.parametrize("labels", [("0", ["1"]), (["0"], ["0"]), ("0", 1), ("0", "")])
+def test_outcome_labels_are_checked_for_strings_before_they_are_hashed(labels):
+    with pytest.raises(ModelError, match="^outcome labels must be nonempty strings$"):
+        OutcomeSet(labels)

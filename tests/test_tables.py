@@ -9,6 +9,7 @@ exceeds 2^60.
 import hashlib
 import itertools
 import random
+import sys
 from fractions import Fraction
 from math import lcm
 
@@ -625,4 +626,140 @@ def test_gate_compares_joints_on_two_shared_labels():
     theory = EmpiricalTheory(system=system, states={"s": state})
     assert signalling_violations(theory) == [
         "state 's': contexts ('a', 'b', 'c') and ('a', 'b', 'd') disagree on ('a', 'b')"
+    ]
+
+
+# Integer readings: each object that holds weights reads them as ints once,
+# in its constructor, and every reader reads that.
+
+_LARGE_PRIMES = (1000003, 2**31 - 1, 2**61 - 1)
+
+
+@st.composite
+def _positive_weights(draw, keys):
+    """Positive weights summing to 1 on a nonempty prefix of ``keys``; each
+    but the last has a large prime denominator."""
+    n = draw(st.integers(1, len(keys)))
+    weights = {}
+    rest = Fraction(1)
+    for key in keys[: n - 1]:
+        p = draw(st.sampled_from(_LARGE_PRIMES))
+        weights[key] = Fraction(draw(st.integers(1, p // (2 * n))), p)
+        rest -= weights[key]
+    weights[keys[n - 1]] = rest
+    return weights
+
+
+def _kinds(w, *kinds):
+    """``kinds``, and "int" too when ``w`` is whole."""
+    return kinds + ("int",) if w.denominator == 1 else kinds
+
+
+@given(st.data())
+def test_integer_readings_are_integer_weights(data):
+    tuples = data.draw(st.permutations(list(itertools.product(_TERNARY, repeat=2))))
+    base = data.draw(_positive_weights(tuples))
+    weights = {}
+    for t in tuples:  # every other tuple may be given as an explicit zero
+        if t in base:
+            kind = data.draw(st.sampled_from(_kinds(base[t], "fraction", "str")))
+            weights[t] = _as_type(kind, base[t])
+        elif data.draw(st.booleans()):
+            weights[t] = data.draw(st.sampled_from((0, "0", "0/7", ZERO)))
+    dist = RationalDistribution(domain=("a", "b"), weights=weights)
+    assert dist.integer == integer_weights(dist.weights)
+    assert list(dist.integer[0].items()) == list(integer_weights(base)[0].items())
+
+    names = [f"p{i}" for i in range(6)]
+    coefficients = data.draw(_positive_weights(data.draw(st.permutations(names))))
+    components = tuple(
+        ConvexComponent(
+            _as_type(data.draw(st.sampled_from(_kinds(w, "fraction"))), w), name
+        )
+        for name, w in coefficients.items()
+    )
+    decl = ConvexDeclaration(kind="state", target="u", components=components)
+    want = integer_weights({c.name: c.coefficient for c in components})
+    assert decl.integer == want
+    assert list(decl.integer[0]) == list(want[0]) == list(coefficients)
+
+
+def test_integer_readings_are_not_fields():
+    half = Fraction(1, 2)
+    dist = RationalDistribution(domain=("a",), weights={("0",): half, ("1",): half})
+    decl = ConvexDeclaration(
+        "state", "u", (ConvexComponent(half, "s"), ConvexComponent(half, "t"))
+    )
+    assert "integer" not in repr(dist) and "integer" not in repr(decl)
+    twin = ConvexDeclaration("state", "u", decl.components)
+    assert twin == decl and hash(twin) == hash(decl)
+    assert dist == RationalDistribution(domain=("a",), weights=dict(dist.weights))
+
+
+def test_repeated_declaration_component_is_reported_as_repeated():
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    repeated = (ConvexComponent(half, "s"), ConvexComponent(half, "s"))
+    distinct = "^convex declaration components must be distinct$"
+    with pytest.raises(ModelError, match=distinct):
+        ConvexDeclaration("state", "u", repeated)
+    # the sum is checked first, over every component as given
+    short = (ConvexComponent(half, "s"), ConvexComponent(quarter, "s"))
+    with pytest.raises(ModelError, match="^convex coefficients sum to 3/4, expected 1$"):
+        ConvexDeclaration("state", "u", short)
+
+
+def _spy_on_integer_weights(monkeypatch):
+    """Wrap ``integer_weights`` in every loaded ctxcheck module that holds
+    it; returns the list of the weight maps it is called on."""
+    real = integer_weights
+    seen = []
+
+    def spy(weights):
+        seen.append(weights)
+        return real(weights)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "ctxcheck" and getattr(
+            module, "integer_weights", None
+        ) is real:
+            monkeypatch.setattr(module, "integer_weights", spy)
+    return seen
+
+
+@pytest.mark.parametrize("declared", (True, False), ids=("declared", "undeclared"))
+@pytest.mark.parametrize("mode", ("probabilistic", "possibilistic"))
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_check_reads_each_weight_map_once(monkeypatch, name, mode, declared):
+    theory = builtin_example(name).theory
+    if not declared:
+        theory = without_declarations(theory)
+    seen = _spy_on_integer_weights(monkeypatch)
+    verdict = sheaf.check_contextuality(theory, mode)
+    # no table or declaration is read again: only each returned section, by
+    # the constructor that makes it
+    sections = (verdict.sections or {}).values()
+    assert sorted(map(id, seen)) == sorted(id(s.weights) for s in sections)
+
+
+def test_verify_reports_a_section_for_an_unknown_state():
+    theory = next(_declared_theories())  # c = 1/2 a + 1/2 b, one state "s"
+    uniform = RationalDistribution(
+        domain=theory.system.labels,
+        weights={g: Fraction(1, 27) for g in global_outcome_tuples(theory.system)},
+    )
+    assert verify_global_section(theory, {"s": uniform}) == []
+    # a stray section that breaks the mixture, and one on the wrong domain:
+    # each is reported as unknown, after the states', and nothing else
+    breaking = RationalDistribution(
+        domain=theory.system.labels, weights={("0", "0", "1"): Fraction(1)}
+    )
+    wrong = RationalDistribution(domain=("a",), weights={("0",): Fraction(1)})
+    sections = {"x": breaking, "s": uniform, "y": wrong}
+    assert verify_global_section(theory, sections) == [
+        "section for unknown state 'x'",
+        "section for unknown state 'y'",
+    ]
+    assert verify_global_section(theory, {"x": breaking}) == [
+        "missing section for state 's'",
+        "section for unknown state 'x'",
     ]
