@@ -20,10 +20,10 @@ to the first zero-rhs row of mixed signs, is one scan without a column
 index, so the columns forced there (on a sheaf LP, those of the zero-weight
 marginals) never enter the index.
 A block's set-up reads only the block's columns: a block row may hold
-many columns presolve eliminated, so each kernel places a row's entries
-from the intersection of the row's columns with the block's, which
-iterates the smaller of the two.  No output depends on the order of a
-tableau row's entries.
+many columns presolve eliminated, so each kernel walks the smaller of the
+row and the block's column positions and reads the other with ``.get``.  A
+row lying wholly inside its block is then walked once, with no set built.
+No output depends on the order of a tableau row's entries.
 Each block's phase I writes once what does not depend on how its tableau
 rows are stored: ``_simplex_phase1`` computes the block's common denominator
 and row signs and reads the Farkas dual from the final objective row, and
@@ -33,7 +33,11 @@ the ratio test, the row updates and the basic values, since these read or
 write the rows.  A block with no more columns than rows stores every column,
 each row as a sparse dict of its nonzero entries: such a tall block's row is
 mostly its artificial part, the basis inverse, which stays near the
-identity, so a pivot's updates cost per nonzero, not per column.  A wider
+identity, so a pivot's updates cost per nonzero, not per column.  It also
+indexes the rows that hold each structural column, so a pivot reads the
+entering column, runs the ratio test and updates rows only where that
+column is nonzero: its cost follows the entering column's nonzeros, not
+the block's rows.  A wider
 block stores only its basis inverse and rhs, as dense lists (a row has only
 rows + 1 entries, so a dict would save little), keeps each column packed as
 its row indices and coefficients, and computes a column's reduced cost and
@@ -577,23 +581,51 @@ def _stored_phase1(
     the same columns, since Bland's rule scans it in column order.  A row
     update is ``row * q - f * prow``, made at the pivot row's nonzeros; with
     ``q == 1`` it is made in place.
+
+    ``holders[j]`` is the set of tableau rows holding structural column
+    ``j``, built at set-up and kept exact: an update that fills in an entry
+    adds its row, and one that cancels an entry to 0 deletes the entry and
+    drops its row, so no row in the set reads 0 (a stale row would raise
+    ``KeyError`` at the column read).  Scaling a row by ``q`` or dividing it
+    by its content keeps its keys.  A pivot reads the entering column from
+    its holders only, as ``{row: entry}``, and runs the ratio test and the
+    updates over them, so its cost follows the entering column's nonzeros,
+    not the block's rows.  The entering entry of every updated row cancels
+    exactly (``f * q == (f / g) * p``), so it is deleted without being
+    computed, and the column's holders become the pivot row alone.  The
+    ratio test breaks ties on ``basis``, not on row order, and each row
+    update is independent of the others, so the pivots do not depend on
+    the order of a set.  Artificial columns never enter, so they are not
+    indexed.
     """
     m = len(rows)
     n = len(cols)
     end = n + m  # the rhs column
     position = {j: i for i, j in enumerate(cols)}
     tab: list[dict[int, int]] = []
+    holders: list[set[int]] = [set() for _ in cols]
     # phase-I reduced costs: structural -column sums, artificial 0
     obj = [0] * (end + 1)
     for k, (r, sign) in enumerate(zip(rows, flip)):
         mult = oden // scales[r]
         row: dict[int, int] = {}
         entries = coeffs[r]
-        for j in position.keys() & entries.keys():
-            i = position[j]
-            a = sign * entries[j]
-            row[i] = a
-            obj[i] -= a * mult
+        if len(entries) <= n:
+            for j, a in entries.items():
+                i = position.get(j)
+                if i is not None:
+                    a *= sign
+                    row[i] = a
+                    obj[i] -= a * mult
+                    holders[i].add(k)
+        else:
+            for j, i in position.items():
+                a = entries.get(j)
+                if a is not None:
+                    a *= sign
+                    row[i] = a
+                    obj[i] -= a * mult
+                    holders[i].add(k)
         row[n + k] = scales[r]
         if rhs[r]:
             row[end] = sign * rhs[r]
@@ -610,10 +642,10 @@ def _stored_phase1(
                 break
         if enter < 0:
             break
-        column = [row.get(enter, 0) for row in tab]
+        column = {i: tab[i][enter] for i in holders[enter]}
         # ratio test kept per storage: a shared rhs getter ran slower on tall blocks
         leave = -1
-        for i, a in enumerate(column):
+        for i, a in column.items():
             if a > 0:
                 b = tab[i].get(end, 0)
                 if leave < 0:
@@ -626,31 +658,41 @@ def _stored_phase1(
         if leave < 0:
             raise LinearSystemError("phase-I objective unbounded; invalid system")
         prow = tab[leave]
-        p = column[leave]
+        p = column.pop(leave)
         g = gcd(*prow.values())
         if g > 1:
             prow = tab[leave] = {k: a // g for k, a in prow.items()}
             p //= g
         grown[leave] = 0
-        for i, f in enumerate(column):
-            if f and i != leave:
-                g = gcd(p, f)
-                q, f = p // g, f // g
-                row = tab[i]
-                if q != 1:
-                    row = tab[i] = {k: a * q for k, a in row.items()}
-                    grown[i] += q.bit_length()
-                for k, b in prow.items():
-                    a = row.get(k, 0) - f * b
-                    if a:
-                        row[k] = a
-                    else:
-                        del row[k]
-                if grown[i] > _GROWTH_BITS:
-                    grown[i] = 0
-                    g = gcd(*row.values())
-                    if g > 1:
-                        tab[i] = {k: a // g for k, a in row.items()}
+        others = [(k, b) for k, b in prow.items() if k != enter]
+        for i, f in column.items():
+            g = gcd(p, f)
+            q, f = p // g, f // g
+            row = tab[i]
+            del row[enter]
+            if q != 1:
+                row = tab[i] = {k: a * q for k, a in row.items()}
+                grown[i] += q.bit_length()
+            for k, b in others:
+                a = row.get(k)
+                if a is None:
+                    row[k] = -f * b
+                    if k < n:
+                        holders[k].add(i)
+                    continue
+                a -= f * b
+                if a:
+                    row[k] = a
+                else:
+                    del row[k]
+                    if k < n:
+                        holders[k].discard(i)
+            if grown[i] > _GROWTH_BITS:
+                grown[i] = 0
+                g = gcd(*row.values())
+                if g > 1:
+                    tab[i] = {k: a // g for k, a in row.items()}
+        holders[enter] = {leave}
         obj, oden = _objective_step(obj, oden, prow.items(), p, obj[enter])
         basis[leave] = enter
     if obj[end]:
@@ -707,10 +749,20 @@ def _inverse_phase1(
         mult = oden // scales[r]
         row = [0] * (m + 1)
         entries = coeffs[r]
-        for j in position.keys() & entries.keys():
-            ks, vals = columns[position[j]]
-            ks.append(k)
-            vals.append(sign * entries[j] * mult)
+        if len(entries) <= n:
+            for j, a in entries.items():
+                i = position.get(j)
+                if i is not None:
+                    ks, vals = columns[i]
+                    ks.append(k)
+                    vals.append(sign * a * mult)
+        else:
+            for j, i in position.items():
+                a = entries.get(j)
+                if a is not None:
+                    ks, vals = columns[i]
+                    ks.append(k)
+                    vals.append(sign * a * mult)
         row[k] = scales[r]
         row[-1] = sign * rhs[r]
         obj[-1] -= row[-1] * mult

@@ -24,6 +24,7 @@ from ctxcheck.model import (
     parse_rational,
     system_type,
     validate_operational_theory,
+    validate_system_type,
     validate_theory,
 )
 from ctxcheck.ontology import OntologicalRepresentation, validate_representation
@@ -175,6 +176,10 @@ def theory_from_document(doc: dict) -> EmpiricalTheory:
         for m, outs in labels.items()
     }
     system = system_type(outcome_sets, cover)
+    # the tables are read by the cover, so a broken cover is reported first
+    problems = validate_system_type(system)
+    if problems:
+        raise DocumentError("invalid scenario: " + "; ".join(problems))
     states = {}
     for name, tables in _require(doc, "states", dict, "scenario").items():
         if not isinstance(tables, dict):

@@ -86,7 +86,6 @@ from ctxcheck.model import (
     ConvexDeclaration,
     EmpiricalTheory,
     ModelError,
-    ONE,
     RationalDistribution,
     SystemType,
     ZERO,
@@ -462,13 +461,17 @@ def _declaration_rows(
             raise ModelError(
                 f"state mixture {decl.target!r} references states outside the system"
             )
-        # every row has the same coefficient on each state's variable
-        weights = {decl.target: ONE}
-        for c in decl.components:
-            weights[c.name] = weights.get(c.name, ZERO) - c.coefficient
-        terms = [(columns[s], a) for s, a in weights.items() if a != 0]
-        scale = lcm(*(a.denominator for _, a in terms))
-        integer = [(cols, a.numerator * (scale // a.denominator)) for cols, a in terms]
+        # every row has the same coefficient on each state's variable: the
+        # target's den minus each component's numerator over den
+        # (``decl.integer``), divided by the content of den and the weights
+        coefs, den = decl.integer
+        weights = {decl.target: den}
+        for name, n in coefs.items():
+            weights[name] = weights.get(name, 0) - n
+        terms = {s: n for s, n in weights.items() if n}
+        content = gcd(den, *terms.values())
+        scale = den // content
+        integer = [(columns[s], n // content) for s, n in terms.items()]
         for i, g in enumerate(assignments):
             rows.append(
                 (

@@ -149,6 +149,18 @@ def test_malformed_documents_are_rejected():
         load_document("{not json")
 
 
+def test_an_empty_cover_entry_is_named_before_the_tables_are_read():
+    good = theory_to_document(builtin_example("bell").theory)
+    for cover in ([[]], [*good["cover"], []]):
+        doc = load_document(dump_document(good))
+        doc["cover"] = cover
+        with pytest.raises(DocumentError) as err:
+            theory_from_document(doc)
+        assert str(err.value).startswith("invalid scenario: ")
+        assert "empty context in cover" in str(err.value)
+        assert "missing context" not in str(err.value)
+
+
 def test_wrong_arity_keys_are_named_in_the_error():
     theory = builtin_example("specker-triangle").theory
     doc = theory_to_document(theory)
