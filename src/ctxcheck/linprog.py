@@ -18,7 +18,9 @@ them.  A light presolve (forced-zero variable elimination plus
 connected-component splitting) keeps the tableaus small.  Its first pass, up
 to the first zero-rhs row of mixed signs, is one scan without a column
 index, so the columns forced there (on a sheaf LP, those of the zero-weight
-marginals) never enter the index.
+marginals) never enter the index.  A zero-rhs row past that point whose
+columns the scan has all eliminated forces nothing, so it never enters the
+index or the queue either.
 A block's set-up reads only the block's columns: a block row may hold
 many columns presolve eliminated, so each kernel walks the smaller of the
 row and the block's column positions and reads the other with ``.get``.  A
@@ -390,11 +392,15 @@ def _presolve(
     mixed signs, is made as one scan without a column index: each zero-rhs
     row forces its live columns to zero, and a nonzero-rhs row with none
     left is the contradiction the queue stops at.  The rows the scan did not
-    retire go to the queue, which indexes live columns only.  The queue sees
-    the rows that the scan's eliminations reached again in its own order,
-    and that order only decides which contradiction is found first; so a
-    contradiction found after the scan has eliminated a column is looked
-    for again without the scan (``scan=False``).
+    retire go to the queue, which indexes live columns only.  A zero-rhs
+    row past the scan's stop whose columns the scan has all eliminated
+    forces nothing, and no elimination reaches it again, so it is settled
+    there and never indexed or queued; a nonzero-rhs row is always kept, so
+    every contradiction is still found.  The queue sees the rows that the
+    scan's eliminations reached again in its own order, and that order only
+    decides which contradiction is found first; so a contradiction found
+    after the scan has eliminated a column is looked for again without the
+    scan (``scan=False``).
     """
     m = len(coeffs)
     eliminated: list[tuple[int, int]] = []
@@ -419,11 +425,14 @@ def _presolve(
             dead.update(forced)
     # the active columns of each active row (a row that leaves ``active``
     # keeps only eliminated columns), and the rows of each active column,
-    # added in row order as if every row had been indexed
-    rows = held + list(range(start, m))
-    support = {
-        r: set(coeffs[r]).difference(dead) if dead else set(coeffs[r]) for r in rows
-    }
+    # added in row order as if every row had been indexed; a zero-rhs row
+    # the scan left with no live column is settled, so it is left out
+    support = {r: set(coeffs[r]).difference(dead) for r in held}
+    for r in range(start, m):
+        live = set(coeffs[r]).difference(dead) if dead else set(coeffs[r])
+        if live or rhs[r]:
+            support[r] = live
+    rows = list(support)
     var_rows: defaultdict[int, set[int]] = defaultdict(set)
     for r in rows:
         for j in support[r]:

@@ -168,8 +168,9 @@ def system_type(
 # state names and declarations).  Eight holds the five bundled scenarios, or
 # the five ring sizes of the ``rings`` benchmark workload, with room to
 # spare, while a long-running process that meets ever new scenarios retains
-# at most eight of each (the five bundled skeletons take about 0.7 MB beside
-# their scenarios).  No memo holds a verdict or a table entry.
+# at most eight of each (the five bundled skeletons, each marginal held as a
+# unit row dict, take about 1.0 MB beside their scenarios, by tracemalloc).
+# No memo holds a verdict or a table entry.
 _MEMO_SIZE = 8
 
 

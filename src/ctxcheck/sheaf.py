@@ -52,7 +52,8 @@ In the LP ``M d = v``, the tables enter only through the marginal rows
 rhs is a table weight, and its integer coefficients are that weight's
 denominator.  The rest, its skeleton, depends only on the system type, the
 state names and the declarations: the variables, every row name, every
-marginal row's columns, and the normalization and declaration rows whole.
+marginal row's unit row (a 1 on each of its columns), and the
+normalization and declaration rows whole.
 ``_skeleton`` builds it, memoized by value on those three, and
 ``_scenario`` the assignments and context groups a system type fixes,
 memoized on it alone, which the possibilistic check and ``extract_sections``
@@ -61,7 +62,8 @@ gate's ``_overlaps`` are memoized on the system type the same way.  Each
 memo keeps at most ``model._MEMO_SIZE`` (8) scenarios and never holds a
 verdict or a table entry.
 Every LP of a scenario shares the skeleton's normalization and declaration
-rows, since a ``LinearSystem`` is immutable and nothing writes its rows.
+rows, and the unit row of every marginal whose weight is 0 or 1, since a
+``LinearSystem`` is immutable and nothing writes its rows.
 """
 
 from __future__ import annotations
@@ -240,10 +242,13 @@ def global_section_system(theory: EmpiricalTheory) -> LinearSystem:
     underlying distribution, using the declared outcome identifications).
 
     Only the marginal rows read the tables.  Everything else (the variables,
-    every row name and column list, and the normalization and declaration
-    rows whole) depends only on the system type, the state names and the
-    declarations, and comes from ``_skeleton``, memoized on those three.
-    Every LP of a scenario shares those rows, which nothing writes.
+    every row name, each marginal's unit row, and the normalization and
+    declaration rows whole) depends only on the system type, the state
+    names and the declarations, and comes from ``_skeleton``, memoized on
+    those three.  A marginal row reads its weight's denominator on each
+    column, so a zero or one weight's row is the unit row itself, and any
+    other is built from it.  Every LP of a scenario shares the rows it takes
+    from the skeleton, which nothing writes.
     """
     skeleton = _skeleton(theory.system, tuple(theory.states), tuple(theory.convex))
     coeffs: list[dict[int, int]] = []
@@ -256,13 +261,14 @@ def global_section_system(theory: EmpiricalTheory) -> LinearSystem:
         state = theory.state(s)
         for ctx, entries in marginals:
             weights = state.distribution(ctx).weights
-            for t, columns in entries:
+            for t, unit in entries:
                 w = weights.get(t, ZERO)
-                # the row reads 1 on each column, so its scale is the rhs
-                # denominator
-                coeffs.append(dict.fromkeys(columns, w.denominator))
+                # the row reads its scale, the rhs denominator, on each
+                # column; a zero or one weight's row is the shared unit row
+                den = w.denominator
+                coeffs.append(unit if den == 1 else dict.fromkeys(unit, den))
                 rhs.append(w.numerator)
-                scales.append(w.denominator)
+                scales.append(den)
     for row, scale in skeleton.declarations:
         coeffs.append(row)
         rhs.append(0)
@@ -272,9 +278,11 @@ def global_section_system(theory: EmpiricalTheory) -> LinearSystem:
     )
 
 
-# One marginal row of a skeleton: (outcome tuple, columns); its rhs is the
-# weight the table gives the tuple.
-_Marginal = tuple[tuple[str, ...], tuple[int, ...]]
+# One marginal row of a skeleton: (outcome tuple, unit row), the unit row
+# reading 1 on each column whose assignment restricts to the tuple; the LP row
+# is the unit row times the denominator of the weight the table gives the
+# tuple, and its rhs that weight's numerator.
+_Marginal = tuple[tuple[str, ...], dict[int, int]]
 # One declaration row: (name, integer coefficients by column, scale); its
 # rhs is 0.
 _Declaration = tuple[str, dict[int, int], int]
@@ -342,9 +350,10 @@ class _Skeleton:
     ``variables`` and ``rows`` are the LP's variable and row names.
     ``state_variables`` holds each state's variable names by assignment
     index.  ``states`` holds per state its name, its normalization row and
-    per context its marginal rows.  ``declarations`` holds the declaration
-    rows' integer coefficients and scales.  Every LP of the scenario shares
-    the normalization and declaration row dicts.
+    per context its marginal rows' unit rows.  ``declarations`` holds the
+    declaration rows' integer coefficients and scales.  Every LP of the
+    scenario shares the normalization and declaration row dicts, and the
+    unit row of each marginal whose weight is 0 or 1.
     """
 
     variables: tuple[str, ...]
@@ -393,7 +402,7 @@ def _skeleton(
                 (
                     ctx,
                     tuple(
-                        (t, tuple(map(state_columns.__getitem__, group)))
+                        (t, dict.fromkeys(map(state_columns.__getitem__, group), 1))
                         for t, group in zip(tuples, groups)
                     ),
                 )

@@ -11,6 +11,7 @@ from functools import partial
 from math import gcd, lcm
 from operator import itemgetter, mul
 from typing import Sequence
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -925,7 +926,8 @@ def test_solver_certificates_match_dense_reference(system, factor):
 
 
 def _dense_phase1(system):
-    """Bland phase I on a full Fraction tableau: (point, None) or (None, dual).
+    """Bland phase I on a full Fraction tableau: (point, None, pivots) or
+    (None, dual, pivots), with ``pivots`` the number of pivots it took.
 
     Rows are flipped to a nonnegative rhs and start on their artificial
     columns.  The entering column is the lowest-index structural column with
@@ -943,7 +945,9 @@ def _dense_phase1(system):
     obj = [-sum(column) for column in zip(*tab)]
     obj[n : n + m] = [Fraction(0)] * m
     basis = list(range(n, n + m))
+    pivots = 0
     while (enter := next((j for j in range(n) if obj[j] < 0), None)) is not None:
+        pivots += 1
         leave = min(
             (i for i in range(m) if tab[i][enter] > 0),
             key=lambda i: (tab[i][-1] / tab[i][enter], basis[i]),
@@ -958,9 +962,9 @@ def _dense_phase1(system):
         obj = [a - obj[enter] * b for a, b in zip(obj, prow)]
         basis[leave] = enter
     if obj[-1] == 0:
-        return {j: row[-1] for row, j in zip(tab, basis) if j < n}, None
+        return {j: row[-1] for row, j in zip(tab, basis) if j < n}, None, pivots
     dual = {k: (obj[n + k] - 1) * flip[k] for k in range(m)}
-    return None, {k: y for k, y in dual.items() if y}
+    return None, {k: y for k, y in dual.items() if y}, pivots
 
 
 _NONZERO = _RATIONALS.filter(bool)
@@ -1031,8 +1035,9 @@ def _blocks(draw):
 
 def _assert_phase1_matches_dense_reference(system, rows, cols, phase1=_simplex_phase1):
     """The kernel on block (rows, cols) of ``system`` against ``_dense_phase1``
-    on that block alone: the same point, or the same dual up to one positive
-    scale."""
+    on that block alone: the same number of pivots, and the same point or the
+    same dual up to one positive scale.  The reference runs first, and the
+    kernel fails as soon as it takes more pivots than the reference."""
     position = {j: i for i, j in enumerate(cols)}
     block = LinearSystem._from_rows(
         tuple(system.variables[j] for j in cols),
@@ -1044,8 +1049,21 @@ def _assert_phase1_matches_dense_reference(system, rows, cols, phase1=_simplex_p
         tuple(system.rhs[r] for r in rows),
         tuple(system.scales[r] for r in rows),
     )
-    point, dual = phase1(system.coeffs, system.rhs, system.scales, rows, cols)
-    expected_point, expected_dual = _dense_phase1(block)
+    expected_point, expected_dual, expected_pivots = _dense_phase1(block)
+    # both kernels call ``_objective_step`` once per pivot; counting there
+    # makes a kernel that would cycle fail instead of running on
+    pivots = 0
+
+    def step(*args):
+        nonlocal pivots
+        pivots += 1
+        if pivots > expected_pivots:
+            raise AssertionError(f"more pivots than the reference's {expected_pivots}")
+        return _objective_step(*args)
+
+    with mock.patch.object(linprog, "_objective_step", step):
+        point, dual = phase1(system.coeffs, system.rhs, system.scales, rows, cols)
+    assert pivots == expected_pivots
     if expected_point is not None:
         expected_point = {cols[j]: x for j, x in expected_point.items()}
     assert point == expected_point
@@ -1388,6 +1406,74 @@ def _scanned_systems(draw):
 @settings(max_examples=500)
 @given(_scanned_systems())
 def test_any_scanned_presolve_matches_the_full_queue(case):
+    coeffs, rhs, n = case
+    _assert_presolve_and_patch_match_reference(coeffs, rhs, [1] * len(coeffs), n)
+
+
+def test_rows_the_scan_settled_are_never_queued(monkeypatch):
+    # x0 = 0 forces x0; x1 - x2 = 0 stops the scan.  Past it, 2 x0 = 0 and
+    # -x0 = 0 hold only x0, so they force nothing and are never queued, while
+    # x0 = 1, in the same state, is still the contradiction
+    coeffs = [{0: 1}, {1: 1, 2: -1}, {0: 2}, {0: -1}, {0: 1}, {1: 1, 0: 3}]
+    rhs = [0, 0, 0, 0, 1, 1]
+    queues = []
+
+    class Recorded(deque):
+        def __init__(self, rows=()):
+            rows = list(rows)
+            queues.append(rows)
+            super().__init__(rows)
+
+    monkeypatch.setattr(linprog, "deque", Recorded)
+    _assert_presolve_and_patch_match_reference(coeffs, rhs, [1] * len(coeffs), 3)
+    assert _presolve(coeffs, rhs)[1:] == ([(0, 0)], 4)
+    assert queues[0] == [1, 4, 5]
+    # without the contradiction the queue still settles what is left
+    coeffs, rhs = coeffs[:4] + coeffs[5:], rhs[:4] + rhs[5:]
+    _assert_presolve_and_patch_match_reference(coeffs, rhs, [1] * len(coeffs), 3)
+    assert _presolve(coeffs, rhs) == ([([1, 4], [1, 2])], [(0, 0)], None)
+    assert queues[-1] == [1, 4]
+
+
+@st.composite
+def _settled_systems(draw):
+    """Rows past the scan's stop that the scan has settled: (coeffs, rhs, columns).
+
+    Zero-rhs rows of one sign force the first ``f`` columns, and a zero-rhs
+    row of mixed signs on the other columns stops the scan.  The rows after
+    it are drawn over the forced columns only, with zero rhs (settled) or
+    nonzero rhs (a contradiction), or over every column, so settled rows sit
+    before, between and after the rows the queue still has to see.
+    """
+    forced = draw(st.integers(1, 4))
+    n = forced + draw(st.integers(2, 4))
+    nonzero = st.integers(-3, 3).filter(bool)
+    coeffs, rhs = [], []
+    for j in range(forced):
+        sign = draw(st.sampled_from([1, -1]))
+        coeffs.append({j: sign * draw(st.integers(1, 3))})
+        rhs.append(0)
+    free = draw(st.lists(st.integers(forced, n - 1), min_size=2, unique=True))
+    coeffs.append({free[0]: 1, free[1]: -1, **{j: draw(nonzero) for j in free[2:]}})
+    rhs.append(0)
+    some_forced = st.lists(st.integers(0, forced - 1), min_size=1, unique=True)
+    any_columns = st.lists(st.integers(0, n - 1), min_size=1, unique=True)
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["settled", "settled", "contradiction", "free"]))
+        cols = draw(any_columns if kind == "free" else some_forced)
+        coeffs.append({j: draw(nonzero) for j in cols})
+        if kind == "settled":
+            rhs.append(0)
+        elif kind == "contradiction":
+            rhs.append(draw(nonzero))
+        else:
+            rhs.append(draw(st.sampled_from([0, 0, 1, -1])))
+    return coeffs, rhs, n
+
+
+@settings(max_examples=300)
+@given(_settled_systems())
+def test_presolve_settles_scanned_rows_as_the_full_queue_does(case):
     coeffs, rhs, n = case
     _assert_presolve_and_patch_match_reference(coeffs, rhs, [1] * len(coeffs), n)
 

@@ -699,6 +699,68 @@ def test_builds_share_the_rows_no_solve_writes(name, mixture_theory):
     assert [_lp_content(lp) for lp in (first, second)] == expected
 
 
+def _marginal_columns(lp, labels, name):
+    """The columns of marginal row ``name`` of ``lp``, whose scenario has
+    ``labels``, read from the row and variable names."""
+    state, ctx, outcomes = name[len("marg[") : -1].split(";")
+    picks = [labels.index(m) for m in ctx.split(",")]
+    prefix = f"d[{state};"
+    return [
+        j
+        for j, v in enumerate(lp.variables)
+        if v.startswith(prefix)
+        and [v[len(prefix) : -1].split(",")[p] for p in picks] == outcomes.split(",")
+    ]
+
+
+def test_unit_marginal_rows_are_shared_and_no_solve_writes_them():
+    # two theories of one binary 5-cycle: a perfectly frustrated ring, every
+    # weight 0 or 1/2, and the marginals of two assignments, with weights 0,
+    # 1/3, 2/3 and 1; a zero or one weight's row is the skeleton's unit row
+    system = _ring_system(5)
+    tables = {
+        ctx: RationalDistribution(
+            domain=ctx,
+            weights={("0", "1"): H, ("1", "0"): H}
+            if i == 0
+            else {("0", "0"): H, ("1", "1"): H},
+        )
+        for i, ctx in enumerate(system.cover)
+    }
+    frustrated = EmpiricalTheory(
+        system=system, states={"s0": State(name="s0", table=tables)}
+    )
+    section = RationalDistribution(
+        domain=system.labels,
+        weights={tuple("00000"): Fraction(1, 3), tuple("00111"): Fraction(2, 3)},
+    )
+    sectioned = theory_from_sections(system, {"s0": section})
+    first, second, again = map(
+        global_section_system, (frustrated, sectioned, frustrated)
+    )
+    marginal = [r for r, name in enumerate(first.names) if name.startswith("marg[")]
+    shared = [r for r in marginal if first.scales[r] == second.scales[r] == 1]
+    assert shared and len(shared) < len(marginal)
+    assert {first.scales[r] for r in marginal} == {1, 2}
+    assert {second.scales[r] for r in marginal} == {1, 3}
+    for r in marginal:
+        columns = _marginal_columns(first, system.labels, first.names[r])
+        unit = dict.fromkeys(columns, 1)
+        for lp, other in ((first, again), (second, first), (again, second)):
+            if lp.scales[r] == 1:
+                assert lp.coeffs[r] == unit
+                assert (lp.coeffs[r] is other.coeffs[r]) == (other.scales[r] == 1)
+            else:
+                assert lp.coeffs[r] == dict.fromkeys(unit, lp.scales[r])
+                assert lp.coeffs[r] is not other.coeffs[r]
+    rows = [list(first.coeffs[r].items()) for r in shared]
+    expected = [_lp_content(lp) for lp in (first, second, again)]
+    assert not isinstance(solve_feasibility(first), Feasible)
+    assert isinstance(solve_feasibility(second), Feasible)
+    assert [list(first.coeffs[r].items()) for r in shared] == rows
+    assert [_lp_content(lp) for lp in (first, second, again)] == expected
+
+
 def test_equal_system_on_a_distinct_object_reads_its_own_tables():
     first = _frustrated_ring(random.Random(1), 7)
     global_section_system(first)
