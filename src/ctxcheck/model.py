@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
-from typing import Iterable, Iterator, Mapping, TypeVar
+from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -163,14 +163,14 @@ def system_type(
 
 
 # Distinct scenarios each memo keeps: ``_system_type_violations`` here, and
-# ``_scenario``, ``_overlaps``, ``_join_order`` and ``_skeleton`` in
-# ``sheaf``, each keyed by value on the system type (the skeleton also on the
-# state names and declarations).  Eight holds the five bundled scenarios, or
-# the five ring sizes of the ``rings`` benchmark workload, with room to
-# spare, while a long-running process that meets ever new scenarios retains
-# at most eight of each (the five bundled skeletons, each marginal held as a
-# unit row dict, take about 1.0 MB beside their scenarios, by tracemalloc).
-# No memo holds a verdict or a table entry.
+# in ``sheaf`` the one ``Scenario`` per system type (``_scenario``) and
+# ``_skeleton``, each keyed by value on the system type (the skeleton also
+# on the state names and declarations).  Eight holds the five bundled
+# scenarios, or the five ring sizes of the ``rings`` benchmark workload, with
+# room to spare, while a long-running process that meets ever new scenarios
+# retains at most eight of each (the five bundled skeletons, each marginal
+# held as a unit row dict, take about 1.0 MB beside their scenarios, by
+# tracemalloc).  No memo holds a verdict or a table entry.
 _MEMO_SIZE = 8
 
 
@@ -183,6 +183,12 @@ def validate_system_type(system: SystemType) -> list[str]:
     other checks depend only on the system type and are memoized on it
     (``_system_type_violations``); each call returns a fresh list.
     """
+    return list(_system_type_checks(system)[0])
+
+
+def _system_type_checks(system: SystemType) -> tuple[Sequence[str], dict]:
+    """(violations, ``_context_outcomes``): memoized for a system type whose
+    fields and contexts are tuples, and built afresh for any other."""
     violations = [
         f"{field} is a {type(value).__name__}, not a tuple"
         for field, value in (
@@ -203,14 +209,27 @@ def validate_system_type(system: SystemType) -> list[str]:
         if type(ctx) is not tuple
     )
     if violations:
-        return violations
-    return list(_system_type_violations(system))
+        return violations, _context_outcomes(system)
+    return _system_type_violations(system)
+
+
+def _context_outcomes(system: SystemType) -> dict:
+    """Per cover context, its labels' outcome sets, or None if it names a
+    label the system type lacks; a context that is not a tuple is left out,
+    as no table key equals it."""
+    sets = {m: frozenset(o.labels) for m, o in zip(system.labels, system.outcomes)}
+    return {
+        ctx: tuple(sets[m] for m in ctx) if all(m in sets for m in ctx) else None
+        for ctx in system.cover
+        if isinstance(ctx, tuple)
+    }
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _system_type_violations(system: SystemType) -> tuple[str, ...]:
+def _system_type_violations(system: SystemType) -> tuple[tuple[str, ...], dict]:
     """``validate_system_type``'s structural checks of a system type whose
-    fields and contexts are tuples, memoized by value on it."""
+    fields and contexts are tuples, and its ``_context_outcomes``, memoized
+    by value on it."""
     violations: list[str] = []
     order = {m: i for i, m in enumerate(system.labels)}
     for ctx in system.cover:
@@ -238,7 +257,7 @@ def _system_type_violations(system: SystemType) -> tuple[str, ...]:
                         violations.append(f"duplicate context {ctx}")
                 else:
                     violations.append(f"context {ctx} contained in {other} (cover must be an antichain)")
-    return tuple(violations)
+    return tuple(violations), _context_outcomes(system)
 
 
 @dataclass(frozen=True)
@@ -407,9 +426,9 @@ class EmpiricalTheory:
 
 def validate_theory(theory: EmpiricalTheory) -> list[str]:
     """Structural validation of a theory; returns a list of violations."""
-    violations = list(validate_system_type(theory.system))
     system = theory.system
-    label_outcomes = {m: set(o.labels) for m, o in zip(system.labels, system.outcomes)}
+    found, context_outcomes = _system_type_checks(system)
+    violations = list(found)
     for name, state in theory.states.items():
         if name != state.name:
             violations.append(f"state stored under {name!r} is named {state.name!r}")
@@ -417,7 +436,7 @@ def validate_theory(theory: EmpiricalTheory) -> list[str]:
             if tuple(ctx) not in state.table:
                 violations.append(f"state {name!r} missing table for context {ctx}")
         for ctx, dist in state.table.items():
-            if tuple(ctx) not in system.cover:
+            if tuple(ctx) not in context_outcomes:
                 violations.append(f"state {name!r} has table for non-cover context {ctx}")
                 continue
             if dist.domain != tuple(ctx):
@@ -425,13 +444,12 @@ def validate_theory(theory: EmpiricalTheory) -> list[str]:
                     f"state {name!r}: table domain {dist.domain} != context {ctx}"
                 )
                 continue
-            try:
-                outcome_sets = [label_outcomes[m] for m in ctx]
-            except KeyError:
+            outcome_sets = context_outcomes[tuple(ctx)]
+            if outcome_sets is None:
                 continue  # ``validate_system_type`` reports the unknown label
             # each label's outcomes against its set; only a table with an
             # outcome outside it is sorted, to report them in a fixed order
-            if all(map(set.issuperset, outcome_sets, zip(*dist.weights))):
+            if all(map(frozenset.issuperset, outcome_sets, zip(*dist.weights))):
                 continue
             for values in dist.support():
                 for v, allowed in zip(values, outcome_sets):
@@ -459,16 +477,15 @@ def validate_theory(theory: EmpiricalTheory) -> list[str]:
                         f"measurement mixture references unknown label {c.name!r}"
                     )
                     continue
+                comp_outs = set(system.outcomes_of(c.name).labels)
                 if c.outcome_map is None:
-                    comp_outs = system.outcomes_of(c.name).labels
-                    if set(comp_outs) != target_outs:
+                    if comp_outs != target_outs:
                         violations.append(
                             f"measurement mixture {decl.target!r}: component {c.name!r} "
                             "needs an explicit outcome identification"
                         )
                 else:
                     bij = dict(c.outcome_map)
-                    comp_outs = set(system.outcomes_of(c.name).labels)
                     if set(bij) != comp_outs or set(bij.values()) != target_outs or len(
                         set(bij.values())
                     ) != len(bij):
@@ -612,10 +629,13 @@ class OperationalTheory:
 
 
 def validate_operational_theory(theory: OperationalTheory) -> list[str]:
-    """Structural + marginal-consistency validation; returns violations."""
+    """Structural + marginal-consistency validation; returns violations.
+    Sums and comparisons run on the tables' ``integer_weights`` readings; a
+    ``Fraction`` is made only to render a violation."""
     violations: list[str] = []
     # tables naming outcomes their measurement lacks cannot be marginalized
     unknown_outcomes: set[tuple[str, str]] = set()
+    readings: dict[tuple[str, str], tuple[dict[str, int], int]] = {}
     for (p, m), dist in theory.statistics.items():
         if p not in theory.preparations:
             violations.append(f"statistics reference unknown preparation {p!r}")
@@ -626,10 +646,13 @@ def validate_operational_theory(theory: OperationalTheory) -> list[str]:
         if set(dist) - set(meas.outcomes):
             violations.append(f"({p!r},{m!r}): unknown outcomes {set(dist) - set(meas.outcomes)}")
             unknown_outcomes.add((p, m))
-        total = sum(dist.values(), start=ZERO)
-        if total != ONE:
-            violations.append(f"({p!r},{m!r}): outcome weights sum to {total}")
-        if any(w < 0 for w in dist.values()):
+        nums, den = readings[(p, m)] = integer_weights(dist)
+        total = sum(nums.values())
+        if total != den:
+            violations.append(
+                f"({p!r},{m!r}): outcome weights sum to {Fraction(total, den)}"
+            )
+        if any(n < 0 for n in nums.values()):
             violations.append(f"({p!r},{m!r}): negative weight")
     for p in theory.preparations:
         for m in theory.measurements:
@@ -656,14 +679,17 @@ def validate_operational_theory(theory: OperationalTheory) -> list[str]:
                         continue
                     if (p, name) in unknown_outcomes:
                         continue
-                    marg = meas.marginal(theory.statistics[(p, name)], sub.labels)
+                    want, want_den = readings[(p, other_name)]
+                    got, got_den = meas.integer_marginal(
+                        theory.statistics[(p, name)], sub.labels
+                    )
                     for o in sub.outcomes:
-                        want = theory.statistics[(p, other_name)].get(o, ZERO)
-                        got = marg.get(sub.values_of(o), ZERO)
-                        if want != got:
+                        w, g = want.get(o, 0), got.get(sub.values_of(o), 0)
+                        if w * got_den != g * want_den:
                             violations.append(
                                 f"({p!r}): {other_name!r} inconsistent with marginal of "
-                                f"{name!r} at outcome {o!r} ({want} != {got})"
+                                f"{name!r} at outcome {o!r} "
+                                f"({Fraction(w, want_den)} != {Fraction(g, got_den)})"
                             )
     return violations
 

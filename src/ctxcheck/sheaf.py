@@ -24,7 +24,7 @@ Every table, section and declaration holds its weights' integer reading
 sum check its constructor runs; no reader here computes it again.
 Restriction to a context has one helper per data shape: ``_pushforwards``
 sums integer weights by restriction onto several label tuples in one call,
-and ``_context_groups`` groups the full assignments by their restriction,
+and ``Scenario.contexts`` groups the full assignments by their restriction,
 for the LP build and the possibilistic check.  ``marginal_weights`` pushes a
 distribution's sorted integer reading onto one label tuple and returns
 ``Fraction`` weights, and ``marginals_agree`` compares two unsorted
@@ -44,8 +44,8 @@ reading, with no sort (an equality needs none), and pushes it in one call
 onto every label tuple it shares with another context; each overlapping
 pair then compares two pushforwards with ``integer_weights_equal``.  Which
 pairs overlap, on which labels, and where those labels sit in each context
-depend only on the system type, so ``_overlaps`` memoizes them on it, from
-the cover alone.
+depend only on the cover, so they are a field of the system type's
+``Scenario``.
 
 In the LP ``M d = v``, the tables enter only through the marginal rows
 (Abramsky, Barbosa and Mansfield, PRL 119, 050504 (2017)): a marginal row's
@@ -54,16 +54,18 @@ denominator.  The rest, its skeleton, depends only on the system type, the
 state names and the declarations: the variables, every row name, every
 marginal row's unit row (a 1 on each of its columns), and the
 normalization and declaration rows whole.
-``_skeleton`` builds it, memoized by value on those three, and
-``_scenario`` the assignments and context groups a system type fixes,
-memoized on it alone, which the possibilistic check and ``extract_sections``
-read too; ``_join_order``, the product path's order of the cover, and the
-gate's ``_overlaps`` are memoized on the system type the same way.  Each
-memo keeps at most ``model._MEMO_SIZE`` (8) scenarios and never holds a
-verdict or a table entry.
-Every LP of a scenario shares the skeleton's normalization and declaration
-rows, and the unit row of every marginal whose weight is 0 or 1, since a
-``LinearSystem`` is immutable and nothing writes its rows.
+``_skeleton`` builds it, memoized by value on those three.  Every LP of a
+scenario shares the skeleton's normalization and declaration rows, and the
+unit row of every marginal whose weight is 0 or 1, since a ``LinearSystem``
+is immutable and nothing writes its rows.
+
+Everything a system type alone fixes is one ``Scenario``, memoized by value
+on it (``_scenario``): the assignments and each context's assignment groups
+(the LP build, the possibilistic check and ``extract_sections``), the
+overlapping pairs (the gate), the product path's join plan and the unbuilt
+LP's size, each built on first read.  The two memos, ``_scenario`` and
+``_skeleton``, each keep at most ``model._MEMO_SIZE`` (8) scenarios and
+never hold a verdict or a table entry.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Callable, Collection, Sequence
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import itemgetter
@@ -192,11 +194,11 @@ def signalling_violations(theory: EmpiricalTheory) -> list[str]:
 
     The integer reading of each table that shares labels with another
     context is pushed onto all of its shared label tuples in one call per
-    state (``_overlaps`` lists them); each pair compares two pushforwards.
-    Pairs come in ``itertools.combinations`` order of the cover.
+    state (``Scenario.overlaps`` lists them); each pair compares two
+    pushforwards.  Pairs come in ``itertools.combinations`` order of the cover.
     """
     cover = theory.system.cover
-    pushes, pairs = _overlaps(theory.system)
+    pushes, pairs = _scenario(theory.system).overlaps
     out: list[str] = []
     for name, state in theory.states.items():
         # per context index: (pushforwards onto its shared tuples, den)
@@ -288,59 +290,125 @@ _Marginal = tuple[tuple[str, ...], dict[int, int]]
 _Declaration = tuple[str, dict[int, int], int]
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
-def _scenario(system: SystemType) -> tuple[tuple, tuple]:
-    """What a system type alone fixes, memoized by value on it.
+@dataclass(frozen=True)
+class Scenario:
+    """What a system type alone fixes, each field built on first read, so
+    the gate and the product path never list the full assignments."""
 
-    The full assignments, and per context (context, its outcome tuples, the
-    assignment indices restricting to each, as ``_context_groups``).
-    """
-    marginals = tuple(
-        (
-            ctx,
-            tuple(context_outcome_tuples(system, ctx)),
-            tuple(map(tuple, _context_groups(system, ctx))),
+    system: SystemType
+
+    @cached_property
+    def radices(self) -> tuple[int, ...]:
+        """Each label's outcome count, in label order."""
+        return tuple(len(o.labels) for o in self.system.outcomes)
+
+    @cached_property
+    def assignments(self) -> tuple[tuple[str, ...], ...]:
+        """The full outcome assignments, in mixed-radix order."""
+        return tuple(global_outcome_tuples(self.system))
+
+    @cached_property
+    def contexts(self) -> tuple[tuple[Context, tuple, tuple], ...]:
+        """Per context: (context, its outcome tuples, and per outcome tuple
+        the indices of the assignments restricting to it).  Assignment ``i``
+        is the mixed-radix number of its outcome indices (first label
+        slowest), and its group that of its context digits."""
+        system, radices = self.system, self.radices
+        out = []
+        for ctx in system.cover:
+            keys = [0] * prod(radices)
+            count = 1
+            for m in reversed(ctx):
+                p = system.label_position(m)
+                stride, radix = prod(radices[p + 1 :]), radices[p]
+                keys = [k + (i // stride % radix) * count for i, k in enumerate(keys)]
+                count *= radix
+            groups: list[list[int]] = [[] for _ in range(count)]
+            for i, k in enumerate(keys):
+                groups[k].append(i)
+            tuples = tuple(context_outcome_tuples(system, ctx))
+            out.append((ctx, tuples, tuple(map(tuple, groups))))
+        return tuple(out)
+
+    @cached_property
+    def size(self) -> tuple[int, int]:
+        """Per state, the columns and rows of an undeclared
+        ``global_section_system``: one column per assignment, and one row
+        for the norm and for each outcome tuple of each context."""
+        radices, position = self.radices, self.system.label_position
+        return prod(radices), 1 + sum(
+            prod(radices[position(m)] for m in ctx) for ctx in self.system.cover
         )
-        for ctx in system.cover
-    )
-    return tuple(global_outcome_tuples(system)), marginals
+
+    @cached_property
+    def overlaps(self) -> tuple[tuple, tuple]:
+        """The cover's overlapping pairs, as (pushes, pairs).  ``pushes[k]``
+        holds the distinct label tuples context ``k`` shares with others and
+        their restrictions from it (``_restriction``); ``pairs`` holds per
+        overlapping pair, in ``itertools.combinations`` order of the cover,
+        (i, j, shared labels, their slot in ``pushes[i]``, in ``pushes[j]``).
+        """
+        cover = self.system.cover
+        shares: list[list[tuple[str, ...]]] = [[] for _ in cover]
+        pairs = []
+        for (i, ctx), (j, other) in itertools.combinations(enumerate(cover), 2):
+            shared = tuple(m for m in ctx if m in other)
+            if not shared:
+                continue
+            slots = []
+            for k in (i, j):
+                if shared not in shares[k]:
+                    shares[k].append(shared)
+                slots.append(shares[k].index(shared))
+            pairs.append((i, j, shared, *slots))
+        pushes = tuple(
+            (tuple(subs), tuple(_restriction(ctx, sub) for sub in subs))
+            for ctx, subs in zip(cover, shares)
+        )
+        return pushes, tuple(pairs)
+
+    @cached_property
+    def join(self) -> tuple[tuple, Callable] | None:
+        """The product path's (steps, perm), or None if the cover is cyclic.
+
+        The steps take the cover in a maximum cardinality search order
+        (Tarjan and Yannakakis, SIAM J. Comput. 13, 566 (1984)): next comes
+        the context with the most labels already seen, the first listed
+        among ties.  The cover is alpha-acyclic exactly when every context's
+        shared labels, those of earlier contexts, lie in one earlier context.
+        A step is (context, shared labels, and pickers of their values from
+        a context tuple and from a partial product, and of the context's
+        other values); ``perm`` puts a full product in label order.
+        """
+        cover = self.system.cover
+        seen: dict[str, int] = {}  # each label's position in the product
+        earlier: list[set[str]] = []
+        left = list(range(len(cover)))
+        steps = []
+        while left:
+            k = max(left, key=lambda j: sum(m in seen for m in cover[j]))
+            left.remove(k)
+            ctx = cover[k]
+            shared = tuple(m for m in ctx if m in seen)
+            if shared and not any(c.issuperset(shared) for c in earlier):
+                return None
+            steps.append(
+                (
+                    ctx,
+                    shared,
+                    _picker([ctx.index(m) for m in shared]),
+                    _picker([seen[m] for m in shared]),
+                    _picker([i for i, m in enumerate(ctx) if m not in seen]),
+                )
+            )
+            earlier.append(set(ctx))
+            for m in ctx:
+                seen.setdefault(m, len(seen))
+        return tuple(steps), _picker([seen[m] for m in self.system.labels])
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
-def _overlaps(
-    system: SystemType,
-) -> tuple[
-    tuple[tuple[tuple[tuple[str, ...], ...], tuple[Callable, ...]], ...],
-    tuple[tuple[int, int, tuple[str, ...], int, int], ...],
-]:
-    """The cover's overlapping pairs, memoized by value on the system type.
-
-    Returns (pushes, pairs).  ``pushes[k]`` holds the distinct label tuples
-    context ``k`` shares with other contexts, and their restrictions from
-    context ``k`` (``_restriction``, which reads their labels' positions in
-    it).  ``pairs`` holds per overlapping pair, in
-    ``itertools.combinations`` order of the cover, (i, j, shared labels,
-    the slot of ``shared`` in ``pushes[i]``, its slot in ``pushes[j]``).
-    Reads the cover alone, no assignment.
-    """
-    cover = system.cover
-    shares: list[list[tuple[str, ...]]] = [[] for _ in cover]
-    pairs = []
-    for (i, ctx), (j, other) in itertools.combinations(enumerate(cover), 2):
-        shared = tuple(m for m in ctx if m in other)
-        if not shared:
-            continue
-        slots = []
-        for k in (i, j):
-            if shared not in shares[k]:
-                shares[k].append(shared)
-            slots.append(shares[k].index(shared))
-        pairs.append((i, j, shared, *slots))
-    pushes = tuple(
-        (tuple(subs), tuple(_restriction(ctx, sub) for sub in subs))
-        for ctx, subs in zip(cover, shares)
-    )
-    return pushes, tuple(pairs)
+# one Scenario per system type, by value
+_scenario = lru_cache(maxsize=_MEMO_SIZE)(Scenario)
 
 
 @dataclass(frozen=True)
@@ -379,7 +447,8 @@ def _skeleton(
     cannot hold, raises here; since a raised call is not memoized, it raises
     on every build.
     """
-    assignments, marginals = _scenario(system)
+    scenario = _scenario(system)
+    assignments, marginals = scenario.assignments, scenario.contexts
     size = len(assignments)
     names = {
         s: tuple(variable_name(s, g) for g in assignments) for s in state_names
@@ -398,15 +467,11 @@ def _skeleton(
         for ctx, tuples, groups in marginals:
             prefix = f"marg[{s};{','.join(ctx)};"
             rows.extend(f"{prefix}{','.join(t)}]" for t in tuples)
-            per_context.append(
-                (
-                    ctx,
-                    tuple(
-                        (t, dict.fromkeys(map(state_columns.__getitem__, group), 1))
-                        for t, group in zip(tuples, groups)
-                    ),
-                )
+            units = tuple(
+                (t, dict.fromkeys(map(state_columns.__getitem__, group), 1))
+                for t, group in zip(tuples, groups)
             )
+            per_context.append((ctx, units))
         states.append((s, dict.fromkeys(state_columns, 1), tuple(per_context)))
     declarations = []
     for index, decl in enumerate(convex):
@@ -427,29 +492,6 @@ def _skeleton(
         states=tuple(states),
         declarations=tuple(declarations),
     )
-
-
-def _context_groups(system: SystemType, ctx: Context) -> list[list[int]]:
-    """Indices of the global assignments grouped by their restriction to ``ctx``.
-
-    One group per outcome tuple of ``context_outcome_tuples(system, ctx)``,
-    in that order.  Assignment ``i`` is the mixed-radix number of its outcome
-    indices (first label slowest), so its digit for a label is read by
-    division, and its group is the mixed-radix number of its ``ctx`` digits.
-    """
-    radices = [len(o.labels) for o in system.outcomes]
-    keys = [0] * prod(radices)
-    group_count = 1
-    for m in reversed(ctx):
-        p = system.label_position(m)
-        stride = prod(radices[p + 1 :])
-        radix = radices[p]
-        keys = [k + (i // stride % radix) * group_count for i, k in enumerate(keys)]
-        group_count *= radix
-    groups: list[list[int]] = [[] for _ in range(group_count)]
-    for i, k in enumerate(keys):
-        groups[k].append(i)
-    return groups
 
 
 def _declaration_rows(
@@ -581,15 +623,8 @@ def _check_probabilistic(theory: EmpiricalTheory) -> ContextualityVerdict:
     if not theory.convex:
         sections = _product_sections(theory)
         if sections is not None:
-            # the sizes ``global_section_system`` would give, unbuilt: per
-            # state, one column per assignment and one row for the norm
-            # and for each outcome tuple of each context
-            system = theory.system
-            columns = prod(len(o.labels) for o in system.outcomes)
-            rows = 1 + sum(
-                prod(len(system.outcomes_of(m).labels) for m in ctx)
-                for ctx in system.cover
-            )
+            # the sizes ``global_section_system`` would give, unbuilt
+            columns, rows = _scenario(theory.system).size
             return ContextualityVerdict(
                 contextual=False,
                 mode="probabilistic",
@@ -599,66 +634,17 @@ def _check_probabilistic(theory: EmpiricalTheory) -> ContextualityVerdict:
             )
     lp = global_section_system(theory)
     result = solve_feasibility(lp)
-    if isinstance(result, Feasible):
-        sections = extract_sections(theory, result.point)
-        return ContextualityVerdict(
-            contextual=False,
-            mode="probabilistic",
-            variable_count=len(lp.variables),
-            constraint_count=len(lp.names),
-            sections=sections,
-            system=lp,
-        )
+    feasible = isinstance(result, Feasible)
     return ContextualityVerdict(
-        contextual=True,
+        contextual=not feasible,
         mode="probabilistic",
         variable_count=len(lp.variables),
         constraint_count=len(lp.names),
-        certificate=result.certificate,
-        margin=result.margin,
+        sections=extract_sections(theory, result.point) if feasible else None,
+        certificate=None if feasible else result.certificate,
+        margin=None if feasible else result.margin,
         system=lp,
     )
-
-
-@lru_cache(maxsize=_MEMO_SIZE)
-def _join_order(
-    system: SystemType,
-) -> tuple[tuple[Context, tuple[str, ...]], ...] | None:
-    """The cover in a running-intersection order, or None if it is cyclic.
-
-    Memoized by value on the system type, like ``_scenario``.  Each context
-    comes with the labels it shares with the contexts before it.
-    The order is a maximum cardinality search (Tarjan and Yannakakis, SIAM J.
-    Comput. 13, 566 (1984)): next comes the context with the most labels
-    already seen, the first listed among ties.  The cover is alpha-acyclic
-    exactly when, in that order, every context's shared labels lie inside
-    one earlier context.
-    """
-    cover = system.cover
-    holders: dict[str, list[int]] = {}
-    for k, ctx in enumerate(cover):
-        for m in ctx:
-            holders.setdefault(m, []).append(k)
-    counts = [0] * len(cover)  # each context's labels already seen
-    seen: set[str] = set()
-    earlier: list[set[str]] = []
-    left = list(range(len(cover)))
-    order: list[tuple[Context, tuple[str, ...]]] = []
-    while left:
-        k = max(left, key=counts.__getitem__)
-        left.remove(k)
-        ctx = cover[k]
-        shared = tuple(m for m in ctx if m in seen)
-        if shared and not any(c.issuperset(shared) for c in earlier):
-            return None
-        order.append((ctx, shared))
-        earlier.append(set(ctx))
-        for m in ctx:
-            if m not in seen:
-                seen.add(m)
-                for j in holders[m]:
-                    counts[j] += 1
-    return tuple(order)
 
 
 def _product_sections(
@@ -674,27 +660,15 @@ def _product_sections(
     before it is returned.
     """
     system = theory.system
-    order = _join_order(system)
-    if order is None:
+    join = _scenario(system).join
+    if join is None:
         return None
-    run: list[str] = []  # labels in the order the product meets them
-    plan = []
-    for ctx, shared in order:
-        plan.append(
-            (
-                ctx,
-                _picker([ctx.index(m) for m in shared]),
-                _picker([run.index(m) for m in shared]),
-                _picker([i for i, m in enumerate(ctx) if m not in shared]),
-            )
-        )
-        run.extend(m for m in ctx if m not in shared)
-    perm = _picker([run.index(m) for m in system.labels])
+    steps, perm = join
     sections: dict[str, RationalDistribution] = {}
     for name, state in theory.states.items():
         # each weight as an integer pair (numerator, denominator)
         partial: dict[tuple[str, ...], tuple[int, int]] = {(): (1, 1)}
-        for ctx, in_ctx, in_run, new in plan:
+        for ctx, _, in_ctx, in_run, new in steps:
             # the table in integers over one denominator, which cancels in
             # p(t) / p(key) = n_t / (sum of n over key)
             nums, _ = state.distribution(ctx).integer
@@ -712,13 +686,8 @@ def _product_sections(
                     for ext, n in groups[key]:
                         grown[h + ext] = (num * n, hden)
             partial = grown
-        sections[name] = RationalDistribution(
-            domain=system.labels,
-            weights={
-                perm(h): Fraction(num, hden)
-                for h, (num, hden) in partial.items()
-            },
-        )
+        weights = {perm(h): Fraction(num, hden) for h, (num, hden) in partial.items()}
+        sections[name] = RationalDistribution(domain=system.labels, weights=weights)
     violations = verify_global_section(theory, sections)
     if violations:
         raise ModelError(f"product section failed verification: {violations[0]}")
@@ -733,19 +702,17 @@ def extract_sections(
     The variable names are the LP build's, read from its memoized skeleton.
     """
     system = theory.system
-    assignments, _ = _scenario(system)
+    assignments = _scenario(system).assignments
     names = _skeleton(
         system, tuple(theory.states), tuple(theory.convex)
     ).state_variables
-    sections: dict[str, RationalDistribution] = {}
-    for s in theory.states:
-        weights = {}
-        for g, v in zip(assignments, names[s]):
-            w = point.get(v, ZERO)
-            if w != 0:
-                weights[g] = w
-        sections[s] = RationalDistribution(domain=system.labels, weights=weights)
-    return sections
+    return {
+        s: RationalDistribution(
+            domain=system.labels,
+            weights={g: point[v] for g, v in zip(assignments, names[s]) if point.get(v)},
+        )
+        for s in theory.states
+    }
 
 
 def verify_global_section(
@@ -854,7 +821,8 @@ def verify_global_section(
 
 
 def _check_possibilistic(theory: EmpiricalTheory) -> ContextualityVerdict:
-    assignments, marginals = _scenario(theory.system)
+    scenario = _scenario(theory.system)
+    assignments, marginals = scenario.assignments, scenario.contexts
     boolean: dict[str, tuple[tuple[str, ...], ...]] = {}
     blocked: list[tuple[str, Context, tuple[str, ...]]] = []
     for name, state in theory.states.items():

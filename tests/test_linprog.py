@@ -14,7 +14,7 @@ from typing import Sequence
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from ctxcheck.generate import (
     bloch_preparation_scenario,
@@ -1077,6 +1077,13 @@ def _assert_phase1_matches_dense_reference(system, rows, cols, phase1=_simplex_p
     assert all(dual[k] == scale * y for k, y in expected_dual.items())
 
 
+# A kernel defect fails these on its first failing draw, within seconds;
+# shrinking that draw takes exact solves enough to run to hypothesis's
+# five-minute shrink cap, so these report the draw as found
+_UNSHRUNK = settings(phases=[p for p in Phase if p is not Phase.shrink])
+
+
+@_UNSHRUNK
 @given(_blocks())
 def test_phase1_matches_dense_bland_reference(system):
     # no global-section LP has a non-uniform column in a wide block, so the
@@ -1107,6 +1114,7 @@ def _assert_both_storages_match_dense_reference(system):
         )
 
 
+@_UNSHRUNK
 @given(_blocks())
 def test_both_storages_match_dense_bland_reference_on_every_shape(system):
     # a block runs only the storage its shape picks, so neither storage
@@ -1146,6 +1154,7 @@ def _coprime_blocks(draw):
     )
 
 
+@_UNSHRUNK
 @given(_coprime_blocks())
 def test_both_storages_match_dense_bland_reference_when_rows_grow(system):
     # with ``_blocks``' small denominators about half the updates have

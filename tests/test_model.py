@@ -11,6 +11,7 @@ from ctxcheck.model import (
     EmpiricalTheory,
     Measurement,
     ModelError,
+    OperationalTheory,
     OutcomeSet,
     RationalDistribution,
     Section,
@@ -239,6 +240,34 @@ def test_validate_operational_theory_reports_unknown_mixture_members():
     assert validate_operational_theory(op) == [
         "state mixture references unknown preparation 'ghost'",
         "measurement mixture references unknown measurement 'nowhere'",
+    ]
+
+
+def test_operational_violations_render_exact_weights():
+    # the sub-measurements' tables have other denominators than the joint's,
+    # and "lo" and "also-lo" share their values, so each sub-measurement
+    # outcome is compared with the joint's whole mass on its values
+    third = Fraction(1, 3)
+    op = OperationalTheory(
+        preparations=("p",),
+        measurements={
+            "a,b": _coarse_measurement(),
+            "a": elementary_measurement("a", "01"),
+            "b": elementary_measurement("b", "01"),
+        },
+        statistics={
+            ("p", "a,b"): {"lo": third, "also-lo": third, "hi": third},
+            ("p", "a"): {"0": Fraction(1, 2), "1": Fraction(3, 5)},
+            ("p", "b"): {"0": Fraction(5, 4), "1": Fraction(-1, 4)},
+        },
+    )
+    assert validate_operational_theory(op) == [
+        "('p','a'): outcome weights sum to 11/10",
+        "('p','b'): negative weight",
+        "('p'): 'a' inconsistent with marginal of 'a,b' at outcome '0' (1/2 != 2/3)",
+        "('p'): 'a' inconsistent with marginal of 'a,b' at outcome '1' (3/5 != 1/3)",
+        "('p'): 'b' inconsistent with marginal of 'a,b' at outcome '0' (5/4 != 1)",
+        "('p'): 'b' inconsistent with marginal of 'a,b' at outcome '1' (-1/4 != 0)",
     ]
 
 

@@ -619,9 +619,10 @@ def _gyo_acyclic(cover):
 def test_join_order_matches_graham_reduction(cover):
     labels = sorted({m for ctx in cover for m in ctx})
     system = system_type({m: ("0", "1") for m in labels}, cover)
-    order = sheaf._join_order(system)
-    assert (order is not None) == _gyo_acyclic(system.cover)
-    if order is not None:
+    join = sheaf._scenario(system).join
+    assert (join is not None) == _gyo_acyclic(system.cover)
+    if join is not None:
+        order = [(ctx, shared) for ctx, shared, *_ in join[0]]
         assert sorted(ctx for ctx, _ in order) == sorted(system.cover)
         for k, (ctx, shared) in enumerate(order):
             earlier = [c for c, _ in order[:k]]
@@ -838,21 +839,37 @@ def test_memo_keeps_at_most_its_bound_and_rebuilds_what_it_evicted():
     first = [_lp_content(global_section_system(t)) for t in theories]
     for memo in (sheaf._skeleton, sheaf._scenario):
         assert memo.cache_info().currsize <= sheaf._MEMO_SIZE
-    misses = sheaf._skeleton.cache_info().misses
+    misses = [memo.cache_info().misses for memo in (sheaf._skeleton, sheaf._scenario)]
     # the first scenario was evicted: it misses, and rebuilds the same LP
     assert _lp_content(global_section_system(theories[0])) == first[0]
-    assert sheaf._skeleton.cache_info().misses == misses + 1
+    assert [
+        memo.cache_info().misses for memo in (sheaf._skeleton, sheaf._scenario)
+    ] == [n + 1 for n in misses]
     assert _lp_content(_cold_build(theories[0])) == first[0]
 
 
 def test_join_order_is_memoized_on_the_system_type():
     system = without_declarations(builtin_example("spekkens-unsharp").theory).system
-    sheaf._join_order.cache_clear()
-    order = sheaf._join_order(system)
-    assert isinstance(order, tuple)
+    sheaf._scenario.cache_clear()
+    join = sheaf._scenario(system).join
+    assert isinstance(join, tuple)
     # an equal system type, built apart, reads the same entry
     twin = deepcopy(system)
     assert twin is not system and twin == system
-    assert sheaf._join_order(twin) is order
-    info = sheaf._join_order.cache_info()
+    assert sheaf._scenario(twin).join is join
+    info = sheaf._scenario.cache_info()
     assert (info.hits, info.misses, info.maxsize) == (1, 1, sheaf._MEMO_SIZE)
+
+
+def test_product_path_builds_no_assignment_list_and_shares_one_scenario():
+    theory = without_declarations(builtin_example("spekkens-unsharp").theory)
+    sheaf._scenario.cache_clear()
+    verdict = check_contextuality(theory)
+    assert verdict.system is None and not verdict.contextual
+    scenario = sheaf._scenario(theory.system)
+    # the gate and the product path read only the fields they need
+    built = vars(scenario).keys()
+    assert {"overlaps", "join", "size"} <= built
+    assert not {"assignments", "contexts"} & built
+    twin = deepcopy(theory.system)
+    assert twin is not theory.system and sheaf._scenario(twin) is scenario
