@@ -17,6 +17,7 @@ from typing import Sequence
 
 from ctxcheck.bridge import outcome_id, subcontext_measurements, to_operational
 from ctxcheck.model import (
+    K,
     ZERO,
     EmpiricalTheory,
     ModelError,
@@ -97,22 +98,24 @@ def random_system(rng: random.Random) -> SystemType:
     raise GeneratorError("could not draw a valid scenario")
 
 
+def _positive_distribution(rng: random.Random, keys: Sequence[K]) -> dict[K, Fraction]:
+    """Weights drawn from 1 to 9 per key, in key order, over their sum."""
+    raw = [rng.randint(1, 9) for _ in keys]
+    total = sum(raw)
+    return {k: Fraction(w, total) for k, w in zip(keys, raw)}
+
+
 def random_sections(
     rng: random.Random, system: SystemType, state_names: tuple[str, ...]
 ) -> dict[str, RationalDistribution]:
     """Strictly positive rational weights over all full assignments."""
     assignments = list(global_outcome_tuples(system))
-    out: dict[str, RationalDistribution] = {}
-    for name in state_names:
-        raw = [rng.randint(1, 9) for _ in assignments]
-        total = sum(raw)
-        out[name] = RationalDistribution(
-            domain=system.labels,
-            weights={
-                g: Fraction(w, total) for g, w in zip(assignments, raw)
-            },
+    return {
+        name: RationalDistribution(
+            domain=system.labels, weights=_positive_distribution(rng, assignments)
         )
-    return out
+        for name in state_names
+    }
 
 
 def theory_from_sections(
@@ -365,14 +368,6 @@ def duplicated_label_theory(
 # ---------------------------------------------------------------------------
 # Representations
 # ---------------------------------------------------------------------------
-
-
-def _positive_distribution(
-    rng: random.Random, keys: tuple[str, ...]
-) -> dict[str, Fraction]:
-    raw = [rng.randint(1, 9) for _ in keys]
-    total = sum(raw)
-    return {k: Fraction(w, total) for k, w in zip(keys, raw)}
 
 
 def random_factorizable_representation(

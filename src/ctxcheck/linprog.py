@@ -22,24 +22,25 @@ marginals) never enter the index.  A zero-rhs row past that point whose
 columns the scan has all eliminated forces nothing, so it never enters the
 index or the queue either.
 A block's set-up reads only the block's columns: a block row may hold
-many columns presolve eliminated, so each kernel walks the smaller of the
-row and the block's column positions and reads the other with ``.get``.  A
-row lying wholly inside its block is then walked once, with no set built.
-No output depends on the order of a tableau row's entries.
+many columns presolve eliminated, so ``_simplex_phase1`` reads each block
+row once, walking the smaller of the row and the block's column positions
+and probing the other with one ``.get`` per entry.  A row lying wholly
+inside its block is then walked once, with no set built.  No output depends
+on the order of a tableau row's entries.
 Each block's phase I writes once what does not depend on how its tableau
-rows are stored: ``_simplex_phase1`` computes the block's common denominator
-and row signs and reads the Farkas dual from the final objective row, and
-``_objective_step`` takes the exact objective row through a pivot.  Each of
-the two storages keeps its set-up, Bland's entering column, the column read,
-the ratio test, the row updates and the basic values, since these read or
-write the rows.  A block with no more columns than rows stores every column,
-each row as a sparse dict of its nonzero entries: such a tall block's row is
-mostly its artificial part, the basis inverse, which stays near the
-identity, so a pivot's updates cost per nonzero, not per column.  It also
-indexes the rows that hold each structural column, so a pivot reads the
-entering column, runs the ratio test and updates rows only where that
-column is nonzero: its cost follows the entering column's nonzeros, not
-the block's rows.  A wider
+rows are stored: ``_simplex_phase1`` reads the block rows, computes the
+block's common denominator and row signs and reads the Farkas dual from the
+final objective row, and ``_objective_step`` takes the exact objective row
+through a pivot.  Each of the two storages keeps its tableau set-up from
+those block rows, Bland's entering column, the column read, the ratio test,
+the row updates and the basic values, since these read or write the rows.
+A block with no more columns than rows stores every column, each row as a
+sparse dict of its nonzero entries: such a tall block's row is mostly its
+artificial part, the basis inverse, which stays near the identity, so a
+pivot's updates cost per nonzero, not per column.  It also indexes the rows
+that hold each structural column, so a pivot reads the entering column,
+runs the ratio test and updates rows only where that column is nonzero: its
+cost follows the entering column's nonzeros, not the block's rows.  A wider
 block stores only its basis inverse and rhs, as dense lists (a row has only
 rows + 1 entries, so a dict would save little), keeps each column packed as
 its row indices and coefficients, and computes a column's reduced cost and
@@ -497,7 +498,9 @@ def _simplex_phase1(
     Row ``r = rows[k]`` arrives as ``scales[r]`` times the rational row,
     flipped by ``flip[k]`` to a nonnegative rhs, and starts basic on its own
     artificial column.  Columns are ``cols`` in sorted order, then one
-    artificial per row, then the rhs.  Bland's rule: the entering column is
+    artificial per row, then the rhs.  Each storage sets up from the block
+    rows read here, once: row ``k`` is ``{i: flip[k] * a}`` over the entries
+    ``a`` of ``rows[k]`` on ``cols[i]``.  Bland's rule: the entering column is
     the lowest structural column with a negative reduced cost (artificials
     are barred); the leaving row has the least ratio of rhs to a positive
     entry, ties going to the lowest basic column.  Since ``cols`` is sorted,
@@ -528,11 +531,32 @@ def _simplex_phase1(
     """
     oden = lcm(*(scales[r] for r in rows))
     flip = [-1 if rhs[r] < 0 else 1 for r in rows]
-    if len(cols) <= len(rows):
-        point, obj, oden = _stored_phase1(coeffs, rhs, scales, rows, cols, oden, flip)
-        art = len(cols)
+    n = len(cols)
+    position = {j: i for i, j in enumerate(cols)}
+    block: list[dict[int, int]] = []
+    for r, sign in zip(rows, flip):
+        entries = coeffs[r]
+        row: dict[int, int] = {}
+        if len(entries) <= n:
+            for j, a in entries.items():
+                i = position.get(j)
+                if i is not None:
+                    row[i] = a
+        else:
+            for j, i in position.items():
+                a = entries.get(j)
+                if a is not None:
+                    row[i] = a
+        # flipped afterwards: no global-section row has a negative rhs, so
+        # the entries are kept as they are rather than copied times 1
+        if sign < 0:
+            row = {i: -a for i, a in row.items()}
+        block.append(row)
+    if n <= len(rows):
+        point, obj, oden = _stored_phase1(block, rhs, scales, rows, cols, oden, flip)
+        art = n
     else:
-        point, obj, oden = _inverse_phase1(coeffs, rhs, scales, rows, cols, oden, flip)
+        point, obj, oden = _inverse_phase1(block, rhs, scales, rows, cols, oden, flip)
         art = 0
     if point is not None:
         return point, None
@@ -573,7 +597,7 @@ def _objective_step(
 
 
 def _stored_phase1(
-    coeffs: Sequence[dict[int, int]],
+    block: list[dict[int, int]],
     rhs: Sequence[int],
     scales: Sequence[int],
     rows: list[int],
@@ -586,7 +610,9 @@ def _stored_phase1(
     Returns (point or None, objective row, its denominator).  Each row is a
     dict ``{column: nonzero int}`` over structural columns ``0 .. n - 1``,
     artificial columns ``n .. n + m - 1`` and the rhs at ``n + m``; an entry
-    that cancels to 0 is deleted.  The objective row is a dense list over
+    that cancels to 0 is deleted.  Row ``k`` is the block row ``block[k]``
+    with its artificial and rhs entries added in place.  The objective row
+    (built, like ``holders``, from the block rows) is a dense list over
     the same columns, since Bland's rule scans it in column order.  A row
     update is ``row * q - f * prow``, made at the pivot row's nonzeros; with
     ``q == 1`` it is made in place.
@@ -610,36 +636,19 @@ def _stored_phase1(
     m = len(rows)
     n = len(cols)
     end = n + m  # the rhs column
-    position = {j: i for i, j in enumerate(cols)}
-    tab: list[dict[int, int]] = []
+    tab = block  # extended in place into the tableau rows
     holders: list[set[int]] = [set() for _ in cols]
     # phase-I reduced costs: structural -column sums, artificial 0
     obj = [0] * (end + 1)
-    for k, (r, sign) in enumerate(zip(rows, flip)):
+    for k, (row, r, sign) in enumerate(zip(tab, rows, flip)):
         mult = oden // scales[r]
-        row: dict[int, int] = {}
-        entries = coeffs[r]
-        if len(entries) <= n:
-            for j, a in entries.items():
-                i = position.get(j)
-                if i is not None:
-                    a *= sign
-                    row[i] = a
-                    obj[i] -= a * mult
-                    holders[i].add(k)
-        else:
-            for j, i in position.items():
-                a = entries.get(j)
-                if a is not None:
-                    a *= sign
-                    row[i] = a
-                    obj[i] -= a * mult
-                    holders[i].add(k)
+        for i, a in row.items():
+            obj[i] -= a * mult
+            holders[i].add(k)
         row[n + k] = scales[r]
         if rhs[r]:
             row[end] = sign * rhs[r]
             obj[end] -= sign * rhs[r] * mult
-        tab.append(row)
 
     basis = list(range(n, end))
     grown = [0] * m  # bits of the q's applied to each row since its division
@@ -714,7 +723,7 @@ def _stored_phase1(
 
 
 def _inverse_phase1(
-    coeffs: Sequence[dict[int, int]],
+    block: list[dict[int, int]],
     rhs: Sequence[int],
     scales: Sequence[int],
     rows: list[int],
@@ -727,17 +736,18 @@ def _inverse_phase1(
     Returns (point or None, objective row, its denominator).  Each row is a
     dense list of the artificial columns (the basis inverse, up to row
     scales) and the rhs, and so is the objective row.  With ``L`` the lcm of
-    the block's row scales and ``A[k][j] = (L / scales[k]) * a[k][j]`` the
-    sign-flipped input rows made integer over one denominator, tableau row
-    ``i`` times ``L`` reads ``sum_k row_i[k] * A[k][j]`` on column ``j``,
-    and the reduced cost of ``j`` times ``L`` is ``sum_k (obj[k] - oden) *
-    A[k][j]``.  Bland's rule prices columns in order and stops at the first
-    negative one, and the ratio test and the update need only the entering
-    column, so a pivot costs about the rows times the rows, not times the
-    columns.  Each column is packed once as its row indices ``ks`` and
-    entries ``A[k][j]``.  A column with two or more entries, all equal to
-    ``c``, reads ``c * sum(itemgetter(*ks)(row))``, as every wide column of a
-    global-section LP does (all ``L`` or ``-L``); any other column reads
+    the block's row scales and ``A[k][j] = (L / scales[k]) * block[k][j]``
+    the sign-flipped block rows made integer over one denominator, tableau
+    row ``i`` times ``L`` reads ``sum_k row_i[k] * A[k][j]`` on column
+    ``j``, and the reduced cost of ``j`` times ``L`` is ``sum_k (obj[k] -
+    oden) * A[k][j]``.  Bland's rule prices columns in order and stops at
+    the first negative one, and the ratio test and the update need only the
+    entering column, so a pivot costs about the rows times the rows, not
+    times the columns.  Each column is packed once from the block rows as
+    its row indices ``ks`` and entries ``A[k][j]``.  A column with two or
+    more entries, all equal to ``c``, reads ``c *
+    sum(itemgetter(*ks)(row))``, as every wide column of a global-section
+    LP does (all ``L`` or ``-L``); any other column reads
     ``sum(map(mul, map(row.__getitem__, ks), vals))``.  Either way the sum
     runs in C builtins, so pricing a column calls no Python function.
     Computed entries carry the extra factor ``L``; dividing ``gcd(p, f)``
@@ -749,29 +759,17 @@ def _inverse_phase1(
     m = len(rows)
     n = len(cols)
     unit = oden  # computed entries are ``unit`` times the row's
-    position = {j: i for i, j in enumerate(cols)}
     columns: list[tuple[list[int], list[int]]] = [([], []) for _ in cols]
     tab: list[list[int]] = []
     # phase-I reduced costs: artificial 0, then the rhs
     obj = [0] * (m + 1)
-    for k, (r, sign) in enumerate(zip(rows, flip)):
+    for k, (entries, r, sign) in enumerate(zip(block, rows, flip)):
         mult = oden // scales[r]
         row = [0] * (m + 1)
-        entries = coeffs[r]
-        if len(entries) <= n:
-            for j, a in entries.items():
-                i = position.get(j)
-                if i is not None:
-                    ks, vals = columns[i]
-                    ks.append(k)
-                    vals.append(sign * a * mult)
-        else:
-            for j, i in position.items():
-                a = entries.get(j)
-                if a is not None:
-                    ks, vals = columns[i]
-                    ks.append(k)
-                    vals.append(sign * a * mult)
+        for i, a in entries.items():
+            ks, vals = columns[i]
+            ks.append(k)
+            vals.append(a * mult)
         row[k] = scales[r]
         row[-1] = sign * rhs[r]
         obj[-1] -= row[-1] * mult

@@ -267,7 +267,9 @@ def quantum_from_document(
     convex = ()
     if "convex" in doc:
         convex = convex_from_document(doc["convex"], "convex")
-    denominator = max_denominator or section.get("max_denominator")
+    denominator = max_denominator
+    if denominator is None:
+        denominator = section.get("max_denominator")
     # ``True`` is an ``int`` too, so the type is compared exactly
     if type(denominator) is not int or denominator < 1:
         raise DocumentError(

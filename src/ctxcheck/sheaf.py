@@ -25,9 +25,9 @@ sum check its constructor runs; no reader here computes it again.
 Restriction to a context has one helper per data shape: ``_pushforwards``
 sums integer weights by restriction onto several label tuples in one call,
 and ``Scenario.contexts`` groups the full assignments by their restriction,
-for the LP build and the possibilistic check.  ``marginal_weights`` pushes a
-distribution's sorted integer reading onto one label tuple and returns
-``Fraction`` weights, and ``marginals_agree`` compares two unsorted
+for the LP build and the possibilistic check; both restrict with
+``_restriction``.  ``marginal_weights`` pushes a distribution's sorted
+integer reading onto one label tuple and returns ``Fraction`` weights, and ``marginals_agree`` compares two unsorted
 pushforwards with ``model.integer_weights_equal`` (for ``equivalence`` and
 ``bridge``).  ``verify_global_section`` pushes each section's reading onto
 every context in one call and onto every label a measurement mixture names,
@@ -298,36 +298,25 @@ class Scenario:
     system: SystemType
 
     @cached_property
-    def radices(self) -> tuple[int, ...]:
-        """Each label's outcome count, in label order."""
-        return tuple(len(o.labels) for o in self.system.outcomes)
-
-    @cached_property
     def assignments(self) -> tuple[tuple[str, ...], ...]:
         """The full outcome assignments, in mixed-radix order."""
         return tuple(global_outcome_tuples(self.system))
 
     @cached_property
     def contexts(self) -> tuple[tuple[Context, tuple, tuple], ...]:
-        """Per context: (context, its outcome tuples, and per outcome tuple
-        the indices of the assignments restricting to it).  Assignment ``i``
-        is the mixed-radix number of its outcome indices (first label
-        slowest), and its group that of its context digits."""
-        system, radices = self.system, self.radices
+        """Per context: (context, its outcome tuples in
+        ``context_outcome_tuples`` order, and per outcome tuple the indices
+        of the assignments whose restriction (``_restriction``) it is, in
+        increasing order)."""
+        system, assignments = self.system, self.assignments
         out = []
         for ctx in system.cover:
-            keys = [0] * prod(radices)
-            count = 1
-            for m in reversed(ctx):
-                p = system.label_position(m)
-                stride, radix = prod(radices[p + 1 :]), radices[p]
-                keys = [k + (i // stride % radix) * count for i, k in enumerate(keys)]
-                count *= radix
-            groups: list[list[int]] = [[] for _ in range(count)]
-            for i, k in enumerate(keys):
-                groups[k].append(i)
             tuples = tuple(context_outcome_tuples(system, ctx))
-            out.append((ctx, tuples, tuple(map(tuple, groups))))
+            groups: dict[tuple[str, ...], list[int]] = {t: [] for t in tuples}
+            restrict = _restriction(system.labels, ctx)
+            for i, values in enumerate(map(restrict, assignments)):
+                groups[values].append(i)
+            out.append((ctx, tuples, tuple(map(tuple, groups.values()))))
         return tuple(out)
 
     @cached_property
@@ -335,7 +324,8 @@ class Scenario:
         """Per state, the columns and rows of an undeclared
         ``global_section_system``: one column per assignment, and one row
         for the norm and for each outcome tuple of each context."""
-        radices, position = self.radices, self.system.label_position
+        radices = [len(o.labels) for o in self.system.outcomes]
+        position = self.system.label_position
         return prod(radices), 1 + sum(
             prod(radices[position(m)] for m in ctx) for ctx in self.system.cover
         )

@@ -1,11 +1,13 @@
 """Shared pytest configuration and fixtures."""
 
+import functools
 from fractions import Fraction
 from itertools import product
 
 import pytest
 from hypothesis import settings
 
+from ctxcheck import linprog
 from ctxcheck.generate import theory_from_sections
 from ctxcheck.model import (
     ConvexComponent,
@@ -19,6 +21,39 @@ from ctxcheck.model import (
 # reading as a failure.
 settings.register_profile("ctxcheck", derandomize=True, deadline=None)
 settings.load_profile("ctxcheck")
+
+# Each phase-I storage loops until Bland's rule stops it, so a kernel defect
+# that cycles would hang the run.  Every test therefore runs the kernel with a
+# pivot budget per call, far above any known run (909 pivots at most in these
+# tests, 2,064 at Bloch k = 8): a storage call resets the count, and
+# ``_objective_step``, which each storage calls once per pivot, fails the test
+# past the budget.  They are wrapped here, before any test module imports
+# them, so every module is covered, including tests that call a storage
+# directly.
+_PIVOT_BUDGET = 20_000
+_pivots = [0]
+
+
+def _pivot_budgeted(kernel):
+    @functools.wraps(kernel)
+    def run(*args):
+        _pivots[0] = 0
+        return kernel(*args)
+
+    return run
+
+
+def _counted_step(*args):
+    _pivots[0] += 1
+    if _pivots[0] > _PIVOT_BUDGET:
+        raise AssertionError(f"phase I took more than {_PIVOT_BUDGET} pivots")
+    return _objective_step(*args)
+
+
+_objective_step = linprog._objective_step
+linprog._objective_step = _counted_step
+linprog._stored_phase1 = _pivot_budgeted(linprog._stored_phase1)
+linprog._inverse_phase1 = _pivot_budgeted(linprog._inverse_phase1)
 
 TERNARY = ("0", "1", "2")
 

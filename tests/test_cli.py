@@ -223,6 +223,22 @@ def test_check_quantum_document_from_file(tmp_path, capsys):
     assert "NON-CONTEXTUAL" in capsys.readouterr().out
 
 
+def test_check_rejects_a_max_denominator_flag_below_1(tmp_path, capsys):
+    # the flag overrides the file's bound whenever it is given, so a bound
+    # below 1 is an error even where the file's own bound is valid
+    doc = _quantum_doc()
+    doc["quantum"]["max_denominator"] = 100
+    path = _write(tmp_path, "qubit.json", doc)
+    for bound in ("0", "-3"):
+        assert main(["check", "--max-denominator", bound, path]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: quantum: max_denominator must be a positive integer "
+            "(in the file or via --max-denominator)\n"
+        )
+
+
 def _spoiled_quantum_doc(spoil):
     doc = _quantum_doc()
     spoil(doc["quantum"])

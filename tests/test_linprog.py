@@ -1092,13 +1092,25 @@ def test_phase1_matches_dense_bland_reference(system):
     _assert_phase1_matches_dense_reference(system, list(range(m)), list(range(n)))
 
 
+def _block_rows(coeffs, rows, cols, flip):
+    """The block's rows as ``_simplex_phase1`` hands them to a storage: per
+    row, ``{position in cols: entry times the row's sign}``, fresh dicts,
+    since the stored form extends them in place."""
+    position = {j: i for i, j in enumerate(cols)}
+    return [
+        {position[j]: sign * a for j, a in coeffs[r].items() if j in position}
+        for r, sign in zip(rows, flip)
+    ]
+
+
 def _storage_phase1(loop, coeffs, rhs, scales, rows, cols):
     """``_simplex_phase1`` with ``loop`` as the storage, whatever the block's
     shape: the dual is read from the artificial columns of the objective row
     the loop returns, which follow the structural ones in the stored form."""
     oden = lcm(*(scales[r] for r in rows))
     flip = [-1 if rhs[r] < 0 else 1 for r in rows]
-    point, obj, oden = loop(coeffs, rhs, scales, rows, cols, oden, flip)
+    block = _block_rows(coeffs, rows, cols, flip)
+    point, obj, oden = loop(block, rhs, scales, rows, cols, oden, flip)
     if point is not None:
         return point, None
     art = len(cols) if loop is _stored_phase1 else 0
@@ -1790,6 +1802,7 @@ def test_phase1_reads_only_block_columns_as_before(case):
         (_stored_phase1, _parent_stored_phase1),
         (_inverse_phase1, _parent_inverse_phase1),
     ):
-        assert loop(coeffs, rhs, scales, rows, cols, oden, flip) == before(
+        block = _block_rows(coeffs, rows, cols, flip)
+        assert loop(block, rhs, scales, rows, cols, oden, flip) == before(
             coeffs, rhs, scales, rows, cols, oden, flip
         )

@@ -873,3 +873,32 @@ def test_product_path_builds_no_assignment_list_and_shares_one_scenario():
     assert not {"assignments", "contexts"} & built
     twin = deepcopy(theory.system)
     assert twin is not theory.system and sheaf._scenario(twin) is scenario
+
+
+@st.composite
+def _covers_with_outcomes(draw):
+    """A system type on one to four labels with one to three outcomes each,
+    and a cover of one to four drawn contexts, listed in any order."""
+    labels = draw(st.permutations([f"m{i}" for i in range(draw(st.integers(1, 4)))]))
+    outcomes = {m: tuple(str(v) for v in range(draw(st.integers(1, 3)))) for m in labels}
+    context = st.lists(st.sampled_from(labels), min_size=1, unique=True)
+    return system_type(outcomes, draw(st.lists(context, min_size=1, max_size=4)))
+
+
+@given(_covers_with_outcomes())
+def test_context_groups_hold_the_assignments_restricting_to_each_tuple(system):
+    scenario = sheaf.Scenario(system)
+    assignments = scenario.assignments
+    assert assignments == tuple(
+        itertools.product(*(system.outcomes_of(m).labels for m in system.labels))
+    )
+    assert [ctx for ctx, _, _ in scenario.contexts] == list(system.cover)
+    for ctx, tuples, groups in scenario.contexts:
+        at = [system.labels.index(m) for m in ctx]
+        assert tuples == tuple(
+            itertools.product(*(system.outcomes_of(m).labels for m in ctx))
+        )
+        assert groups == tuple(
+            tuple(i for i, a in enumerate(assignments) if tuple(a[p] for p in at) == t)
+            for t in tuples
+        )
