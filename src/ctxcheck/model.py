@@ -260,27 +260,6 @@ def _system_type_violations(system: SystemType) -> tuple[tuple[str, ...], dict]:
     return tuple(violations), _context_outcomes(system)
 
 
-@dataclass(frozen=True)
-class Section:
-    """An assignment of one outcome to each label of a domain."""
-
-    domain: tuple[str, ...]
-    values: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.domain) != len(self.values):
-            raise ModelError("section domain and values must align")
-
-    def __call__(self, label: str) -> str:
-        try:
-            return self.values[self.domain.index(label)]
-        except ValueError:
-            raise ModelError(f"label {label!r} outside section domain {self.domain}") from None
-
-    def restrict(self, sub: tuple[str, ...]) -> "Section":
-        return Section(sub, tuple(self(m) for m in sub))
-
-
 @dataclass
 class RationalDistribution:
     """Exact finitely-supported probability distribution over sections.

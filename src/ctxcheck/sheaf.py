@@ -18,16 +18,19 @@ rejects any other before either runs.
 
 The possibilistic variant asks the same question of supports: every supported
 local section must extend to a full assignment that is supported everywhere.
+They are the keys of the natural join of its tables over the cover (Abramsky,
+arXiv:1208.6416), the one join (``_join``) whose weights the product path
+reads on an acyclic cover; neither check lists the full assignments.
 
 Every table, section and declaration holds its weights' integer reading
 (``integer``, as ``model.integer_weights`` gives it), computed once by the
 sum check its constructor runs; no reader here computes it again.
 Restriction to a context has one helper per data shape: ``_pushforwards``
 sums integer weights by restriction onto several label tuples in one call,
-and ``Scenario.contexts`` groups the full assignments by their restriction,
-for the LP build and the possibilistic check; both restrict with
-``_restriction``.  ``marginal_weights`` pushes a distribution's sorted
-integer reading onto one label tuple and returns ``Fraction`` weights, and ``marginals_agree`` compares two unsorted
+and ``_skeleton`` groups the full assignments by their restriction, for
+the LP build; both restrict with ``_restriction``.  ``marginal_weights``
+pushes a distribution's sorted integer reading onto one label tuple and
+returns ``Fraction`` weights, and ``marginals_agree`` compares two unsorted
 pushforwards with ``model.integer_weights_equal`` (for ``equivalence`` and
 ``bridge``).  ``verify_global_section`` pushes each section's reading onto
 every context in one call and onto every label a measurement mixture names,
@@ -60,10 +63,10 @@ unit row of every marginal whose weight is 0 or 1, since a ``LinearSystem``
 is immutable and nothing writes its rows.
 
 Everything a system type alone fixes is one ``Scenario``, memoized by value
-on it (``_scenario``): the assignments and each context's assignment groups
-(the LP build, the possibilistic check and ``extract_sections``), the
-overlapping pairs (the gate), the product path's join plan and the unbuilt
-LP's size, each built on first read.  The two memos, ``_scenario`` and
+on it (``_scenario``): the assignments (the LP build and
+``extract_sections``), the overlapping pairs (the gate), the join plan (the
+product path and the possibilistic check) and the unbuilt LP's size, each
+built on first read.  The two memos, ``_scenario`` and
 ``_skeleton``, each keep at most ``model._MEMO_SIZE`` (8) scenarios and
 never hold a verdict or a table entry.
 """
@@ -91,6 +94,7 @@ from ctxcheck.model import (
     EmpiricalTheory,
     ModelError,
     RationalDistribution,
+    State,
     SystemType,
     ZERO,
     _MEMO_SIZE,
@@ -293,7 +297,7 @@ _Declaration = tuple[str, dict[int, int], int]
 @dataclass(frozen=True)
 class Scenario:
     """What a system type alone fixes, each field built on first read, so
-    the gate and the product path never list the full assignments."""
+    the gate and the two readers of the join never list the assignments."""
 
     system: SystemType
 
@@ -301,23 +305,6 @@ class Scenario:
     def assignments(self) -> tuple[tuple[str, ...], ...]:
         """The full outcome assignments, in mixed-radix order."""
         return tuple(global_outcome_tuples(self.system))
-
-    @cached_property
-    def contexts(self) -> tuple[tuple[Context, tuple, tuple], ...]:
-        """Per context: (context, its outcome tuples in
-        ``context_outcome_tuples`` order, and per outcome tuple the indices
-        of the assignments whose restriction (``_restriction``) it is, in
-        increasing order)."""
-        system, assignments = self.system, self.assignments
-        out = []
-        for ctx in system.cover:
-            tuples = tuple(context_outcome_tuples(system, ctx))
-            groups: dict[tuple[str, ...], list[int]] = {t: [] for t in tuples}
-            restrict = _restriction(system.labels, ctx)
-            for i, values in enumerate(map(restrict, assignments)):
-                groups[values].append(i)
-            out.append((ctx, tuples, tuple(map(tuple, groups.values()))))
-        return tuple(out)
 
     @cached_property
     def size(self) -> tuple[int, int]:
@@ -358,30 +345,31 @@ class Scenario:
         return pushes, tuple(pairs)
 
     @cached_property
-    def join(self) -> tuple[tuple, Callable] | None:
-        """The product path's (steps, perm), or None if the cover is cyclic.
+    def join(self) -> tuple[tuple, Callable, bool]:
+        """The plan of ``_join`` over the cover, as (steps, perm, acyclic).
 
         The steps take the cover in a maximum cardinality search order
         (Tarjan and Yannakakis, SIAM J. Comput. 13, 566 (1984)): next comes
         the context with the most labels already seen, the first listed
-        among ties.  The cover is alpha-acyclic exactly when every context's
-        shared labels, those of earlier contexts, lie in one earlier context.
-        A step is (context, shared labels, and pickers of their values from
-        a context tuple and from a partial product, and of the context's
-        other values); ``perm`` puts a full product in label order.
+        among ties.  The cover is ``acyclic`` (alpha-acyclic) exactly when the
+        shared labels of each context, those of earlier ones, lie in one
+        earlier context.  A step is (context, shared labels, and pickers of
+        their values from a context tuple and from a partial product, and of
+        the context's other values); ``perm`` puts a row in label order.
         """
         cover = self.system.cover
         seen: dict[str, int] = {}  # each label's position in the product
         earlier: list[set[str]] = []
         left = list(range(len(cover)))
         steps = []
+        acyclic = True
         while left:
             k = max(left, key=lambda j: sum(m in seen for m in cover[j]))
             left.remove(k)
             ctx = cover[k]
             shared = tuple(m for m in ctx if m in seen)
             if shared and not any(c.issuperset(shared) for c in earlier):
-                return None
+                acyclic = False
             steps.append(
                 (
                     ctx,
@@ -394,7 +382,7 @@ class Scenario:
             earlier.append(set(ctx))
             for m in ctx:
                 seen.setdefault(m, len(seen))
-        return tuple(steps), _picker([seen[m] for m in self.system.labels])
+        return tuple(steps), _picker([seen[m] for m in self.system.labels]), acyclic
 
 
 # one Scenario per system type, by value
@@ -437,9 +425,16 @@ def _skeleton(
     cannot hold, raises here; since a raised call is not memoized, it raises
     on every build.
     """
-    scenario = _scenario(system)
-    assignments, marginals = scenario.assignments, scenario.contexts
+    assignments = _scenario(system).assignments
     size = len(assignments)
+    # per context, its outcome tuples in ``context_outcome_tuples`` order,
+    # each with the increasing indices of the assignments restricting to it
+    marginals = []
+    for ctx in system.cover:
+        groups = {t: [] for t in context_outcome_tuples(system, ctx)}
+        for i, t in enumerate(map(_restriction(system.labels, ctx), assignments)):
+            groups[t].append(i)
+        marginals.append((ctx, groups))
     names = {
         s: tuple(variable_name(s, g) for g in assignments) for s in state_names
     }
@@ -454,12 +449,12 @@ def _skeleton(
         state_columns = columns[s]
         rows.append(f"norm[{s}]")
         per_context = []
-        for ctx, tuples, groups in marginals:
+        for ctx, groups in marginals:
             prefix = f"marg[{s};{','.join(ctx)};"
-            rows.extend(f"{prefix}{','.join(t)}]" for t in tuples)
+            rows.extend(f"{prefix}{','.join(t)}]" for t in groups)
             units = tuple(
                 (t, dict.fromkeys(map(state_columns.__getitem__, group), 1))
-                for t, group in zip(tuples, groups)
+                for t, group in groups.items()
             )
             per_context.append((ctx, units))
         states.append((s, dict.fromkeys(state_columns, 1), tuple(per_context)))
@@ -645,43 +640,50 @@ def _product_sections(
     On an alpha-acyclic cover, a no-signalling theory has the global section
     prod_i p(g|C_i) / p(g|S_i), taken over a running-intersection order,
     with S_i the labels C_i shares with earlier contexts and 0/0 read as 0
-    (Vorob'ev, Theory Probab. Appl. 7, 147 (1962)).  It is built over
-    supported assignments only, and checked by ``verify_global_section``
+    (Vorob'ev, Theory Probab. Appl. 7, 147 (1962)).  ``_join`` builds it
+    over supported assignments only, and ``verify_global_section`` checks it
     before it is returned.
     """
     system = theory.system
-    join = _scenario(system).join
-    if join is None:
+    steps, perm, acyclic = _scenario(system).join
+    if not acyclic:
         return None
-    steps, perm = join
     sections: dict[str, RationalDistribution] = {}
     for name, state in theory.states.items():
-        # each weight as an integer pair (numerator, denominator)
-        partial: dict[tuple[str, ...], tuple[int, int]] = {(): (1, 1)}
-        for ctx, _, in_ctx, in_run, new in steps:
-            # the table in integers over one denominator, which cancels in
-            # p(t) / p(key) = n_t / (sum of n over key)
-            nums, _ = state.distribution(ctx).integer
-            groups: dict[tuple[str, ...], list[tuple[tuple[str, ...], int]]] = {}
-            totals: dict[tuple[str, ...], int] = {}
-            for t, n in nums.items():
-                key = in_ctx(t)
-                groups.setdefault(key, []).append((new(t), n))
-                totals[key] = totals.get(key, 0) + n
-            grown: dict[tuple[str, ...], tuple[int, int]] = {}
-            for h, (num, hden) in partial.items():
-                key = in_run(h)
-                if key in groups:
-                    hden *= totals[key]
-                    for ext, n in groups[key]:
-                        grown[h + ext] = (num * n, hden)
-            partial = grown
-        weights = {perm(h): Fraction(num, hden) for h, (num, hden) in partial.items()}
+        joined = _join(steps, state).items()
+        weights = {perm(h): Fraction(num, hden) for h, (num, hden) in joined}
         sections[name] = RationalDistribution(domain=system.labels, weights=weights)
     violations = verify_global_section(theory, sections)
     if violations:
         raise ModelError(f"product section failed verification: {violations[0]}")
     return sections
+
+
+def _join(steps: tuple, state: State) -> dict[tuple[str, ...], tuple[int, int]]:
+    """The natural join of the state's tables along ``Scenario.join``: the
+    rows (labels in the order first seen) whose every restriction to a
+    context is supported, each with its weight as (numerator, denominator),
+    which on an acyclic cover is the product section's."""
+    partial: dict[tuple[str, ...], tuple[int, int]] = {(): (1, 1)}
+    for ctx, _, in_ctx, in_run, new in steps:
+        # the table in integers over one denominator, which cancels in
+        # p(t) / p(key) = n_t / (sum of n over key)
+        nums, _ = state.distribution(ctx).integer
+        groups: dict[tuple[str, ...], list[tuple[tuple[str, ...], int]]] = {}
+        totals: dict[tuple[str, ...], int] = {}
+        for t, n in nums.items():
+            key = in_ctx(t)
+            groups.setdefault(key, []).append((new(t), n))
+            totals[key] = totals.get(key, 0) + n
+        grown: dict[tuple[str, ...], tuple[int, int]] = {}
+        for h, (num, hden) in partial.items():
+            key = in_run(h)
+            if key in groups:
+                hden *= totals[key]
+                for ext, n in groups[key]:
+                    grown[h + ext] = (num * n, hden)
+        partial = grown
+    return partial
 
 
 def extract_sections(
@@ -811,23 +813,20 @@ def verify_global_section(
 
 
 def _check_possibilistic(theory: EmpiricalTheory) -> ContextualityVerdict:
-    scenario = _scenario(theory.system)
-    assignments, marginals = scenario.assignments, scenario.contexts
+    system = theory.system
+    steps, perm, _ = _scenario(system).join
+    index = [{v: i for i, v in enumerate(o.labels)} for o in system.outcomes]
+
+    def radix(g: tuple[str, ...]) -> list[int]:  # mixed-radix order
+        return [at[v] for at, v in zip(index, g)]
+    restrictions = [(ctx, _restriction(system.labels, ctx)) for ctx in system.cover]
     boolean: dict[str, tuple[tuple[str, ...], ...]] = {}
     blocked: list[tuple[str, Context, tuple[str, ...]]] = []
     for name, state in theory.states.items():
-        alive = [True] * len(assignments)
-        for ctx, tuples, groups in marginals:
-            support = state.distribution(ctx).weights
-            for t, group in zip(tuples, groups):
-                if t not in support:
-                    for i in group:
-                        alive[i] = False
-        boolean[name] = tuple(g for g, kept in zip(assignments, alive) if kept)
-        for ctx, tuples, groups in marginals:
-            reached = {
-                t for t, group in zip(tuples, groups) if any(alive[i] for i in group)
-            }
+        # the supported-everywhere assignments are the join's rows, on any cover
+        rows = boolean[name] = tuple(sorted(map(perm, _join(steps, state)), key=radix))
+        for ctx, restrict in restrictions:
+            reached = set(map(restrict, rows))
             for t in state.distribution(ctx).support():
                 if t not in reached:
                     blocked.append((name, ctx, t))

@@ -646,6 +646,14 @@ def _with_constraints(system, constraints):
     return LinearSystem(variables=system.variables, constraints=tuple(constraints))
 
 
+# A kernel defect fails the property tests that reach the kernels on their
+# first failing draw, within seconds; shrinking that draw takes exact solves
+# enough to run to hypothesis's five-minute shrink cap, so these report the
+# draw as found
+_UNSHRUNK = settings(phases=[p for p in Phase if p is not Phase.shrink])
+
+
+@_UNSHRUNK
 @given(_rational_systems())
 def test_every_verdict_passes_its_exact_check(system):
     result = solve_feasibility(system)
@@ -656,6 +664,7 @@ def test_every_verdict_passes_its_exact_check(system):
         assert certificate_margin(system, result.certificate) == result.margin > 0
 
 
+@_UNSHRUNK
 @given(_rational_systems(max_columns=8))
 def test_verdict_unchanged_when_copied_rows_make_every_block_tall(system):
     # up to 8 columns over at most 5 rows: many blocks are wider than tall
@@ -676,6 +685,7 @@ def test_verdict_unchanged_when_copied_rows_make_every_block_tall(system):
     assert isinstance(results[0][1], Feasible) == isinstance(results[1][1], Feasible)
 
 
+@_UNSHRUNK
 @given(
     _rational_systems(),
     st.integers(0, 4),
@@ -694,6 +704,7 @@ def test_verdict_unchanged_by_positive_row_scaling(system, index, factor):
     ) == isinstance(solve_feasibility(system), Feasible)
 
 
+@_UNSHRUNK
 @given(_rational_systems(), st.randoms(use_true_random=False))
 def test_verdict_unchanged_by_row_permutation(system, rng):
     rows = list(system.constraints)
@@ -703,6 +714,7 @@ def test_verdict_unchanged_by_row_permutation(system, rng):
     ) == isinstance(solve_feasibility(system), Feasible)
 
 
+@_UNSHRUNK
 @given(
     _rational_systems(),
     _rational_systems().filter(lambda b: isinstance(solve_feasibility(b), Feasible)),
@@ -901,6 +913,7 @@ def test_combined_is_the_plain_fraction_sum(case):
     assert list(got_coeffs) == list(coeffs)
 
 
+@_UNSHRUNK
 @given(
     _sparse_systems(),
     st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9),
@@ -1075,12 +1088,6 @@ def _assert_phase1_matches_dense_reference(system, rows, cols, phase1=_simplex_p
     scale = Fraction(dual[next(iter(dual))]) / expected_dual[next(iter(dual))]
     assert scale > 0
     assert all(dual[k] == scale * y for k, y in expected_dual.items())
-
-
-# A kernel defect fails these on its first failing draw, within seconds;
-# shrinking that draw takes exact solves enough to run to hypothesis's
-# five-minute shrink cap, so these report the draw as found
-_UNSHRUNK = settings(phases=[p for p in Phase if p is not Phase.shrink])
 
 
 @_UNSHRUNK
@@ -1789,6 +1796,7 @@ def _blocks_in_wider_rows(draw):
     return coeffs, rhs, scales, rows, cols
 
 
+@_UNSHRUNK
 @given(_blocks_in_wider_rows())
 def test_phase1_reads_only_block_columns_as_before(case):
     coeffs, rhs, scales, rows, cols = case

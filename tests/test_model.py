@@ -14,7 +14,6 @@ from ctxcheck.model import (
     OperationalTheory,
     OutcomeSet,
     RationalDistribution,
-    Section,
     State,
     SystemType,
     elementary_measurement,
@@ -93,12 +92,6 @@ def test_distribution_normalization_and_zero_cleanup():
         RationalDistribution(domain=("a",), weights={("0",): Fraction(1, 2)})
     with pytest.raises(ModelError):
         RationalDistribution(domain=("a",), weights={("0", "1"): Fraction(1)})
-
-
-def test_section_restrict():
-    s = Section(domain=("a", "b", "c"), values=("0", "1", "0"))
-    assert s("b") == "1"
-    assert s.restrict(("a", "c")).values == ("0", "0")
 
 
 def _uniform_theory():

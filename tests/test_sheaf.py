@@ -3,10 +3,11 @@
 import itertools
 import random
 from copy import deepcopy
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ctxcheck import sheaf
 from ctxcheck.equivalence import minimalize, quotient_theory
@@ -281,37 +282,42 @@ def test_state_mixture_naming_an_unknown_state_is_rejected():
         global_section_system(bad)
 
 
+def _assert_possibilistic_matches_a_per_assignment_filter(theory):
+    """Checks the possibilistic verdict against a filter of every full
+    assignment by its restrictions' support; returns the verdict."""
+    system = theory.system
+    labels = system.labels
+
+    def restrict(g, ctx):
+        return tuple(g[labels.index(m)] for m in ctx)
+
+    assignments = list(
+        itertools.product(*(system.outcomes_of(m).labels for m in labels))
+    )
+    verdict = check_contextuality(theory, mode="possibilistic")
+    blocked = []
+    for name, state in theory.states.items():
+        supports = {ctx: set(state.distribution(ctx).weights) for ctx in system.cover}
+        kept = tuple(
+            g
+            for g in assignments
+            if all(restrict(g, ctx) in supports[ctx] for ctx in system.cover)
+        )
+        assert verdict.boolean_sections[name] == kept
+        for ctx in system.cover:
+            reached = {restrict(g, ctx) for g in kept}
+            blocked.extend(
+                (name, ctx, t) for t in sorted(supports[ctx]) if t not in reached
+            )
+    assert verdict.blocked == tuple(blocked)
+    assert verdict.contextual == bool(blocked)
+    return verdict
+
+
 def test_possibilistic_matches_a_per_assignment_filter():
     contextual = 0
     for theory in _golden_theories():
-        system = theory.system
-        labels = system.labels
-
-        def restrict(g, ctx):
-            return tuple(g[labels.index(m)] for m in ctx)
-
-        assignments = list(
-            itertools.product(*(system.outcomes_of(m).labels for m in labels))
-        )
-        verdict = check_contextuality(theory, mode="possibilistic")
-        blocked = []
-        for name, state in theory.states.items():
-            supports = {
-                ctx: set(state.distribution(ctx).weights) for ctx in system.cover
-            }
-            kept = tuple(
-                g
-                for g in assignments
-                if all(restrict(g, ctx) in supports[ctx] for ctx in system.cover)
-            )
-            assert verdict.boolean_sections[name] == kept
-            for ctx in system.cover:
-                reached = {restrict(g, ctx) for g in kept}
-                blocked.extend(
-                    (name, ctx, t) for t in sorted(supports[ctx]) if t not in reached
-                )
-        assert verdict.blocked == tuple(blocked)
-        assert verdict.contextual == bool(blocked)
+        verdict = _assert_possibilistic_matches_a_per_assignment_filter(theory)
         contextual += verdict.contextual
     assert contextual > 0
 
@@ -619,14 +625,14 @@ def _gyo_acyclic(cover):
 def test_join_order_matches_graham_reduction(cover):
     labels = sorted({m for ctx in cover for m in ctx})
     system = system_type({m: ("0", "1") for m in labels}, cover)
-    join = sheaf._scenario(system).join
-    assert (join is not None) == _gyo_acyclic(system.cover)
-    if join is not None:
-        order = [(ctx, shared) for ctx, shared, *_ in join[0]]
-        assert sorted(ctx for ctx, _ in order) == sorted(system.cover)
-        for k, (ctx, shared) in enumerate(order):
-            earlier = [c for c, _ in order[:k]]
-            assert set(shared) == set(ctx) & {m for c in earlier for m in c}
+    steps, _, acyclic = sheaf._scenario(system).join
+    assert acyclic == _gyo_acyclic(system.cover)
+    order = [(ctx, shared) for ctx, shared, *_ in steps]
+    assert sorted(ctx for ctx, _ in order) == sorted(system.cover)
+    for k, (ctx, shared) in enumerate(order):
+        earlier = [c for c, _ in order[:k]]
+        assert set(shared) == set(ctx) & {m for c in earlier for m in c}
+        if acyclic:
             assert not shared or any(set(shared) <= set(c) for c in earlier)
 
 
@@ -861,16 +867,34 @@ def test_join_order_is_memoized_on_the_system_type():
     assert (info.hits, info.misses, info.maxsize) == (1, 1, sheaf._MEMO_SIZE)
 
 
-def test_product_path_builds_no_assignment_list_and_shares_one_scenario():
-    theory = without_declarations(builtin_example("spekkens-unsharp").theory)
+@pytest.mark.parametrize(
+    "name, mode",
+    [
+        pytest.param(
+            "spekkens-unsharp", "probabilistic", id="spekkens-unsharp-undeclared"
+        ),
+        # bell's cover is cyclic
+        pytest.param("bell", "possibilistic", id="bell-possibilistic"),
+        pytest.param(
+            "spekkens-preparation",
+            "possibilistic",
+            id="spekkens-preparation-possibilistic",
+        ),
+    ],
+)
+def test_product_path_builds_no_assignment_list_and_shares_one_scenario(name, mode):
+    theory = builtin_example(name).theory
+    if mode == "probabilistic":  # the product path takes no declarations
+        theory = without_declarations(theory)
     sheaf._scenario.cache_clear()
-    verdict = check_contextuality(theory)
+    verdict = check_contextuality(theory, mode=mode)
     assert verdict.system is None and not verdict.contextual
     scenario = sheaf._scenario(theory.system)
-    # the gate and the product path read only the fields they need
+    # the gate and the join's two readers read only the fields they need
     built = vars(scenario).keys()
-    assert {"overlaps", "join", "size"} <= built
-    assert not {"assignments", "contexts"} & built
+    assert {"overlaps", "join"} <= built
+    assert ("size" in built) == (mode == "probabilistic")
+    assert "assignments" not in built
     twin = deepcopy(theory.system)
     assert twin is not theory.system and sheaf._scenario(twin) is scenario
 
@@ -887,13 +911,23 @@ def _covers_with_outcomes(draw):
 
 @given(_covers_with_outcomes())
 def test_context_groups_hold_the_assignments_restricting_to_each_tuple(system):
+    # the LP skeleton names one row per context tuple, so it rejects a cover
+    # that lists a context twice
+    system = replace(system, cover=tuple(dict.fromkeys(system.cover)))
     scenario = sheaf.Scenario(system)
     assignments = scenario.assignments
     assert assignments == tuple(
         itertools.product(*(system.outcomes_of(m).labels for m in system.labels))
     )
-    assert [ctx for ctx, _, _ in scenario.contexts] == list(system.cover)
-    for ctx, tuples, groups in scenario.contexts:
+    # one state's columns are the assignment indices, so each unit row's
+    # columns are the assignments restricting to its tuple
+    (_, _, marginals), = sheaf._skeleton(system, ("s",), ()).states
+    contexts = [
+        (ctx, tuple(t for t, _ in units), tuple(tuple(unit) for _, unit in units))
+        for ctx, units in marginals
+    ]
+    assert [ctx for ctx, _, _ in contexts] == list(system.cover)
+    for ctx, tuples, groups in contexts:
         at = [system.labels.index(m) for m in ctx]
         assert tuples == tuple(
             itertools.product(*(system.outcomes_of(m).labels for m in ctx))
@@ -902,3 +936,74 @@ def test_context_groups_hold_the_assignments_restricting_to_each_tuple(system):
             tuple(i for i, a in enumerate(assignments) if tuple(a[p] for p in at) == t)
             for t in tuples
         )
+
+
+@st.composite
+def _sparse_theories(draw):
+    """A valid system type from ``_covers_with_outcomes`` (its covered labels,
+    each with its outcomes listed in any order, and its maximal contexts, in
+    the drawn order) and one or two states, each the marginals of a section
+    with random zero weights, so no table signals."""
+    drawn = draw(_covers_with_outcomes())
+    cover = [
+        ctx
+        for i, ctx in enumerate(drawn.cover)
+        if ctx not in drawn.cover[:i]
+        and not any(set(ctx) < set(other) for other in drawn.cover)
+    ]
+    covered = {m for ctx in cover for m in ctx}
+    system = system_type(
+        {
+            m: draw(st.permutations(drawn.outcomes_of(m).labels))
+            for m in drawn.labels
+            if m in covered
+        },
+        cover,
+    )
+    assignments = list(sheaf.global_outcome_tuples(system))
+    sections = {}
+    for name in draw(st.sampled_from([("s0",), ("s0", "s1")])):
+        counts = draw(
+            st.lists(
+                st.integers(0, 3),
+                min_size=len(assignments),
+                max_size=len(assignments),
+            ).filter(any)
+        )
+        total = sum(counts)
+        sections[name] = RationalDistribution(
+            domain=system.labels,
+            weights={g: Fraction(n, total) for g, n in zip(assignments, counts) if n},
+        )
+    return theory_from_sections(system, sections)
+
+
+def _uniform_over(outcomes, cover, rows):
+    """The theory whose one state is the marginals of the uniform section on
+    ``rows``, full assignments in the labels' order."""
+    system = system_type(outcomes, cover)
+    weights = {tuple(g): Fraction(1, len(rows)) for g in rows}
+    section = RationalDistribution(domain=system.labels, weights=weights)
+    return theory_from_sections(system, {"s0": section})
+
+
+# few drawn covers are cyclic once made an antichain, so two are given: a
+# triangle listed out of order beside a one-outcome label of its own, and a
+# four-cycle
+@example(
+    _uniform_over(
+        {"a": "01", "b": "012", "c": "01", "d": "0"},
+        [("b", "c"), ("a", "b"), ("a", "c"), ("d",)],
+        ["0000", "1210", "0110"],
+    )
+)
+@example(
+    _uniform_over(
+        {m: "01" for m in "abcd"},
+        [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")],
+        ["0000", "0110", "1011"],
+    )
+)
+@given(_sparse_theories())
+def test_possibilistic_join_matches_a_per_assignment_filter_on_any_cover(theory):
+    _assert_possibilistic_matches_a_per_assignment_filter(theory)
