@@ -20,13 +20,18 @@ to the first zero-rhs row of mixed signs, is one scan without a column
 index, so the columns forced there (on a sheaf LP, those of the zero-weight
 marginals) never enter the index.  A zero-rhs row past that point whose
 columns the scan has all eliminated forces nothing, so it never enters the
-index or the queue either.
+index or the queue either.  The index itself is built only when the queue
+first meets a row that forces, so a system whose scan leaves only
+nonzero-rhs rows (every ring LP) is never indexed, and the blocks are found
+by merging row supports in row order.
 A block's set-up reads only the block's columns: a block row may hold
 many columns presolve eliminated, so ``_simplex_phase1`` reads each block
 row once, walking the smaller of the row and the block's column positions
-and probing the other with one ``.get`` per entry.  A row lying wholly
-inside its block is then walked once, with no set built.  No output depends
-on the order of a tableau row's entries.
+and probing the other with one ``.get`` per entry, into the form its
+storage keeps: a tall block's rows as dicts, a wide block's entries
+straight into its column packs.  A row lying wholly inside its block is
+then walked once, with no set built.  No output depends on the order of a
+tableau row's entries.
 Each block's phase I writes once what does not depend on how its tableau
 rows are stored: ``_simplex_phase1`` reads the block rows, computes the
 block's common denominator and row signs and reads the Farkas dual from the
@@ -44,8 +49,9 @@ cost follows the entering column's nonzeros, not the block's rows.  A wider
 block stores only its basis inverse and rhs, as dense lists (a row has only
 rows + 1 entries, so a dict would save little), keeps each column packed as
 its row indices and coefficients, and computes a column's reduced cost and
-entries from them when Bland's rule asks for them, so a pivot costs rows
-times rows instead of rows times columns.  Both storages take the same
+entries from them when Bland's rule asks for them, pricing only the
+nonbasic columns, so a pivot costs rows times rows instead of rows times
+columns.  Both storages take the same
 pivots, so the point and certificate do not depend on the block's shape.
 Nor do they depend on a tableau row's positive scale, so a row is divided
 by its content only when it becomes the pivot row or when the multipliers
@@ -62,16 +68,20 @@ verdicts are checked on the system's integer rows: a certificate by
 combining its rows with one common denominator (``_combine``), a point by
 putting it over one common denominator and summing each row only over the
 point's nonzero entries (``verify_point``), so signs and equalities are read
-from integers.
+from integers.  The patch and ``_combine`` each sum into a dense list with
+one slot per column, and a row whose coefficients are all equal (every
+normalization and marginal row of a global-section LP) adds one weight per
+column.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
 from math import gcd, lcm
 from operator import itemgetter, mul
 from types import MappingProxyType
@@ -217,7 +227,17 @@ class FarkasCertificate:
         multiplier has a nonzero coefficient; a sum may still be 0.
         """
         coeffs, rhs, den = _combine(system, self.multipliers)
-        named = {system.variables[j]: Fraction(a, den) for j, a in coeffs.items()}
+        # keyed in the order of the rows with a nonzero multiplier and of
+        # each row's entries
+        held = [
+            row
+            for name, row in zip(system.names, system.coeffs)
+            if self.multipliers.get(name)
+        ]
+        named = {
+            system.variables[j]: Fraction(coeffs[j], den)
+            for j in dict.fromkeys(chain.from_iterable(held))
+        }
         return named, Fraction(rhs, den)
 
 
@@ -240,7 +260,7 @@ def _multiplier(name: str, y: object) -> Fraction | int:
 
 def _combine(
     system: LinearSystem, multipliers: dict[str, Fraction]
-) -> tuple[dict[int, int], int, int]:
+) -> tuple[list[int], int, int]:
     """``sum_r y_r * row_r`` over Python ints: (coefficients, rhs, denominator).
 
     Every value is an integer over the one common denominator ``den > 0``, so
@@ -248,9 +268,10 @@ def _combine(
     multiplier divided by the row's scale; ``den`` is the lcm of the
     resulting multiplier denominators.  Multipliers naming no constraint are
     ignored, and a falsy one (0, None) reads 0; one that is not rational
-    raises ``LinearSystemError`` (``_multiplier``).  The coefficients are
-    keyed by column index, in the order of the rows with a nonzero
-    multiplier and of each row's entries.
+    raises ``LinearSystemError`` (``_multiplier``).  The coefficients are a
+    dense list with one slot per column.  A row whose coefficients are all
+    equal, as every normalization and marginal row of a global-section LP
+    is, adds its one weight times that coefficient to each of its columns.
     """
     rows = []
     den = 1
@@ -266,13 +287,19 @@ def _combine(
         w_num, w_den = y.numerator // g, y.denominator * (scale // g)
         den = lcm(den, w_den)
         rows.append((row, b, w_num, w_den))
-    coeffs: dict[int, int] = {}
+    coeffs = [0] * len(system.variables)
     rhs = 0
     for row, b, w_num, w_den in rows:
         w = w_num * (den // w_den)
         rhs += w * b
-        for j, a in row.items():
-            coeffs[j] = coeffs.get(j, 0) + w * a
+        values = set(row.values())
+        if len(values) == 1:
+            w *= values.pop()
+            for j in row:
+                coeffs[j] += w
+        else:
+            for j, a in row.items():
+                coeffs[j] += w * a
     return coeffs, rhs, den
 
 
@@ -302,7 +329,7 @@ def _certified_rhs(
     if _unknown_names(system, certificate):
         return None
     coeffs, rhs, den = _combine(system, certificate.multipliers)
-    if rhs >= 0 or any(a < 0 for a in coeffs.values()):
+    if rhs >= 0 or min(coeffs, default=0) < 0:
         return None
     return Fraction(rhs, den)
 
@@ -393,15 +420,19 @@ def _presolve(
     mixed signs, is made as one scan without a column index: each zero-rhs
     row forces its live columns to zero, and a nonzero-rhs row with none
     left is the contradiction the queue stops at.  The rows the scan did not
-    retire go to the queue, which indexes live columns only.  A zero-rhs
-    row past the scan's stop whose columns the scan has all eliminated
-    forces nothing, and no elimination reaches it again, so it is settled
-    there and never indexed or queued; a nonzero-rhs row is always kept, so
-    every contradiction is still found.  The queue sees the rows that the
-    scan's eliminations reached again in its own order, and that order only
+    retire go to the queue, which builds its column index (``var_rows``,
+    live columns only) when it first meets a row that forces.  A row with a
+    nonzero rhs never forces, so a system whose scan leaves no zero-rhs row,
+    as every ring LP's does, is never indexed.  A zero-rhs row past the
+    scan's stop whose columns the scan has all eliminated forces nothing,
+    and no elimination reaches it again, so it is settled there and never
+    indexed or queued; a nonzero-rhs row is always kept, so every
+    contradiction is still found.  The queue sees the rows that the scan's
+    eliminations reached again in its own order, and that order only
     decides which contradiction is found first; so a contradiction found
     after the scan has eliminated a column is looked for again without the
-    scan (``scan=False``).
+    scan (``scan=False``).  The blocks are found without the index, by
+    merging the active rows' supports in row order.
     """
     m = len(coeffs)
     eliminated: list[tuple[int, int]] = []
@@ -425,19 +456,15 @@ def _presolve(
             eliminated.extend(zip(forced, repeat(r)))
             dead.update(forced)
     # the active columns of each active row (a row that leaves ``active``
-    # keeps only eliminated columns), and the rows of each active column,
-    # added in row order as if every row had been indexed; a zero-rhs row
-    # the scan left with no live column is settled, so it is left out
+    # keeps only eliminated columns), in row order; a zero-rhs row the scan
+    # left with no live column is settled, so it is left out
     support = {r: set(coeffs[r]).difference(dead) for r in held}
     for r in range(start, m):
         live = set(coeffs[r]).difference(dead) if dead else set(coeffs[r])
         if live or rhs[r]:
             support[r] = live
     rows = list(support)
-    var_rows: defaultdict[int, set[int]] = defaultdict(set)
-    for r in rows:
-        for j in support[r]:
-            var_rows[j].add(r)
+    var_rows: defaultdict[int, set[int]] | None = None  # built on the first force
     active = set(rows)
     queue = deque(rows)
     queued = set(rows)
@@ -457,6 +484,13 @@ def _presolve(
         row = coeffs[r]
         if not (all(row[j] > 0 for j in nz) or all(row[j] < 0 for j in nz)):
             continue
+        if var_rows is None:
+            # no support has lost a column yet: the rows of each column, in
+            # row order, as if every queued row had been indexed up front
+            var_rows = defaultdict(set)
+            for r2, nz2 in support.items():
+                for j in nz2:
+                    var_rows[j].add(r2)
         active.discard(r)
         for j in sorted(nz):
             eliminated.append((j, r))
@@ -466,23 +500,35 @@ def _presolve(
                     if r2 not in queued:
                         queue.append(r2)
                         queued.add(r2)
-    # an active column lies only in active rows, so walking supports and
-    # column rows from each unvisited row collects its block; a visited row
-    # leaves ``active``
-    blocks: list[tuple[list[int], list[int]]] = []
-    for start in sorted(active):
-        if start not in active:
+    # each active row, in row order, joins the blocks its columns are in,
+    # merged into the one of the lowest first row, so ``found`` keeps the
+    # blocks in the order of their first row; a row inside the block the
+    # row before it joined is added with no lookup
+    found: list[tuple[list[int], set[int]] | None] = []
+    owner: dict[int, int] = {}  # active column -> its block's index in found
+    block: list[int] = []
+    cols: set[int] = set()
+    for r in sorted(active):
+        nz = support[r]
+        if nz <= cols:
+            block.append(r)
             continue
-        active.discard(start)
-        block, cols, stack = [start], set(), [start]
-        while stack:
-            for j in support[stack.pop()] - cols:
-                cols.add(j)
-                for r in var_rows[j] & active:
-                    active.discard(r)
-                    block.append(r)
-                    stack.append(r)
-        blocks.append((sorted(block), sorted(cols)))
+        joined = set(map(owner.get, nz))
+        joined.discard(None)
+        b = min(joined) if joined else len(found)
+        if b == len(found):
+            found.append(([], set()))
+        block, cols = found[b]
+        for other in joined - {b}:
+            other_rows, other_cols = found[other]
+            found[other] = None
+            block += other_rows
+            cols |= other_cols
+            owner.update(dict.fromkeys(other_cols, b))
+        block.append(r)
+        cols |= nz
+        owner.update(dict.fromkeys(nz, b))
+    blocks = [(sorted(block), sorted(cols)) for block, cols in filter(None, found)]
     return blocks, eliminated, None
 
 
@@ -499,12 +545,15 @@ def _simplex_phase1(
     flipped by ``flip[k]`` to a nonnegative rhs, and starts basic on its own
     artificial column.  Columns are ``cols`` in sorted order, then one
     artificial per row, then the rhs.  Each storage sets up from the block
-    rows read here, once: row ``k`` is ``{i: flip[k] * a}`` over the entries
-    ``a`` of ``rows[k]`` on ``cols[i]``.  Bland's rule: the entering column is
-    the lowest structural column with a negative reduced cost (artificials
-    are barred); the leaving row has the least ratio of rhs to a positive
-    entry, ties going to the lowest basic column.  Since ``cols`` is sorted,
-    the rule sees the original variable order.
+    rows read here, once, in the form it keeps them: for the stored form
+    (no more columns than rows) row ``k`` is ``{i: flip[k] * a}`` over the
+    entries ``a`` of ``rows[k]`` on ``cols[i]``; for the inverse form the
+    same pass packs each column ``i`` as its row indices ``k`` and entries
+    ``flip[k] * a * (oden // scales[rows[k]])``.  Bland's rule: the
+    entering column is the lowest structural column with a negative reduced
+    cost (artificials are barred); the leaving row has the least ratio of
+    rhs to a positive entry, ties going to the lowest basic column.  Since
+    ``cols`` is sorted, the rule sees the original variable order.
 
     Fraction-free (Edmonds): each tableau row holds Python ints equal to the
     exact rational row up to a positive scale.  Positive scaling changes
@@ -533,30 +582,50 @@ def _simplex_phase1(
     flip = [-1 if rhs[r] < 0 else 1 for r in rows]
     n = len(cols)
     position = {j: i for i, j in enumerate(cols)}
-    block: list[dict[int, int]] = []
-    for r, sign in zip(rows, flip):
-        entries = coeffs[r]
-        row: dict[int, int] = {}
-        if len(entries) <= n:
-            for j, a in entries.items():
-                i = position.get(j)
-                if i is not None:
-                    row[i] = a
-        else:
-            for j, i in position.items():
-                a = entries.get(j)
-                if a is not None:
-                    row[i] = a
-        # flipped afterwards: no global-section row has a negative rhs, so
-        # the entries are kept as they are rather than copied times 1
-        if sign < 0:
-            row = {i: -a for i, a in row.items()}
-        block.append(row)
     if n <= len(rows):
+        block: list[dict[int, int]] = []
+        for r, sign in zip(rows, flip):
+            entries = coeffs[r]
+            row: dict[int, int] = {}
+            if len(entries) <= n:
+                for j, a in entries.items():
+                    i = position.get(j)
+                    if i is not None:
+                        row[i] = a
+            else:
+                for j, i in position.items():
+                    a = entries.get(j)
+                    if a is not None:
+                        row[i] = a
+            # flipped afterwards: no global-section row has a negative rhs,
+            # so the entries are kept as they are rather than copied times 1
+            if sign < 0:
+                row = {i: -a for i, a in row.items()}
+            block.append(row)
         point, obj, oden = _stored_phase1(block, rhs, scales, rows, cols, oden, flip)
         art = n
     else:
-        point, obj, oden = _inverse_phase1(block, rhs, scales, rows, cols, oden, flip)
+        # the pass that reads the rows packs each column as its row indices
+        # and entries, the entries made integer over ``oden``
+        packs: list[tuple[list[int], list[int]]] = [([], []) for _ in cols]
+        for k, (r, sign) in enumerate(zip(rows, flip)):
+            entries = coeffs[r]
+            mult = sign * (oden // scales[r])
+            if len(entries) <= n:
+                for j, a in entries.items():
+                    i = position.get(j)
+                    if i is not None:
+                        ks, vals = packs[i]
+                        ks.append(k)
+                        vals.append(a * mult)
+            else:
+                for j, i in position.items():
+                    a = entries.get(j)
+                    if a is not None:
+                        ks, vals = packs[i]
+                        ks.append(k)
+                        vals.append(a * mult)
+        point, obj, oden = _inverse_phase1(packs, rhs, scales, rows, cols, oden, flip)
         art = 0
     if point is not None:
         return point, None
@@ -723,7 +792,7 @@ def _stored_phase1(
 
 
 def _inverse_phase1(
-    block: list[dict[int, int]],
+    packs: list[tuple[list[int], list[int]]],
     rhs: Sequence[int],
     scales: Sequence[int],
     rows: list[int],
@@ -740,12 +809,14 @@ def _inverse_phase1(
     the sign-flipped block rows made integer over one denominator, tableau
     row ``i`` times ``L`` reads ``sum_k row_i[k] * A[k][j]`` on column
     ``j``, and the reduced cost of ``j`` times ``L`` is ``sum_k (obj[k] -
-    oden) * A[k][j]``.  Bland's rule prices columns in order and stops at
-    the first negative one, and the ratio test and the update need only the
-    entering column, so a pivot costs about the rows times the rows, not
-    times the columns.  Each column is packed once from the block rows as
-    its row indices ``ks`` and entries ``A[k][j]``.  A column with two or
-    more entries, all equal to ``c``, reads ``c *
+    oden) * A[k][j]``.  Bland's rule prices the nonbasic columns in index
+    order and stops at the first negative one (a basic column's reduced
+    cost is 0, so skipping the basic ones picks the same column), and the
+    ratio test and the update need only the entering column, so a pivot
+    costs about the rows times the rows, not times the columns.  ``packs``
+    holds each column as ``_simplex_phase1`` packed it while reading the
+    block rows: its row indices ``ks`` and entries ``A[k][j]``.  A column
+    with two or more entries, all equal to ``c``, reads ``c *
     sum(itemgetter(*ks)(row))``, as every wide column of a global-section
     LP does (all ``L`` or ``-L``); any other column reads
     ``sum(map(mul, map(row.__getitem__, ks), vals))``.  Either way the sum
@@ -759,27 +830,21 @@ def _inverse_phase1(
     m = len(rows)
     n = len(cols)
     unit = oden  # computed entries are ``unit`` times the row's
-    columns: list[tuple[list[int], list[int]]] = [([], []) for _ in cols]
     tab: list[list[int]] = []
     # phase-I reduced costs: artificial 0, then the rhs
     obj = [0] * (m + 1)
-    for k, (entries, r, sign) in enumerate(zip(block, rows, flip)):
-        mult = oden // scales[r]
+    for k, (r, sign) in enumerate(zip(rows, flip)):
         row = [0] * (m + 1)
-        for i, a in entries.items():
-            ks, vals = columns[i]
-            ks.append(k)
-            vals.append(a * mult)
         row[k] = scales[r]
         row[-1] = sign * rhs[r]
-        obj[-1] -= row[-1] * mult
+        obj[-1] -= row[-1] * (oden // scales[r])
         tab.append(row)
 
     # a packed column is (getter, c, ks, vals): a column with two or more
     # entries, all equal to c, reads ``c * sum(getter(row))``; any other has
     # c = 0 and reads ``sum(map(mul, map(row.__getitem__, ks), vals))``
     packed: list[tuple[itemgetter | None, int, list[int], list[int]]] = []
-    for ks, vals in columns:
+    for ks, vals in packs:
         if len(ks) > 1 and vals.count(vals[0]) == len(vals):
             packed.append((itemgetter(*ks), vals[0], ks, vals))
         else:
@@ -793,11 +858,14 @@ def _inverse_phase1(
         return [sum(map(mul, map(row.__getitem__, ks), vals)) for row in rows]
 
     basis = [n + k for k in range(m)]
+    # the nonbasic structural columns in index order, each with its pack: a
+    # basic column prices 0, so Bland's rule never needs it
+    nonbasic = list(enumerate(packed))
     grown = [0] * m  # bits of the q's applied to each row since its division
     while True:
         enter = -1
         prices = [a - oden for a in obj[:m]]
-        for j, (get, c, ks, vals) in enumerate(packed):
+        for j, (get, c, ks, vals) in nonbasic:
             if c:
                 price = c * sum(get(prices))
             else:
@@ -847,6 +915,9 @@ def _inverse_phase1(
                     if g > 1:
                         tab[i] = [a // g for a in row]
         obj, oden = _objective_step(obj, oden, support, p, price)
+        del nonbasic[bisect_left(nonbasic, (enter,))]
+        if basis[leave] < n:
+            insort(nonbasic, (basis[leave], packed[basis[leave]]))
         basis[leave] = enter
     if obj[-1]:
         return None, obj, oden
@@ -857,19 +928,36 @@ def _inverse_phase1(
     return point, obj, oden
 
 
+def _add_row(sums: list[int], row: dict[int, int], w: int) -> None:
+    """Add ``w`` times ``row`` to the dense column sums ``sums``.
+
+    A row whose coefficients are all equal adds one weight per column.
+    """
+    values = set(row.values())
+    if len(values) == 1:
+        w *= values.pop()
+        for j in row:
+            sums[j] += w
+    else:
+        for j, a in row.items():
+            sums[j] += w * a
+
+
 def _patch_certificate(
     coeffs: Sequence[dict[int, int]],
     scales: Sequence[int],
     multipliers: dict[int, int],
     eliminated: list[tuple[int, int]],
+    n: int,
 ) -> dict[int, int]:
     """Extend block multipliers so eliminated columns also combine >= 0.
 
     Processed in reverse elimination order: each patch row is nonnegative on
     every column still active when its variable was eliminated, so later
     (already patched) columns only increase.  The combined coefficient of
-    every column is summed once over the rows that carry a multiplier, and
-    each patch step adds its row, times the step, to those sums.
+    each of the ``n`` columns is summed once, into a dense list, over the
+    rows that carry a multiplier, and each patch step adds its row, times
+    the step, to those sums (``_add_row``).
 
     Multipliers on the rational rows come in, and go out, up to one positive
     scale; the patch commutes with positive scaling.  In between they are
@@ -879,20 +967,18 @@ def _patch_certificate(
     """
     common = lcm(*(scales[r] for r in multipliers))
     z = {r: y * (common // scales[r]) for r, y in multipliers.items()}
-    # sum_r z[r] * coeffs[r][j] for every column j some row of z holds
-    combined: dict[int, int] = {}
+    combined = [0] * n  # sum_r z[r] * coeffs[r][j] for every column j
     for r, zr in z.items():
-        for j, a in coeffs[r].items():
-            combined[j] = combined.get(j, 0) + zr * a
+        _add_row(combined, coeffs[r], zr)
     for j, row in reversed(eliminated):
-        c = combined.get(j, 0)
+        c = combined[j]
         if c < 0:
             # z[row] -= c / q brings the column to exactly zero
             q = coeffs[row][j]
             f = abs(q) // gcd(c, q)
             if f > 1:
                 z = {r: v * f for r, v in z.items()}
-                combined = {k: v * f for k, v in combined.items()}
+                combined = [v * f for v in combined]
                 c *= f
             step = -(c // q)
             zr = z.get(row, 0) + step
@@ -900,8 +986,7 @@ def _patch_certificate(
                 z[row] = zr
             else:
                 del z[row]
-            for k, a in coeffs[row].items():
-                combined[k] = combined.get(k, 0) + step * a
+            _add_row(combined, coeffs[row], step)
     return {r: v * scales[r] for r, v in z.items()}
 
 
@@ -918,7 +1003,7 @@ def solve_feasibility(system: LinearSystem) -> Feasible | Infeasible:
     blocks, eliminated, bad_row = _presolve(coeffs, rhs)
 
     def finish_infeasible(block_dual: dict[int, int]) -> Infeasible:
-        full = _patch_certificate(coeffs, scales, block_dual, eliminated)
+        full = _patch_certificate(coeffs, scales, block_dual, eliminated, len(varnames))
         scale = max(abs(v) for v in full.values())
         named = {system.names[r]: Fraction(v, scale) for r, v in full.items()}
         cert = FarkasCertificate(multipliers=named)

@@ -4,7 +4,7 @@ import hashlib
 import itertools
 import pickle
 import random
-from collections import deque
+from collections import defaultdict, deque
 from copy import deepcopy
 from fractions import Fraction
 from functools import partial
@@ -14,7 +14,7 @@ from typing import Sequence
 from unittest import mock
 
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from ctxcheck.generate import (
     bloch_preparation_scenario,
@@ -558,6 +558,13 @@ def test_built_integer_rows_match_conversion_and_solve_alike():
             assert result.margin == expected.margin
 
 
+# A kernel or presolve defect fails the property tests that reach the solver
+# on their first failing draw, within seconds; shrinking that draw takes
+# exact solves enough to run to hypothesis's five-minute shrink cap, so these
+# report the draw as found
+_UNSHRUNK = settings(phases=[p for p in Phase if p is not Phase.shrink])
+
+
 _EDITED_THEORIES = (
     builtin_example("bell").theory,
     builtin_example("specker-triangle").theory,
@@ -566,6 +573,7 @@ _EDITED_THEORIES = (
 )
 
 
+@_UNSHRUNK
 @given(
     st.sampled_from(_EDITED_THEORIES),
     st.integers(0, 10**6),
@@ -644,13 +652,6 @@ def _rational_systems(draw, max_columns=4):
 
 def _with_constraints(system, constraints):
     return LinearSystem(variables=system.variables, constraints=tuple(constraints))
-
-
-# A kernel defect fails the property tests that reach the kernels on their
-# first failing draw, within seconds; shrinking that draw takes exact solves
-# enough to run to hypothesis's five-minute shrink cap, so these report the
-# draw as found
-_UNSHRUNK = settings(phases=[p for p in Phase if p is not Phase.shrink])
 
 
 @_UNSHRUNK
@@ -757,13 +758,21 @@ _MIXED = st.one_of(
 
 @st.composite
 def _sparse_systems(draw):
-    """Systems whose rows store a subset of the variables, zeros included."""
+    """Systems whose rows store a subset of the variables, zeros included.
+
+    A row may be empty, and half the rows have one coefficient on every
+    column they store, as the normalization and marginal rows of a
+    global-section LP have.
+    """
     n = draw(st.integers(1, 4))
     variables = [f"v{j}" for j in range(n)]
     rows = []
     for r in range(draw(st.integers(1, 4))):
         support = draw(st.lists(st.sampled_from(variables), unique=True))
-        coeffs = {v: draw(_MIXED) for v in support}
+        if draw(st.booleans()):
+            coeffs = dict.fromkeys(support, draw(_MIXED))
+        else:
+            coeffs = {v: draw(_MIXED) for v in support}
         rows.append((f"r{r}", coeffs, draw(_MIXED)))
     return _system(rows, variables)
 
@@ -1100,14 +1109,29 @@ def test_phase1_matches_dense_bland_reference(system):
 
 
 def _block_rows(coeffs, rows, cols, flip):
-    """The block's rows as ``_simplex_phase1`` hands them to a storage: per
-    row, ``{position in cols: entry times the row's sign}``, fresh dicts,
-    since the stored form extends them in place."""
+    """The block's rows as ``_simplex_phase1`` reads them: per row,
+    ``{position in cols: entry times the row's sign}``, fresh dicts, since
+    the stored form extends them in place."""
     position = {j: i for i, j in enumerate(cols)}
     return [
         {position[j]: sign * a for j, a in coeffs[r].items() if j in position}
         for r, sign in zip(rows, flip)
     ]
+
+
+def _storage_input(loop, coeffs, scales, rows, cols, oden, flip):
+    """What ``_simplex_phase1`` hands ``loop``: the block rows to the stored
+    form, and to the inverse form each column packed as its row indices and
+    entries times ``oden // scales[r]``."""
+    block = _block_rows(coeffs, rows, cols, flip)
+    if loop is _stored_phase1:
+        return block
+    packs = [([], []) for _ in cols]
+    for k, (row, r) in enumerate(zip(block, rows)):
+        for i, a in row.items():
+            packs[i][0].append(k)
+            packs[i][1].append(a * (oden // scales[r]))
+    return packs
 
 
 def _storage_phase1(loop, coeffs, rhs, scales, rows, cols):
@@ -1116,7 +1140,7 @@ def _storage_phase1(loop, coeffs, rhs, scales, rows, cols):
     the loop returns, which follow the structural ones in the stored form."""
     oden = lcm(*(scales[r] for r in rows))
     flip = [-1 if rhs[r] < 0 else 1 for r in rows]
-    block = _block_rows(coeffs, rows, cols, flip)
+    block = _storage_input(loop, coeffs, scales, rows, cols, oden, flip)
     point, obj, oden = loop(block, rhs, scales, rows, cols, oden, flip)
     if point is not None:
         return point, None
@@ -1305,7 +1329,7 @@ def _assert_presolve_and_patch_match_reference(coeffs, rhs, scales, n):
     assert bad_row == expected_bad_row
     dual = _block_dual(coeffs, rhs, scales, blocks, bad_row)
     if dual is not None:
-        patched = _patch_certificate(coeffs, scales, dual, eliminated)
+        patched = _patch_certificate(coeffs, scales, dual, eliminated, n)
         expected = _reference_patch_certificate(
             coeffs, scales, dual, eliminated, var_rows
         )
@@ -1409,11 +1433,21 @@ def _scanned_systems(draw):
     The first rows mix zero-rhs rows of one sign with nonzero-rhs rows; the
     rows after them are drawn freely, zero rhs as often as not, so the scan
     stops at a row of mixed signs, the queue still eliminates after it, and
-    contradictions show up during the scan and after it.
+    contradictions show up during the scan and after it.  Any row may
+    instead have one coefficient on all its columns, as a global-section
+    LP's unit rows (1) and marginal rows (a weight's denominator) have, or
+    be empty.
     """
     n = draw(st.integers(1, 8))
     nonzero = st.integers(-3, 3).filter(bool)
     columns = st.lists(st.integers(0, n - 1), min_size=1, unique=True)
+
+    def equal_or(row):
+        kind = draw(st.sampled_from(["drawn", "drawn", "equal", "empty"]))
+        if kind == "equal":
+            return dict.fromkeys(row, draw(st.sampled_from([1, 1, 2, 3, -1, -2])))
+        return {} if kind == "empty" else row
+
     coeffs, rhs = [], []
     for _ in range(draw(st.integers(0, 6))):
         cols = draw(columns)
@@ -1422,20 +1456,70 @@ def _scanned_systems(draw):
             coeffs.append({j: sign * draw(st.integers(1, 3)) for j in cols})
             rhs.append(0)
         else:
-            coeffs.append({j: draw(nonzero) for j in cols})
+            coeffs.append(equal_or({j: draw(nonzero) for j in cols}))
             rhs.append(draw(nonzero))
     for _ in range(draw(st.integers(0, 6))):
         cols = draw(columns)
-        coeffs.append({j: draw(nonzero) for j in cols})
+        coeffs.append(equal_or({j: draw(nonzero) for j in cols}))
         rhs.append(draw(st.sampled_from([0, 0, 0, 1, -1, 2])))
     return coeffs, rhs, n
 
 
-@settings(max_examples=500)
+# Blocks are found by merging row supports in row order, and the column index
+# is built only when a queued row first forces.  Rows 0 and 1 start two blocks
+# that row 2 joins, and row 3 joins none; nothing forces, so nothing is indexed
+_JOINED_BLOCKS = ([{0: 1, 1: 1}, {2: 1, 3: 1}, {1: 1, 2: -1}, {4: 2}], [1, 1, 1, 1], 5)
+# row 3 joins the blocks of rows 0 and 2 but not row 1's, which still comes
+# second, by its first row; row 4 joins the first block alone
+_SKIPPED_BLOCK = ([{0: 1}, {1: 1}, {2: 1}, {0: 1, 2: 1}, {0: 3}], [1, 2, 3, 4, 5], 3)
+# the scan forces column 0 and leaves no zero-rhs row, so the queue finds
+# nothing to force and the index is never built
+_SCANNED_ONLY = ([{0: 1}, {0: 1, 1: 1}, {1: 1, 2: 1}, {3: 1}], [0, 1, 1, 2], 4)
+# row 1 stops the scan; row 2 is the queue's first row to force, after rows
+# 0 and 1 have had their turn, so the index is built mid-queue, and row 1
+# then forces column 0 too
+_FORCED_IN_QUEUE = (
+    [{0: 1, 1: 1, 4: 1}, {0: 1, 1: -1}, {1: 1}, {0: 1, 2: 1}, {2: 1, 3: 1}],
+    [1, 0, 0, 1, 1],
+    5,
+)
+
+
+@settings(_UNSHRUNK, max_examples=500)
+@example(_JOINED_BLOCKS)
+@example(_SKIPPED_BLOCK)
+@example(_SCANNED_ONLY)
+@example(_FORCED_IN_QUEUE)
 @given(_scanned_systems())
 def test_any_scanned_presolve_matches_the_full_queue(case):
     coeffs, rhs, n = case
     _assert_presolve_and_patch_match_reference(coeffs, rhs, [1] * len(coeffs), n)
+
+
+@pytest.mark.parametrize(
+    "case, blocks, indexed",
+    [
+        (_JOINED_BLOCKS, [([0, 1, 2], [0, 1, 2, 3]), ([3], [4])], False),
+        (_SKIPPED_BLOCK, [([0, 2, 3, 4], [0, 2]), ([1], [1])], False),
+        (_SCANNED_ONLY, [([1, 2], [1, 2]), ([3], [3])], False),
+        (_FORCED_IN_QUEUE, [([0], [4]), ([3, 4], [2, 3])], True),
+    ],
+)
+def test_presolve_indexes_columns_only_once_a_row_forces(
+    case, blocks, indexed, monkeypatch
+):
+    coeffs, rhs, n = case
+    built = []
+
+    class Recorded(defaultdict):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(linprog, "defaultdict", Recorded)
+    assert linprog._presolve(coeffs, rhs)[0] == blocks
+    assert len(built) == indexed
+    assert _reference_presolve(coeffs, rhs, n)[0] == blocks
 
 
 def test_rows_the_scan_settled_are_never_queued(monkeypatch):
@@ -1499,7 +1583,7 @@ def _settled_systems(draw):
     return coeffs, rhs, n
 
 
-@settings(max_examples=300)
+@settings(_UNSHRUNK, max_examples=300)
 @given(_settled_systems())
 def test_presolve_settles_scanned_rows_as_the_full_queue_does(case):
     coeffs, rhs, n = case
@@ -1810,7 +1894,7 @@ def test_phase1_reads_only_block_columns_as_before(case):
         (_stored_phase1, _parent_stored_phase1),
         (_inverse_phase1, _parent_inverse_phase1),
     ):
-        block = _block_rows(coeffs, rows, cols, flip)
+        block = _storage_input(loop, coeffs, scales, rows, cols, oden, flip)
         assert loop(block, rhs, scales, rows, cols, oden, flip) == before(
             coeffs, rhs, scales, rows, cols, oden, flip
         )

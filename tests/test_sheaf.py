@@ -41,7 +41,7 @@ from ctxcheck.sheaf import (
     signalling_violations,
     verify_global_section,
 )
-from test_linprog import _frustrated_ring, _golden_theories, _ring_system
+from test_linprog import _UNSHRUNK, _frustrated_ring, _golden_theories, _ring_system
 
 H = Fraction(1, 2)
 
@@ -1007,3 +1007,72 @@ def _uniform_over(outcomes, cover, rows):
 @given(_sparse_theories())
 def test_possibilistic_join_matches_a_per_assignment_filter_on_any_cover(theory):
     _assert_possibilistic_matches_a_per_assignment_filter(theory)
+
+
+# ---------------------------------------------------------------------------
+# The n-cycle inequalities as a closed-form oracle
+# ---------------------------------------------------------------------------
+
+# a share in [0, 1], its two ends drawn often so that tables on the boundary
+# of their Frechet bounds occur, and correlators of +-1 with them
+_SHARES = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), H]),
+    st.fractions(min_value=0, max_value=1, max_denominator=6),
+)
+# a share within 1/3 of an end, so that every edge of a cycle can be near a
+# correlator of +-1 at once, as a contextual cycle needs
+_NEAR_ENDS = st.builds(
+    lambda end, gap: abs(end - gap),
+    st.sampled_from([Fraction(0), Fraction(1)]),
+    st.fractions(min_value=0, max_value=Fraction(1, 3), max_denominator=12),
+)
+
+
+@st.composite
+def _binary_cycles(draw):
+    """A binary n-cycle for n = 4..7, with the correlators of its edges.
+
+    Each label reads 0 with a drawn probability.  Each edge reads (0, 0)
+    with a drawn point ``t`` of its Frechet bounds max(0, a + b - 1) <= t <=
+    min(a, b), with ``a`` and ``b`` its two labels' probabilities, and its
+    other outcomes follow from ``t`` and the two marginals, so no
+    signalling holds.  The correlator of outcomes read as +1 and -1 is
+    1 - 2a - 2b + 4t.  Half the cycles have every marginal 1/2 and each
+    ``t`` near an end of its bounds, as the contextual boxes do.
+    """
+    n = draw(st.integers(4, 7))
+    system = _ring_system(n)
+    boxed = draw(st.booleans())
+    p = {m: H if boxed else draw(_SHARES) for m in system.labels}
+    table, correlators = {}, []
+    for ctx in system.cover:
+        a, b = p[ctx[0]], p[ctx[1]]
+        low, high = max(Fraction(0), a + b - 1), min(a, b)
+        t = low + draw(_NEAR_ENDS if boxed else _SHARES) * (high - low)
+        weights = {
+            ("0", "0"): t,
+            ("0", "1"): a - t,
+            ("1", "0"): b - t,
+            ("1", "1"): 1 - a - b + t,
+        }
+        table[ctx] = RationalDistribution(domain=ctx, weights=weights)
+        correlators.append(1 - 2 * a - 2 * b + 4 * t)
+    theory = EmpiricalTheory(system=system, states={"s0": State(name="s0", table=table)})
+    return theory, correlators
+
+
+@settings(_UNSHRUNK, max_examples=150)
+@given(_binary_cycles())
+def test_binary_cycle_is_contextual_exactly_when_a_cycle_inequality_fails(case):
+    # Araujo, Quintino, Budroni, Terra Cunha and Cabello, PRA 88, 022118
+    # (2013): a no-signalling binary n-cycle is noncontextual exactly when
+    # sum_i g_i <X_i X_{i+1}> <= n - 2 for every sign vector g with an odd
+    # number of -1 entries (Fine's theorem at n = 4)
+    theory, correlators = case
+    n = len(correlators)
+    violated = any(
+        sum(g * e for g, e in zip(signs, correlators)) > n - 2
+        for signs in itertools.product((1, -1), repeat=n)
+        if signs.count(-1) % 2
+    )
+    assert check_contextuality(theory).contextual == violated
