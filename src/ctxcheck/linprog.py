@@ -24,6 +24,18 @@ index or the queue either.  The index itself is built only when the queue
 first meets a row that forces, so a system whose scan leaves only
 nonzero-rhs rows (every ring LP) is never indexed, and the blocks are found
 by merging row supports in row order.
+Presolve reads a row's support, its coefficients' signs and whether its rhs
+is zero, nothing else, and every LP that ``sheaf.global_section_system``
+builds from one skeleton has the same supports and signs: a marginal row is
+its unit row times a positive denominator, and the normalization and
+declaration rows are shared.  So such a system carries its skeleton's
+presolve memo, and ``solve_feasibility`` presolves only when the memo
+misses (``_presolved``).  The key is the zero pattern of the rhs,
+``bytes(map(bool, rhs))``; the memo holds one entry, the last pattern's,
+replaced whole on a miss, and the entry holds only row and column indices,
+as tuples.  A hit returns what presolve would, so every point, certificate
+and margin is the same.  A system from the public constructor has no memo,
+and a pickled or copied one loses it, so either presolves on every solve.
 A block's set-up reads only the block's columns: a block row may hold
 many columns presolve eliminated, so ``_simplex_phase1`` reads each block
 row once, walking the smaller of the row and the block's column positions
@@ -113,7 +125,9 @@ class LinearSystem:
     coefficient, stored zeros dropped so row supports stay exact, and
     ``rhs[r]`` is the integer rhs.  Two systems are equal when these five
     are.  The system is immutable, and nothing reads its rows but to solve
-    and check it, so systems may share row dicts.
+    and check it, so systems may share row dicts.  A system that
+    ``sheaf.global_section_system`` builds also carries its skeleton's
+    presolve memo (``_from_rows``), which is neither compared nor pickled.
 
     ``LinearSystem(variables, constraints)`` converts named constraints and
     raises ``LinearSystemError`` for a duplicate variable or constraint
@@ -171,6 +185,9 @@ class LinearSystem:
             scales=tuple(scales),
         )
 
+    # the builder's presolve memo (``_from_rows``); unannotated, so not a field
+    _presolve_memo = None
+
     @classmethod
     def _from_rows(
         cls,
@@ -179,17 +196,31 @@ class LinearSystem:
         coeffs: tuple[dict[int, int], ...],
         rhs: tuple[int, ...],
         scales: tuple[int, ...],
+        presolve_memo: list | None = None,
     ) -> LinearSystem:
-        """A system of rows its builder made, and checked, in this form."""
+        """A system of rows its builder made, and checked, in this form.
+
+        ``presolve_memo`` is a one-slot list the builder shares among every
+        system whose rows have the same supports and signs, so that only
+        which rows have a zero rhs can tell their presolves apart
+        (``_presolved``).
+        """
         system = object.__new__(cls)
         system.__dict__.update(
             variables=variables, names=names, coeffs=coeffs, rhs=rhs, scales=scales
         )
+        if presolve_memo is not None:
+            system.__dict__["_presolve_memo"] = presolve_memo
         return system
 
     def __getstate__(self) -> dict:
-        # a rendered view holds read-only mappings, which do not pickle
-        return {k: v for k, v in self.__dict__.items() if k != "constraints"}
+        # a rendered view holds read-only mappings, which do not pickle; the
+        # presolve memo is the builder's, so a copy goes without it
+        return {
+            k: v
+            for k, v in self.__dict__.items()
+            if k not in ("constraints", "_presolve_memo")
+        }
 
     @cached_property
     def constraints(self) -> tuple[LinearConstraint, ...]:
@@ -532,12 +563,34 @@ def _presolve(
     return blocks, eliminated, None
 
 
+def _presolved(system: LinearSystem) -> tuple:
+    """``_presolve(system.coeffs, system.rhs)``, read from the system's
+    presolve memo when its builder gave it one.
+
+    The memo is a one-slot list holding (key, result): the key is the rhs's
+    zero pattern, the result ``_presolve``'s with every list made a tuple.
+    A miss presolves and replaces the slot whole, so no reader sees one
+    pattern's key with another's result.  A system without a memo gets
+    ``_presolve``'s own result.
+    """
+    memo = system._presolve_memo
+    if memo is None:
+        return _presolve(system.coeffs, system.rhs)
+    key = bytes(map(bool, system.rhs))
+    entry = memo[0]
+    if entry is None or entry[0] != key:
+        blocks, eliminated, bad_row = _presolve(system.coeffs, system.rhs)
+        frozen = tuple((tuple(rows), tuple(cols)) for rows, cols in blocks)
+        entry = memo[0] = (key, (frozen, tuple(eliminated), bad_row))
+    return entry[1]
+
+
 def _simplex_phase1(
     coeffs: Sequence[dict[int, int]],
     rhs: Sequence[int],
     scales: Sequence[int],
-    rows: list[int],
-    cols: list[int],
+    rows: Sequence[int],
+    cols: Sequence[int],
 ) -> tuple[dict[int, Fraction] | None, dict[int, int] | None]:
     """Phase-I simplex on a block.  Returns (point, None) or (None, dual).
 
@@ -669,8 +722,8 @@ def _stored_phase1(
     block: list[dict[int, int]],
     rhs: Sequence[int],
     scales: Sequence[int],
-    rows: list[int],
-    cols: list[int],
+    rows: Sequence[int],
+    cols: Sequence[int],
     oden: int,
     flip: list[int],
 ) -> tuple[dict[int, Fraction] | None, list[int], int]:
@@ -795,8 +848,8 @@ def _inverse_phase1(
     packs: list[tuple[list[int], list[int]]],
     rhs: Sequence[int],
     scales: Sequence[int],
-    rows: list[int],
-    cols: list[int],
+    rows: Sequence[int],
+    cols: Sequence[int],
     oden: int,
     flip: list[int],
 ) -> tuple[dict[int, Fraction] | None, list[int], int]:
@@ -947,7 +1000,7 @@ def _patch_certificate(
     coeffs: Sequence[dict[int, int]],
     scales: Sequence[int],
     multipliers: dict[int, int],
-    eliminated: list[tuple[int, int]],
+    eliminated: Sequence[tuple[int, int]],
     n: int,
 ) -> dict[int, int]:
     """Extend block multipliers so eliminated columns also combine >= 0.
@@ -997,10 +1050,14 @@ def solve_feasibility(system: LinearSystem) -> Feasible | Infeasible:
     always satisfies every row exactly; an Infeasible result always carries a
     certificate that passes ``verify_certificate`` (both re-checked here, on
     the system's integer rows, which the solve reads and never writes).
+    A system built by ``sheaf.global_section_system`` reads its presolve
+    from its skeleton's memo when the last solve of that skeleton had the
+    same zero pattern of the rhs, and leaves its own there otherwise
+    (``_presolved``); the result is the same either way.
     """
     varnames = system.variables
     coeffs, rhs, scales = system.coeffs, system.rhs, system.scales
-    blocks, eliminated, bad_row = _presolve(coeffs, rhs)
+    blocks, eliminated, bad_row = _presolved(system)
 
     def finish_infeasible(block_dual: dict[int, int]) -> Infeasible:
         full = _patch_certificate(coeffs, scales, block_dual, eliminated, len(varnames))

@@ -170,7 +170,8 @@ def system_type(
 # room to spare, while a long-running process that meets ever new scenarios
 # retains at most eight of each (the five bundled skeletons, each marginal
 # held as a unit row dict, take about 1.0 MB beside their scenarios, by
-# tracemalloc).  No memo holds a verdict or a table entry.
+# tracemalloc).  No memo holds a verdict or a table entry, nor does the
+# presolve memo each skeleton holds (row and column indices only).
 _MEMO_SIZE = 8
 
 

@@ -68,14 +68,18 @@ on it (``_scenario``): the assignments (the LP build and
 product path and the possibilistic check) and the unbuilt LP's size, each
 built on first read.  The two memos, ``_scenario`` and
 ``_skeleton``, each keep at most ``model._MEMO_SIZE`` (8) scenarios and
-never hold a verdict or a table entry.
+never hold a verdict or a table entry.  Each skeleton also holds the
+presolve memo its LPs share (``linprog._presolved``): one entry, the
+presolve of the last of them solved, keyed on which of its rows have a zero
+rhs, the one thing presolve reads that differs between them.  The entry is
+row and column indices only, so it holds no verdict or table entry either.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections.abc import Callable, Collection, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from fractions import Fraction
 from math import gcd, lcm, prod
@@ -254,7 +258,10 @@ def global_section_system(theory: EmpiricalTheory) -> LinearSystem:
     those three.  A marginal row reads its weight's denominator on each
     column, so a zero or one weight's row is the unit row itself, and any
     other is built from it.  Every LP of a scenario shares the rows it takes
-    from the skeleton, which nothing writes.
+    from the skeleton, which nothing writes, and the skeleton's presolve
+    memo: its rows have the same supports and signs, so ``solve_feasibility``
+    presolves again only when the zero pattern of the rhs differs from that
+    of the scenario's last solve.
     """
     skeleton = _skeleton(theory.system, tuple(theory.states), tuple(theory.convex))
     coeffs: list[dict[int, int]] = []
@@ -280,7 +287,12 @@ def global_section_system(theory: EmpiricalTheory) -> LinearSystem:
         rhs.append(0)
         scales.append(scale)
     return LinearSystem._from_rows(
-        skeleton.variables, skeleton.rows, tuple(coeffs), tuple(rhs), tuple(scales)
+        skeleton.variables,
+        skeleton.rows,
+        tuple(coeffs),
+        tuple(rhs),
+        tuple(scales),
+        skeleton.presolve_memo,
     )
 
 
@@ -400,6 +412,12 @@ class _Skeleton:
     declaration rows' integer coefficients and scales.  Every LP of the
     scenario shares the normalization and declaration row dicts, and the
     unit row of each marginal whose weight is 0 or 1.
+
+    ``presolve_memo`` is the presolve memo every LP of the scenario
+    carries (``LinearSystem._from_rows``): one slot, holding the zero
+    pattern of the rhs of the last LP solved with its presolve, or None
+    before the first solve.  It is not compared, and it holds row and
+    column indices only.
     """
 
     variables: tuple[str, ...]
@@ -410,6 +428,9 @@ class _Skeleton:
         ...,
     ]
     declarations: tuple[tuple[dict[int, int], int], ...]
+    presolve_memo: list = field(
+        default_factory=lambda: [None], compare=False, repr=False
+    )
 
 
 @lru_cache(maxsize=_MEMO_SIZE)

@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 from hypothesis import settings
 
-from ctxcheck import linprog
+from ctxcheck import linprog, sheaf
 from ctxcheck.generate import theory_from_sections
 from ctxcheck.model import (
     ConvexComponent,
@@ -54,6 +54,16 @@ _objective_step = linprog._objective_step
 linprog._objective_step = _counted_step
 linprog._stored_phase1 = _pivot_budgeted(linprog._stored_phase1)
 linprog._inverse_phase1 = _pivot_budgeted(linprog._inverse_phase1)
+
+
+@pytest.fixture(autouse=True)
+def _cold_skeletons():
+    """Each test starts with no LP skeleton memoized, so the presolve memo a
+    skeleton holds (``linprog._presolved``) sees only the test's own solves,
+    and a test that counts ``_presolve`` calls counts the same whichever
+    tests ran before it."""
+    sheaf._skeleton.cache_clear()
+
 
 TERNARY = ("0", "1", "2")
 

@@ -24,7 +24,7 @@ from ctxcheck.generate import (
     random_sections,
     theory_from_sections,
 )
-from ctxcheck import linprog
+from ctxcheck import linprog, sheaf
 from ctxcheck.linprog import (
     FarkasCertificate,
     Feasible,
@@ -54,7 +54,12 @@ from ctxcheck.model import (
     system_type,
 )
 from ctxcheck.quantum import BUILTIN_NAMES, builtin_example, without_declarations
-from ctxcheck.sheaf import global_section_system
+from ctxcheck.sheaf import (
+    context_outcome_tuples,
+    global_outcome_tuples,
+    global_section_system,
+    marginal_weights,
+)
 
 
 def _system(rows, variables):
@@ -1602,6 +1607,189 @@ def test_feasible_point_lists_every_variable_in_variable_order():
             assert list(result.point) == list(lp.variables)
             assert all(type(v) is Fraction for v in result.point.values())
     assert feasible >= 10
+
+
+# ---------------------------------------------------------------------------
+# The presolve memo a built LP shares with the other LPs of its skeleton
+# ---------------------------------------------------------------------------
+
+
+def _frozen_presolve(coeffs, rhs):
+    """``_presolve``'s result with every list a tuple, as the memo holds it."""
+    blocks, eliminated, bad_row = _presolve(coeffs, rhs)
+    return (
+        tuple((tuple(rows), tuple(cols)) for rows, cols in blocks),
+        tuple(eliminated),
+        bad_row,
+    )
+
+
+def _verdict(result):
+    """A solve's whole output, dict order included."""
+    if isinstance(result, Feasible):
+        return "F", list(result.point.items())
+    return "I", list(result.certificate.multipliers.items()), result.margin
+
+
+# the system types and state names of a binary 5-ring with one state and of a
+# binary triangle with two states, on which new tables are drawn
+_MEMO_SCENARIOS = (
+    _frustrated_ring(random.Random(5), 5),
+    random_instance(random.Random(1)),
+)
+
+
+def _weights_on(draw, keys):
+    """Drawn positive weights on ``keys``, summing to 1."""
+    nums = [draw(st.integers(1, 3)) for _ in keys]
+    return {k: Fraction(n, sum(nums)) for k, n in zip(keys, nums)}
+
+
+@st.composite
+def _supports(draw, theory):
+    """Per state of ``theory``, either the support of a section over every
+    assignment, whose marginals make the tables, or the support of each
+    table, drawn apart from the others, so the tables may signal."""
+    system = theory.system
+    assignments = list(global_outcome_tuples(system))
+    supports = {}
+    for name in theory.states:
+        if draw(st.booleans()):
+            supports[name] = draw(
+                st.lists(st.sampled_from(assignments), min_size=1, unique=True)
+            )
+        else:
+            supports[name] = {
+                ctx: draw(
+                    st.lists(
+                        st.sampled_from(list(context_outcome_tuples(system, ctx))),
+                        min_size=1,
+                        unique=True,
+                    )
+                )
+                for ctx in system.cover
+            }
+    return supports
+
+
+@st.composite
+def _theories_on_one_scenario(draw):
+    """Two to six theories on the system type and state names of one of
+    ``_MEMO_SCENARIOS``, each on one of up to three drawn supports, with
+    drawn weights: consecutive theories often share their zero pattern, and
+    as often do not."""
+    base = draw(st.sampled_from(_MEMO_SCENARIOS))
+    system = base.system
+    supports = draw(st.lists(_supports(base), min_size=1, max_size=3))
+    theories = []
+    for support in draw(st.lists(st.sampled_from(supports), min_size=2, max_size=6)):
+        states = {}
+        for name, drawn in support.items():
+            if isinstance(drawn, list):
+                section = RationalDistribution(system.labels, _weights_on(draw, drawn))
+                table = {
+                    ctx: RationalDistribution(ctx, marginal_weights(section, ctx))
+                    for ctx in system.cover
+                }
+            else:
+                table = {
+                    ctx: RationalDistribution(ctx, _weights_on(draw, keys))
+                    for ctx, keys in drawn.items()
+                }
+            states[name] = State(name=name, table=table)
+        theories.append(EmpiricalTheory(system=system, states=states))
+    return theories
+
+
+@_UNSHRUNK
+@given(_theories_on_one_scenario())
+def test_memoized_presolve_solves_as_a_system_without_memo(theories):
+    # every LP of one skeleton shares its memo, so each solve, in the drawn
+    # order, reads the entry the solve before it left or replaces it; its
+    # verdict must be that of the same rows without a memo, and the entry it
+    # leaves what presolve gives its rows
+    sheaf._skeleton.cache_clear()
+    lps = [global_section_system(theory) for theory in theories]
+    memo = lps[0]._presolve_memo
+    assert memo == [None] and all(lp._presolve_memo is memo for lp in lps)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("scan", True))
+        return _presolve(*args, **kwargs)
+
+    verdicts, entries = [], []
+    with mock.patch.object(linprog, "_presolve", counted):
+        for lp in lps:
+            verdicts.append(_verdict(solve_feasibility(lp)))
+            entries.append(memo[0])
+    keys = [key for key, _ in entries]
+    # one presolve per solve whose zero pattern is not the one before it
+    changes = sum(k != before for k, before in zip(keys, [None, *keys]))
+    assert calls.count(True) == changes
+    for lp, (key, entry), verdict in zip(lps, entries, verdicts):
+        assert key == bytes(map(bool, lp.rhs))
+        assert entry == _frozen_presolve(lp.coeffs, lp.rhs)
+        plain = LinearSystem(lp.variables, lp.constraints)
+        assert plain == lp and plain._presolve_memo is None
+        assert _verdict(solve_feasibility(plain)) == verdict
+
+
+def _two_zero_patterns():
+    """The LPs of two theories of one binary 5-ring: a frustrated ring, with
+    six zero weights on its noiseless edges, and the marginals of a positive
+    section, with none.  They share one skeleton, and so one memo."""
+    lps = [
+        global_section_system(theory)
+        for theory in (_frustrated_ring(random.Random(2), 5), _feasible_ring(5, 1))
+    ]
+    first, second = lps
+    assert first._presolve_memo is second._presolve_memo
+    assert 0 in first.rhs and 0 not in second.rhs
+    return lps
+
+
+def test_public_constructor_system_reads_and_writes_no_presolve_memo():
+    built, other = _two_zero_patterns()
+    solve_feasibility(built)
+    memo = built._presolve_memo
+    entry = memo[0]
+    # the same rows through the public constructor, of either zero pattern,
+    # carry no memo, and solving them leaves the skeleton's as it was
+    for lp in (built, other):
+        plain = LinearSystem(lp.variables, lp.constraints)
+        assert "_presolve_memo" not in vars(plain) and plain._presolve_memo is None
+        solve_feasibility(plain)
+        assert memo == [entry] and memo[0] is entry
+
+
+def test_pickled_lp_drops_the_presolve_memo_and_solves_alike():
+    for lp in _two_zero_patterns():
+        result = solve_feasibility(lp)
+        for copy in (pickle.loads(pickle.dumps(lp)), deepcopy(lp)):
+            assert copy == lp
+            assert "_presolve_memo" not in vars(copy) and copy._presolve_memo is None
+            assert _verdict(solve_feasibility(copy)) == _verdict(result)
+
+
+def test_second_zero_pattern_replaces_the_first(monkeypatch):
+    first, second = _two_zero_patterns()
+    memo = first._presolve_memo
+    calls = _counted_presolve(monkeypatch)
+    expected = [_verdict(solve_feasibility(lp)) for lp in (first, second)]
+    assert calls.count(True) == 2
+    # each pattern in turn: the one entry is the last pattern's, and a solve
+    # of the other pattern presolves again
+    for lp, presolves, verdict in (
+        (first, 3, expected[0]),
+        (first, 3, expected[0]),
+        (second, 4, expected[1]),
+        (second, 4, expected[1]),
+        (first, 5, expected[0]),
+    ):
+        assert _verdict(solve_feasibility(lp)) == verdict
+        assert memo == [(bytes(map(bool, lp.rhs)), _frozen_presolve(lp.coeffs, lp.rhs))]
+        assert calls.count(True) == presolves
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from ctxcheck import sheaf
 from ctxcheck.equivalence import minimalize, quotient_theory
-from ctxcheck.generate import random_sections, theory_from_sections
+from ctxcheck.generate import random_instance, random_sections, theory_from_sections
 from ctxcheck.linprog import (
     Feasible,
     LinearSystem,
@@ -41,7 +41,13 @@ from ctxcheck.sheaf import (
     signalling_violations,
     verify_global_section,
 )
-from test_linprog import _UNSHRUNK, _frustrated_ring, _golden_theories, _ring_system
+from test_linprog import (
+    _UNSHRUNK,
+    _feasible_ring,
+    _frustrated_ring,
+    _golden_theories,
+    _ring_system,
+)
 
 H = Fraction(1, 2)
 
@@ -1076,3 +1082,64 @@ def test_binary_cycle_is_contextual_exactly_when_a_cycle_inequality_fails(case):
         if signs.count(-1) % 2
     )
     assert check_contextuality(theory).contextual == violated
+
+
+@st.composite
+def _cross_decider_theories(draw):
+    """A ``random_instance``, a binary ring (marginals of a positive
+    section, frustrated, or a ``_binary_cycles`` draw, whose tables may sit
+    on their Frechet bounds), or a builtin with its declarations."""
+    kinds = ["random", "feasible", "frustrated", "cycle", "builtin"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "random":
+        return random_instance(random.Random(draw(st.integers(0, 10**6))))
+    if kind == "feasible":
+        return _feasible_ring(draw(st.integers(4, 7)), draw(st.integers(0, 10**6)))
+    if kind == "frustrated":
+        seed = draw(st.integers(0, 10**6))
+        return _frustrated_ring(random.Random(seed), draw(st.integers(4, 7)))
+    if kind == "cycle":
+        return draw(_binary_cycles())[0]
+    return builtin_example(draw(st.sampled_from(BUILTIN_NAMES))).theory
+
+
+# Cross-decider relations (no closed form needed).  Each draw checks LPs of
+# several skeletons of one system type in one process (with and without
+# declarations), so a presolve memo keyed too loosely would show here.  A
+# disagreement is a finding about a decider, not a draw to leave out.
+
+
+def _every_builtin(test):
+    """Runs ``test`` on each builtin too: two are possibilistically
+    contextual, and two hold the only declarations of these draws."""
+    for name in BUILTIN_NAMES:
+        test = example(builtin_example(name).theory)(test)
+    return test
+
+
+@settings(_UNSHRUNK, max_examples=100)
+@_every_builtin
+@given(_cross_decider_theories())
+def test_possibilistically_contextual_theory_is_contextual(theory):
+    # a supported local section that no supported assignment extends cannot
+    # be a marginal of any global section, with or without declarations
+    possibilistic = check_contextuality(theory, mode="possibilistic").contextual
+    undeclared = check_contextuality(without_declarations(theory)).contextual
+    assert undeclared or not possibilistic
+    assert check_contextuality(theory).contextual or not possibilistic
+
+
+@settings(_UNSHRUNK, max_examples=100)
+@_every_builtin
+@given(_cross_decider_theories())
+def test_declarations_never_make_a_theory_less_contextual(theory):
+    # a declaration only adds rows, so a global section of the declared
+    # theory is one of the undeclared theory
+    pair = (without_declarations(theory), theory)
+    undeclared, declared = [check_contextuality(t).contextual for t in pair]
+    assert declared or not undeclared
+    # the same verdicts in the other order, after the memos the first left
+    assert [check_contextuality(t).contextual for t in pair[::-1]] == [
+        declared,
+        undeclared,
+    ]
